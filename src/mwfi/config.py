@@ -104,12 +104,12 @@ class RunConfig:
             raise ConfigError(f"{self.source}: key {key!r}: not a number: {self.values[key]!r}")
 
     def get_int(self, key, default=None):
-        if key not in self.values:
+        value = self.get_float(key)
+        if value is None:
             return default
-        try:
-            return int(float(self.values[key]))
-        except ValueError:
+        if not value.is_integer():
             raise ConfigError(f"{self.source}: key {key!r}: not an integer: {self.values[key]!r}")
+        return int(value)
 
     def get_bool(self, key, default=None):
         if key not in self.values:

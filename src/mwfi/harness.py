@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rf_signals import RfScenario, TimeGrid, ToneSpec, instantaneous_components
+from .rf_signals import RfScenario, TimeGrid, ToneSpec, sole_component_freq
 from .classifier import ClassLabel, classify, compute_features
 from .config import ConfigError, RunConfig
 from .ifm_engine import (
@@ -283,15 +283,12 @@ def _run_dynamic(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     )
     inst_freq_to_csv(est, out / "inst_freq.csv")
 
-    # score reconstructed samples against the scenario's own track
-    errors = []
-    for k in np.flatnonzero(~est.is_noise):
-        comps = instantaneous_components(scenario, est.times[k]).components
-        if len(comps) == 1:
-            errors.append(est.freq[k] - comps[0][0])
-    if errors:
+    # score samples that are not noise and where the scenario has one frequency
+    diff = est.freq - sole_component_freq(scenario, grid)
+    errors = diff[~np.isnan(diff)]
+    if errors.size:
         report.per_tone_errors_hz = []
-        report.rms_error_hz = float(np.sqrt(np.mean(np.asarray(errors) ** 2)))
+        report.rms_error_hz = float(np.sqrt(np.mean(errors**2)))
     report.extras["n_samples"] = str(est.freq.size)
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
 
@@ -361,6 +358,8 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     started = time.perf_counter()
     try:
         _MODE_RUNNERS[mode](cfg, seed, out, report)
+    except ConfigError:
+        raise
     except Exception as exc:
         raise RuntimeError(f"{mode} stage failed: {exc}") from exc
     report.runtime_s = time.perf_counter() - started

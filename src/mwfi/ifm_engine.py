@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, component_tracks
 from .photonic_link import (
     LinkModels,
@@ -282,13 +283,11 @@ def estimate_static_frequency(trace: IfmTrace, lut: AcfLut, noise_floor: float =
 
 def lut_to_csv(lut: AcfLut, path):
     """Two-column knot table under a single header naming mode/port/band."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            f"# mode={lut.mode} port={lut.port} "
-            f"f_lo_hz={lut.band[0]:.10e} f_hi_hz={lut.band[1]:.10e}\n"
-        )
-        for f, v in zip(lut.freqs, lut.values):
-            fh.write(f"{f:.10e},{v:.10e}\n")
+    header = (
+        f"# mode={lut.mode} port={lut.port} "
+        f"f_lo_hz={lut.band[0]:.10e} f_hi_hz={lut.band[1]:.10e}\n"
+    )
+    write_columns(path, header, (lut.freqs, lut.values))
 
 
 def lut_from_csv(path) -> AcfLut:
@@ -308,18 +307,8 @@ def lut_from_csv(path) -> AcfLut:
 
 
 def ifm_trace_to_csv(trace: IfmTrace, path):
-    times = trace.grid.times()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("time_s,power\n")
-        for t, p in zip(times, trace.power):
-            fh.write(f"{t:.10e},{p:.10e}\n")
+    write_columns(path, "time_s,power\n", (trace.grid.times(), trace.power))
 
 
 def inst_freq_to_csv(est: InstFreqEstimate, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("time_s,freq_hz_or_NOISE\n")
-        for t, f in zip(est.times, est.freq):
-            if np.isnan(f):
-                fh.write(f"{t:.10e},NOISE\n")
-            else:
-                fh.write(f"{t:.10e},{f:.10e}\n")
+    write_columns(path, "time_s,freq_hz_or_NOISE\n", (est.times, est.freq), nan="NOISE")

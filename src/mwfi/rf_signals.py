@@ -21,6 +21,7 @@ __all__ = [
     "instantaneous_components",
     "sample_track",
     "component_tracks",
+    "sole_component_freq",
 ]
 
 
@@ -169,6 +170,10 @@ def instantaneous_components(scenario: RfScenario, t: float) -> SpectralSnapshot
     Tones are always on. A chirp contributes its ramp frequency while
     t mod repeat_interval < pulse_width. A hop contributes the frequency of
     the dwell containing t.
+
+    This is the scalar oracle API: the engines and the harness use the
+    vectorised component_tracks and sole_component_freq, and the tests
+    check those against this function sample by sample.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -189,7 +194,11 @@ def instantaneous_components(scenario: RfScenario, t: float) -> SpectralSnapshot
 
 
 def sample_track(scenario: RfScenario, grid: TimeGrid) -> list:
-    """One snapshot per grid sample (scalar reference path, kept simple)."""
+    """One snapshot per grid sample.
+
+    Part of the scalar oracle API with instantaneous_components; nothing on
+    the simulation or artifact path calls it.
+    """
     return [instantaneous_components(scenario, t) for t in grid.times()]
 
 
@@ -231,3 +240,24 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
         freq = np.asarray(hop.freqs)[idx]
         tracks.append((freq, np.full(n, hop.amplitude), active))
     return tracks
+
+
+def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:
+    """Per-sample frequency where exactly one distinct frequency is active.
+
+    NaN elsewhere: no emitter active, or several distinct frequencies.
+    Equal frequencies from different emitters count once, as in
+    instantaneous_components, so this is the vectorised form of
+    ``len(snapshot.components) == 1`` and ``snapshot.components[0][0]``
+    over the grid.
+    """
+    tracks = component_tracks(scenario, grid)
+    out = np.full(grid.n_samples, np.nan)
+    if not tracks:
+        return out
+    freq = np.stack([f for f, _, _ in tracks])
+    active = np.stack([act for _, _, act in tracks])
+    first = freq[np.argmax(active, axis=0), np.arange(grid.n_samples)]
+    sole = active.any(axis=0) & np.all(~active | (freq == first), axis=0)
+    out[sole] = first[sole]
+    return out

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
+from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_tracks
 from .photonic_link import (
     LinkModels,
@@ -193,17 +194,16 @@ def simulate_scan(
     total *= models.link.link_gain
 
     power = pd_detect(total, models.pd, grid)
+    hint, settle = _scan_timing(models, drive)
+    return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
+
+
+def _scan_timing(models: LinkModels, drive: SawtoothDrive):
+    """(pulse_width_hint, settle_time) of a scan, as ScanTrace defines them."""
     span = mrr_resonance_offset(models.mrr, drive.v_max) - mrr_resonance_offset(
         models.mrr, drive.v_min
     )
-    hint = float(models.mrr.fwhm / (span / drive.period))
-    return ScanTrace(
-        grid=grid,
-        power=power,
-        drive=drive,
-        pulse_width_hint=hint,
-        settle_time=10.0 * models.mrr.tau_thermal,
-    )
+    return float(models.mrr.fwhm / (span / drive.period)), 10.0 * models.mrr.tau_thermal
 
 
 def _above_threshold_runs(above: np.ndarray):
@@ -477,16 +477,21 @@ def estimate_hop_set(
 
 
 def scan_trace_to_csv(trace: ScanTrace, path):
-    times = trace.grid.times()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("time_s,power\n")
-        for t, p in zip(times, trace.power):
-            fh.write(f"{t:.10e},{p:.10e}\n")
+    write_columns(path, "time_s,power\n", (trace.grid.times(), trace.power))
 
 
-def scan_trace_from_csv(path, drive: SawtoothDrive, pulse_width_hint: float | None = None) -> ScanTrace:
+def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanTrace:
+    """Reload a trace written by scan_trace_to_csv.
+
+    The file holds only times and power; the pulse width hint and settle
+    time come from the models and drive that produced it, as in
+    simulate_scan, so the reloaded trace detects the same events.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     t = data[:, 0]
     rate = 1.0 / float(np.median(np.diff(t)))
     grid = TimeGrid(sample_rate=rate, n_samples=len(t), t0=float(t[0]))
-    return ScanTrace(grid=grid, power=data[:, 1], drive=drive, pulse_width_hint=pulse_width_hint)
+    hint, settle = _scan_timing(models, drive)
+    return ScanTrace(
+        grid=grid, power=data[:, 1], drive=drive, pulse_width_hint=hint, settle_time=settle
+    )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mwfi.classifier import ClassLabel
+from mwfi.cli import main
 from mwfi.config import ConfigError, RunConfig
 from mwfi.harness import MetricsReport, expected_label, rms_error, run
 from mwfi.presets import list_presets, preset_path
@@ -61,6 +62,14 @@ class TestConfigParsing:
         cfg = RunConfig.from_text("mode = measure\npd.noise_sigma = lots\n")
         with pytest.raises(ConfigError, match="pd.noise_sigma"):
             cfg.build_models()
+
+    def test_non_integral_integer_rejected(self):
+        cfg = RunConfig.from_text("mode = sweep\nsweep.n_seeds = 2.9\n")
+        with pytest.raises(ConfigError, match="sweep.n_seeds"):
+            cfg.get_int("sweep.n_seeds")
+        for text in ("4096", "4096.0", "1e3"):
+            cfg = RunConfig.from_text(f"mode = calibrate\nifm.n_knots = {text}\n")
+            assert cfg.get_int("ifm.n_knots") == int(float(text))
 
     def test_bool_parsing(self):
         cfg = RunConfig.from_text("mode = dynamic\nnotch.enabled = true\n")
@@ -207,7 +216,7 @@ class TestRun:
 
     def test_sweep_needs_target_mode(self, tmp_path):
         cfg = RunConfig.from_text("mode = sweep\nsweep.mode = sweep\n")
-        with pytest.raises(RuntimeError, match="sweep"):
+        with pytest.raises(ConfigError, match="sweep.mode"):
             run(cfg, out_dir=tmp_path)
 
     def test_errors_name_failing_stage(self, tmp_path):
@@ -257,6 +266,21 @@ class TestCli:
         proc = self._run("measure", "--config", str(bad), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "unknown key" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "mode, line, key",
+        [
+            ("measure", "measure.method = bogus", "measure.method"),
+            ("sweep", "sweep.mode = bogus", "sweep.mode"),
+            ("sweep", "sweep.mode = dynamic\nsweep.n_seeds = 2.9", "sweep.n_seeds"),
+        ],
+    )
+    def test_config_error_inside_mode_exits_two(self, tmp_path, capsys, mode, line, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = {mode}\n{line}\n")
+        assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     def test_missing_config_exits_two(self, tmp_path):
         proc = self._run("measure", "--config", "no_such_file.cfg", "--out", str(tmp_path))

@@ -10,6 +10,7 @@ from mwfi.rf_signals import (
     component_tracks,
     instantaneous_components,
     sample_track,
+    sole_component_freq,
 )
 
 
@@ -168,6 +169,41 @@ def test_component_tracks_matches_scalar_path():
                 if active[k]
             }
             assert got == expected
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        # hop + chirp at 1 GS/s: every 80th sample sits on a dwell boundary
+        RfScenario(
+            chirps=(ChirpSpec(center=15e9, span=6e9, pulse_width=160e-9, repeat_interval=400e-9),),
+            hops=(HopSpec(freqs=(10e9, 13e9, 15e9), dwell=80e-9),),
+        ),
+        # a tone and a hop share 13 GHz: those samples merge to one frequency
+        RfScenario(
+            tones=(ToneSpec(freq=13e9),),
+            hops=(HopSpec(freqs=(13e9, 17e9), dwell=50e-9),),
+        ),
+        # two hops share 13 GHz; the second starts late and does not repeat
+        RfScenario(
+            hops=(
+                HopSpec(freqs=(11e9, 13e9), dwell=50e-9),
+                HopSpec(freqs=(13e9, 12e9), dwell=75e-9, start=1e-6, repeat=False),
+            ),
+        ),
+        RfScenario(),
+    ],
+)
+def test_sole_component_freq_matches_scalar_path(sc):
+    grid = TimeGrid(sample_rate=1e9, n_samples=2000)
+    expected = []
+    for t in grid.times():
+        comps = instantaneous_components(sc, float(t)).components
+        expected.append(comps[0][0] if len(comps) == 1 else np.nan)
+    got = sole_component_freq(sc, grid)
+    np.testing.assert_array_equal(got, expected)
+    if sc.n_emitters:
+        assert 0 < np.count_nonzero(np.isnan(got)) < grid.n_samples
 
 
 def test_negative_time_rejected():

@@ -254,12 +254,25 @@ class TestPersistence:
         assert loaded.valid_range == pytest.approx(table_1ms.valid_range)
         assert loaded.fit_residual_rms == pytest.approx(table_1ms.fit_residual_rms)
 
-    def test_trace_csv_round_trip(self, noiseless_models, drive, tmp_path):
+    def test_trace_csv_round_trip(self, noiseless_models, tmp_path):
+        # two periods: the reload must keep the settle window, or the
+        # post-reset flyback crossing reads as a third pulse
+        drive = SawtoothDrive(n_periods=2)
         grid = make_grid(5e5, drive)
         trace = simulate_scan(tone_scenario(15e9), noiseless_models, drive, grid)
         path = tmp_path / "trace.csv"
         scan_trace_to_csv(trace, path)
-        loaded = scan_trace_from_csv(path, drive, pulse_width_hint=trace.pulse_width_hint)
+        loaded = scan_trace_from_csv(path, noiseless_models, drive)
         assert loaded.grid.n_samples == grid.n_samples
         np.testing.assert_allclose(loaded.power, trace.power, rtol=1e-9)
         np.testing.assert_allclose(loaded.grid.sample_rate, grid.sample_rate, rtol=1e-6)
+        assert (loaded.pulse_width_hint, loaded.settle_time) == (
+            trace.pulse_width_hint,
+            trace.settle_time,
+        )
+        events = detect_pulses(trace)
+        assert len(events) == 2
+        reloaded = detect_pulses(loaded)
+        assert [ev.peak_time for ev in reloaded] == pytest.approx(
+            [ev.peak_time for ev in events], rel=1e-9
+        )
