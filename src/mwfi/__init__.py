@@ -18,7 +18,6 @@ from .rf_signals import (
     sample_track,
 )
 from .photonic_link import (
-    LinkConfig,
     LinkModels,
     ModulatorModel,
     MrrModel,

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .scan_engine import ScanTrace
+from .scan_engine import ScanTrace, _above_threshold_runs
 
 __all__ = ["EnvelopeFeatures", "ClassLabel", "compute_features", "classify"]
 
@@ -44,19 +44,12 @@ def _is_continuous(trace: ScanTrace, gap_threshold: float) -> bool:
     not read as gaps; only scan stretches with no nearby component leave a
     sub-half-level hole longer than gap_threshold.
     """
-    hint = trace.pulse_width_hint or trace.grid.duration / 100.0
-    size = max(3, int(round(hint * trace.grid.sample_rate)))
+    size = max(3, int(round(trace.pulse_width_hint * trace.grid.sample_rate)))
     smooth = uniform_filter1d(trace.power, size=size, mode="nearest")
     floor = float(np.median(trace.power))
     half = floor + 0.5 * (float(np.max(smooth)) - floor)
-    above = np.flatnonzero(smooth >= half)
-    lo, hi = int(above[0]), int(above[-1])
-    below = smooth[lo : hi + 1] < half
-    max_gap = 0
-    run = 0
-    for flag in below:
-        run = run + 1 if flag else 0
-        max_gap = max(max_gap, run)
+    runs = _above_threshold_runs(smooth >= half)
+    max_gap = max((nxt[0] - prev[1] for prev, nxt in zip(runs, runs[1:])), default=0)
     return bool(max_gap * trace.grid.dt < gap_threshold)
 
 
@@ -77,7 +70,7 @@ def compute_features(
     continuous = None
     if filled:
         if gap_threshold is None:
-            gap_threshold = trace.pulse_width_hint or trace.grid.duration / 100.0
+            gap_threshold = trace.pulse_width_hint
         continuous = _is_continuous(trace, gap_threshold)
     return EnvelopeFeatures(n_envelopes=n, filled=filled, continuous=continuous)
 

@@ -6,12 +6,12 @@ never need unit conversion. Unknown keys are rejected with their line
 number, which catches typos before they silently fall back to defaults.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
 from .rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
 from .photonic_link import (
-    LinkConfig,
     LinkModels,
     ModulatorModel,
     MrrModel,
@@ -37,8 +37,8 @@ _KEY_PATTERNS = [
     r"mzi\.(fsr_hz|extinction_ratio_db|f_ref_hz|insertion_loss_db)",
     r"notch\.(enabled|centers_hz|fwhm_each_hz|rejection_db)",
     r"pd\.(bw_3db_hz|responsivity|noise_sigma)",
-    r"link\.(carrier_freq_hz|gain)",
-    r"scenario\.tone\d+\.(freq_hz|amplitude|phase_rad)",
+    r"link\.gain",
+    r"scenario\.tone\d+\.(freq_hz|amplitude)",
     r"scenario\.chirp\d+\.(center_hz|span_hz|pulse_width_s|repeat_interval_s|amplitude|direction)",
     r"scenario\.hop\d+\.(freqs_hz|dwell_s|amplitude|start_s|repeat)",
     r"calibration\.(lo_hz|hi_hz|step_hz)",
@@ -95,13 +95,19 @@ class RunConfig:
     def get_str(self, key, default=None):
         return self.values.get(key, default)
 
+    def _number(self, key, token):
+        try:
+            value = float(token)
+        except ValueError:
+            raise ConfigError(f"{self.source}: key {key!r}: not a number: {token!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.source}: key {key!r}: not a finite number: {token!r}")
+        return value
+
     def get_float(self, key, default=None):
         if key not in self.values:
             return default
-        try:
-            return float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{self.source}: key {key!r}: not a number: {self.values[key]!r}")
+        return self._number(key, self.values[key])
 
     def get_int(self, key, default=None):
         value = self.get_float(key)
@@ -124,12 +130,17 @@ class RunConfig:
     def get_float_list(self, key, default=None):
         if key not in self.values:
             return default
-        try:
-            return [float(tok) for tok in self.values[key].split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"{self.source}: key {key!r}: not a number list: {self.values[key]!r}")
+        return [self._number(key, tok) for tok in self.values[key].split(",") if tok.strip()]
 
     # section builders ----------------------------------------------------
+    def _make(self, section, model, **params):
+        """model(**params), with the model's own ValueError reported as a
+        config error of the section the parameters came from."""
+        try:
+            return model(**params)
+        except ValueError as exc:
+            raise ConfigError(f"{self.source}: section {section!r}: {exc}") from None
+
     @property
     def mode(self) -> str:
         mode = self.get_str("mode")
@@ -157,20 +168,16 @@ class RunConfig:
             freq = self.get_float(p + "freq_hz")
             if freq is None:
                 raise ConfigError(f"{self.source}: scenario.tone{i} needs freq_hz")
-            tones.append(
-                ToneSpec(
-                    freq=freq,
-                    amplitude=self.get_float(p + "amplitude", 1.0),
-                    phase=self.get_float(p + "phase_rad", 0.0),
-                )
-            )
+            amplitude = self.get_float(p + "amplitude", 1.0)
+            tones.append(self._make(p[:-1], ToneSpec, freq=freq, amplitude=amplitude))
         for i in sorted(indices["chirp"]):
             p = f"scenario.chirp{i}."
             for need in ("center_hz", "span_hz", "pulse_width_s", "repeat_interval_s"):
                 if p + need not in self.values:
                     raise ConfigError(f"{self.source}: scenario.chirp{i} needs {need}")
             chirps.append(
-                ChirpSpec(
+                self._make(
+                    p[:-1], ChirpSpec,
                     center=self.get_float(p + "center_hz"),
                     span=self.get_float(p + "span_hz"),
                     pulse_width=self.get_float(p + "pulse_width_s"),
@@ -187,7 +194,8 @@ class RunConfig:
             if p + "dwell_s" not in self.values:
                 raise ConfigError(f"{self.source}: scenario.hop{i} needs dwell_s")
             hops.append(
-                HopSpec(
+                self._make(
+                    p[:-1], HopSpec,
                     freqs=tuple(freqs),
                     dwell=self.get_float(p + "dwell_s"),
                     amplitude=self.get_float(p + "amplitude", 1.0),
@@ -200,19 +208,22 @@ class RunConfig:
     def build_models(self, seed: int | None = None) -> LinkModels:
         notch = None
         if self.get_bool("notch.enabled", False):
-            centers = self.get_float_list("notch.centers_hz", [10e9])
-            notch = NotchFilterModel(
-                centers=tuple(centers),
+            notch = self._make(
+                "notch", NotchFilterModel,
+                centers=self.get_float_list("notch.centers_hz", [10e9]),
                 fwhm_each=self.get_float("notch.fwhm_each_hz", 300e6),
                 rejection=self.get_float("notch.rejection_db", 20.0),
             )
-        return LinkModels(
-            modulator=ModulatorModel(
+        return self._make(
+            "link", LinkModels,
+            modulator=self._make(
+                "modulator", ModulatorModel,
                 bw_3db=self.get_float("modulator.bw_3db_hz", 22e9),
                 carrier_suppression=self.get_float("modulator.carrier_suppression_db", 25.0),
                 image_sideband_suppression=self.get_float("modulator.image_suppression_db", 25.0),
             ),
-            mrr=MrrModel(
+            mrr=self._make(
+                "mrr", MrrModel,
                 fsr=self.get_float("mrr.fsr_hz", 80e9),
                 fwhm=self.get_float("mrr.fwhm_hz", 875e6),
                 f_offset0=self.get_float("mrr.f_offset0_hz", 8e9),
@@ -220,27 +231,27 @@ class RunConfig:
                 tau_thermal=self.get_float("mrr.tau_thermal_s", 37.3e-6),
                 peak_transmission=self.get_float("mrr.peak_transmission", 1.0),
             ),
-            mzi=MziModel(
+            mzi=self._make(
+                "mzi", MziModel,
                 fsr=self.get_float("mzi.fsr_hz", 144e9),
                 extinction_ratio=self.get_float("mzi.extinction_ratio_db", 18.0),
                 f_ref=self.get_float("mzi.f_ref_hz", 0.0),
                 insertion_loss=self.get_float("mzi.insertion_loss_db", 0.0),
             ),
             notch=notch,
-            pd=PdModel(
+            pd=self._make(
+                "pd", PdModel,
                 bw_3db=self.get_float("pd.bw_3db_hz", 33e9),
                 responsivity=self.get_float("pd.responsivity", 1.0),
                 noise_sigma=self.get_float("pd.noise_sigma", 0.01),
                 seed=self.seed if seed is None else seed,
             ),
-            link=LinkConfig(
-                carrier_freq=self.get_float("link.carrier_freq_hz", 193.1e12),
-                link_gain=self.get_float("link.gain", 1.0),
-            ),
+            link_gain=self.get_float("link.gain", 1.0),
         )
 
     def build_drive(self) -> SawtoothDrive:
-        return SawtoothDrive(
+        return self._make(
+            "drive", SawtoothDrive,
             v_min=self.get_float("drive.v_min_v", 0.0),
             v_max=self.get_float("drive.v_max_v", 4.0),
             period=self.get_float("drive.period_s", 0.25),

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import write_columns
-from .rf_signals import RfScenario, TimeGrid, component_tracks
+from .rf_signals import RfScenario, TimeGrid, component_powers
 from .photonic_link import (
     LinkModels,
     ModulatorModel,
     MziModel,
-    modulator_sideband_weight,
+    link_power,
     mzi_port_response,
     notch_response,
     pd_detect,
@@ -117,22 +117,14 @@ class InstFreqEstimate:
         return np.isnan(self.freq)
 
 
-def _single_tone_power(mod: ModulatorModel, mzi: MziModel, port: int, f) -> np.ndarray:
-    """Detected power of a unit-amplitude tone at f through the MZI path.
+def _single_tone_power(mod: ModulatorModel, mzi: MziModel, port: int, f: np.ndarray) -> np.ndarray:
+    """Detected power of a unit-amplitude tone at each f through the MZI path.
 
     Includes the modulator roll-off and the residual-carrier and
     image-sideband leakage, i.e. exactly the curve an end-to-end power
     calibration measures (bandstop filter off).
     """
-    cs = 10.0 ** (-mod.carrier_suppression / 10.0)
-    imgs = 10.0 ** (-mod.image_sideband_suppression / 10.0)
-    f = np.asarray(f, dtype=float)
-    w = modulator_sideband_weight(mod, f)
-    return (
-        w * mzi_port_response(mzi, f, port)
-        + imgs * w * mzi_port_response(mzi, -f, port)
-        + cs * mzi_port_response(mzi, 0.0, port)
-    )
+    return link_power(mod, lambda x: mzi_port_response(mzi, x, port), [(f, 1.0)], f.size)
 
 
 def build_lut(
@@ -184,11 +176,10 @@ def simulate_ifm(
 ) -> IfmTrace:
     """Detected power of the bandstop-filtered MZI path.
 
-    Per sample the instantaneous components contribute
-    amplitude^2 x modulator roll-off x bandstop transmission x port response,
-    plus residual-carrier and image-sideband leakage. The normalization is
-    the detected power of a unit-amplitude component at the band maximum of
-    the port response (bandstop excluded).
+    link_power through the port response times the bandstop transmission,
+    through the detector. The normalization is the detected power of a
+    unit-amplitude component at the band maximum of the port response
+    (bandstop excluded).
     """
     for hop in scenario.hops:
         if grid.sample_rate * hop.dwell < 10.0:
@@ -196,40 +187,22 @@ def simulate_ifm(
                 f"grid rate {grid.sample_rate:.3e} S/s undersamples the "
                 f"{hop.dwell:.2e} s hop dwell (need >= 10 samples per dwell)"
             )
-    mod = models.modulator
-    cs = 10.0 ** (-mod.carrier_suppression / 10.0)
-    imgs = 10.0 ** (-mod.image_sideband_suppression / 10.0)
 
-    def path_response(freqs):
-        resp = modulator_sideband_weight(mod, np.abs(freqs)) * mzi_port_response(
-            models.mzi, freqs, port
-        )
+    def response(freqs):
+        resp = mzi_port_response(models.mzi, freqs, port)
         if models.notch is not None:
             resp = resp * notch_response(models.notch, freqs)
         return resp
 
-    total = np.zeros(grid.n_samples)
-    sideband_power = 0.0
-    for tone in scenario.tones:
-        p = tone.amplitude**2
-        sideband_power += p
-        total += p * (
-            float(path_response(tone.freq)) + imgs * float(path_response(-tone.freq))
-        )
-    if scenario.chirps or scenario.hops:
-        dynamic = RfScenario(chirps=scenario.chirps, hops=scenario.hops)
-        for freq, amp, active in component_tracks(dynamic, grid):
-            p = np.where(active, amp**2, 0.0)
-            sideband_power = sideband_power + p
-            total += p * path_response(freq)
-            total += imgs * p * path_response(-freq)
-    total += cs * sideband_power * float(path_response(0.0))
-    total *= models.link.link_gain
+    total = link_power(
+        models.modulator, response, component_powers(scenario, grid), grid.n_samples
+    )
+    total *= models.link_gain
 
     power = pd_detect(total, models.pd, grid)
     ref = np.linspace(band[0], band[1], 2048)
-    peak = float(np.max(_single_tone_power(mod, models.mzi, port, ref)))
-    normalization = models.link.link_gain * models.pd.responsivity * peak
+    peak = float(np.max(_single_tone_power(models.modulator, models.mzi, port, ref)))
+    normalization = models.link_gain * models.pd.responsivity * peak
     return IfmTrace(grid=grid, power=power, normalization=normalization)
 
 

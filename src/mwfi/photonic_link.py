@@ -19,7 +19,6 @@ __all__ = [
     "MziModel",
     "NotchFilterModel",
     "PdModel",
-    "LinkConfig",
     "LinkModels",
     "modulator_sideband_weight",
     "mrr_drop_response",
@@ -29,6 +28,7 @@ __all__ = [
     "acf",
     "notch_response",
     "pd_detect",
+    "link_power",
 ]
 
 
@@ -136,10 +136,15 @@ class PdModel:
 
 
 @dataclass(frozen=True)
-class LinkConfig:
-    """Lumped link parameters: carrier bookkeeping and EDFA/loss gain factor."""
+class LinkModels:
+    """Parameter bundle for a full link simulation; link_gain is the lumped
+    EDFA/loss gain factor of the optical path."""
 
-    carrier_freq: float = 193.1e12  # Hz, documentation only in this model
+    modulator: ModulatorModel = field(default_factory=ModulatorModel)
+    mrr: MrrModel = field(default_factory=MrrModel)
+    mzi: MziModel = field(default_factory=MziModel)
+    notch: NotchFilterModel | None = None
+    pd: PdModel = field(default_factory=PdModel)
     link_gain: float = 1.0
 
     def __post_init__(self):
@@ -147,22 +152,33 @@ class LinkConfig:
             raise ValueError("link_gain must be > 0")
 
 
-@dataclass(frozen=True)
-class LinkModels:
-    """Parameter bundle for a full link simulation."""
-
-    modulator: ModulatorModel = field(default_factory=ModulatorModel)
-    mrr: MrrModel = field(default_factory=MrrModel)
-    mzi: MziModel = field(default_factory=MziModel)
-    notch: NotchFilterModel | None = None
-    pd: PdModel = field(default_factory=PdModel)
-    link: LinkConfig = field(default_factory=LinkConfig)
-
-
 def modulator_sideband_weight(model: ModulatorModel, f):
     """First-order low-pass power roll-off: w(f) = 1 / (1 + (f/bw)^2)."""
     f = np.asarray(f, dtype=float)
     return 1.0 / (1.0 + (f / model.bw_3db) ** 2)
+
+
+def link_power(modulator: ModulatorModel, response, components, n_samples: int) -> np.ndarray:
+    """Optical power reaching the detector through one filter.
+
+    components holds (freq, power) pairs: scalars for always-on tones,
+    per-sample arrays for dynamic emitters (zero power where inactive).
+    Each pair contributes its sideband at +f and the suppressed image at
+    -f, both weighted by the modulator roll-off at f; the residual carrier
+    at 0 scales with the summed sideband power. response(freq) is the
+    filter's power transmission at an RF offset (scalar or per sample).
+    """
+    cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
+    imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
+    total = np.zeros(n_samples)
+    sideband_power = 0.0
+    for f, p in components:
+        w = modulator_sideband_weight(modulator, f)
+        total += p * w * response(f)
+        total += imgs * p * w * response(-f)
+        sideband_power = sideband_power + p
+    total += cs * sideband_power * response(0.0)
+    return total
 
 
 def mrr_drop_response(model: MrrModel, detuning):

@@ -21,6 +21,7 @@ __all__ = [
     "instantaneous_components",
     "sample_track",
     "component_tracks",
+    "component_powers",
     "sole_component_freq",
 ]
 
@@ -57,7 +58,6 @@ class ToneSpec:
 
     freq: float  # Hz
     amplitude: float = 1.0  # linear field scale; power contribution is amplitude**2
-    phase: float = 0.0  # radians; carried for completeness, never observable here
 
     def __post_init__(self):
         if self.freq <= 0:
@@ -207,10 +207,10 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
 
     Returns a list of (freq, amplitude, active) arrays, one triple per
     emitter, equivalent to evaluating instantaneous_components at every grid
-    time. The engines consume this form; sample_track is the scalar oracle.
-    Note that unlike sample_track, coincident equal frequencies from
-    different emitters are not merged (the power sum is identical either
-    way).
+    time. component_powers and sole_component_freq build on this form;
+    sample_track is the scalar oracle. Note that unlike sample_track,
+    coincident equal frequencies from different emitters are not merged
+    (the power sum is identical either way).
     """
     t = grid.times()
     n = grid.n_samples
@@ -240,6 +240,19 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
         freq = np.asarray(hop.freqs)[idx]
         tracks.append((freq, np.full(n, hop.amplitude), active))
     return tracks
+
+
+def component_powers(scenario: RfScenario, grid: TimeGrid) -> list:
+    """(freq, power) pairs of every emitter, the input of link_power.
+
+    Tones give scalars; chirps and hops give per-sample arrays from
+    component_tracks, with zero power where the emitter is inactive.
+    """
+    pairs = [(tone.freq, tone.amplitude**2) for tone in scenario.tones]
+    if scenario.chirps or scenario.hops:
+        dynamic = RfScenario(chirps=scenario.chirps, hops=scenario.hops)
+        pairs += [(f, np.where(on, a**2, 0.0)) for f, a, on in component_tracks(dynamic, grid)]
+    return pairs
 
 
 def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:

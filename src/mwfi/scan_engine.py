@@ -14,10 +14,10 @@ from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
 from ._csv import write_columns
-from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_tracks
+from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_powers
 from .photonic_link import (
     LinkModels,
-    modulator_sideband_weight,
+    link_power,
     mrr_drop_response,
     mrr_resonance_offset,
     pd_detect,
@@ -77,10 +77,11 @@ class ScanTrace:
     """Detected-power record of one or more scan periods.
 
     pulse_width_hint is the nominal time-domain width of a static-tone
-    crossing pulse (MRR linewidth / mean scan rate); detectors use it to
-    scale gap tolerances and smoothing windows. settle_time is the heater
-    settling window after each sawtooth reset, during which the lagged
-    resonance flies back down through the band and crossings are spurious.
+    crossing pulse (MRR linewidth / mean scan rate), 1% of the trace
+    duration when not given; detectors use it to scale gap tolerances and
+    smoothing windows. settle_time is the heater settling window after
+    each sawtooth reset, during which the lagged resonance flies back down
+    through the band and crossings are spurious.
     """
 
     grid: TimeGrid
@@ -93,6 +94,8 @@ class ScanTrace:
         object.__setattr__(self, "power", np.asarray(self.power, dtype=float))
         if self.power.shape != (self.grid.n_samples,):
             raise ValueError("power length must equal grid.n_samples")
+        hint = self.pulse_width_hint or self.grid.duration / 100.0
+        object.__setattr__(self, "pulse_width_hint", hint)
 
 
 @dataclass(frozen=True)
@@ -157,10 +160,9 @@ def simulate_scan(
 ) -> ScanTrace:
     """Detected power of the scanning-filter path for a full scenario.
 
-    Per sample: sawtooth voltage -> lagged V^2 -> scan frequency, then the
-    power sum over instantaneous components of
-    amplitude^2 x modulator roll-off x ring response at the detuning,
-    plus residual-carrier and image-sideband leakage, through the detector.
+    Per sample: sawtooth voltage -> lagged V^2 -> scan frequency, then
+    link_power through the ring response at each component's detuning
+    from the scan frequency, through the detector.
     """
     expected = drive.n_periods * drive.period
     if abs(grid.duration - expected) > grid.dt:
@@ -168,30 +170,13 @@ def simulate_scan(
             f"grid duration {grid.duration:.6e} s != {drive.n_periods} x {drive.period} s drive"
         )
     f_s = scan_frequency(models, drive, grid)
-    cs = 10.0 ** (-models.modulator.carrier_suppression / 10.0)
-    imgs = 10.0 ** (-models.modulator.image_sideband_suppression / 10.0)
-
-    total = np.zeros(grid.n_samples)
-    sideband_power = 0.0  # scalar for tones, broadcasts up for dynamic emitters
-    # static tones: scalar frequency/amplitude, only the detuning varies
-    for tone in scenario.tones:
-        p = tone.amplitude**2
-        sideband_power += p
-        w = float(modulator_sideband_weight(models.modulator, tone.freq))
-        total += (p * w) * mrr_drop_response(models.mrr, tone.freq - f_s)
-        total += (imgs * p * w) * mrr_drop_response(models.mrr, -tone.freq - f_s)
-    if scenario.chirps or scenario.hops:
-        dynamic = RfScenario(chirps=scenario.chirps, hops=scenario.hops)
-        for freq, amp, active in component_tracks(dynamic, grid):
-            p = np.where(active, amp**2, 0.0)
-            sideband_power = sideband_power + p
-            w = modulator_sideband_weight(models.modulator, freq)
-            total += p * w * mrr_drop_response(models.mrr, freq - f_s)
-            # image sideband at -f, suppressed
-            total += imgs * p * w * mrr_drop_response(models.mrr, -freq - f_s)
-    # residual carrier at zero offset, scaled to the instantaneous sideband power
-    total += cs * sideband_power * mrr_drop_response(models.mrr, -f_s)
-    total *= models.link.link_gain
+    total = link_power(
+        models.modulator,
+        lambda f: mrr_drop_response(models.mrr, f - f_s),
+        component_powers(scenario, grid),
+        grid.n_samples,
+    )
+    total *= models.link_gain
 
     power = pd_detect(total, models.pd, grid)
     hint, settle = _scan_timing(models, drive)
@@ -215,6 +200,21 @@ def _above_threshold_runs(above: np.ndarray):
     starts = np.concatenate(([idx[0]], idx[breaks + 1]))
     stops = np.concatenate((idx[breaks] + 1, [idx[-1] + 1]))
     return list(zip(starts, stops))
+
+
+def _signal_level(power: np.ndarray, quantile: float):
+    """(floor, full scale) of a trace, or None when it holds no signal.
+
+    The floor is the given quantile of all samples and full scale the peak
+    above it. The extreme of a pure-noise trace sits ~5 sigma above its
+    floor, so a peak within 8 sigma (MAD estimate) is not a signal.
+    """
+    floor = float(np.quantile(power, quantile))
+    fullscale = float(np.max(power)) - floor
+    noise_scale = 1.4826 * float(np.median(np.abs(power - floor)))
+    if fullscale <= 0 or fullscale <= 8.0 * noise_scale:
+        return None
+    return floor, fullscale
 
 
 def _merge_runs(runs, gap: int):
@@ -258,22 +258,17 @@ def detect_pulses(
     resolves closely spaced clean tones.
     """
     power = trace.power
-    if power.size == 0:
+    level = _signal_level(power, noise_floor_quantile)
+    if level is None:
         return []
-    floor = float(np.quantile(power, noise_floor_quantile))
-    fullscale = float(np.max(power)) - floor
-    # significance guard: the extreme of a pure-noise trace sits ~5 sigma
-    # above its floor, so demand more before calling anything a pulse
-    noise_scale = 1.4826 * float(np.median(np.abs(power - floor)))
-    if fullscale <= 8.0 * noise_scale or fullscale <= 0:
-        return []
+    floor, fullscale = level
     threshold = floor + min_prominence * fullscale
     runs = _above_threshold_runs(power > threshold)
     if not runs:
         return []
 
     if gap_tolerance is None:
-        gap_tolerance = trace.pulse_width_hint or trace.grid.duration / 100.0
+        gap_tolerance = trace.pulse_width_hint
     gap = max(1, int(round(gap_tolerance * trace.grid.sample_rate)))
     groups = _merge_runs(runs, gap)
 
@@ -427,13 +422,11 @@ def measure_span(
     tails bias outward by several linewidths. window is the occupancy
     smoothing span in seconds (default scales with the pulse width hint).
     """
-    power = trace.power
-    floor = float(np.median(power))
-    fullscale = float(np.max(power)) - floor
-    noise_scale = 1.4826 * float(np.median(np.abs(power - floor)))
-    if fullscale <= 0 or fullscale <= 8.0 * noise_scale:
+    level = _signal_level(trace.power, 0.5)
+    if level is None:
         raise ValueError("no envelope: trace is flat or noise-limited")
-    above = power > floor + rel_threshold * fullscale
+    floor, fullscale = level
+    above = trace.power > floor + rel_threshold * fullscale
     if not np.any(above):
         raise ValueError("no envelope: nothing above threshold")
 
@@ -442,8 +435,7 @@ def measure_span(
         i_lo, i_hi = float(hit[0]), float(hit[-1])
     elif edge_method == "occupancy":
         if window is None:
-            hint = trace.pulse_width_hint or trace.grid.duration / 100.0
-            window = 0.6 * hint
+            window = 0.6 * trace.pulse_width_hint
         w = max(5, int(round(window * trace.grid.sample_rate)))
         i_lo, i_hi = _occupancy_edges(above, w)
     else:

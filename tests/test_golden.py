@@ -1,0 +1,88 @@
+"""Byte-stability of run artifacts: SHA-256 digests pinned per file.
+
+Every artifact of three shipped presets and two tiny FTTM configs is hashed;
+report.txt is hashed without its runtime_s line. A change to the numerics,
+the CSV formatting or the report layout fails here. Update a digest only
+for a deliberate change of output, and record why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from mwfi.config import RunConfig
+from mwfi.harness import run
+from mwfi.presets import preset_path
+
+# 3 calibration tones and one measured tone: 4 scans at 1 MS/s
+TINY_MEASURE = """\
+mode = measure
+measure.method = fttm
+measure.lo_hz = 15e9
+measure.hi_hz = 15e9
+calibration.lo_hz = 10e9
+calibration.hi_hz = 20e9
+calibration.step_hz = 5e9
+"""
+
+TINY_CLASSIFY = """\
+mode = classify
+calibration.lo_hz = 10e9
+calibration.hi_hz = 20e9
+calibration.step_hz = 5e9
+scenario.tone1.freq_hz = 10e9
+scenario.tone2.freq_hz = 15e9
+"""
+
+GOLDEN = {
+    "fig3b": {
+        "estimates.csv": "64e84fca58e70c355ee9796a349bdb8acb959131ee81187ad953830fcece53e9",
+        "report.txt": "354571627a187aa1d736ccf63b0b31c373527b4c37fd6356cb45744910170971",
+    },
+    "fig6c": {
+        "ifm_trace.csv": "9014cc08e0e054b9c52782283d14fb1a478e6a1f29dfcda26254f8cccaeb1cdc",
+        "inst_freq.csv": "09104c8355bc7db1ed7e3da7e6fe4e229c9de78c67e2072d023e9b9f090815dc",
+        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "report.txt": "3a6ead7363361b0562a51466900afb3bf20c677361ade416224eb9d3b7f699c9",
+    },
+    "fig6f": {
+        "ifm_trace.csv": "02d2bbcb49400f67fd4e46d4f97e32e798ebbf31ef4bfbead9e7453f16b535a1",
+        "inst_freq.csv": "c20374c0cbcad64b9dce6bebb970891942129fffd0cd8f6788f0d3c7a80c6b99",
+        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "report.txt": "c82663330e15447d4e7a34492f6d16681e614a866dd5da7be0abe3f8558d2148",
+    },
+    "tiny_classify": {
+        "report.txt": "acbd6fd5f1c6067c5045271ae1c68f5413e0465b300d3c372137637266c61834",
+        "scan_trace.csv": "a9972397705c6fa6dcc0e02f1e4fff62ae767a8d4b7aa4d44e5e5898296249c8",
+    },
+    "tiny_measure": {
+        "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",
+        "estimates.csv": "0098136da7abf25e955b5fb45d3ff093f939820da3fa03899e7fc796d695d366",
+        "report.txt": "03a5c0b2883c779184a3ca67a510e71899d11a3d8709c15c20ac1451066fe210",
+    },
+}
+
+
+def _config(name):
+    if name == "tiny_measure":
+        return RunConfig.from_text(TINY_MEASURE)
+    if name == "tiny_classify":
+        return RunConfig.from_text(TINY_CLASSIFY)
+    return RunConfig.from_file(preset_path(name))
+
+
+def artifact_digests(out_dir) -> dict:
+    digests = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.txt":
+            lines = data.splitlines(keepends=True)
+            data = b"".join(ln for ln in lines if not ln.startswith(b"runtime_s"))
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_byte_stable(name, tmp_path):
+    run(_config(name), out_dir=tmp_path)
+    assert artifact_digests(tmp_path) == GOLDEN[name]

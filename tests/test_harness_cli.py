@@ -282,6 +282,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize(
+        "line, name",
+        [
+            ("mrr.fwhm_hz = 0", "section 'mrr'"),
+            ("mrr.fwhm_hz = nan", "mrr.fwhm_hz"),
+            ("drive.v_max_v = 0", "section 'drive'"),
+            ("pd.noise_sigma = nan", "pd.noise_sigma"),
+            ("link.gain = inf", "link.gain"),
+            ("link.gain = 0", "section 'link'"),
+            ("notch.enabled = true\nnotch.centers_hz = 10e9,-inf", "notch.centers_hz"),
+            ("scenario.tone1.freq_hz = -1e9", "section 'scenario.tone1'"),
+        ],
+    )
+    def test_invalid_value_exits_two(self, tmp_path, capsys, line, name):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = classify\n{line}\n")
+        assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
+
+    @pytest.mark.parametrize(
+        "line", ["link.carrier_freq_hz = 193.1e12", "scenario.tone1.phase_rad = 1"]
+    )
+    def test_removed_keys_exit_two(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = classify\nscenario.tone1.freq_hz = 15e9\n{line}\n")
+        assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, tmp_path):
         proc = self._run("measure", "--config", "no_such_file.cfg", "--out", str(tmp_path))
         assert proc.returncode == 2

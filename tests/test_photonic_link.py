@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from mwfi.rf_signals import TimeGrid
+from mwfi.ifm_engine import simulate_ifm
+from mwfi.rf_signals import (
+    ChirpSpec,
+    HopSpec,
+    RfScenario,
+    TimeGrid,
+    ToneSpec,
+    instantaneous_components,
+)
 from mwfi.photonic_link import (
+    LinkModels,
     ModulatorModel,
     MrrModel,
     MziModel,
@@ -17,6 +26,7 @@ from mwfi.photonic_link import (
     pd_detect,
     thermal_lag,
 )
+from mwfi.scan_engine import SawtoothDrive, scan_frequency, simulate_scan
 
 # fringe contrast for the default 18 dB extinction ratio: (R-1)/(R+1), R = 10^1.8
 GAMMA_18DB = 0.9687966755163407
@@ -261,3 +271,59 @@ def test_all_transmissions_bounded():
     ):
         assert np.all(values >= 0.0)
         assert np.all(values <= 1.0 + 1e-12)
+
+
+class TestLinkPower:
+    """simulate_scan and simulate_ifm against a per-sample sum over
+    instantaneous_components: sideband and suppressed image weighted by
+    the modulator roll-off, plus the residual carrier, through each filter."""
+
+    SCENARIO = RfScenario(
+        tones=(ToneSpec(freq=11e9, amplitude=0.6),),
+        chirps=(ChirpSpec(15e9, 4e9, 160e-9, 400e-9, amplitude=1.3),),
+        hops=(HopSpec((10e9, 13e9, 18e9), dwell=80e-9, amplitude=0.8),),
+    )
+    MODELS = LinkModels(
+        modulator=ModulatorModel(carrier_suppression=20.0, image_sideband_suppression=15.0),
+        notch=NotchFilterModel(centers=(10e9, 10.2e9)),
+        pd=PdModel(noise_sigma=0.0, responsivity=0.9),
+        link_gain=1.7,
+    )
+
+    def _oracle(self, grid, response):
+        """response(k, f): filter transmission at RF offset f for sample k."""
+        mod = self.MODELS.modulator
+        cs = 10.0 ** (-mod.carrier_suppression / 10.0)
+        imgs = 10.0 ** (-mod.image_sideband_suppression / 10.0)
+        out = np.empty(grid.n_samples)
+        for k, t in enumerate(grid.times()):
+            total = sideband = 0.0
+            for f, amp in instantaneous_components(self.SCENARIO, t).components:
+                p = amp * amp
+                w = 1.0 / (1.0 + (f / mod.bw_3db) ** 2)
+                total += p * w * (response(k, f) + imgs * response(k, -f))
+                sideband += p
+            out[k] = total + cs * sideband * response(k, 0.0)
+        return out * self.MODELS.link_gain * self.MODELS.pd.responsivity
+
+    def test_scan_matches_component_sum(self):
+        drive = SawtoothDrive(period=2e-3)
+        rate = 1_234_567.0
+        grid = TimeGrid(sample_rate=rate, n_samples=round(rate * drive.period))
+        f_s = scan_frequency(self.MODELS, drive, grid)
+        mrr = self.MODELS.mrr
+        want = self._oracle(grid, lambda k, f: float(mrr_drop_response(mrr, f - f_s[k])))
+        got = simulate_scan(self.SCENARIO, self.MODELS, drive, grid).power
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("port", [1, 2])
+    def test_ifm_matches_component_sum(self, port):
+        grid = TimeGrid(sample_rate=1e9, n_samples=1000)
+        mzi, notch = self.MODELS.mzi, self.MODELS.notch
+
+        def response(k, f):
+            return float(mzi_port_response(mzi, f, port) * notch_response(notch, f))
+
+        want = self._oracle(grid, response)
+        got = simulate_ifm(self.SCENARIO, self.MODELS, grid, port=port).power
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
