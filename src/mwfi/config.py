@@ -8,6 +8,7 @@ number, which catches typos before they silently fall back to defaults.
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
@@ -133,13 +134,20 @@ class RunConfig:
         return [self._number(key, tok) for tok in self.values[key].split(",") if tok.strip()]
 
     # section builders ----------------------------------------------------
+    @contextmanager
+    def blame(self, where):
+        """Report a ValueError raised in the block as a config error of
+        `where`, a key or a section, e.g. "key 'scan.sample_rate_hz'"."""
+        try:
+            yield
+        except ValueError as exc:
+            raise ConfigError(f"{self.source}: {where}: {exc}") from None
+
     def _make(self, section, model, **params):
         """model(**params), with the model's own ValueError reported as a
         config error of the section the parameters came from."""
-        try:
+        with self.blame(f"section {section!r}"):
             return model(**params)
-        except ValueError as exc:
-            raise ConfigError(f"{self.source}: section {section!r}: {exc}") from None
 
     @property
     def mode(self) -> str:
@@ -250,10 +258,17 @@ class RunConfig:
         )
 
     def build_drive(self) -> SawtoothDrive:
+        n_periods = self.get_int("drive.n_periods", 1)
+        if n_periods > 1:
+            # every period would show each calibration tone once more
+            raise ConfigError(
+                f"{self.source}: key 'drive.n_periods': scans of more than one period "
+                "are not supported"
+            )
         return self._make(
             "drive", SawtoothDrive,
             v_min=self.get_float("drive.v_min_v", 0.0),
             v_max=self.get_float("drive.v_max_v", 4.0),
             period=self.get_float("drive.period_s", 0.25),
-            n_periods=self.get_int("drive.n_periods", 1),
+            n_periods=n_periods,
         )

@@ -26,6 +26,7 @@ from .ifm_engine import (
     simulate_ifm,
 )
 from .scan_engine import (
+    _scan_axis,
     calibrate,
     detect_pulses,
     estimate_frequencies,
@@ -110,7 +111,8 @@ def expected_label(scenario: RfScenario) -> ClassLabel:
 def _scan_grid(cfg: RunConfig, drive) -> TimeGrid:
     rate = cfg.get_float("scan.sample_rate_hz", 1e6)
     n = int(round(rate * drive.period * drive.n_periods))
-    return TimeGrid(sample_rate=rate, n_samples=n)
+    with cfg.blame("key 'scan.sample_rate_hz'"):
+        return TimeGrid(sample_rate=rate, n_samples=n)
 
 
 def _ifm_grid(cfg: RunConfig) -> TimeGrid:
@@ -147,14 +149,21 @@ def _build_table(cfg: RunConfig, seed: int):
 
 def _build_ifm_lut(cfg: RunConfig, models):
     band = (cfg.get_float("ifm.band_lo_hz", 10e9), cfg.get_float("ifm.band_hi_hz", 20e9))
-    return build_lut(
-        models.mzi,
-        band=band,
-        mode=cfg.get_str("ifm.mode", "single_port"),
-        port=cfg.get_int("ifm.port", 2),
-        n_knots=cfg.get_int("ifm.n_knots", 4096),
-        modulator=models.modulator,
-    )
+    port = cfg.get_int("ifm.port", 2)
+    if port not in (1, 2):
+        raise ConfigError(f"{cfg.source}: key 'ifm.port': port must be 1 or 2, got {port}")
+    n_knots = cfg.get_int("ifm.n_knots", 4096)
+    if n_knots < 2:
+        raise ConfigError(f"{cfg.source}: key 'ifm.n_knots': need at least 2 knots, got {n_knots}")
+    with cfg.blame("section 'ifm'"):
+        return build_lut(
+            models.mzi,
+            band=band,
+            mode=cfg.get_str("ifm.mode", "single_port"),
+            port=port,
+            n_knots=n_knots,
+            modulator=models.modulator,
+        )
 
 
 def _run_calibrate(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
@@ -362,6 +371,9 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
         raise
     except Exception as exc:
         raise RuntimeError(f"{mode} stage failed: {exc}") from exc
+    finally:
+        # the scan axis is shared by the scans of one run, not across runs
+        _scan_axis.cache_clear()
     report.runtime_s = time.perf_counter() - started
     report.save(out / "report.txt")
     return report

@@ -166,7 +166,8 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
     Each pair contributes its sideband at +f and the suppressed image at
     -f, both weighted by the modulator roll-off at f; the residual carrier
     at 0 scales with the summed sideband power. response(freq) is the
-    filter's power transmission at an RF offset (scalar or per sample).
+    filter's power transmission at an RF offset (scalar or per sample);
+    for +f and -f it must return a new array, which is scaled in place.
     """
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
@@ -174,11 +175,18 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
     sideband_power = 0.0
     for f, p in components:
         w = modulator_sideband_weight(modulator, f)
-        total += p * w * response(f)
-        total += imgs * p * w * response(-f)
+        total += _scaled(response(f), p * w)
+        total += _scaled(response(-f), imgs * p * w)
         sideband_power = sideband_power + p
     total += cs * sideband_power * response(0.0)
     return total
+
+
+def _scaled(values, factor):
+    """values * factor in the buffer of values, a new array of the caller's
+    (the product commutes, so this equals factor * values bit for bit)."""
+    values *= factor
+    return values
 
 
 def mrr_drop_response(model: MrrModel, detuning):
@@ -191,7 +199,14 @@ def mrr_drop_response(model: MrrModel, detuning):
     half_fsr = model.fsr / 2.0
     if d.size and (d.min() < -half_fsr or d.max() > half_fsr):
         d = d - model.fsr * np.round(d / model.fsr)
-    return model.peak_transmission / (1.0 + (2.0 * d / model.fwhm) ** 2)
+    if d.ndim == 0:
+        return model.peak_transmission / (1.0 + (2.0 * d / model.fwhm) ** 2)
+    # the same operations in the same order, on one buffer
+    x = 2.0 * d
+    x /= model.fwhm
+    np.square(x, out=x)
+    x += 1.0
+    return np.divide(model.peak_transmission, x, out=x)
 
 
 def mrr_resonance_offset(model: MrrModel, v_effective):

@@ -7,6 +7,7 @@ quadratic lookup table fitted during calibration. Statistical measurements
 (frequency sets, chirp spans, hop sets) all run on the detected trace.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_powers
 from .photonic_link import (
     LinkModels,
+    MrrModel,
     link_power,
     mrr_drop_response,
     mrr_resonance_offset,
@@ -144,12 +146,31 @@ class CalibrationTable:
         return cls((a, b, c), (t0, t1), float(lines[2]))
 
 
-def scan_frequency(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid) -> np.ndarray:
-    """Instantaneous filter frequency over the grid, heater lag included."""
+@functools.lru_cache(maxsize=1)
+def _scan_axis(mrr: MrrModel, drive: SawtoothDrive, grid: TimeGrid):
+    """(scan frequency, ring transmission at the carrier), both read-only.
+
+    The axis depends only on the ring, the drive and the grid, so every
+    tone scan of a calibration or sweep shares it; harness.run clears the
+    cache when a run ends.
+    """
     v = drive.voltage(grid.times())
-    v2_eff = thermal_lag(v**2, models.mrr.tau_thermal, grid)
+    v2_eff = thermal_lag(v**2, mrr.tau_thermal, grid)
     # offset law evaluated on lagged V^2 directly (avoids sqrt/square round trip)
-    return models.mrr.f_offset0 + models.mrr.k_thermal * v2_eff
+    f_s = mrr.f_offset0 + mrr.k_thermal * v2_eff
+    carrier = mrr_drop_response(mrr, 0.0 - f_s)
+    f_s.setflags(write=False)
+    carrier.setflags(write=False)
+    return f_s, carrier
+
+
+def scan_frequency(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid) -> np.ndarray:
+    """Instantaneous filter frequency over the grid, heater lag included.
+
+    The array is shared and read-only: it is computed once per (ring,
+    drive, grid) and cached for the rest of the run.
+    """
+    return _scan_axis(models.mrr, drive, grid)[0]
 
 
 def simulate_scan(
@@ -170,11 +191,16 @@ def simulate_scan(
             f"grid duration {grid.duration:.6e} s != {drive.n_periods} x {drive.period} s drive"
         )
     f_s = scan_frequency(models, drive, grid)
+    carrier = _scan_axis(models.mrr, drive, grid)[1]
+
+    def response(f):
+        # a scalar 0 is the carrier term, whose transmission is cached
+        if np.ndim(f) == 0 and f == 0.0:
+            return carrier
+        return mrr_drop_response(models.mrr, f - f_s)
+
     total = link_power(
-        models.modulator,
-        lambda f: mrr_drop_response(models.mrr, f - f_s),
-        component_powers(scenario, grid),
-        grid.n_samples,
+        models.modulator, response, component_powers(scenario, grid), grid.n_samples
     )
     total *= models.link_gain
 
@@ -270,17 +296,17 @@ def detect_pulses(
     if gap_tolerance is None:
         gap_tolerance = trace.pulse_width_hint
     gap = max(1, int(round(gap_tolerance * trace.grid.sample_rate)))
-    groups = _merge_runs(runs, gap)
+    # the smoothed profile has no structure finer than gap // 8 samples, so
+    # peak-finding on a decimated copy is lossless and much cheaper, and a
+    # group narrower than that is a noise spike, not a pulse
+    dec = max(1, gap // 8)
+    groups = [(start, stop) for start, stop in _merge_runs(runs, gap) if stop - start >= dec]
 
-    times = trace.grid.times()
-    dt = trace.grid.dt
+    grid = trace.grid
     events = []
     for start, stop in groups:
         seg = power[start:stop]
         smooth = uniform_filter1d(seg, size=min(gap, seg.size), mode="nearest")
-        # the smoothed profile has no structure finer than the window, so
-        # peak-finding on a decimated copy is lossless and much cheaper
-        dec = max(1, gap // 8)
         coarse = smooth[::dec]
         # prominence scales with the smoothed profile: a filled envelope
         # averages well below the raw full scale
@@ -301,11 +327,13 @@ def detect_pulses(
             if above.size == 0:
                 continue
             peak_idx = int(np.argmax(sub))  # argmax takes the earliest tie
+            # the grid's time of sample k, as TimeGrid.times() computes it
+            peak_time = grid.t0 + (start + s0 + peak_idx) / grid.sample_rate
             events.append(
                 PulseEvent(
-                    peak_time=float(times[start + s0 + peak_idx] % trace.drive.period),
+                    peak_time=float(peak_time % trace.drive.period),
                     peak_power=float(sub[peak_idx]),
-                    width=float((above[-1] - above[0] + 1) * dt),
+                    width=float((above[-1] - above[0] + 1) * grid.dt),
                     fill_randomness=_fill_randomness(sub),
                 )
             )

@@ -10,6 +10,7 @@ from mwfi.config import ConfigError, RunConfig
 from mwfi.harness import MetricsReport, expected_label, rms_error, run
 from mwfi.presets import list_presets, preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
+from mwfi.scan_engine import _scan_axis
 
 
 class TestRmsError:
@@ -227,6 +228,19 @@ class TestRun:
         with pytest.raises(RuntimeError, match="measure stage failed"):
             run(cfg, out_dir=tmp_path)
 
+    @pytest.mark.parametrize("lo_hz, fails", [(15e9, False), (2e9, True)])
+    def test_scan_cache_cleared_when_run_ends(self, tmp_path, lo_hz, fails):
+        cfg = RunConfig.from_text(
+            "mode = measure\ncalibration.step_hz = 5e9\n"
+            f"measure.lo_hz = {lo_hz!r}\nmeasure.hi_hz = {lo_hz!r}\n"
+        )
+        if fails:
+            with pytest.raises(RuntimeError):
+                run(cfg, out_dir=tmp_path)
+        else:
+            run(cfg, out_dir=tmp_path)
+        assert _scan_axis.cache_info().currsize == 0
+
 
 def test_report_lines_round_trip():
     report = MetricsReport(mode="measure", seed=3, rms_error_hz=1.5e8)
@@ -301,6 +315,22 @@ class TestCli:
         assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and name in err
+
+    @pytest.mark.parametrize(
+        "mode, line, key",
+        [
+            ("measure", "scan.sample_rate_hz = 0", "scan.sample_rate_hz"),
+            ("dynamic", "ifm.n_knots = 1", "ifm.n_knots"),
+            ("dynamic", "ifm.port = 3", "ifm.port"),
+            ("measure", "drive.n_periods = 2", "drive.n_periods"),
+        ],
+    )
+    def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = {mode}\n{line}\n")
+        assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"key '{key}'" in err
 
     @pytest.mark.parametrize(
         "line", ["link.carrier_freq_hz = 193.1e12", "scenario.tone1.phase_rad = 1"]

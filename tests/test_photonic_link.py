@@ -71,6 +71,16 @@ class TestMrr:
         d = np.linspace(0, 3e9, 50)
         np.testing.assert_allclose(mrr_drop_response(m, d), mrr_drop_response(m, -d))
 
+    def test_input_not_mutated(self):
+        m = MrrModel()
+        for span in (30e9, 100e9):  # within half an FSR, and wrapped
+            d = np.linspace(-span, span, 41)
+            before = d.copy()
+            mrr_drop_response(m, d)
+            assert np.array_equal(d, before)
+        # a scalar detuning gives a scalar
+        assert np.ndim(mrr_drop_response(m, 1e9)) == 0
+
     def test_peak_transmission_scales(self):
         m = MrrModel(peak_transmission=0.5)
         assert mrr_drop_response(m, 0.0) == 0.5

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mwfi.photonic_link import LinkModels, PdModel
+from mwfi.photonic_link import LinkModels, MrrModel, PdModel, thermal_lag
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi.scan_engine import (
+    _scan_axis,
     CalibrationError,
     CalibrationTable,
     SawtoothDrive,
@@ -17,6 +18,7 @@ from mwfi.scan_engine import (
     scan_trace_to_csv,
     simulate_scan,
 )
+from mwfi.seeding import STAGE_CAL, derive_seed
 
 from conftest import CAL_TONES, INCOMMENSURATE_RATE, make_grid
 
@@ -117,6 +119,47 @@ class TestDetectPulses:
     def test_static_pulse_fill_near_zero(self, noiseless_models, drive, grid_1ms):
         trace = simulate_scan(tone_scenario(15e9), noiseless_models, drive, grid_1ms)
         assert detect_pulses(trace)[0].fill_randomness < 0.1
+
+    def test_one_sample_noise_spike_is_not_a_pulse(self, drive, grid_fast):
+        # with this noise stream one sample on the slow rising tail of the
+        # 10 GHz pulse crosses the threshold 38 ms before the real peak
+        models = LinkModels(pd=PdModel(seed=derive_seed(311, STAGE_CAL, 0)))
+        trace = simulate_scan(tone_scenario(10e9), models, drive, grid_fast)
+        assert len(detect_pulses(trace)) == 1
+
+
+def uncached_scan_frequency(mrr, drive, grid):
+    v2_eff = thermal_lag(drive.voltage(grid.times()) ** 2, mrr.tau_thermal, grid)
+    return mrr.f_offset0 + mrr.k_thermal * v2_eff
+
+
+class TestScanAxisCache:
+    def test_axis_is_read_only(self, noiseless_models, drive, grid_1ms):
+        f_s = scan_frequency(noiseless_models, drive, grid_1ms)
+        assert not f_s.flags.writeable
+        with pytest.raises(ValueError):
+            f_s[0] = 0.0
+
+    def test_alternating_keys_match_uncached_formula(self):
+        drives = (SawtoothDrive(period=2e-3), SawtoothDrive(v_max=3.0, period=2e-3))
+        grids = [make_grid(rate, drives[0]) for rate in (1e6, 1.5e6)]
+        mrrs = (MrrModel(), MrrModel(k_thermal=2.5e9, tau_thermal=20e-6))
+        for _ in range(2):
+            for drive in drives:
+                for grid in grids:
+                    for mrr in mrrs:
+                        got = scan_frequency(LinkModels(mrr=mrr), drive, grid)
+                        assert np.array_equal(got, uncached_scan_frequency(mrr, drive, grid))
+
+    def test_noisy_trace_same_with_cold_and_warm_cache(self, drive, grid_1ms):
+        models = LinkModels(pd=PdModel(seed=7))
+        scenario = tone_scenario(12e9, 17e9)
+        _scan_axis.cache_clear()
+        cold = simulate_scan(scenario, models, drive, grid_1ms).power
+        assert _scan_axis.cache_info().currsize == 1
+        warm = simulate_scan(scenario, models, drive, grid_1ms).power
+        assert _scan_axis.cache_info().hits >= 2
+        assert np.array_equal(cold, warm)
 
 
 class TestCalibrate:
