@@ -16,6 +16,10 @@ from .scan_engine import ScanTrace, _above_threshold_runs
 
 __all__ = ["EnvelopeFeatures", "ClassLabel", "compute_features", "classify"]
 
+# An envelope whose fill_randomness reaches this is filled (modulated). Clean
+# pulses stay below half of it and filled envelopes above twice it.
+FILL_THRESHOLD = 0.25
+
 
 class ClassLabel(Enum):
     SINGLE_FREQUENCY = "single"
@@ -37,41 +41,33 @@ class EnvelopeFeatures:
     continuous: bool | None  # None when not filled (not meaningful)
 
 
-def _is_continuous(trace: ScanTrace, gap_threshold: float) -> bool:
+def _is_continuous(trace: ScanTrace) -> bool:
     """Check the filled region for sustained dips below half the envelope.
 
     Works on a pulse-width-smoothed profile so the random fill itself does
     not read as gaps; only scan stretches with no nearby component leave a
-    sub-half-level hole longer than gap_threshold.
+    sub-half-level hole of one nominal pulse width or more.
     """
     size = max(3, int(round(trace.pulse_width_hint * trace.grid.sample_rate)))
     smooth = uniform_filter1d(trace.power, size=size, mode="nearest")
-    floor = float(np.median(trace.power))
+    floor = trace.level[0]
     half = floor + 0.5 * (float(np.max(smooth)) - floor)
     runs = _above_threshold_runs(smooth >= half)
     max_gap = max((nxt[0] - prev[1] for prev, nxt in zip(runs, runs[1:])), default=0)
-    return bool(max_gap * trace.grid.dt < gap_threshold)
+    return bool(max_gap * trace.grid.dt < trace.pulse_width_hint)
 
 
-def compute_features(
-    events,
-    trace: ScanTrace,
-    fill_threshold: float = 0.25,
-    gap_threshold: float | None = None,
-) -> EnvelopeFeatures:
+def compute_features(events, trace: ScanTrace) -> EnvelopeFeatures:
     """Envelope features for classification.
 
-    events must come from detect_pulses on the same trace. gap_threshold
-    defaults to one nominal pulse width; a filled region with an internal
-    sub-half-level hole at least that long counts as discrete.
+    events must come from detect_pulses on the same trace. An envelope is
+    filled when its fill_randomness reaches FILL_THRESHOLD; a filled region
+    with an internal sub-half-level hole of one nominal pulse width or more
+    counts as discrete, otherwise as continuous.
     """
     n = len(events)
-    filled = any(ev.fill_randomness >= fill_threshold for ev in events)
-    continuous = None
-    if filled:
-        if gap_threshold is None:
-            gap_threshold = trace.pulse_width_hint
-        continuous = _is_continuous(trace, gap_threshold)
+    filled = any(ev.fill_randomness >= FILL_THRESHOLD for ev in events)
+    continuous = _is_continuous(trace) if filled else None
     return EnvelopeFeatures(n_envelopes=n, filled=filled, continuous=continuous)
 
 

@@ -44,9 +44,6 @@ _KEY_PATTERNS = [
     r"scenario\.hop\d+\.(freqs_hz|dwell_s|amplitude|start_s|repeat)",
     r"calibration\.(lo_hz|hi_hz|step_hz)",
     r"measure\.(lo_hz|hi_hz|step_hz|method)",
-    r"detect\.(noise_floor_quantile|min_prominence|gap_tolerance_s)",
-    r"classify\.(fill_threshold|gap_threshold_s)",
-    r"span\.rel_threshold",
     r"ifm\.(sample_rate_hz|duration_s|port|band_lo_hz|band_hi_hz|n_knots|noise_floor|upper_limit_hz|mode)",
     r"sweep\.(mode|n_seeds)",
 ]

@@ -118,18 +118,11 @@ def _scan_grid(cfg: RunConfig, drive) -> TimeGrid:
 def _ifm_grid(cfg: RunConfig) -> TimeGrid:
     rate = cfg.get_float("ifm.sample_rate_hz", 1e9)
     duration = cfg.get_float("ifm.duration_s", 400e-9)
-    return TimeGrid(sample_rate=rate, n_samples=int(round(rate * duration)))
-
-
-def _detect_kwargs(cfg: RunConfig) -> dict:
-    kwargs = {}
-    if cfg.get_float("detect.noise_floor_quantile") is not None:
-        kwargs["noise_floor_quantile"] = cfg.get_float("detect.noise_floor_quantile")
-    if cfg.get_float("detect.min_prominence") is not None:
-        kwargs["min_prominence"] = cfg.get_float("detect.min_prominence")
-    if cfg.get_float("detect.gap_tolerance_s") is not None:
-        kwargs["gap_tolerance"] = cfg.get_float("detect.gap_tolerance_s")
-    return kwargs
+    # the rate is checked on its own, so an empty grid is the duration's fault
+    with cfg.blame("key 'ifm.sample_rate_hz'"):
+        grid = TimeGrid(sample_rate=rate, n_samples=1)
+    with cfg.blame("key 'ifm.duration_s'"):
+        return replace(grid, n_samples=int(round(rate * duration)))
 
 
 def _calibration_tones(cfg: RunConfig) -> np.ndarray:
@@ -143,7 +136,11 @@ def _build_table(cfg: RunConfig, seed: int):
     drive = cfg.build_drive()
     grid = _scan_grid(cfg, drive)
     models = cfg.build_models(seed=seed)
-    table = calibrate(models, drive, _calibration_tones(cfg), grid, **_detect_kwargs(cfg))
+    # the heater lag refuses too slow a rate; computing the run's shared scan
+    # axis here reports that before any scan starts
+    with cfg.blame("key 'scan.sample_rate_hz'"):
+        _scan_axis(models.mrr, drive, grid)
+    table = calibrate(models, drive, _calibration_tones(cfg), grid)
     return table, models, drive, grid
 
 
@@ -191,7 +188,7 @@ def _run_measure(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
                 models, pd=replace(models.pd, seed=derive_seed(seed, STAGE_MEASURE, i))
             )
             trace = simulate_scan(RfScenario(tones=(ToneSpec(freq=f),)), models_i, drive, grid)
-            events = detect_pulses(trace, **_detect_kwargs(cfg))
+            events = detect_pulses(trace)
             ests = [e for e in estimate_frequencies(events, table) if e is not None]
             if len(ests) != 1:
                 raise RuntimeError(
@@ -229,13 +226,8 @@ def _run_classify(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     models_c = replace(models, pd=replace(models.pd, seed=derive_seed(seed, STAGE_CLASSIFY, 0)))
     trace = simulate_scan(scenario, models_c, drive, grid)
     scan_trace_to_csv(trace, out / "scan_trace.csv")
-    events = detect_pulses(trace, **_detect_kwargs(cfg))
-    features = compute_features(
-        events,
-        trace,
-        fill_threshold=cfg.get_float("classify.fill_threshold", 0.25),
-        gap_threshold=cfg.get_float("classify.gap_threshold_s"),
-    )
+    events = detect_pulses(trace)
+    features = compute_features(events, trace)
     label = classify(features)
     report.classification = label.token
     report.extras["n_envelopes"] = str(features.n_envelopes)
@@ -251,15 +243,13 @@ def _run_classify(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
             report.per_tone_errors_hz = [e - t for e, t in zip(sorted(ests), truths)]
             report.rms_error_hz = rms_error(sorted(ests), truths)
     elif label is ClassLabel.CHIRPED:
-        span = measure_span(
-            trace, table, rel_threshold=cfg.get_float("span.rel_threshold", 0.1)
-        )
+        span = measure_span(trace, table)
         report.extras["measured_span_hz"] = f"{span:.6e}"
         if len(scenario.chirps) == 1:
             truth = scenario.chirps[0].span
             report.span_error_frac = abs(span - truth) / truth
     elif label is ClassLabel.FREQUENCY_HOPPING:
-        hops = estimate_hop_set(trace, table, **_detect_kwargs(cfg))
+        hops = estimate_hop_set(events, table)
         report.extras["estimated_hop_set_hz"] = ",".join(f"{h:.6e}" for h in hops)
         if len(scenario.hops) == 1:
             truths = sorted(scenario.hops[0].freqs)
@@ -271,9 +261,9 @@ def _run_classify(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
 def _run_dynamic(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     scenario = cfg.build_scenario()
     models = cfg.build_models(seed=derive_seed(seed, STAGE_DYNAMIC, 0))
+    grid = _ifm_grid(cfg)
     lut = _build_ifm_lut(cfg, models)
     lut_to_csv(lut, out / "lut.csv")
-    grid = _ifm_grid(cfg)
     if lut.mode == "ratio":
         # ratio extraction compares the two complementary ports
         trace = simulate_ifm(scenario, models, grid, port=1, band=lut.band)

@@ -48,6 +48,10 @@ __all__ = [
 # table: boundary tones may jitter one sample past the fitted range.
 VALID_RANGE_MARGIN = 0.05
 
+# Detection threshold and peak prominence, as a fraction of full scale above
+# the trace floor; pulse detection and the span edges share it.
+THRESHOLD_FRAC = 0.1
+
 
 class CalibrationError(RuntimeError):
     pass
@@ -98,6 +102,23 @@ class ScanTrace:
             raise ValueError("power length must equal grid.n_samples")
         hint = self.pulse_width_hint or self.grid.duration / 100.0
         object.__setattr__(self, "pulse_width_hint", hint)
+
+    @functools.cached_property
+    def level(self):
+        """(floor, full scale) of the power, or None when it holds no signal.
+
+        The floor is the median of all samples and full scale the peak
+        above it; every estimator of the trace reads this one pair. The
+        extreme of a pure-noise trace sits ~5 sigma above its floor, so a
+        peak within 8 sigma (MAD estimate) is not a signal.
+        """
+        power = self.power
+        floor = float(np.median(power))
+        fullscale = float(np.max(power)) - floor
+        noise_scale = 1.4826 * float(np.median(np.abs(power - floor)))
+        if fullscale <= 0 or fullscale <= 8.0 * noise_scale:
+            return None
+        return floor, fullscale
 
 
 @dataclass(frozen=True)
@@ -228,21 +249,6 @@ def _above_threshold_runs(above: np.ndarray):
     return list(zip(starts, stops))
 
 
-def _signal_level(power: np.ndarray, quantile: float):
-    """(floor, full scale) of a trace, or None when it holds no signal.
-
-    The floor is the given quantile of all samples and full scale the peak
-    above it. The extreme of a pure-noise trace sits ~5 sigma above its
-    floor, so a peak within 8 sigma (MAD estimate) is not a signal.
-    """
-    floor = float(np.quantile(power, quantile))
-    fullscale = float(np.max(power)) - floor
-    noise_scale = 1.4826 * float(np.median(np.abs(power - floor)))
-    if fullscale <= 0 or fullscale <= 8.0 * noise_scale:
-        return None
-    return floor, fullscale
-
-
 def _merge_runs(runs, gap: int):
     merged = [list(runs[0])]
     for start, stop in runs[1:]:
@@ -268,34 +274,26 @@ def _fill_randomness(seg: np.ndarray) -> float:
     return float(np.mean(interior < half))
 
 
-def detect_pulses(
-    trace: ScanTrace,
-    noise_floor_quantile: float = 0.5,
-    min_prominence: float = 0.1,
-    gap_tolerance: float | None = None,
-) -> list:
+def detect_pulses(trace: ScanTrace) -> list:
     """Find pulses/envelopes in a scan trace.
 
-    The noise floor is the given quantile of all samples; the threshold sits
-    min_prominence of the way from floor to max. Above-threshold runs closer
-    than the gap tolerance (default: one nominal pulse width) merge into one
-    envelope, so randomly-filled envelopes hold together. A merged group is
-    split where its smoothed profile shows several prominent peaks, which
-    resolves closely spaced clean tones.
+    The threshold sits THRESHOLD_FRAC of the trace's full scale above its
+    floor (ScanTrace.level, the median). Above-threshold runs closer than
+    one nominal pulse width merge into one envelope, so randomly-filled
+    envelopes hold together. A merged group is split where its smoothed
+    profile shows several prominent peaks, which resolves closely spaced
+    clean tones.
     """
-    power = trace.power
-    level = _signal_level(power, noise_floor_quantile)
-    if level is None:
+    if trace.level is None:
         return []
-    floor, fullscale = level
-    threshold = floor + min_prominence * fullscale
+    floor, fullscale = trace.level
+    power = trace.power
+    threshold = floor + THRESHOLD_FRAC * fullscale
     runs = _above_threshold_runs(power > threshold)
     if not runs:
         return []
 
-    if gap_tolerance is None:
-        gap_tolerance = trace.pulse_width_hint
-    gap = max(1, int(round(gap_tolerance * trace.grid.sample_rate)))
+    gap = max(1, int(round(trace.pulse_width_hint * trace.grid.sample_rate)))
     # the smoothed profile has no structure finer than gap // 8 samples, so
     # peak-finding on a decimated copy is lossless and much cheaper, and a
     # group narrower than that is a noise spike, not a pulse
@@ -310,7 +308,7 @@ def detect_pulses(
         coarse = smooth[::dec]
         # prominence scales with the smoothed profile: a filled envelope
         # averages well below the raw full scale
-        prom = min_prominence * max(float(np.max(smooth)) - floor, 0.0)
+        prom = THRESHOLD_FRAC * max(float(np.max(smooth)) - floor, 0.0)
         peaks = find_peaks(coarse, prominence=prom)[0] * dec if prom > 0 else []
         if len(peaks) >= 2:
             # split at the smoothed minimum between adjacent peaks
@@ -349,8 +347,6 @@ def calibrate(
     drive: SawtoothDrive,
     tone_freqs,
     grid: TimeGrid,
-    noise_floor_quantile: float = 0.5,
-    min_prominence: float = 0.1,
 ) -> CalibrationTable:
     """Fit the frequency-vs-delay lookup from known single tones.
 
@@ -366,7 +362,7 @@ def calibrate(
         pd_i = replace(models.pd, seed=derive_seed(models.pd.seed, STAGE_CAL, i))
         models_i = replace(models, pd=pd_i)
         trace = simulate_scan(RfScenario(tones=(ToneSpec(freq=f),)), models_i, drive, grid)
-        events = detect_pulses(trace, noise_floor_quantile, min_prominence)
+        events = detect_pulses(trace)
         if len(events) != 1:
             raise CalibrationError(
                 f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"
@@ -436,25 +432,21 @@ def _occupancy_edges(above: np.ndarray, window: int):
 
 
 def measure_span(
-    trace: ScanTrace,
-    table: CalibrationTable,
-    rel_threshold: float = 0.1,
-    edge_method: str = "occupancy",
-    window: float | None = None,
+    trace: ScanTrace, table: CalibrationTable, edge_method: str = "occupancy"
 ) -> float:
-    """Frequency span of the envelope exceeding floor + rel_threshold x range.
+    """Frequency span of the envelope above the detection threshold.
 
-    edge_method "occupancy" (default) locates each edge where the local
-    fraction of above-threshold samples crosses half its plateau; "raw"
-    takes the literal first/last above-threshold samples, which Lorentzian
-    tails bias outward by several linewidths. window is the occupancy
-    smoothing span in seconds (default scales with the pulse width hint).
+    The threshold is the one detect_pulses uses: THRESHOLD_FRAC of the
+    trace's full scale above its floor. edge_method "occupancy" (default)
+    locates each edge where the fraction of above-threshold samples in a
+    window of 0.6 pulse widths crosses half its plateau; "raw" takes the
+    literal first/last above-threshold samples, which Lorentzian tails bias
+    outward by several linewidths.
     """
-    level = _signal_level(trace.power, 0.5)
-    if level is None:
+    if trace.level is None:
         raise ValueError("no envelope: trace is flat or noise-limited")
-    floor, fullscale = level
-    above = trace.power > floor + rel_threshold * fullscale
+    floor, fullscale = trace.level
+    above = trace.power > floor + THRESHOLD_FRAC * fullscale
     if not np.any(above):
         raise ValueError("no envelope: nothing above threshold")
 
@@ -462,9 +454,7 @@ def measure_span(
         hit = np.flatnonzero(above)
         i_lo, i_hi = float(hit[0]), float(hit[-1])
     elif edge_method == "occupancy":
-        if window is None:
-            window = 0.6 * trace.pulse_width_hint
-        w = max(5, int(round(window * trace.grid.sample_rate)))
+        w = max(5, int(round(0.6 * trace.pulse_width_hint * trace.grid.sample_rate)))
         i_lo, i_hi = _occupancy_edges(above, w)
     else:
         raise ValueError(f"unknown edge_method {edge_method!r}")
@@ -475,19 +465,13 @@ def measure_span(
     return float(f_hi - f_lo)
 
 
-def estimate_hop_set(
-    trace: ScanTrace,
-    table: CalibrationTable,
-    noise_floor_quantile: float = 0.5,
-    min_prominence: float = 0.1,
-) -> list:
+def estimate_hop_set(events, table: CalibrationTable) -> list:
     """Frequencies of the discrete sub-envelopes of a hopping trace, ascending.
 
-    The scan is a statistical measurement: peak delays of the sub-envelopes
-    give the hop set, but the chronological hop order is not recoverable
-    from a single scan.
+    events are detect_pulses of the trace. The scan is a statistical
+    measurement: peak delays of the sub-envelopes give the hop set, but the
+    chronological hop order is not recoverable from a single scan.
     """
-    events = detect_pulses(trace, noise_floor_quantile, min_prominence)
     if not events:
         raise ValueError("no sub-envelopes detected")
     freqs = [f for f in estimate_frequencies(events, table) if f is not None]

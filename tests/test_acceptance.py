@@ -118,7 +118,7 @@ def test_criterion_05_hop_set_estimation(drive, grid_fast, table_fast):
         for seed in range(10):
             models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=derive_seed(seed, 50)))
             trace = simulate_scan(sc, models, drive, grid_fast)
-            est = estimate_hop_set(trace, table_fast)
+            est = estimate_hop_set(detect_pulses(trace), table_fast)
             assert len(est) == len(hop_set)
             worst = max(worst, float(np.max(np.abs(np.array(est) - np.array(sorted(hop_set))))))
     report(5, worst < 250e6, f"hop sets, 10 seeds: worst estimate error {worst / 1e6:.1f} MHz "

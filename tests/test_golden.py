@@ -1,6 +1,6 @@
 """Byte-stability of run artifacts: SHA-256 digests pinned per file.
 
-Every artifact of three shipped presets and two tiny FTTM configs is hashed;
+Every artifact of three shipped presets and four tiny FTTM configs is hashed;
 report.txt is hashed without its runtime_s line. A change to the numerics,
 the CSV formatting or the report layout fails here. Update a digest only
 for a deliberate change of output, and record why in CHANGES.md.
@@ -34,6 +34,28 @@ scenario.tone1.freq_hz = 10e9
 scenario.tone2.freq_hz = 15e9
 """
 
+# fig5a's chirp and fig5e's hops with 3 calibration tones: the span and
+# hop-set paths of classify
+TINY_SCAN = """\
+mode = classify
+scan.sample_rate_hz = 2718281
+calibration.lo_hz = 10e9
+calibration.hi_hz = 20e9
+calibration.step_hz = 5e9
+"""
+
+TINY_CHIRP = TINY_SCAN + """\
+scenario.chirp1.center_hz = 15e9
+scenario.chirp1.span_hz = 4e9
+scenario.chirp1.pulse_width_s = 1.6e-6
+scenario.chirp1.repeat_interval_s = 4e-6
+"""
+
+TINY_HOP = TINY_SCAN + """\
+scenario.hop1.freqs_hz = 10e9,13e9,18e9
+scenario.hop1.dwell_s = 80e-9
+"""
+
 GOLDEN = {
     "fig3b": {
         "estimates.csv": "64e84fca58e70c355ee9796a349bdb8acb959131ee81187ad953830fcece53e9",
@@ -51,9 +73,17 @@ GOLDEN = {
         "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
         "report.txt": "c82663330e15447d4e7a34492f6d16681e614a866dd5da7be0abe3f8558d2148",
     },
+    "tiny_chirp": {
+        "report.txt": "b4b54a3a0b755c876298a5c33ab9f4ed4fe9cfa45122ccd57c4b5fcf20050f31",
+        "scan_trace.csv": "dadfc575aaa5d11ba8e94058c4869b5253051faa15a0725d662b62a83aadfaf1",
+    },
     "tiny_classify": {
         "report.txt": "acbd6fd5f1c6067c5045271ae1c68f5413e0465b300d3c372137637266c61834",
         "scan_trace.csv": "a9972397705c6fa6dcc0e02f1e4fff62ae767a8d4b7aa4d44e5e5898296249c8",
+    },
+    "tiny_hop": {
+        "report.txt": "020b3877c834e9c0b63334b574251fbf1e9dc28f498ad6ecda69e87ac20e8e1d",
+        "scan_trace.csv": "2b8b25389ba366fe75e2f648112c181f2f0a2faa19ace17eae43c874c5082c40",
     },
     "tiny_measure": {
         "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",
@@ -63,11 +93,17 @@ GOLDEN = {
 }
 
 
+TINY = {
+    "tiny_measure": TINY_MEASURE,
+    "tiny_classify": TINY_CLASSIFY,
+    "tiny_chirp": TINY_CHIRP,
+    "tiny_hop": TINY_HOP,
+}
+
+
 def _config(name):
-    if name == "tiny_measure":
-        return RunConfig.from_text(TINY_MEASURE)
-    if name == "tiny_classify":
-        return RunConfig.from_text(TINY_CLASSIFY)
+    if name in TINY:
+        return RunConfig.from_text(TINY[name])
     return RunConfig.from_file(preset_path(name))
 
 

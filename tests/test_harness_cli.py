@@ -323,6 +323,11 @@ class TestCli:
             ("dynamic", "ifm.n_knots = 1", "ifm.n_knots"),
             ("dynamic", "ifm.port = 3", "ifm.port"),
             ("measure", "drive.n_periods = 2", "drive.n_periods"),
+            ("dynamic", "ifm.sample_rate_hz = 0", "ifm.sample_rate_hz"),
+            ("dynamic", "ifm.duration_s = 0", "ifm.duration_s"),
+            # too slow for the heater lag, which refuses the grid
+            ("measure", "scan.sample_rate_hz = 1e4", "scan.sample_rate_hz"),
+            ("classify", "scan.sample_rate_hz = 1e4", "scan.sample_rate_hz"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):
@@ -333,7 +338,17 @@ class TestCli:
         assert "config error" in err and f"key '{key}'" in err
 
     @pytest.mark.parametrize(
-        "line", ["link.carrier_freq_hz = 193.1e12", "scenario.tone1.phase_rad = 1"]
+        "line",
+        [
+            "link.carrier_freq_hz = 193.1e12",
+            "scenario.tone1.phase_rad = 1",
+            "detect.noise_floor_quantile = 0.5",
+            "detect.min_prominence = 0.1",
+            "detect.gap_tolerance_s = 1e-3",
+            "classify.fill_threshold = 0.25",
+            "classify.gap_threshold_s = 1e-3",
+            "span.rel_threshold = 0.1",
+        ],
     )
     def test_removed_keys_exit_two(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mwfi.photonic_link import LinkModels, MrrModel, PdModel, thermal_lag
+from mwfi.classifier import EnvelopeFeatures, compute_features
+from mwfi.photonic_link import LinkModels, MrrModel, PdModel, pd_detect, thermal_lag
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi.scan_engine import (
     _scan_axis,
     CalibrationError,
     CalibrationTable,
     SawtoothDrive,
+    ScanTrace,
     calibrate,
     detect_pulses,
     estimate_frequencies,
@@ -126,6 +129,22 @@ class TestDetectPulses:
         models = LinkModels(pd=PdModel(seed=derive_seed(311, STAGE_CAL, 0)))
         trace = simulate_scan(tone_scenario(10e9), models, drive, grid_fast)
         assert len(detect_pulses(trace)) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), noise_sigma=st.floats(1e-3, 0.2))
+def test_pure_noise_reads_as_no_signal(seed, noise_sigma):
+    # a constant optical level through the detector noise, on a 5 ms scan
+    grid = TimeGrid(sample_rate=1e6, n_samples=5000)
+    pd = PdModel(noise_sigma=noise_sigma, seed=seed)
+    power = pd_detect(np.full(grid.n_samples, 0.5), pd, grid)
+    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=5e-3))
+    assert trace.level is None
+    events = detect_pulses(trace)
+    assert events == []
+    with pytest.raises(ValueError, match="no envelope"):
+        measure_span(trace, CalibrationTable((0.0, 2e12, 1e10), (0.0, 5e-3), 0.0))
+    assert compute_features(events, trace) == EnvelopeFeatures(0, False, None)
 
 
 def uncached_scan_frequency(mrr, drive, grid):
@@ -261,7 +280,7 @@ class TestEstimateHopSet:
         sc = RfScenario(hops=(HopSpec(freqs=(10e9, 13e9, 18e9), dwell=80e-9),))
         models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=4))
         trace = simulate_scan(sc, models, drive, grid_fast)
-        est = estimate_hop_set(trace, table_fast)
+        est = estimate_hop_set(detect_pulses(trace), table_fast)
         assert len(est) == 3
         for got, want in zip(est, (10e9, 13e9, 18e9)):
             assert abs(got - want) < 200e6
@@ -270,13 +289,13 @@ class TestEstimateHopSet:
         sc = RfScenario(hops=(HopSpec(freqs=(17e9, 10e9, 15e9, 13e9), dwell=80e-9),))
         models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=5))
         trace = simulate_scan(sc, models, drive, grid_fast)
-        est = estimate_hop_set(trace, table_fast)
+        est = estimate_hop_set(detect_pulses(trace), table_fast)
         assert len(est) == 4
         assert est == sorted(est)  # chronological order is not recoverable
 
     def test_single_tone_degenerates_to_one(self, noiseless_models, drive, grid_1ms, table_1ms):
         trace = simulate_scan(tone_scenario(14e9), noiseless_models, drive, grid_1ms)
-        est = estimate_hop_set(trace, table_1ms)
+        est = estimate_hop_set(detect_pulses(trace), table_1ms)
         assert len(est) == 1
         assert est[0] == pytest.approx(14e9, abs=50e6)
 
@@ -285,7 +304,7 @@ class TestEstimateHopSet:
 
         flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples), drive=drive)
         with pytest.raises(ValueError):
-            estimate_hop_set(flat, table_1ms)
+            estimate_hop_set(detect_pulses(flat), table_1ms)
 
 
 class TestPersistence:
