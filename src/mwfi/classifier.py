@@ -52,8 +52,8 @@ def _is_continuous(trace: ScanTrace) -> bool:
     smooth = uniform_filter1d(trace.power, size=size, mode="nearest")
     floor = trace.level[0]
     half = floor + 0.5 * (float(np.max(smooth)) - floor)
-    runs = _above_threshold_runs(smooth >= half)
-    max_gap = max((nxt[0] - prev[1] for prev, nxt in zip(runs, runs[1:])), default=0)
+    starts, stops = _above_threshold_runs(smooth >= half)
+    max_gap = np.max(starts[1:] - stops[:-1], initial=0)
     return bool(max_gap * trace.grid.dt < trace.pulse_width_hint)
 
 

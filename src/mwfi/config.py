@@ -34,10 +34,10 @@ _KEY_PATTERNS = [
     r"drive\.(v_min_v|v_max_v|period_s|n_periods)",
     r"scan\.sample_rate_hz",
     r"modulator\.(bw_3db_hz|carrier_suppression_db|image_suppression_db)",
-    r"mrr\.(fsr_hz|fwhm_hz|f_offset0_hz|k_thermal_hz_per_v2|tau_thermal_s|peak_transmission)",
-    r"mzi\.(fsr_hz|extinction_ratio_db|f_ref_hz|insertion_loss_db)",
+    r"mrr\.(fsr_hz|fwhm_hz|f_offset0_hz|k_thermal_hz_per_v2|tau_thermal_s)",
+    r"mzi\.(fsr_hz|extinction_ratio_db|f_ref_hz)",
     r"notch\.(enabled|centers_hz|fwhm_each_hz|rejection_db)",
-    r"pd\.(bw_3db_hz|responsivity|noise_sigma)",
+    r"pd\.(bw_3db_hz|noise_sigma)",
     r"link\.gain",
     r"scenario\.tone\d+\.(freq_hz|amplitude)",
     r"scenario\.chirp\d+\.(center_hz|span_hz|pulse_width_s|repeat_interval_s|amplitude|direction)",
@@ -234,20 +234,17 @@ class RunConfig:
                 f_offset0=self.get_float("mrr.f_offset0_hz", 8e9),
                 k_thermal=self.get_float("mrr.k_thermal_hz_per_v2", 2.0e9),
                 tau_thermal=self.get_float("mrr.tau_thermal_s", 37.3e-6),
-                peak_transmission=self.get_float("mrr.peak_transmission", 1.0),
             ),
             mzi=self._make(
                 "mzi", MziModel,
                 fsr=self.get_float("mzi.fsr_hz", 144e9),
                 extinction_ratio=self.get_float("mzi.extinction_ratio_db", 18.0),
                 f_ref=self.get_float("mzi.f_ref_hz", 0.0),
-                insertion_loss=self.get_float("mzi.insertion_loss_db", 0.0),
             ),
             notch=notch,
             pd=self._make(
                 "pd", PdModel,
                 bw_3db=self.get_float("pd.bw_3db_hz", 33e9),
-                responsivity=self.get_float("pd.responsivity", 1.0),
                 noise_sigma=self.get_float("pd.noise_sigma", 0.01),
                 seed=self.seed if seed is None else seed,
             ),

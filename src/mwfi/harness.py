@@ -125,14 +125,27 @@ def _ifm_grid(cfg: RunConfig) -> TimeGrid:
         return replace(grid, n_samples=int(round(rate * duration)))
 
 
-def _calibration_tones(cfg: RunConfig) -> np.ndarray:
-    lo = cfg.get_float("calibration.lo_hz", 10e9)
-    hi = cfg.get_float("calibration.hi_hz", 20e9)
-    step = cfg.get_float("calibration.step_hz", 1e9)
+def _tone_list(cfg: RunConfig, section: str, lo: float, hi: float, step: float) -> np.ndarray:
+    """Tones lo, lo + step, ... up to hi (Hz) from a section's lo_hz, hi_hz
+    and step_hz keys, which default to the given values."""
+    lo = cfg.get_float(f"{section}.lo_hz", lo)
+    hi = cfg.get_float(f"{section}.hi_hz", hi)
+    step = cfg.get_float(f"{section}.step_hz", step)
+    if step <= 0:
+        raise ConfigError(f"{cfg.source}: key '{section}.step_hz': must be > 0, got {step!r}")
+    if hi < lo:
+        raise ConfigError(
+            f"{cfg.source}: key '{section}.hi_hz': {hi!r} is below {section}.lo_hz = {lo!r}"
+        )
     return np.arange(lo, hi + step / 2, step)
 
 
 def _build_table(cfg: RunConfig, seed: int):
+    tones = _tone_list(cfg, "calibration", 10e9, 20e9, 1e9)
+    if tones.size < 3:
+        raise ConfigError(
+            f"{cfg.source}: section 'calibration': {tones.size} tones, the fit needs at least 3"
+        )
     drive = cfg.build_drive()
     grid = _scan_grid(cfg, drive)
     models = cfg.build_models(seed=seed)
@@ -140,11 +153,15 @@ def _build_table(cfg: RunConfig, seed: int):
     # axis here reports that before any scan starts
     with cfg.blame("key 'scan.sample_rate_hz'"):
         _scan_axis(models.mrr, drive, grid)
-    table = calibrate(models, drive, _calibration_tones(cfg), grid)
+    table = calibrate(models, drive, tones, grid)
     return table, models, drive, grid
 
 
 def _build_ifm_lut(cfg: RunConfig, models):
+    """(lookup table, noise floor, upper limit) of the ifm section."""
+    noise_floor = cfg.get_float("ifm.noise_floor", 0.05)
+    if noise_floor < 0:
+        raise ConfigError(f"{cfg.source}: key 'ifm.noise_floor': must be >= 0, got {noise_floor!r}")
     band = (cfg.get_float("ifm.band_lo_hz", 10e9), cfg.get_float("ifm.band_hi_hz", 20e9))
     port = cfg.get_int("ifm.port", 2)
     if port not in (1, 2):
@@ -153,7 +170,7 @@ def _build_ifm_lut(cfg: RunConfig, models):
     if n_knots < 2:
         raise ConfigError(f"{cfg.source}: key 'ifm.n_knots': need at least 2 knots, got {n_knots}")
     with cfg.blame("section 'ifm'"):
-        return build_lut(
+        lut = build_lut(
             models.mzi,
             band=band,
             mode=cfg.get_str("ifm.mode", "single_port"),
@@ -161,22 +178,26 @@ def _build_ifm_lut(cfg: RunConfig, models):
             n_knots=n_knots,
             modulator=models.modulator,
         )
+    upper_limit = cfg.get_float("ifm.upper_limit_hz", 20e9)
+    if not lut.band[0] <= upper_limit <= lut.band[1]:
+        raise ConfigError(
+            f"{cfg.source}: key 'ifm.upper_limit_hz': {upper_limit!r} lies outside the "
+            f"lookup band {lut.band[0]!r}..{lut.band[1]!r}"
+        )
+    return lut, noise_floor, upper_limit
 
 
 def _run_calibrate(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     table, models, _, _ = _build_table(cfg, seed)
+    lut, _, _ = _build_ifm_lut(cfg, models)
     table.save(out / "calibration.txt")
-    lut = _build_ifm_lut(cfg, models)
     lut_to_csv(lut, out / "lut.csv")
     report.extras["fit_residual_rms_hz"] = f"{table.fit_residual_rms:.6e}"
     report.extras["valid_range_s"] = f"{table.valid_range[0]:.6e},{table.valid_range[1]:.6e}"
 
 
 def _run_measure(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
-    lo = cfg.get_float("measure.lo_hz", 10e9)
-    hi = cfg.get_float("measure.hi_hz", 20e9)
-    step = cfg.get_float("measure.step_hz", 0.5e9)
-    tones = np.arange(lo, hi + step / 2, step)
+    tones = _tone_list(cfg, "measure", 10e9, 20e9, 0.5e9)
     method = cfg.get_str("measure.method", "fttm")
 
     rows = []
@@ -197,9 +218,10 @@ def _run_measure(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
             rows.append((f, ests[0]))
     elif method == "ftpm":
         models = cfg.build_models(seed=seed)
-        lut = _build_ifm_lut(cfg, models)
+        lut, noise_floor, _ = _build_ifm_lut(cfg, models)
+        if lut.mode != "single_port":
+            raise ConfigError(f"{cfg.source}: key 'ifm.mode': ftpm measure needs single_port")
         grid = _ifm_grid(cfg)
-        noise_floor = cfg.get_float("ifm.noise_floor", 0.05)
         for i, f in enumerate(tones):
             models_i = replace(
                 models, pd=replace(models.pd, seed=derive_seed(seed, STAGE_FTPM, i))
@@ -262,7 +284,7 @@ def _run_dynamic(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     scenario = cfg.build_scenario()
     models = cfg.build_models(seed=derive_seed(seed, STAGE_DYNAMIC, 0))
     grid = _ifm_grid(cfg)
-    lut = _build_ifm_lut(cfg, models)
+    lut, noise_floor, upper_limit = _build_ifm_lut(cfg, models)
     lut_to_csv(lut, out / "lut.csv")
     if lut.mode == "ratio":
         # ratio extraction compares the two complementary ports
@@ -274,11 +296,7 @@ def _run_dynamic(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
         reference = None
     ifm_trace_to_csv(trace, out / "ifm_trace.csv")
     est = extract_inst_freq(
-        trace,
-        lut,
-        noise_floor=cfg.get_float("ifm.noise_floor", 0.05),
-        upper_limit=cfg.get_float("ifm.upper_limit_hz", 20e9),
-        reference_trace=reference,
+        trace, lut, noise_floor=noise_floor, upper_limit=upper_limit, reference_trace=reference
     )
     inst_freq_to_csv(est, out / "inst_freq.csv")
 
@@ -299,6 +317,8 @@ def _run_sweep(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     if target not in ("calibrate", "measure", "classify", "dynamic"):
         raise ConfigError(f"key 'sweep.mode': unknown mode {target!r}")
     n_seeds = cfg.get_int("sweep.n_seeds", 10)
+    if n_seeds < 1:
+        raise ConfigError(f"{cfg.source}: key 'sweep.n_seeds': need at least 1 seed, got {n_seeds}")
     scenario = cfg.build_scenario()
     want = expected_label(scenario).token
 

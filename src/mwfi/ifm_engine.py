@@ -106,7 +106,6 @@ class InstFreqEstimate:
 
     times: np.ndarray
     freq: np.ndarray  # Hz, NaN where flagged
-    upper_limit: float
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -202,8 +201,7 @@ def simulate_ifm(
     power = pd_detect(total, models.pd, grid)
     ref = np.linspace(band[0], band[1], 2048)
     peak = float(np.max(_single_tone_power(models.modulator, models.mzi, port, ref)))
-    normalization = models.link_gain * models.pd.responsivity * peak
-    return IfmTrace(grid=grid, power=power, normalization=normalization)
+    return IfmTrace(grid=grid, power=power, normalization=models.link_gain * peak)
 
 
 def extract_inst_freq(
@@ -241,7 +239,7 @@ def extract_inst_freq(
     ok = valid & in_range
     freq[ok] = lut.invert(metric[ok])
     freq[freq > upper_limit] = NOISE
-    return InstFreqEstimate(times=trace.grid.times(), freq=freq, upper_limit=upper_limit)
+    return InstFreqEstimate(times=trace.grid.times(), freq=freq)
 
 
 def estimate_static_frequency(trace: IfmTrace, lut: AcfLut, noise_floor: float = 0.05) -> float:

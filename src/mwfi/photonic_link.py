@@ -2,8 +2,8 @@
 
 All frequencies are RF offsets from the optical carrier: the carrier sits at
 0, the signal sideband of an RF tone at +f, its image at -f. Transmissions
-are power ratios in [0, 1]; the photodetector output is in normalized
-photocurrent units (responsivity x optical power).
+are power ratios in [0, 1]; the photodetector output is the detected
+optical power, whose one scale is LinkModels.link_gain.
 """
 
 from dataclasses import dataclass, field
@@ -67,7 +67,6 @@ class MrrModel:
     f_offset0: float = 8e9  # Hz above carrier at 0 V
     k_thermal: float = 2.0e9  # Hz / V^2
     tau_thermal: float = 37.3e-6  # s
-    peak_transmission: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.fwhm < self.fsr):
@@ -83,7 +82,6 @@ class MziModel:
     fsr: float = 144e9  # Hz
     extinction_ratio: float = 18.0  # dB
     f_ref: float = 0.0  # Hz, frequency of the port-1 maximum
-    insertion_loss: float = 0.0  # dB
 
     def __post_init__(self):
         if self.fsr <= 0:
@@ -124,7 +122,6 @@ class PdModel:
     """
 
     bw_3db: float = 33e9  # Hz
-    responsivity: float = 1.0
     noise_sigma: float = 0.01
     seed: int = 0
 
@@ -138,7 +135,7 @@ class PdModel:
 @dataclass(frozen=True)
 class LinkModels:
     """Parameter bundle for a full link simulation; link_gain is the lumped
-    EDFA/loss gain factor of the optical path."""
+    EDFA/loss gain factor, the one scale of the optical path."""
 
     modulator: ModulatorModel = field(default_factory=ModulatorModel)
     mrr: MrrModel = field(default_factory=MrrModel)
@@ -192,7 +189,7 @@ def _scaled(values, factor):
 def mrr_drop_response(model: MrrModel, detuning):
     """Lorentzian bandpass, periodic in the FSR.
 
-    T(d) = peak / (1 + (2 d' / fwhm)^2) with d' the detuning wrapped to the
+    T(d) = 1 / (1 + (2 d' / fwhm)^2) with d' the detuning wrapped to the
     nearest resonance of the comb.
     """
     d = np.asarray(detuning, dtype=float)
@@ -200,13 +197,13 @@ def mrr_drop_response(model: MrrModel, detuning):
     if d.size and (d.min() < -half_fsr or d.max() > half_fsr):
         d = d - model.fsr * np.round(d / model.fsr)
     if d.ndim == 0:
-        return model.peak_transmission / (1.0 + (2.0 * d / model.fwhm) ** 2)
+        return 1.0 / (1.0 + (2.0 * d / model.fwhm) ** 2)
     # the same operations in the same order, on one buffer
     x = 2.0 * d
     x /= model.fwhm
     np.square(x, out=x)
     x += 1.0
-    return np.divide(model.peak_transmission, x, out=x)
+    return np.divide(1.0, x, out=x)
 
 
 def mrr_resonance_offset(model: MrrModel, v_effective):
@@ -238,19 +235,18 @@ def thermal_lag(drive_power, tau: float, grid: TimeGrid) -> np.ndarray:
 def mzi_port_response(model: MziModel, f, port: int):
     """Power transmission of one MZI output port.
 
-    port 1: L (1 + g cos(2 pi (f - f_ref) / fsr)) / 2
-    port 2: L (1 - g cos(2 pi (f - f_ref) / fsr)) / 2
-    with g the fringe contrast from the extinction ratio and L the insertion
-    loss factor. The two ports are complementary: port1 + port2 = L.
+    port 1: (1 + g cos(2 pi (f - f_ref) / fsr)) / 2
+    port 2: (1 - g cos(2 pi (f - f_ref) / fsr)) / 2
+    with g the fringe contrast from the extinction ratio. The two ports are
+    complementary: port1 + port2 = 1.
     """
     if port not in (1, 2):
         raise ValueError("port must be 1 or 2")
     f = np.asarray(f, dtype=float)
     g = model.fringe_contrast
-    loss = 10.0 ** (-model.insertion_loss / 10.0)
     c = np.cos(2.0 * np.pi * (f - model.f_ref) / model.fsr)
     sign = 1.0 if port == 1 else -1.0
-    return loss * (1.0 + sign * g * c) / 2.0
+    return (1.0 + sign * g * c) / 2.0
 
 
 def acf(model: MziModel, f):
@@ -271,17 +267,17 @@ def notch_response(model: NotchFilterModel, f):
 
 
 def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
-    """Photodetection: responsivity scaling, bandwidth limit, additive noise.
+    """Photodetection: bandwidth limit and additive noise on the power.
 
     The single-pole low-pass only engages when the grid can represent it
     (Nyquist >= bw_3db); at the slow scan rates used here the PD is
-    transparent. Noise std is noise_sigma x max(power); output is clamped
-    at zero.
+    transparent. Noise std is noise_sigma x max(power), so noise_sigma alone
+    sets the SNR; output is clamped at zero.
     """
     p = np.asarray(power, dtype=float)
     if np.any(p < 0):
         raise ValueError("power samples must be >= 0")
-    out = model.responsivity * p
+    out = p
     nyquist = grid.sample_rate / 2.0
     if nyquist >= model.bw_3db:
         # bilinear single-pole low-pass at bw_3db
@@ -290,9 +286,8 @@ def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
         b = [k / (1.0 + k), k / (1.0 + k)]
         a = [1.0, (k - 1.0) / (1.0 + k)]
         out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
-    if model.noise_sigma > 0:
-        scale = model.noise_sigma * float(np.max(p)) if p.size else 0.0
-        if scale > 0:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
-            out = out + rng.normal(0.0, scale, size=out.shape)
+    scale = model.noise_sigma * float(np.max(p, initial=0.0))
+    if scale > 0:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
+        out = out + rng.normal(0.0, scale, size=out.shape)
     return np.maximum(out, 0.0)

@@ -239,24 +239,21 @@ def _scan_timing(models: LinkModels, drive: SawtoothDrive):
 
 
 def _above_threshold_runs(above: np.ndarray):
-    """(start, stop) index pairs of contiguous True runs, stop exclusive."""
+    """(starts, stops) index arrays of the contiguous True runs, stops
+    exclusive; both are empty when nothing is True."""
     idx = np.flatnonzero(above)
-    if idx.size == 0:
-        return []
     breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    stops = np.concatenate((idx[breaks] + 1, [idx[-1] + 1]))
-    return list(zip(starts, stops))
+    starts = np.concatenate((idx[:1], idx[breaks + 1]))
+    stops = np.concatenate((idx[breaks] + 1, idx[-1:] + 1))
+    return starts, stops
 
 
-def _merge_runs(runs, gap: int):
-    merged = [list(runs[0])]
-    for start, stop in runs[1:]:
-        if start - merged[-1][1] <= gap:
-            merged[-1][1] = stop
-        else:
-            merged.append([start, stop])
-    return merged
+def _merge_runs(starts, stops, gap: int):
+    """Merge each run into the one before it when the gap between them
+    (next start minus previous stop) is at most gap samples."""
+    opens_group = np.concatenate(([True], starts[1:] - stops[:-1] > gap))
+    closes_group = np.append(opens_group[1:], True)
+    return starts[opens_group], stops[closes_group]
 
 
 def _fill_randomness(seg: np.ndarray) -> float:
@@ -289,20 +286,20 @@ def detect_pulses(trace: ScanTrace) -> list:
     floor, fullscale = trace.level
     power = trace.power
     threshold = floor + THRESHOLD_FRAC * fullscale
-    runs = _above_threshold_runs(power > threshold)
-    if not runs:
-        return []
+    # full scale is above the threshold, so there is at least one run
+    starts, stops = _above_threshold_runs(power > threshold)
 
     gap = max(1, int(round(trace.pulse_width_hint * trace.grid.sample_rate)))
     # the smoothed profile has no structure finer than gap // 8 samples, so
     # peak-finding on a decimated copy is lossless and much cheaper, and a
     # group narrower than that is a noise spike, not a pulse
     dec = max(1, gap // 8)
-    groups = [(start, stop) for start, stop in _merge_runs(runs, gap) if stop - start >= dec]
+    starts, stops = _merge_runs(starts, stops, gap)
+    wide = stops - starts >= dec
 
     grid = trace.grid
     events = []
-    for start, stop in groups:
+    for start, stop in zip(starts[wide], stops[wide]):
         seg = power[start:stop]
         smooth = uniform_filter1d(seg, size=min(gap, seg.size), mode="nearest")
         coarse = smooth[::dec]
@@ -431,17 +428,14 @@ def _occupancy_edges(above: np.ndarray, window: int):
     return crossing(first, +1), crossing(last, -1)
 
 
-def measure_span(
-    trace: ScanTrace, table: CalibrationTable, edge_method: str = "occupancy"
-) -> float:
+def measure_span(trace: ScanTrace, table: CalibrationTable) -> float:
     """Frequency span of the envelope above the detection threshold.
 
     The threshold is the one detect_pulses uses: THRESHOLD_FRAC of the
-    trace's full scale above its floor. edge_method "occupancy" (default)
-    locates each edge where the fraction of above-threshold samples in a
-    window of 0.6 pulse widths crosses half its plateau; "raw" takes the
-    literal first/last above-threshold samples, which Lorentzian tails bias
-    outward by several linewidths.
+    trace's full scale above its floor. Each edge sits where the fraction
+    of above-threshold samples in a window of 0.6 pulse widths crosses half
+    its plateau. The Lorentzian tails would push the literal first and last
+    above-threshold samples outward by several linewidths.
     """
     if trace.level is None:
         raise ValueError("no envelope: trace is flat or noise-limited")
@@ -450,14 +444,8 @@ def measure_span(
     if not np.any(above):
         raise ValueError("no envelope: nothing above threshold")
 
-    if edge_method == "raw":
-        hit = np.flatnonzero(above)
-        i_lo, i_hi = float(hit[0]), float(hit[-1])
-    elif edge_method == "occupancy":
-        w = max(5, int(round(0.6 * trace.pulse_width_hint * trace.grid.sample_rate)))
-        i_lo, i_hi = _occupancy_edges(above, w)
-    else:
-        raise ValueError(f"unknown edge_method {edge_method!r}")
+    w = max(5, int(round(0.6 * trace.pulse_width_hint * trace.grid.sample_rate)))
+    i_lo, i_hi = _occupancy_edges(above, w)
 
     times = trace.grid.t0 + np.array([i_lo, i_hi]) * trace.grid.dt
     times = times % trace.drive.period

@@ -77,7 +77,7 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
          "time_s,power\n" + scalar_rows((grid.times(), power))),
         (ifm_trace_to_csv, IfmTrace(grid=grid, power=power, normalization=1.0),
          "time_s,power\n" + scalar_rows((grid.times(), power))),
-        (inst_freq_to_csv, InstFreqEstimate(times=grid.times(), freq=freq, upper_limit=20e9),
+        (inst_freq_to_csv, InstFreqEstimate(times=grid.times(), freq=freq),
          "time_s,freq_hz_or_NOISE\n" + scalar_rows((grid.times(), freq), nan="NOISE")),
         (lut_to_csv, lut,
          f"# mode=ratio port=2 f_lo_hz={20e9:.10e} f_hi_hz={50e9:.10e}\n"

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestConfigParsing:
         for text in ("4096", "4096.0", "1e3"):
             cfg = RunConfig.from_text(f"mode = calibrate\nifm.n_knots = {text}\n")
             assert cfg.get_int("ifm.n_knots") == int(float(text))
+
+    def test_readme_configuration_example_builds(self):
+        # a key the parser stops accepting cannot stay documented
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```\n", 2)[1]
+        cfg = RunConfig.from_text(block, source="README.md")
+        assert cfg.mode == "classify"
+        cfg.build_scenario()
+        cfg.build_models()
+        cfg.build_drive()
 
     def test_bool_parsing(self):
         cfg = RunConfig.from_text("mode = dynamic\nnotch.enabled = true\n")
@@ -328,14 +339,31 @@ class TestCli:
             # too slow for the heater lag, which refuses the grid
             ("measure", "scan.sample_rate_hz = 1e4", "scan.sample_rate_hz"),
             ("classify", "scan.sample_rate_hz = 1e4", "scan.sample_rate_hz"),
+            ("measure", "measure.step_hz = 0", "measure.step_hz"),
+            ("measure", "calibration.step_hz = 0", "calibration.step_hz"),
+            ("calibrate", "calibration.step_hz = -1e9", "calibration.step_hz"),
+            ("measure", "measure.hi_hz = 5e9", "measure.hi_hz"),
+            ("classify", "calibration.hi_hz = 5e9", "calibration.hi_hz"),
+            ("measure", "calibration.lo_hz = 20e9", "calibration"),
+            ("dynamic", "ifm.upper_limit_hz = 25e9", "ifm.upper_limit_hz"),
+            ("dynamic", "ifm.noise_floor = -1", "ifm.noise_floor"),
+            ("measure", "measure.method = ftpm\nifm.mode = ratio", "ifm.mode"),
+            ("measure", "measure.method = ftpm\nifm.noise_floor = -1", "ifm.noise_floor"),
+            ("sweep", "sweep.mode = measure\nsweep.n_seeds = 0", "sweep.n_seeds"),
+            # calibrate fits the FTTM table before it reads the lookup settings,
+            # and must write neither file until both are built
+            ("calibrate", "calibration.step_hz = 5e9\nifm.port = 3", "ifm.port"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"mode = {mode}\n{line}\n")
-        assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and f"key '{key}'" in err
+        where = f"key '{key}'" if "." in key else f"section '{key}'"
+        assert "config error" in err and where in err
+        assert not [p for p in out.rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize(
         "line",
@@ -348,6 +376,9 @@ class TestCli:
             "classify.fill_threshold = 0.25",
             "classify.gap_threshold_s = 1e-3",
             "span.rel_threshold = 0.1",
+            "mrr.peak_transmission = 0.5",
+            "mzi.insertion_loss_db = 3",
+            "pd.responsivity = 4",
         ],
     )
     def test_removed_keys_exit_two(self, tmp_path, capsys, line):

@@ -6,6 +6,9 @@ from mwfi.classifier import EnvelopeFeatures, compute_features
 from mwfi.photonic_link import LinkModels, MrrModel, PdModel, pd_detect, thermal_lag
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi.scan_engine import (
+    THRESHOLD_FRAC,
+    _above_threshold_runs,
+    _merge_runs,
     _scan_axis,
     CalibrationError,
     CalibrationTable,
@@ -129,6 +132,36 @@ class TestDetectPulses:
         models = LinkModels(pd=PdModel(seed=derive_seed(311, STAGE_CAL, 0)))
         trace = simulate_scan(tone_scenario(10e9), models, drive, grid_fast)
         assert len(detect_pulses(trace)) == 1
+
+
+def loop_merged_runs(above, gap):
+    """Runs of True found and merged sample by sample: the reference for
+    the array-at-a-time pair."""
+    runs = []
+    for k, on in enumerate(above):
+        if on and runs and runs[-1][1] == k:
+            runs[-1][1] = k + 1
+        elif on:
+            runs.append([k, k + 1])
+    merged = []
+    for start, stop in runs:
+        if merged and start - merged[-1][1] <= gap:
+            merged[-1][1] = stop
+        else:
+            merged.append([start, stop])
+    return merged
+
+
+@settings(max_examples=200, deadline=None)
+@given(above=st.lists(st.booleans(), min_size=1, max_size=200), gap=st.integers(1, 6))
+def test_run_helpers_match_loop(above, gap):
+    def pairs(starts, stops):
+        return [[a, b] for a, b in zip(starts.tolist(), stops.tolist())]
+
+    starts, stops = _above_threshold_runs(np.array(above))
+    assert pairs(starts, stops) == loop_merged_runs(above, 0)  # gap 0 merges nothing
+    if starts.size:
+        assert pairs(*_merge_runs(starts, stops, gap)) == loop_merged_runs(above, gap)
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,10 +294,14 @@ class TestMeasureSpan:
         assert measured == pytest.approx(3 * 875e6, rel=0.15)
 
     def test_raw_edges_show_lorentzian_bias(self, drive, grid_fast, table_fast):
-        # documents why the occupancy edge detector exists
+        # documents why measure_span uses occupancy edges: the literal first
+        # and last above-threshold samples sit far out in the Lorentzian tails
         models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=0))
         trace = simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid_fast)
-        raw = measure_span(trace, table_fast, edge_method="raw")
+        floor, fullscale = trace.level
+        hit = np.flatnonzero(trace.power > floor + THRESHOLD_FRAC * fullscale)
+        times = (trace.grid.t0 + hit[[0, -1]] * trace.grid.dt) % drive.period
+        raw = float(table_fast.freq_at(times[1]) - table_fast.freq_at(times[0]))
         assert raw - 4e9 > 1e9
 
     def test_flat_trace_raises(self, drive, grid_1ms, table_1ms):
