@@ -6,6 +6,7 @@ never need unit conversion. Unknown keys are rejected with their line
 number, which catches typos before they silently fall back to defaults.
 """
 
+import itertools
 import math
 import re
 from contextlib import contextmanager
@@ -48,6 +49,13 @@ _KEY_PATTERNS = [
     r"sweep\.(mode|n_seeds)",
 ]
 _KEY_RE = re.compile("^(" + "|".join(_KEY_PATTERNS) + ")$")
+
+# keys that every emitter of a kind must set
+_EMITTER_KEYS = {
+    "tone": ("freq_hz",),
+    "chirp": ("center_hz", "span_hz", "pulse_width_s", "repeat_interval_s"),
+    "hop": ("freqs_hz", "dwell_s"),
+}
 
 
 class ConfigError(ValueError):
@@ -130,11 +138,16 @@ class RunConfig:
             return default
         return [self._number(key, tok) for tok in self.values[key].split(",") if tok.strip()]
 
-    # section builders ----------------------------------------------------
+    # checks and section builders -----------------------------------------
+    def require(self, ok, where, message):
+        """Unless ok, raise a config error of `where`, a key or a section,
+        e.g. "key 'scan.sample_rate_hz'"; the message starts with the source."""
+        if not ok:
+            raise ConfigError(f"{self.source}: {where}: {message}")
+
     @contextmanager
     def blame(self, where):
-        """Report a ValueError raised in the block as a config error of
-        `where`, a key or a section, e.g. "key 'scan.sample_rate_hz'"."""
+        """Report a ValueError raised in the block as a config error of where."""
         try:
             yield
         except ValueError as exc:
@@ -149,12 +162,8 @@ class RunConfig:
     @property
     def mode(self) -> str:
         mode = self.get_str("mode")
-        if mode is None:
-            raise ConfigError(f"{self.source}: missing required key 'mode'")
-        if mode not in MODES:
-            raise ConfigError(
-                f"{self.source}: key 'mode': unknown mode {mode!r} (expected one of {', '.join(MODES)})"
-            )
+        self.require(mode is not None, "key 'mode'", "missing required key")
+        self.require(mode in MODES, "key 'mode'", f"unknown mode {mode!r} ({', '.join(MODES)})")
         return mode
 
     @property
@@ -168,18 +177,17 @@ class RunConfig:
             m = re.match(r"scenario\.(tone|chirp|hop)(\d+)\.", key)
             if m:
                 indices[m.group(1)].add(int(m.group(2)))
+        for kind, needs in _EMITTER_KEYS.items():
+            for i, need in itertools.product(sorted(indices[kind]), needs):
+                key = f"scenario.{kind}{i}.{need}"
+                self.require(key in self.values, f"key '{key}'", f"unset ({kind}{i} needs {need})")
         for i in sorted(indices["tone"]):
             p = f"scenario.tone{i}."
             freq = self.get_float(p + "freq_hz")
-            if freq is None:
-                raise ConfigError(f"{self.source}: scenario.tone{i} needs freq_hz")
             amplitude = self.get_float(p + "amplitude", 1.0)
             tones.append(self._make(p[:-1], ToneSpec, freq=freq, amplitude=amplitude))
         for i in sorted(indices["chirp"]):
             p = f"scenario.chirp{i}."
-            for need in ("center_hz", "span_hz", "pulse_width_s", "repeat_interval_s"):
-                if p + need not in self.values:
-                    raise ConfigError(f"{self.source}: scenario.chirp{i} needs {need}")
             chirps.append(
                 self._make(
                     p[:-1], ChirpSpec,
@@ -193,15 +201,10 @@ class RunConfig:
             )
         for i in sorted(indices["hop"]):
             p = f"scenario.hop{i}."
-            freqs = self.get_float_list(p + "freqs_hz")
-            if freqs is None:
-                raise ConfigError(f"{self.source}: scenario.hop{i} needs freqs_hz")
-            if p + "dwell_s" not in self.values:
-                raise ConfigError(f"{self.source}: scenario.hop{i} needs dwell_s")
             hops.append(
                 self._make(
                     p[:-1], HopSpec,
-                    freqs=tuple(freqs),
+                    freqs=tuple(self.get_float_list(p + "freqs_hz")),
                     dwell=self.get_float(p + "dwell_s"),
                     amplitude=self.get_float(p + "amplitude", 1.0),
                     start=self.get_float(p + "start_s", 0.0),
@@ -253,12 +256,8 @@ class RunConfig:
 
     def build_drive(self) -> SawtoothDrive:
         n_periods = self.get_int("drive.n_periods", 1)
-        if n_periods > 1:
-            # every period would show each calibration tone once more
-            raise ConfigError(
-                f"{self.source}: key 'drive.n_periods': scans of more than one period "
-                "are not supported"
-            )
+        # every period would show each calibration tone once more
+        self.require(n_periods <= 1, "key 'drive.n_periods'", "only one scan period is supported")
         return self._make(
             "drive", SawtoothDrive,
             v_min=self.get_float("drive.v_min_v", 0.0),

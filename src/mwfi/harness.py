@@ -13,11 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, sole_component_freq
 from .classifier import ClassLabel, classify, compute_features
-from .config import ConfigError, RunConfig
+from .config import MODES, RunConfig
 from .ifm_engine import (
+    AcfLut,
     build_lut,
+    check_hop_sampling,
     estimate_static_frequency,
     extract_inst_freq,
     ifm_trace_to_csv,
@@ -25,7 +28,9 @@ from .ifm_engine import (
     lut_to_csv,
     simulate_ifm,
 )
+from .photonic_link import LinkModels
 from .scan_engine import (
+    SawtoothDrive,
     _scan_axis,
     calibrate,
     detect_pulses,
@@ -43,7 +48,7 @@ from .seeding import (
     derive_seed,
 )
 
-__all__ = ["MetricsReport", "run", "rms_error", "expected_label"]
+__all__ = ["MetricsReport", "RunPlan", "build_plan", "run", "rms_error", "expected_label"]
 
 
 def rms_error(estimates, truths) -> float:
@@ -108,21 +113,32 @@ def expected_label(scenario: RfScenario) -> ClassLabel:
     return ClassLabel.FREQUENCY_HOPPING
 
 
-def _scan_grid(cfg: RunConfig, drive) -> TimeGrid:
-    rate = cfg.get_float("scan.sample_rate_hz", 1e6)
-    n = int(round(rate * drive.period * drive.n_periods))
-    with cfg.blame("key 'scan.sample_rate_hz'"):
-        return TimeGrid(sample_rate=rate, n_samples=n)
+@dataclass(frozen=True)
+class RunPlan:
+    """Every setting a run uses, read and checked before any stage starts.
 
+    Fields the mode does not use stay None. The detector seed of models is a
+    placeholder: each stage draws its noise from its own seed (seeded_models).
+    """
 
-def _ifm_grid(cfg: RunConfig) -> TimeGrid:
-    rate = cfg.get_float("ifm.sample_rate_hz", 1e9)
-    duration = cfg.get_float("ifm.duration_s", 400e-9)
-    # the rate is checked on its own, so an empty grid is the duration's fault
-    with cfg.blame("key 'ifm.sample_rate_hz'"):
-        grid = TimeGrid(sample_rate=rate, n_samples=1)
-    with cfg.blame("key 'ifm.duration_s'"):
-        return replace(grid, n_samples=int(round(rate * duration)))
+    mode: str
+    models: LinkModels | None = None
+    scenario: RfScenario | None = None
+    tones: np.ndarray | None = None  # measure tones
+    method: str | None = None
+    drive: SawtoothDrive | None = None  # FTTM scan
+    scan_grid: TimeGrid | None = None
+    cal_tones: np.ndarray | None = None
+    ifm_grid: TimeGrid | None = None  # FTPM / IFM
+    lut: AcfLut | None = None
+    noise_floor: float | None = None
+    upper_limit: float | None = None
+    target: "RunPlan | None" = None  # sweep
+    n_seeds: int | None = None
+
+    def seeded_models(self, seed: int) -> LinkModels:
+        """The models with the detector noise drawn from seed."""
+        return replace(self.models, pd=replace(self.models.pd, seed=seed))
 
 
 def _tone_list(cfg: RunConfig, section: str, lo: float, hi: float, step: float) -> np.ndarray:
@@ -131,122 +147,131 @@ def _tone_list(cfg: RunConfig, section: str, lo: float, hi: float, step: float) 
     lo = cfg.get_float(f"{section}.lo_hz", lo)
     hi = cfg.get_float(f"{section}.hi_hz", hi)
     step = cfg.get_float(f"{section}.step_hz", step)
-    if step <= 0:
-        raise ConfigError(f"{cfg.source}: key '{section}.step_hz': must be > 0, got {step!r}")
-    if hi < lo:
-        raise ConfigError(
-            f"{cfg.source}: key '{section}.hi_hz': {hi!r} is below {section}.lo_hz = {lo!r}"
-        )
+    cfg.require(lo > 0, f"key '{section}.lo_hz'", f"must be > 0, got {lo!r}")
+    cfg.require(step > 0, f"key '{section}.step_hz'", f"must be > 0, got {step!r}")
+    cfg.require(hi >= lo, f"key '{section}.hi_hz'", f"{hi!r} is below {section}.lo_hz = {lo!r}")
     return np.arange(lo, hi + step / 2, step)
 
 
-def _build_table(cfg: RunConfig, seed: int):
+def _scan_settings(cfg: RunConfig, models: LinkModels) -> dict:
+    """Drive, scan grid and calibration tones of an FTTM run."""
     tones = _tone_list(cfg, "calibration", 10e9, 20e9, 1e9)
-    if tones.size < 3:
-        raise ConfigError(
-            f"{cfg.source}: section 'calibration': {tones.size} tones, the fit needs at least 3"
-        )
+    cfg.require(tones.size >= 3, "section 'calibration'", f"{tones.size} tones, the fit needs 3")
     drive = cfg.build_drive()
-    grid = _scan_grid(cfg, drive)
-    models = cfg.build_models(seed=seed)
-    # the heater lag refuses too slow a rate; computing the run's shared scan
-    # axis here reports that before any scan starts
+    rate = cfg.get_float("scan.sample_rate_hz", 1e6)
+    n = int(round(rate * drive.period * drive.n_periods))
     with cfg.blame("key 'scan.sample_rate_hz'"):
+        grid = TimeGrid(sample_rate=rate, n_samples=n)
+        # the heater lag refuses too slow a rate; the run's scans share this axis
         _scan_axis(models.mrr, drive, grid)
-    table = calibrate(models, drive, tones, grid)
-    return table, models, drive, grid
+    return dict(drive=drive, scan_grid=grid, cal_tones=tones)
 
 
-def _build_ifm_lut(cfg: RunConfig, models):
-    """(lookup table, noise floor, upper limit) of the ifm section."""
+def _ifm_grid(cfg: RunConfig, scenario: RfScenario) -> TimeGrid:
+    rate = cfg.get_float("ifm.sample_rate_hz", 1e9)
+    duration = cfg.get_float("ifm.duration_s", 400e-9)
+    # the rate is checked on its own, so an empty grid is the duration's fault
+    with cfg.blame("key 'ifm.sample_rate_hz'"):
+        grid = TimeGrid(sample_rate=rate, n_samples=1)
+        check_hop_sampling(scenario, grid)
+    with cfg.blame("key 'ifm.duration_s'"):
+        return replace(grid, n_samples=int(round(rate * duration)))
+
+
+def _lut_settings(cfg: RunConfig, models: LinkModels) -> dict:
+    """Lookup table, noise floor and upper limit of the ifm section."""
     noise_floor = cfg.get_float("ifm.noise_floor", 0.05)
-    if noise_floor < 0:
-        raise ConfigError(f"{cfg.source}: key 'ifm.noise_floor': must be >= 0, got {noise_floor!r}")
+    cfg.require(noise_floor >= 0, "key 'ifm.noise_floor'", f"must be >= 0, got {noise_floor!r}")
     band = (cfg.get_float("ifm.band_lo_hz", 10e9), cfg.get_float("ifm.band_hi_hz", 20e9))
     port = cfg.get_int("ifm.port", 2)
-    if port not in (1, 2):
-        raise ConfigError(f"{cfg.source}: key 'ifm.port': port must be 1 or 2, got {port}")
+    cfg.require(port in (1, 2), "key 'ifm.port'", f"port must be 1 or 2, got {port}")
     n_knots = cfg.get_int("ifm.n_knots", 4096)
-    if n_knots < 2:
-        raise ConfigError(f"{cfg.source}: key 'ifm.n_knots': need at least 2 knots, got {n_knots}")
+    cfg.require(n_knots >= 2, "key 'ifm.n_knots'", f"need at least 2 knots, got {n_knots}")
+    mode = cfg.get_str("ifm.mode", "single_port")
+    cfg.require(mode in ("single_port", "ratio"), "key 'ifm.mode'", f"unknown mode {mode!r}")
     with cfg.blame("section 'ifm'"):
-        lut = build_lut(
-            models.mzi,
-            band=band,
-            mode=cfg.get_str("ifm.mode", "single_port"),
-            port=port,
-            n_knots=n_knots,
-            modulator=models.modulator,
-        )
+        lut = build_lut(models.mzi, band, mode, port, n_knots, models.modulator)
     upper_limit = cfg.get_float("ifm.upper_limit_hz", 20e9)
-    if not lut.band[0] <= upper_limit <= lut.band[1]:
-        raise ConfigError(
-            f"{cfg.source}: key 'ifm.upper_limit_hz': {upper_limit!r} lies outside the "
-            f"lookup band {lut.band[0]!r}..{lut.band[1]!r}"
-        )
-    return lut, noise_floor, upper_limit
+    cfg.require(
+        lut.band[0] <= upper_limit <= lut.band[1], "key 'ifm.upper_limit_hz'",
+        f"{upper_limit!r} lies outside the lookup band {lut.band[0]!r}..{lut.band[1]!r}",
+    )
+    return dict(lut=lut, noise_floor=noise_floor, upper_limit=upper_limit)
 
 
-def _run_calibrate(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
-    table, models, _, _ = _build_table(cfg, seed)
-    lut, _, _ = _build_ifm_lut(cfg, models)
+def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
+    """Read and check every setting that mode (by default the config's) uses.
+
+    A bad setting raises ConfigError naming its key, or its section where
+    several keys meet. FTTM plans compute the run's scan axis, which run
+    clears when the run ends.
+    """
+    mode = cfg.mode if mode is None else mode
+    if mode == "sweep":
+        target = cfg.get_str("sweep.mode")
+        targets = [m for m in MODES if m != "sweep"]
+        cfg.require(target in targets, "key 'sweep.mode'", f"{target!r} is not one of {targets}")
+        n_seeds = cfg.get_int("sweep.n_seeds", 10)
+        cfg.require(n_seeds >= 1, "key 'sweep.n_seeds'", f"need at least 1 seed, got {n_seeds}")
+        scenario = cfg.build_scenario()
+        return RunPlan(mode, scenario=scenario, target=build_plan(cfg, target), n_seeds=n_seeds)
+
+    plan = dict(models=cfg.build_models(seed=0))
+    if mode in ("classify", "dynamic"):
+        plan["scenario"] = cfg.build_scenario()
+    if mode == "measure":
+        plan["tones"] = _tone_list(cfg, "measure", 10e9, 20e9, 0.5e9)
+        method = plan["method"] = cfg.get_str("measure.method", "fttm")
+        cfg.require(method in ("fttm", "ftpm"), "key 'measure.method'", f"unknown {method!r}")
+    if mode in ("calibrate", "classify") or plan.get("method") == "fttm":
+        plan.update(_scan_settings(cfg, plan["models"]))
+    if mode in ("calibrate", "dynamic") or plan.get("method") == "ftpm":
+        plan.update(_lut_settings(cfg, plan["models"]))
+    if mode == "dynamic" or plan.get("method") == "ftpm":
+        plan["ifm_grid"] = _ifm_grid(cfg, plan.get("scenario", RfScenario()))
+    single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
+    cfg.require(single, "key 'ifm.mode'", "ftpm measure needs single_port")
+    return RunPlan(mode, **plan)
+
+
+def _run_calibrate(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+    table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
     table.save(out / "calibration.txt")
-    lut_to_csv(lut, out / "lut.csv")
+    lut_to_csv(plan.lut, out / "lut.csv")
     report.extras["fit_residual_rms_hz"] = f"{table.fit_residual_rms:.6e}"
     report.extras["valid_range_s"] = f"{table.valid_range[0]:.6e},{table.valid_range[1]:.6e}"
 
 
-def _run_measure(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
-    tones = _tone_list(cfg, "measure", 10e9, 20e9, 0.5e9)
-    method = cfg.get_str("measure.method", "fttm")
-
-    rows = []
-    if method == "fttm":
-        table, models, drive, grid = _build_table(cfg, seed)
+def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+    fttm = plan.method == "fttm"
+    if fttm:
+        table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
         table.save(out / "calibration.txt")
-        for i, f in enumerate(tones):
-            models_i = replace(
-                models, pd=replace(models.pd, seed=derive_seed(seed, STAGE_MEASURE, i))
-            )
-            trace = simulate_scan(RfScenario(tones=(ToneSpec(freq=f),)), models_i, drive, grid)
-            events = detect_pulses(trace)
-            ests = [e for e in estimate_frequencies(events, table) if e is not None]
-            if len(ests) != 1:
-                raise RuntimeError(
-                    f"measure: tone {f / 1e9:.3f} GHz gave {len(ests)} in-band pulses"
-                )
-            rows.append((f, ests[0]))
-    elif method == "ftpm":
-        models = cfg.build_models(seed=seed)
-        lut, noise_floor, _ = _build_ifm_lut(cfg, models)
-        if lut.mode != "single_port":
-            raise ConfigError(f"{cfg.source}: key 'ifm.mode': ftpm measure needs single_port")
-        grid = _ifm_grid(cfg)
-        for i, f in enumerate(tones):
-            models_i = replace(
-                models, pd=replace(models.pd, seed=derive_seed(seed, STAGE_FTPM, i))
-            )
-            trace = simulate_ifm(
-                RfScenario(tones=(ToneSpec(freq=f),)), models_i, grid,
-                port=lut.port, band=lut.band,
-            )
-            rows.append((f, estimate_static_frequency(trace, lut, noise_floor)))
-    else:
-        raise ConfigError(f"key 'measure.method': unknown method {method!r}")
+    ests = np.empty(plan.tones.size)
+    for i, f in enumerate(plan.tones):
+        tone = RfScenario(tones=(ToneSpec(freq=f),))
+        if fttm:
+            models = plan.seeded_models(derive_seed(seed, STAGE_MEASURE, i))
+            trace = simulate_scan(tone, models, plan.drive, plan.scan_grid)
+            found = [e for e in estimate_frequencies(detect_pulses(trace), table) if e is not None]
+            if len(found) != 1:
+                raise RuntimeError(f"tone {f / 1e9:.3f} GHz gave {len(found)} in-band pulses")
+            ests[i] = found[0]
+        else:
+            models = plan.seeded_models(derive_seed(seed, STAGE_FTPM, i))
+            trace = simulate_ifm(tone, models, plan.ifm_grid, plan.lut.port, plan.lut.band)
+            ests[i] = estimate_static_frequency(trace, plan.lut, plan.noise_floor)
 
-    with open(out / "estimates.csv", "w", newline="\n") as fh:
-        fh.write("truth_hz,estimate_hz,error_hz\n")
-        for truth, est in rows:
-            fh.write(f"{truth:.10e},{est:.10e},{est - truth:.10e}\n")
-    report.per_tone_errors_hz = [est - truth for truth, est in rows]
-    report.rms_error_hz = rms_error([e for _, e in rows], [t for t, _ in rows])
+    truths, errors = plan.tones, ests - plan.tones
+    write_columns(out / "estimates.csv", "truth_hz,estimate_hz,error_hz\n", (truths, ests, errors))
+    report.per_tone_errors_hz = errors.tolist()
+    report.rms_error_hz = rms_error(ests, truths)
 
 
-def _run_classify(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
-    scenario = cfg.build_scenario()
-    table, models, drive, grid = _build_table(cfg, seed)
-    models_c = replace(models, pd=replace(models.pd, seed=derive_seed(seed, STAGE_CLASSIFY, 0)))
-    trace = simulate_scan(scenario, models_c, drive, grid)
+def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+    table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
+    models = plan.seeded_models(derive_seed(seed, STAGE_CLASSIFY, 0))
+    trace = simulate_scan(plan.scenario, models, plan.drive, plan.scan_grid)
     scan_trace_to_csv(trace, out / "scan_trace.csv")
     events = detect_pulses(trace)
     features = compute_features(events, trace)
@@ -260,44 +285,40 @@ def _run_classify(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     if label in (ClassLabel.SINGLE_FREQUENCY, ClassLabel.MULTIPLE_FREQUENCY):
         ests = [e for e in estimate_frequencies(events, table) if e is not None]
         report.extras["estimated_freqs_hz"] = ",".join(f"{e:.6e}" for e in sorted(ests))
-        truths = sorted(t.freq for t in scenario.tones)
+        truths = sorted(t.freq for t in plan.scenario.tones)
         if len(ests) == len(truths):
             report.per_tone_errors_hz = [e - t for e, t in zip(sorted(ests), truths)]
             report.rms_error_hz = rms_error(sorted(ests), truths)
     elif label is ClassLabel.CHIRPED:
         span = measure_span(trace, table)
         report.extras["measured_span_hz"] = f"{span:.6e}"
-        if len(scenario.chirps) == 1:
-            truth = scenario.chirps[0].span
+        if len(plan.scenario.chirps) == 1:
+            truth = plan.scenario.chirps[0].span
             report.span_error_frac = abs(span - truth) / truth
     elif label is ClassLabel.FREQUENCY_HOPPING:
         hops = estimate_hop_set(events, table)
         report.extras["estimated_hop_set_hz"] = ",".join(f"{h:.6e}" for h in hops)
-        if len(scenario.hops) == 1:
-            truths = sorted(scenario.hops[0].freqs)
+        if len(plan.scenario.hops) == 1:
+            truths = sorted(plan.scenario.hops[0].freqs)
             if len(hops) == len(truths):
                 report.rms_error_hz = rms_error(hops, truths)
                 report.per_tone_errors_hz = [e - t for e, t in zip(hops, truths)]
 
 
-def _run_dynamic(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
-    scenario = cfg.build_scenario()
-    models = cfg.build_models(seed=derive_seed(seed, STAGE_DYNAMIC, 0))
-    grid = _ifm_grid(cfg)
-    lut, noise_floor, upper_limit = _build_ifm_lut(cfg, models)
+def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+    scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
+    models = plan.seeded_models(derive_seed(seed, STAGE_DYNAMIC, 0))
     lut_to_csv(lut, out / "lut.csv")
     if lut.mode == "ratio":
         # ratio extraction compares the two complementary ports
         trace = simulate_ifm(scenario, models, grid, port=1, band=lut.band)
-        models2 = replace(models, pd=replace(models.pd, seed=derive_seed(seed, STAGE_DYNAMIC, 1)))
+        models2 = plan.seeded_models(derive_seed(seed, STAGE_DYNAMIC, 1))
         reference = simulate_ifm(scenario, models2, grid, port=2, band=lut.band)
     else:
         trace = simulate_ifm(scenario, models, grid, port=lut.port, band=lut.band)
         reference = None
     ifm_trace_to_csv(trace, out / "ifm_trace.csv")
-    est = extract_inst_freq(
-        trace, lut, noise_floor=noise_floor, upper_limit=upper_limit, reference_trace=reference
-    )
+    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, reference)
     inst_freq_to_csv(est, out / "inst_freq.csv")
 
     # score samples that are not noise and where the scenario has one frequency
@@ -310,24 +331,13 @@ def _run_dynamic(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
 
 
-def _run_sweep(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
-    target = cfg.get_str("sweep.mode")
-    if target is None or target == "sweep":
-        raise ConfigError("key 'sweep.mode': sweep needs a non-sweep target mode")
-    if target not in ("calibrate", "measure", "classify", "dynamic"):
-        raise ConfigError(f"key 'sweep.mode': unknown mode {target!r}")
-    n_seeds = cfg.get_int("sweep.n_seeds", 10)
-    if n_seeds < 1:
-        raise ConfigError(f"{cfg.source}: key 'sweep.n_seeds': need at least 1 seed, got {n_seeds}")
-    scenario = cfg.build_scenario()
-    want = expected_label(scenario).token
-
+def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
     rows = []
-    for k in range(n_seeds):
-        sub = MetricsReport(mode=target, seed=seed + k)
+    for k in range(plan.n_seeds):
+        sub = MetricsReport(mode=plan.target.mode, seed=seed + k)
         sub_out = out / f"seed_{seed + k}"
         sub_out.mkdir(parents=True, exist_ok=True)
-        _MODE_RUNNERS[target](cfg, seed + k, sub_out, sub)
+        _MODE_RUNNERS[plan.target.mode](plan.target, seed + k, sub_out, sub)
         sub.save(sub_out / "report.txt")
         rows.append(sub)
 
@@ -341,10 +351,11 @@ def _run_sweep(cfg: RunConfig, seed: int, out: Path, report: MetricsReport):
         report.extras["span_error_frac_max"] = f"{max(span_values):.6e}"
     labels = [r.classification for r in rows if r.classification is not None]
     if labels:
+        want = expected_label(plan.scenario).token
         correct = sum(1 for lab in labels if lab == want)
         report.classification = want
         report.extras["classification_accuracy"] = f"{correct / len(labels):.4f}"
-    report.extras["n_seeds"] = str(n_seeds)
+    report.extras["n_seeds"] = str(plan.n_seeds)
 
     with open(out / "sweep.csv", "w", newline="\n") as fh:
         fh.write("seed,rms_error_hz,span_error_frac,classification\n")
@@ -367,20 +378,19 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     """Execute a configured run; returns the metrics and writes artifacts.
 
     seed and out_dir override the config's values (CLI flags map here).
+    The run's plan is built first, so a ConfigError leaves out_dir untouched.
     """
-    mode = cfg.mode
-    seed = cfg.seed if seed is None else int(seed)
-    out = Path(out_dir if out_dir is not None else cfg.get_str("out_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-
-    report = MetricsReport(mode=mode, seed=seed)
     started = time.perf_counter()
     try:
-        _MODE_RUNNERS[mode](cfg, seed, out, report)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"{mode} stage failed: {exc}") from exc
+        plan = build_plan(cfg)
+        seed = cfg.seed if seed is None else int(seed)
+        out = Path(out_dir if out_dir is not None else cfg.get_str("out_dir", "out"))
+        out.mkdir(parents=True, exist_ok=True)
+        report = MetricsReport(mode=plan.mode, seed=seed)
+        try:
+            _MODE_RUNNERS[plan.mode](plan, seed, out, report)
+        except Exception as exc:
+            raise RuntimeError(f"{plan.mode} stage failed: {exc}") from exc
     finally:
         # the scan axis is shared by the scans of one run, not across runs
         _scan_axis.cache_clear()

@@ -27,6 +27,7 @@ __all__ = [
     "IfmTrace",
     "InstFreqEstimate",
     "build_lut",
+    "check_hop_sampling",
     "simulate_ifm",
     "extract_inst_freq",
     "estimate_static_frequency",
@@ -166,6 +167,16 @@ def build_lut(
     return AcfLut(mode=mode, port=port, band=(f_lo, f_hi), freqs=freqs, values=values)
 
 
+def check_hop_sampling(scenario: RfScenario, grid: TimeGrid):
+    """Refuse a grid with fewer than 10 samples in any hop dwell."""
+    for hop in scenario.hops:
+        if grid.sample_rate * hop.dwell < 10.0:
+            raise ValueError(
+                f"grid rate {grid.sample_rate:.3e} S/s undersamples the "
+                f"{hop.dwell:.2e} s hop dwell (need >= 10 samples per dwell)"
+            )
+
+
 def simulate_ifm(
     scenario: RfScenario,
     models: LinkModels,
@@ -180,12 +191,7 @@ def simulate_ifm(
     unit-amplitude component at the band maximum of the port response
     (bandstop excluded).
     """
-    for hop in scenario.hops:
-        if grid.sample_rate * hop.dwell < 10.0:
-            raise ValueError(
-                f"grid rate {grid.sample_rate:.3e} S/s undersamples the "
-                f"{hop.dwell:.2e} s hop dwell (need >= 10 samples per dwell)"
-            )
+    check_hop_sampling(scenario, grid)
 
     def response(freqs):
         resp = mzi_port_response(models.mzi, freqs, port)

@@ -1,14 +1,16 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
-from mwfi.config import ConfigError, RunConfig
-from mwfi.harness import MetricsReport, expected_label, rms_error, run
+from mwfi.config import MODES, ConfigError, RunConfig
+from mwfi.harness import MetricsReport, build_plan, expected_label, rms_error, run
 from mwfi.presets import list_presets, preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
 from mwfi.scan_engine import _scan_axis
@@ -239,14 +241,20 @@ class TestRun:
         with pytest.raises(RuntimeError, match="measure stage failed"):
             run(cfg, out_dir=tmp_path)
 
-    @pytest.mark.parametrize("lo_hz, fails", [(15e9, False), (2e9, True)])
-    def test_scan_cache_cleared_when_run_ends(self, tmp_path, lo_hz, fails):
-        cfg = RunConfig.from_text(
-            "mode = measure\ncalibration.step_hz = 5e9\n"
-            f"measure.lo_hz = {lo_hz!r}\nmeasure.hi_hz = {lo_hz!r}\n"
-        )
-        if fails:
-            with pytest.raises(RuntimeError):
+    @pytest.mark.parametrize(
+        "mode, line, error",
+        [
+            ("measure", "measure.lo_hz = 15e9\nmeasure.hi_hz = 15e9", None),
+            ("measure", "measure.lo_hz = 2e9\nmeasure.hi_hz = 2e9", RuntimeError),
+            # the plan computes the axis before it refuses the lookup port
+            ("calibrate", "ifm.port = 3", ConfigError),
+        ],
+        ids=["run-ends", "stage-fails", "plan-refused"],
+    )
+    def test_scan_cache_cleared_when_run_ends(self, tmp_path, mode, line, error):
+        cfg = RunConfig.from_text(f"mode = {mode}\ncalibration.step_hz = 5e9\n{line}\n")
+        if error:
+            with pytest.raises(error):
                 run(cfg, out_dir=tmp_path)
         else:
             run(cfg, out_dir=tmp_path)
@@ -272,6 +280,67 @@ class TestPresets:
 
     def test_unknown_preset_is_none(self):
         assert preset_path("fig99") is None
+
+
+HOP_AT_1E8 = (
+    "ifm.sample_rate_hz = 1e8\nscenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 80e-9"
+)
+
+# (valid, invalid) config lines of the settings that the plan test draws
+PLAN_LINES = {
+    "scan rate": (["scan.sample_rate_hz = 2718281"], ["scan.sample_rate_hz = 1e4"]),
+    "periods": (["drive.n_periods = 1"], ["drive.n_periods = 2"]),
+    "cal step": (["calibration.step_hz = 5e9"], ["calibration.step_hz = 0"]),
+    "cal band": (["calibration.hi_hz = 18e9"], ["calibration.hi_hz = 11e9"]),
+    "tones": (
+        ["measure.hi_hz = 16e9"],
+        ["measure.hi_hz = 5e9", "measure.lo_hz = 0", "measure.lo_hz = inf"],
+    ),
+    "method": (["measure.method = fttm", "measure.method = ftpm"], ["measure.method = bogus"]),
+    # 1e8 S/s is too slow only for the 80 ns dwell of "hop"
+    "ifm rate": (
+        ["ifm.sample_rate_hz = 2e8"], ["ifm.sample_rate_hz = 0", "ifm.sample_rate_hz = 1e8"]
+    ),
+    "duration": (["ifm.duration_s = 200e-9"], ["ifm.duration_s = 1e-12"]),
+    "lut mode": (["ifm.mode = single_port"], ["ifm.mode = bogus"]),
+    "port": (["ifm.port = 1", "ifm.port = 2"], ["ifm.port = 3", "ifm.port = 1.5"]),
+    "knots": (["ifm.n_knots = 64"], ["ifm.n_knots = 1"]),
+    "floor": (["ifm.noise_floor = 0.1"], ["ifm.noise_floor = -1"]),
+    "limit": (["ifm.upper_limit_hz = 18e9"], ["ifm.upper_limit_hz = 25e9"]),
+    "band": (["ifm.band_lo_hz = 11e9"], ["ifm.band_hi_hz = 90e9"]),
+    "target": (["sweep.mode = classify", "sweep.mode = dynamic"], ["sweep.mode = sweep"]),
+    "seeds": (["sweep.n_seeds = 2"], ["sweep.n_seeds = 0"]),
+    "hop": (
+        ["scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 80e-9"],
+        [
+            "scenario.hop1.dwell_s = 80e-9",
+            "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0",
+        ],
+    ),
+    "ring": (["mrr.fwhm_hz = 500e6"], ["mrr.fwhm_hz = 0"]),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    picks=st.dictionaries(st.sampled_from(sorted(PLAN_LINES)), st.booleans(), max_size=4),
+    data=st.data(),
+)
+def test_plan_builds_or_names_its_key(mode, picks, data):
+    if mode == "sweep":
+        picks = {"target": True, **picks}  # a sweep needs a target mode
+    lines = [f"mode = {mode}"]
+    for name, valid in picks.items():
+        lines.append(data.draw(st.sampled_from(PLAN_LINES[name][0 if valid else 1])))
+    cfg = RunConfig.from_text("\n".join(lines) + "\n", source="drawn.cfg")
+    try:
+        build_plan(cfg)
+    except ConfigError as exc:
+        assert not all(picks.values()), f"valid settings refused: {exc}"
+        assert re.match(r"drawn\.cfg: (key|section) '[a-z0-9_.]+': ", str(exc)), str(exc)
+    finally:
+        _scan_axis.cache_clear()
 
 
 class TestCli:
@@ -305,7 +374,7 @@ class TestCli:
         bad.write_text(f"mode = {mode}\n{line}\n")
         assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and key in err
+        assert f"config error: {bad}: key '{key}'" in err
 
     @pytest.mark.parametrize(
         "line, name",
@@ -325,7 +394,7 @@ class TestCli:
         bad.write_text(f"mode = classify\n{line}\n")
         assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and name in err
+        assert f"config error: {bad}: " in err and name in err
 
     @pytest.mark.parametrize(
         "mode, line, key",
@@ -343,6 +412,8 @@ class TestCli:
             ("measure", "calibration.step_hz = 0", "calibration.step_hz"),
             ("calibrate", "calibration.step_hz = -1e9", "calibration.step_hz"),
             ("measure", "measure.hi_hz = 5e9", "measure.hi_hz"),
+            ("measure", "measure.lo_hz = 0\nmeasure.hi_hz = 0", "measure.lo_hz"),
+            ("calibrate", "calibration.lo_hz = -1e9", "calibration.lo_hz"),
             ("classify", "calibration.hi_hz = 5e9", "calibration.hi_hz"),
             ("measure", "calibration.lo_hz = 20e9", "calibration"),
             ("dynamic", "ifm.upper_limit_hz = 25e9", "ifm.upper_limit_hz"),
@@ -350,9 +421,15 @@ class TestCli:
             ("measure", "measure.method = ftpm\nifm.mode = ratio", "ifm.mode"),
             ("measure", "measure.method = ftpm\nifm.noise_floor = -1", "ifm.noise_floor"),
             ("sweep", "sweep.mode = measure\nsweep.n_seeds = 0", "sweep.n_seeds"),
-            # calibrate fits the FTTM table before it reads the lookup settings,
-            # and must write neither file until both are built
+            # calibrate must write neither file until the FTTM table and the
+            # lookup settings are both accepted
             ("calibrate", "calibration.step_hz = 5e9\nifm.port = 3", "ifm.port"),
+            # a sweep reads its target's settings before it makes seed_1/
+            ("sweep", "sweep.mode = measure\nmeasure.step_hz = 0", "measure.step_hz"),
+            # 8 samples per 80 ns dwell at 1e8 S/s, fewer than the 10 required
+            ("dynamic", HOP_AT_1E8, "ifm.sample_rate_hz"),
+            ("sweep", "sweep.mode = dynamic\n" + HOP_AT_1E8, "ifm.sample_rate_hz"),
+            ("dynamic", "ifm.mode = bogus", "ifm.mode"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):
@@ -362,8 +439,8 @@ class TestCli:
         assert main([mode, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         where = f"key '{key}'" if "." in key else f"section '{key}'"
-        assert "config error" in err and where in err
-        assert not [p for p in out.rglob("*") if p.is_file()]
+        assert f"config error: {bad}: {where}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line",
