@@ -3,8 +3,9 @@
 Five modes cover the toolkit's experiments: calibrate writes the lookup
 artifacts, measure sweeps tones through either pipeline, classify labels a
 scenario from its scan trace, dynamic reconstructs instantaneous frequency,
-and sweep repeats a mode over seeds. Every run is deterministic given
-(config, seed); artifact CSVs are byte-stable.
+and sweep repeats a mode over seeds, keeping each seed's report but not its
+per-sample traces. Every run is deterministic given (config, seed); artifact
+CSVs are byte-stable.
 """
 
 import time
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, sole_component_freq
-from .classifier import ClassLabel, classify, compute_features
+from .classifier import FILL_THRESHOLD, ClassLabel, classify, compute_features
 from .config import MODES, RunConfig
 from .ifm_engine import (
     AcfLut,
@@ -30,6 +31,8 @@ from .ifm_engine import (
 )
 from .photonic_link import LinkModels
 from .scan_engine import (
+    THRESHOLD_FRAC,
+    CalibrationTable,
     SawtoothDrive,
     _scan_axis,
     calibrate,
@@ -234,15 +237,22 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     return RunPlan(mode, **plan)
 
 
-def _run_calibrate(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+def _fit_quality(table: CalibrationTable) -> dict:
+    """The calibration fit's residual and valid delay range, as report extras."""
+    return {
+        "fit_residual_rms_hz": f"{table.fit_residual_rms:.6e}",
+        "valid_range_s": f"{table.valid_range[0]:.6e},{table.valid_range[1]:.6e}",
+    }
+
+
+def _run_calibrate(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
     table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
     table.save(out / "calibration.txt")
     lut_to_csv(plan.lut, out / "lut.csv")
-    report.extras["fit_residual_rms_hz"] = f"{table.fit_residual_rms:.6e}"
-    report.extras["valid_range_s"] = f"{table.valid_range[0]:.6e},{table.valid_range[1]:.6e}"
+    report.extras.update(_fit_quality(table))
 
 
-def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
     fttm = plan.method == "fttm"
     if fttm:
         table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
@@ -268,16 +278,28 @@ def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
     report.rms_error_hz = rms_error(ests, truths)
 
 
-def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
     table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
     models = plan.seeded_models(derive_seed(seed, STAGE_CLASSIFY, 0))
     trace = simulate_scan(plan.scenario, models, plan.drive, plan.scan_grid)
-    scan_trace_to_csv(trace, out / "scan_trace.csv")
+    if traces:
+        scan_trace_to_csv(trace, out / "scan_trace.csv")
     events = detect_pulses(trace)
     features = compute_features(events, trace)
     label = classify(features)
+    # the decision's inputs, so a run without its trace can be diagnosed
     report.classification = label.token
+    report.extras.update(_fit_quality(table))
+    if trace.level is not None:
+        floor, fullscale = trace.level
+        report.extras["detect_floor_w"] = f"{floor:.6e}"
+        report.extras["detect_threshold_w"] = f"{floor + THRESHOLD_FRAC * fullscale:.6e}"
+        report.extras["detect_full_scale_w"] = f"{fullscale:.6e}"
     report.extras["n_envelopes"] = str(features.n_envelopes)
+    if events:
+        fill = max(ev.fill_randomness for ev in events)
+        report.extras["fill_randomness_max"] = f"{fill:.6e}"
+    report.extras["fill_threshold"] = f"{FILL_THRESHOLD:.6e}"
     report.extras["filled"] = str(features.filled).lower()
     if features.continuous is not None:
         report.extras["continuous"] = str(features.continuous).lower()
@@ -305,7 +327,7 @@ def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
                 report.per_tone_errors_hz = [e - t for e, t in zip(hops, truths)]
 
 
-def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
     models = plan.seeded_models(derive_seed(seed, STAGE_DYNAMIC, 0))
     lut_to_csv(lut, out / "lut.csv")
@@ -317,9 +339,11 @@ def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
     else:
         trace = simulate_ifm(scenario, models, grid, port=lut.port, band=lut.band)
         reference = None
-    ifm_trace_to_csv(trace, out / "ifm_trace.csv")
+    if traces:
+        ifm_trace_to_csv(trace, out / "ifm_trace.csv")
     est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, reference)
-    inst_freq_to_csv(est, out / "inst_freq.csv")
+    if traces:
+        inst_freq_to_csv(est, out / "inst_freq.csv")
 
     # score samples that are not noise and where the scenario has one frequency
     diff = est.freq - sole_component_freq(scenario, grid)
@@ -332,12 +356,16 @@ def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
 
 
 def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+    # sub-runs keep what the sweep aggregates; rerunning the target mode at
+    # one seed rebuilds that seed's traces byte for byte
     rows = []
     for k in range(plan.n_seeds):
+        started = time.perf_counter()
         sub = MetricsReport(mode=plan.target.mode, seed=seed + k)
         sub_out = out / f"seed_{seed + k}"
         sub_out.mkdir(parents=True, exist_ok=True)
-        _MODE_RUNNERS[plan.target.mode](plan.target, seed + k, sub_out, sub)
+        _MODE_RUNNERS[plan.target.mode](plan.target, seed + k, sub_out, sub, traces=False)
+        sub.runtime_s = time.perf_counter() - started
         sub.save(sub_out / "report.txt")
         rows.append(sub)
 
@@ -365,6 +393,9 @@ def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
             fh.write(f"{r.seed},{rms},{spn},{r.classification or ''}\n")
 
 
+# Each runner takes (plan, seed, out, report); the sweep targets also take
+# traces, and traces=False skips the per-sample trace CSVs (scan_trace.csv,
+# ifm_trace.csv, inst_freq.csv). Calibrate and measure write none.
 _MODE_RUNNERS = {
     "calibrate": _run_calibrate,
     "measure": _run_measure,

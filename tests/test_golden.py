@@ -1,9 +1,10 @@
 """Byte-stability of run artifacts: SHA-256 digests pinned per file.
 
-Every artifact of three shipped presets and four tiny FTTM configs is hashed;
-report.txt is hashed without its runtime_s line. A change to the numerics,
-the CSV formatting or the report layout fails here. Update a digest only
-for a deliberate change of output, and record why in CHANGES.md.
+Every artifact of three shipped presets, four tiny FTTM configs and a tiny
+classify sweep is hashed, sub-run directories included; report.txt is hashed
+without its runtime_s line. A change to the numerics, the CSV formatting or
+the report layout fails here. Update a digest only for a deliberate change of
+output, and record why in CHANGES.md.
 """
 
 import hashlib
@@ -56,6 +57,18 @@ scenario.hop1.freqs_hz = 10e9,13e9,18e9
 scenario.hop1.dwell_s = 80e-9
 """
 
+# TINY_CLASSIFY over seeds 1 and 2: the sub-runs keep their reports only
+TINY_SWEEP = """\
+mode = sweep
+sweep.mode = classify
+sweep.n_seeds = 2
+calibration.lo_hz = 10e9
+calibration.hi_hz = 20e9
+calibration.step_hz = 5e9
+scenario.tone1.freq_hz = 10e9
+scenario.tone2.freq_hz = 15e9
+"""
+
 GOLDEN = {
     "fig3b": {
         "estimates.csv": "64e84fca58e70c355ee9796a349bdb8acb959131ee81187ad953830fcece53e9",
@@ -74,16 +87,22 @@ GOLDEN = {
         "report.txt": "c82663330e15447d4e7a34492f6d16681e614a866dd5da7be0abe3f8558d2148",
     },
     "tiny_chirp": {
-        "report.txt": "b4b54a3a0b755c876298a5c33ab9f4ed4fe9cfa45122ccd57c4b5fcf20050f31",
+        "report.txt": "78395ded6a42f10555b5146eb588a5eb0e64d3a64fb9b411949d10ebe0e07d66",
         "scan_trace.csv": "dadfc575aaa5d11ba8e94058c4869b5253051faa15a0725d662b62a83aadfaf1",
     },
     "tiny_classify": {
-        "report.txt": "acbd6fd5f1c6067c5045271ae1c68f5413e0465b300d3c372137637266c61834",
+        "report.txt": "6a6635e845caab2ac2128a22583cb02d2ff4b110fcd9f8afb88cdd328dc54402",
         "scan_trace.csv": "a9972397705c6fa6dcc0e02f1e4fff62ae767a8d4b7aa4d44e5e5898296249c8",
     },
     "tiny_hop": {
-        "report.txt": "020b3877c834e9c0b63334b574251fbf1e9dc28f498ad6ecda69e87ac20e8e1d",
+        "report.txt": "7bd8c2c38d9ee9730e6e55e079119a3f519343c4d30351de63eb632dec07ea6e",
         "scan_trace.csv": "2b8b25389ba366fe75e2f648112c181f2f0a2faa19ace17eae43c874c5082c40",
+    },
+    "tiny_sweep": {
+        "report.txt": "5ffb16462ad471c9f67196103d6acde29948477d8c11da69b2338c6c733d1e8e",
+        "seed_1/report.txt": "6a6635e845caab2ac2128a22583cb02d2ff4b110fcd9f8afb88cdd328dc54402",
+        "seed_2/report.txt": "c542e5deed91201edf76d75d3be9fb000735065195a81260ed5b24337aa6193b",
+        "sweep.csv": "54b541b17e50b3b2f3b5c6ef1357146cd0cabbd10c7048e741bd1b3dfcbf7ed4",
     },
     "tiny_measure": {
         "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",
@@ -95,6 +114,7 @@ GOLDEN = {
 
 TINY = {
     "tiny_measure": TINY_MEASURE,
+    "tiny_sweep": TINY_SWEEP,
     "tiny_classify": TINY_CLASSIFY,
     "tiny_chirp": TINY_CHIRP,
     "tiny_hop": TINY_HOP,
@@ -108,13 +128,14 @@ def _config(name):
 
 
 def artifact_digests(out_dir) -> dict:
+    """SHA-256 of every file under out_dir, keyed by its relative path."""
     digests = {}
-    for path in sorted(out_dir.iterdir()):
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == "report.txt":
             lines = data.splitlines(keepends=True)
             data = b"".join(ln for ln in lines if not ln.startswith(b"runtime_s"))
-        digests[path.name] = hashlib.sha256(data).hexdigest()
+        digests[path.relative_to(out_dir).as_posix()] = hashlib.sha256(data).hexdigest()
     return digests
 
 

@@ -147,6 +147,10 @@ FAST_MEASURE = (
 )
 
 
+def _read_report(path) -> dict:
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
 class TestRun:
     def test_measure_mode_writes_estimates(self, tmp_path):
         from mwfi.scan_engine import CalibrationTable
@@ -226,7 +230,41 @@ class TestRun:
         report = run(cfg, out_dir=tmp_path)
         assert report.extras["classification_accuracy"] == "1.0000"
         assert (tmp_path / "sweep.csv").exists()
-        assert (tmp_path / "seed_1" / "report.txt").exists()
+        for seed in (1, 2):
+            sub = _read_report(tmp_path / f"seed_{seed}" / "report.txt")
+            assert float(sub["runtime_s"]) > 0  # each sub-run times itself
+            assert not (tmp_path / f"seed_{seed}" / "scan_trace.csv").exists()
+
+    def test_dynamic_sweep_keeps_no_traces(self, tmp_path):
+        cfg = RunConfig.from_text(
+            "mode = sweep\n"
+            "sweep.mode = dynamic\n"
+            "sweep.n_seeds = 2\n"
+            "ifm.duration_s = 200e-9\n"
+            "scenario.tone1.freq_hz = 14e9\n"
+        )
+        report = run(cfg, out_dir=tmp_path)
+        assert report.rms_error_hz < 0.5e9
+        for seed in (1, 2):
+            sub = tmp_path / f"seed_{seed}"
+            assert sorted(p.name for p in sub.iterdir()) == ["lut.csv", "report.txt"]
+
+    def test_single_run_rebuilds_a_sweep_seed(self, tmp_path):
+        # the sweep's config and one of its seeds, run in the target mode,
+        # give that seed's report and write the trace the sweep left out
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "mode = sweep\nsweep.mode = classify\nsweep.n_seeds = 2\n"
+            "calibration.step_hz = 5e9\nscenario.tone1.freq_hz = 12e9\n"
+        )
+        sweep, single = tmp_path / "sweep", tmp_path / "single"
+        assert main(["sweep", "--config", str(cfg), "--seed", "5", "--out", str(sweep)]) == 0
+        assert main(["classify", "--config", str(cfg), "--seed", "6", "--out", str(single)]) == 0
+        kept = _read_report(sweep / "seed_6" / "report.txt")
+        rebuilt = _read_report(single / "report.txt")
+        del kept["runtime_s"], rebuilt["runtime_s"]
+        assert kept == rebuilt
+        assert (single / "scan_trace.csv").exists()
 
     def test_sweep_needs_target_mode(self, tmp_path):
         cfg = RunConfig.from_text("mode = sweep\nsweep.mode = sweep\n")
