@@ -6,11 +6,10 @@ never need unit conversion. Unknown keys are rejected with their line
 number, which catches typos before they silently fall back to defaults.
 """
 
-import itertools
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
 from .photonic_link import (
@@ -27,35 +26,59 @@ __all__ = ["ConfigError", "RunConfig", "MODES"]
 
 MODES = ("calibrate", "measure", "classify", "dynamic", "sweep")
 
-# every key the parser accepts; <n> slots allow repeated emitters
+# model section -> (model, {config key: model field}); a field without a
+# default is a key every emitter of that kind must set
+_SECTIONS = {
+    "drive": (SawtoothDrive, {
+        "v_min_v": "v_min", "v_max_v": "v_max", "period_s": "period", "n_periods": "n_periods",
+    }),
+    "modulator": (ModulatorModel, {
+        "bw_3db_hz": "bw_3db",
+        "carrier_suppression_db": "carrier_suppression",
+        "image_suppression_db": "image_sideband_suppression",
+    }),
+    "mrr": (MrrModel, {
+        "fsr_hz": "fsr", "fwhm_hz": "fwhm", "f_offset0_hz": "f_offset0",
+        "k_thermal_hz_per_v2": "k_thermal", "tau_thermal_s": "tau_thermal",
+    }),
+    "mzi": (MziModel, {
+        "fsr_hz": "fsr", "extinction_ratio_db": "extinction_ratio", "f_ref_hz": "f_ref",
+    }),
+    "notch": (NotchFilterModel, {
+        "centers_hz": "centers", "fwhm_each_hz": "fwhm_each", "rejection_db": "rejection",
+    }),
+    "pd": (PdModel, {"bw_3db_hz": "bw_3db", "noise_sigma": "noise_sigma"}),
+    "link": (LinkModels, {"gain": "link_gain"}),
+    "tone": (ToneSpec, {"freq_hz": "freq", "amplitude": "amplitude"}),
+    "chirp": (ChirpSpec, {
+        "center_hz": "center", "span_hz": "span", "pulse_width_s": "pulse_width",
+        "repeat_interval_s": "repeat_interval", "amplitude": "amplitude",
+        "direction": "direction",
+    }),
+    "hop": (HopSpec, {
+        "freqs_hz": "freqs", "dwell_s": "dwell", "amplitude": "amplitude",
+        "start_s": "start", "repeat": "repeat",
+    }),
+}
+_EMITTERS = ("tone", "chirp", "hop")
+
+# every key the parser accepts: the run settings and notch.enabled by hand,
+# the model keys from _SECTIONS; emitters repeat by index (tone1, tone2, ...)
 _KEY_PATTERNS = [
     r"mode",
     r"seed",
     r"out_dir",
-    r"drive\.(v_min_v|v_max_v|period_s|n_periods)",
     r"scan\.sample_rate_hz",
-    r"modulator\.(bw_3db_hz|carrier_suppression_db|image_suppression_db)",
-    r"mrr\.(fsr_hz|fwhm_hz|f_offset0_hz|k_thermal_hz_per_v2|tau_thermal_s)",
-    r"mzi\.(fsr_hz|extinction_ratio_db|f_ref_hz)",
-    r"notch\.(enabled|centers_hz|fwhm_each_hz|rejection_db)",
-    r"pd\.(bw_3db_hz|noise_sigma)",
-    r"link\.gain",
-    r"scenario\.tone\d+\.(freq_hz|amplitude)",
-    r"scenario\.chirp\d+\.(center_hz|span_hz|pulse_width_s|repeat_interval_s|amplitude|direction)",
-    r"scenario\.hop\d+\.(freqs_hz|dwell_s|amplitude|start_s|repeat)",
+    r"notch\.enabled",
     r"calibration\.(lo_hz|hi_hz|step_hz)",
     r"measure\.(lo_hz|hi_hz|step_hz|method)",
     r"ifm\.(sample_rate_hz|duration_s|port|band_lo_hz|band_hi_hz|n_knots|noise_floor|upper_limit_hz|mode)",
     r"sweep\.(mode|n_seeds)",
+] + [
+    (rf"scenario\.{section}\d+" if section in _EMITTERS else section) + rf"\.({'|'.join(keys)})"
+    for section, (_, keys) in _SECTIONS.items()
 ]
 _KEY_RE = re.compile("^(" + "|".join(_KEY_PATTERNS) + ")$")
-
-# keys that every emitter of a kind must set
-_EMITTER_KEYS = {
-    "tone": ("freq_hz",),
-    "chirp": ("center_hz", "span_hz", "pulse_width_s", "repeat_interval_s"),
-    "hop": ("freqs_hz", "dwell_s"),
-}
 
 
 class ConfigError(ValueError):
@@ -133,11 +156,6 @@ class RunConfig:
             return False
         raise ConfigError(f"{self.source}: key {key!r}: not a boolean: {self.values[key]!r}")
 
-    def get_float_list(self, key, default=None):
-        if key not in self.values:
-            return default
-        return [self._number(key, tok) for tok in self.values[key].split(",") if tok.strip()]
-
     # checks and section builders -----------------------------------------
     def require(self, ok, where, message):
         """Unless ok, raise a config error of `where`, a key or a section,
@@ -153,12 +171,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.source}: {where}: {exc}") from None
 
-    def _make(self, section, model, **params):
-        """model(**params), with the model's own ValueError reported as a
-        config error of the section the parameters came from."""
-        with self.blame(f"section {section!r}"):
-            return model(**params)
-
     @property
     def mode(self) -> str:
         mode = self.get_str("mode")
@@ -170,98 +182,60 @@ class RunConfig:
     def seed(self) -> int:
         return self.get_int("seed", 1)
 
+    def _value(self, key, kind):
+        """The value of a set key, parsed as the model field type kind."""
+        if kind is tuple:
+            tokens = self.values[key].split(",")
+            return tuple(self._number(key, tok) for tok in tokens if tok.strip())
+        parse = {float: self.get_float, int: self.get_int, bool: self.get_bool, str: self.get_str}
+        return parse[kind](key)
+
+    def _build(self, section, prefix=None, **given):
+        """The section's model from its keys under prefix (default the
+        section); an unset key keeps the model's default, and given fields
+        are passed as they are. The model's own ValueError is reported as a
+        config error of the section."""
+        prefix = prefix or section
+        model, keys = _SECTIONS[section]
+        spec = {f.name: f for f in fields(model)}
+        params = {}
+        for key, name in keys.items():
+            full = f"{prefix}.{key}"
+            if full in self.values:
+                params[name] = self._value(full, spec[name].type)
+            else:
+                unset = spec[name].default is MISSING and spec[name].default_factory is MISSING
+                emitter = prefix.rsplit(".", 1)[-1]
+                self.require(not unset, f"key '{full}'", f"unset ({emitter} needs {key})")
+        with self.blame(f"section {prefix!r}"):
+            return model(**params, **given)
+
     def build_scenario(self) -> RfScenario:
-        tones, chirps, hops = [], [], []
-        indices = {"tone": set(), "chirp": set(), "hop": set()}
+        indices = {kind: set() for kind in _EMITTERS}
         for key in self.values:
-            m = re.match(r"scenario\.(tone|chirp|hop)(\d+)\.", key)
+            m = re.match(rf"scenario\.({'|'.join(_EMITTERS)})(\d+)\.", key)
             if m:
                 indices[m.group(1)].add(int(m.group(2)))
-        for kind, needs in _EMITTER_KEYS.items():
-            for i, need in itertools.product(sorted(indices[kind]), needs):
-                key = f"scenario.{kind}{i}.{need}"
-                self.require(key in self.values, f"key '{key}'", f"unset ({kind}{i} needs {need})")
-        for i in sorted(indices["tone"]):
-            p = f"scenario.tone{i}."
-            freq = self.get_float(p + "freq_hz")
-            amplitude = self.get_float(p + "amplitude", 1.0)
-            tones.append(self._make(p[:-1], ToneSpec, freq=freq, amplitude=amplitude))
-        for i in sorted(indices["chirp"]):
-            p = f"scenario.chirp{i}."
-            chirps.append(
-                self._make(
-                    p[:-1], ChirpSpec,
-                    center=self.get_float(p + "center_hz"),
-                    span=self.get_float(p + "span_hz"),
-                    pulse_width=self.get_float(p + "pulse_width_s"),
-                    repeat_interval=self.get_float(p + "repeat_interval_s"),
-                    amplitude=self.get_float(p + "amplitude", 1.0),
-                    direction=self.get_str(p + "direction", "up"),
-                )
-            )
-        for i in sorted(indices["hop"]):
-            p = f"scenario.hop{i}."
-            hops.append(
-                self._make(
-                    p[:-1], HopSpec,
-                    freqs=tuple(self.get_float_list(p + "freqs_hz")),
-                    dwell=self.get_float(p + "dwell_s"),
-                    amplitude=self.get_float(p + "amplitude", 1.0),
-                    start=self.get_float(p + "start_s", 0.0),
-                    repeat=self.get_bool(p + "repeat", True),
-                )
-            )
-        return RfScenario(tones=tuple(tones), chirps=tuple(chirps), hops=tuple(hops))
+        emitters = {
+            kind: tuple(self._build(kind, f"scenario.{kind}{i}") for i in sorted(indices[kind]))
+            for kind in _EMITTERS
+        }
+        return RfScenario(tones=emitters["tone"], chirps=emitters["chirp"], hops=emitters["hop"])
 
     def build_models(self, seed: int | None = None) -> LinkModels:
-        notch = None
-        if self.get_bool("notch.enabled", False):
-            notch = self._make(
-                "notch", NotchFilterModel,
-                centers=self.get_float_list("notch.centers_hz", [10e9]),
-                fwhm_each=self.get_float("notch.fwhm_each_hz", 300e6),
-                rejection=self.get_float("notch.rejection_db", 20.0),
-            )
-        return self._make(
-            "link", LinkModels,
-            modulator=self._make(
-                "modulator", ModulatorModel,
-                bw_3db=self.get_float("modulator.bw_3db_hz", 22e9),
-                carrier_suppression=self.get_float("modulator.carrier_suppression_db", 25.0),
-                image_sideband_suppression=self.get_float("modulator.image_suppression_db", 25.0),
-            ),
-            mrr=self._make(
-                "mrr", MrrModel,
-                fsr=self.get_float("mrr.fsr_hz", 80e9),
-                fwhm=self.get_float("mrr.fwhm_hz", 875e6),
-                f_offset0=self.get_float("mrr.f_offset0_hz", 8e9),
-                k_thermal=self.get_float("mrr.k_thermal_hz_per_v2", 2.0e9),
-                tau_thermal=self.get_float("mrr.tau_thermal_s", 37.3e-6),
-            ),
-            mzi=self._make(
-                "mzi", MziModel,
-                fsr=self.get_float("mzi.fsr_hz", 144e9),
-                extinction_ratio=self.get_float("mzi.extinction_ratio_db", 18.0),
-                f_ref=self.get_float("mzi.f_ref_hz", 0.0),
-            ),
+        notch = self._build("notch") if self.get_bool("notch.enabled", False) else None
+        return self._build(
+            "link",
+            modulator=self._build("modulator"),
+            mrr=self._build("mrr"),
+            mzi=self._build("mzi"),
             notch=notch,
-            pd=self._make(
-                "pd", PdModel,
-                bw_3db=self.get_float("pd.bw_3db_hz", 33e9),
-                noise_sigma=self.get_float("pd.noise_sigma", 0.01),
-                seed=self.seed if seed is None else seed,
-            ),
-            link_gain=self.get_float("link.gain", 1.0),
+            pd=self._build("pd", seed=self.seed if seed is None else seed),
         )
 
     def build_drive(self) -> SawtoothDrive:
-        n_periods = self.get_int("drive.n_periods", 1)
+        drive = self._build("drive")
         # every period would show each calibration tone once more
-        self.require(n_periods <= 1, "key 'drive.n_periods'", "only one scan period is supported")
-        return self._make(
-            "drive", SawtoothDrive,
-            v_min=self.get_float("drive.v_min_v", 0.0),
-            v_max=self.get_float("drive.v_max_v", 4.0),
-            period=self.get_float("drive.period_s", 0.25),
-            n_periods=n_periods,
-        )
+        one = drive.n_periods <= 1
+        self.require(one, "key 'drive.n_periods'", "only one scan period is supported")
+        return drive

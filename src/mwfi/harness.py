@@ -4,8 +4,8 @@ Five modes cover the toolkit's experiments: calibrate writes the lookup
 artifacts, measure sweeps tones through either pipeline, classify labels a
 scenario from its scan trace, dynamic reconstructs instantaneous frequency,
 and sweep repeats a mode over seeds, keeping each seed's report but not its
-per-sample traces. Every run is deterministic given (config, seed); artifact
-CSVs are byte-stable.
+per-sample traces or its lookup table. Every run is deterministic given
+(config, seed); artifact CSVs are byte-stable.
 """
 
 import time
@@ -237,22 +237,28 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     return RunPlan(mode, **plan)
 
 
-def _fit_quality(table: CalibrationTable) -> dict:
-    """The calibration fit's residual and valid delay range, as report extras."""
-    return {
-        "fit_residual_rms_hz": f"{table.fit_residual_rms:.6e}",
-        "valid_range_s": f"{table.valid_range[0]:.6e},{table.valid_range[1]:.6e}",
-    }
+def _fit_quality(plan: RunPlan, table: CalibrationTable) -> dict:
+    """The calibration fit's residual and valid delay range, as report extras.
+
+    A quadratic through 3 tones has no residual degrees of freedom, so its
+    residual is rounding noise and is left out.
+    """
+    extras = {}
+    if plan.cal_tones.size > 3:
+        extras["fit_residual_rms_hz"] = f"{table.fit_residual_rms:.6e}"
+    extras["valid_range_s"] = f"{table.valid_range[0]:.6e},{table.valid_range[1]:.6e}"
+    return extras
 
 
-def _run_calibrate(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
+def _run_calibrate(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
     table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
     table.save(out / "calibration.txt")
-    lut_to_csv(plan.lut, out / "lut.csv")
-    report.extras.update(_fit_quality(table))
+    if keep_all:
+        lut_to_csv(plan.lut, out / "lut.csv")
+    report.extras.update(_fit_quality(plan, table))
 
 
-def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
+def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
     fttm = plan.method == "fttm"
     if fttm:
         table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
@@ -278,18 +284,18 @@ def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport, tra
     report.rms_error_hz = rms_error(ests, truths)
 
 
-def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
+def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
     table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
     models = plan.seeded_models(derive_seed(seed, STAGE_CLASSIFY, 0))
     trace = simulate_scan(plan.scenario, models, plan.drive, plan.scan_grid)
-    if traces:
+    if keep_all:
         scan_trace_to_csv(trace, out / "scan_trace.csv")
     events = detect_pulses(trace)
     features = compute_features(events, trace)
     label = classify(features)
     # the decision's inputs, so a run without its trace can be diagnosed
     report.classification = label.token
-    report.extras.update(_fit_quality(table))
+    report.extras.update(_fit_quality(plan, table))
     if trace.level is not None:
         floor, fullscale = trace.level
         report.extras["detect_floor_w"] = f"{floor:.6e}"
@@ -327,10 +333,11 @@ def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport, tr
                 report.per_tone_errors_hz = [e - t for e, t in zip(hops, truths)]
 
 
-def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, traces=True):
+def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
     models = plan.seeded_models(derive_seed(seed, STAGE_DYNAMIC, 0))
-    lut_to_csv(lut, out / "lut.csv")
+    if keep_all:
+        lut_to_csv(lut, out / "lut.csv")
     if lut.mode == "ratio":
         # ratio extraction compares the two complementary ports
         trace = simulate_ifm(scenario, models, grid, port=1, band=lut.band)
@@ -339,10 +346,10 @@ def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, tra
     else:
         trace = simulate_ifm(scenario, models, grid, port=lut.port, band=lut.band)
         reference = None
-    if traces:
+    if keep_all:
         ifm_trace_to_csv(trace, out / "ifm_trace.csv")
     est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, reference)
-    if traces:
+    if keep_all:
         inst_freq_to_csv(est, out / "inst_freq.csv")
 
     # score samples that are not noise and where the scenario has one frequency
@@ -355,19 +362,13 @@ def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, tra
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
 
 
-def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
+def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
     # sub-runs keep what the sweep aggregates; rerunning the target mode at
-    # one seed rebuilds that seed's traces byte for byte
-    rows = []
-    for k in range(plan.n_seeds):
-        started = time.perf_counter()
-        sub = MetricsReport(mode=plan.target.mode, seed=seed + k)
-        sub_out = out / f"seed_{seed + k}"
-        sub_out.mkdir(parents=True, exist_ok=True)
-        _MODE_RUNNERS[plan.target.mode](plan.target, seed + k, sub_out, sub, traces=False)
-        sub.runtime_s = time.perf_counter() - started
-        sub.save(sub_out / "report.txt")
-        rows.append(sub)
+    # one seed rebuilds that seed's traces and lookup table byte for byte
+    rows = [
+        _run_mode(plan.target, seed + k, out / f"seed_{seed + k}", keep_all=False)
+        for k in range(plan.n_seeds)
+    ]
 
     rms_values = [r.rms_error_hz for r in rows if r.rms_error_hz is not None]
     if rms_values:
@@ -393,9 +394,9 @@ def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport):
             fh.write(f"{r.seed},{rms},{spn},{r.classification or ''}\n")
 
 
-# Each runner takes (plan, seed, out, report); the sweep targets also take
-# traces, and traces=False skips the per-sample trace CSVs (scan_trace.csv,
-# ifm_trace.csv, inst_freq.csv). Calibrate and measure write none.
+# Each runner takes (plan, seed, out, report, keep_all); keep_all=False skips
+# what a sweep does not keep: the per-sample trace CSVs (scan_trace.csv,
+# ifm_trace.csv, inst_freq.csv) and lut.csv, which does not depend on the seed.
 _MODE_RUNNERS = {
     "calibrate": _run_calibrate,
     "measure": _run_measure,
@@ -405,26 +406,31 @@ _MODE_RUNNERS = {
 }
 
 
+def _run_mode(plan: RunPlan, seed: int, out: Path, keep_all=True) -> MetricsReport:
+    """Run plan's mode at seed into out and save its timed report.txt."""
+    started = time.perf_counter()
+    out.mkdir(parents=True, exist_ok=True)
+    report = MetricsReport(mode=plan.mode, seed=seed)
+    _MODE_RUNNERS[plan.mode](plan, seed, out, report, keep_all)
+    report.runtime_s = time.perf_counter() - started
+    report.save(out / "report.txt")
+    return report
+
+
 def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     """Execute a configured run; returns the metrics and writes artifacts.
 
     seed and out_dir override the config's values (CLI flags map here).
     The run's plan is built first, so a ConfigError leaves out_dir untouched.
     """
-    started = time.perf_counter()
     try:
         plan = build_plan(cfg)
         seed = cfg.seed if seed is None else int(seed)
         out = Path(out_dir if out_dir is not None else cfg.get_str("out_dir", "out"))
-        out.mkdir(parents=True, exist_ok=True)
-        report = MetricsReport(mode=plan.mode, seed=seed)
         try:
-            _MODE_RUNNERS[plan.mode](plan, seed, out, report)
+            return _run_mode(plan, seed, out)
         except Exception as exc:
             raise RuntimeError(f"{plan.mode} stage failed: {exc}") from exc
     finally:
         # the scan axis is shared by the scans of one run, not across runs
         _scan_axis.cache_clear()
-    report.runtime_s = time.perf_counter() - started
-    report.save(out / "report.txt")
-    return report

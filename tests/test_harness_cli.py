@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import subprocess
 import sys
@@ -9,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
-from mwfi.config import MODES, ConfigError, RunConfig
+from mwfi.config import _EMITTERS, _SECTIONS, MODES, ConfigError, RunConfig
 from mwfi.harness import MetricsReport, build_plan, expected_label, rms_error, run
+from mwfi.photonic_link import LinkModels, PdModel
 from mwfi.presets import list_presets, preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
-from mwfi.scan_engine import _scan_axis
+from mwfi.scan_engine import SawtoothDrive, _scan_axis
 
 
 class TestRmsError:
@@ -84,6 +86,18 @@ class TestConfigParsing:
         cfg.build_scenario()
         cfg.build_models()
         cfg.build_drive()
+        # every model key is documented; an emitter key by its name
+        for section, (_, keys) in _SECTIONS.items():
+            for key in keys:
+                if section in _EMITTERS:
+                    assert key in block, f"README lacks the {section} key {key}"
+                else:
+                    assert f"{section}.{key}" in cfg.values, f"README lacks {section}.{key}"
+
+    def test_no_model_keys_take_model_defaults(self):
+        cfg = RunConfig.from_text("mode = classify\nseed = 7\n")
+        assert cfg.build_models() == LinkModels(pd=PdModel(seed=7))
+        assert cfg.build_drive() == SawtoothDrive()
 
     def test_bool_parsing(self):
         cfg = RunConfig.from_text("mode = dynamic\nnotch.enabled = true\n")
@@ -113,6 +127,26 @@ class TestScenarioBuilding:
             chirps=(ChirpSpec(center=15e9, span=4e9, pulse_width=1.6e-6, repeat_interval=4e-6),),
             hops=(HopSpec(freqs=(10e9, 13e9, 18e9), dwell=80e-9),),
         )
+
+    @pytest.mark.parametrize(
+        "lines, emitter",
+        [
+            ("scenario.tone1.freq_hz = 11e9", ToneSpec(freq=11e9)),
+            (
+                "scenario.chirp1.center_hz = 15e9\nscenario.chirp1.span_hz = 4e9\n"
+                "scenario.chirp1.pulse_width_s = 1.6e-6\nscenario.chirp1.repeat_interval_s = 4e-6",
+                ChirpSpec(center=15e9, span=4e9, pulse_width=1.6e-6, repeat_interval=4e-6),
+            ),
+            (
+                "scenario.hop1.freqs_hz = 10e9,13e9\nscenario.hop1.dwell_s = 80e-9",
+                HopSpec(freqs=(10e9, 13e9), dwell=80e-9),
+            ),
+        ],
+        ids=["tone", "chirp", "hop"],
+    )
+    def test_required_keys_alone_build_the_emitter(self, lines, emitter):
+        scenario = RunConfig.from_text(f"mode = classify\n{lines}\n").build_scenario()
+        assert scenario.tones + scenario.chirps + scenario.hops == (emitter,)
 
     def test_incomplete_chirp_rejected(self):
         cfg = RunConfig.from_text("mode = classify\nscenario.chirp1.center_hz = 15e9\n")
@@ -247,7 +281,27 @@ class TestRun:
         assert report.rms_error_hz < 0.5e9
         for seed in (1, 2):
             sub = tmp_path / f"seed_{seed}"
-            assert sorted(p.name for p in sub.iterdir()) == ["lut.csv", "report.txt"]
+            assert sorted(p.name for p in sub.iterdir()) == ["report.txt"]
+
+    def test_calibrate_sweep_keeps_no_lut(self, tmp_path):
+        # the lookup table does not depend on the seed; a single run writes it
+        text = "mode = sweep\nsweep.mode = calibrate\nsweep.n_seeds = 2\ncalibration.step_hz = 5e9\n"
+        run(RunConfig.from_text(text), out_dir=tmp_path / "sweep")
+        for seed in (1, 2):
+            sub = tmp_path / "sweep" / f"seed_{seed}"
+            assert sorted(p.name for p in sub.iterdir()) == ["calibration.txt", "report.txt"]
+        single = RunConfig.from_text(text)
+        single.values["mode"] = "calibrate"
+        run(single, out_dir=tmp_path / "single")
+        assert (tmp_path / "single" / "lut.csv").exists()
+
+    @pytest.mark.parametrize("step, residual", [("5e9", False), ("2.5e9", True)])
+    def test_fit_residual_needs_four_tones(self, tmp_path, step, residual):
+        # a quadratic through 3 tones fits them exactly, up to rounding
+        run(RunConfig.from_text(f"mode = calibrate\ncalibration.step_hz = {step}\n"),
+            out_dir=tmp_path)
+        assert ("fit_residual_rms_hz" in _read_report(tmp_path / "report.txt")) == residual
+        assert len((tmp_path / "calibration.txt").read_text().splitlines()) == 3
 
     def test_single_run_rebuilds_a_sweep_seed(self, tmp_path):
         # the sweep's config and one of its seeds, run in the target mode,
@@ -379,6 +433,82 @@ def test_plan_builds_or_names_its_key(mode, picks, data):
         assert re.match(r"drawn\.cfg: (key|section) '[a-z0-9_.]+': ", str(exc)), str(exc)
     finally:
         _scan_axis.cache_clear()
+
+
+# config key -> (model field, valid values other than its default); kept
+# apart from the config module's own table, so a wrong row there fails here.
+# The object a key sets is named by its second-to-last part.
+ROUND_TRIP = {
+    "drive.v_min_v": ("v_min", [0.5, -1.0]),
+    "drive.v_max_v": ("v_max", [3.0, 5.0]),
+    "drive.period_s": ("period", [0.1, 0.5]),
+    "drive.n_periods": ("n_periods", [1]),
+    "modulator.bw_3db_hz": ("bw_3db", [20e9, 30e9]),
+    "modulator.carrier_suppression_db": ("carrier_suppression", [20.0, 30.0]),
+    "modulator.image_suppression_db": ("image_sideband_suppression", [15.0, 35.0]),
+    "mrr.fsr_hz": ("fsr", [60e9, 100e9]),
+    "mrr.fwhm_hz": ("fwhm", [500e6, 1e9]),
+    "mrr.f_offset0_hz": ("f_offset0", [6e9, 9e9]),
+    "mrr.k_thermal_hz_per_v2": ("k_thermal", [1.5e9, 2.5e9]),
+    "mrr.tau_thermal_s": ("tau_thermal", [20e-6, 50e-6]),
+    "mzi.fsr_hz": ("fsr", [100e9, 160e9]),
+    "mzi.extinction_ratio_db": ("extinction_ratio", [10.0, 25.0]),
+    "mzi.f_ref_hz": ("f_ref", [1e9, -2e9]),
+    "notch.centers_hz": ("centers", [(9.5e9,), (9.75e9, 10e9, 10.25e9)]),
+    "notch.fwhm_each_hz": ("fwhm_each", [200e6, 400e6]),
+    "notch.rejection_db": ("rejection", [10.0, 30.0]),
+    "pd.bw_3db_hz": ("bw_3db", [25e9, 40e9]),
+    "pd.noise_sigma": ("noise_sigma", [0.0, 0.05]),
+    "link.gain": ("link_gain", [0.5, 2.0]),
+    "scenario.tone1.freq_hz": ("freq", [11e9, 16e9]),
+    "scenario.tone1.amplitude": ("amplitude", [0.5, 2.0]),
+    "scenario.chirp1.center_hz": ("center", [14e9, 16e9]),
+    "scenario.chirp1.span_hz": ("span", [2e9, 6e9]),
+    "scenario.chirp1.pulse_width_s": ("pulse_width", [1e-6, 1.6e-6]),
+    "scenario.chirp1.repeat_interval_s": ("repeat_interval", [4e-6, 5e-6]),
+    "scenario.chirp1.amplitude": ("amplitude", [0.5]),
+    "scenario.chirp1.direction": ("direction", ["down"]),
+    "scenario.hop1.freqs_hz": ("freqs", [(10e9, 13e9), (12e9,)]),
+    "scenario.hop1.dwell_s": ("dwell", [80e-9, 1e-7]),
+    "scenario.hop1.amplitude": ("amplitude", [0.7]),
+    "scenario.hop1.start_s": ("start", [1e-7]),
+    "scenario.hop1.repeat": ("repeat", [False]),
+}
+EMITTER_NEEDS = {
+    "scenario.tone1.freq_hz", "scenario.chirp1.center_hz", "scenario.chirp1.span_hz",
+    "scenario.chirp1.pulse_width_s", "scenario.chirp1.repeat_interval_s",
+    "scenario.hop1.freqs_hz", "scenario.hop1.dwell_s",
+}
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_config_round_trips_to_model_fields(data):
+    keys = data.draw(st.sets(st.sampled_from(sorted(ROUND_TRIP)))) | EMITTER_NEEDS
+    drawn = {key: data.draw(st.sampled_from(ROUND_TRIP[key][1])) for key in sorted(keys)}
+    lines = ["mode = classify", "seed = 3", "notch.enabled = true"]
+    lines += [f"{key} = {_render(value)}" for key, value in drawn.items()]
+    cfg = RunConfig.from_text("\n".join(lines) + "\n", source="drawn.cfg")
+    models, scenario = cfg.build_models(), cfg.build_scenario()
+    built = {
+        "drive": cfg.build_drive(), "modulator": models.modulator, "mrr": models.mrr,
+        "mzi": models.mzi, "notch": models.notch, "pd": models.pd, "link": models,
+        "tone1": scenario.tones[0], "chirp1": scenario.chirps[0], "hop1": scenario.hops[0],
+    }
+    assert models.pd.seed == 3
+    for key, (name, _) in ROUND_TRIP.items():
+        model = built[key.split(".")[-2]]
+        defaults = {f.name: f.default for f in dataclasses.fields(model)}
+        want = drawn[key] if key in drawn else defaults[name]
+        assert getattr(model, name) == want, key
 
 
 class TestCli:
