@@ -50,7 +50,7 @@ def _is_continuous(trace: ScanTrace) -> bool:
     """
     size = max(3, int(round(trace.pulse_width_hint * trace.grid.sample_rate)))
     smooth = uniform_filter1d(trace.power, size=size, mode="nearest")
-    floor = trace.level[0]
+    floor = trace.level.floor
     half = floor + 0.5 * (float(np.max(smooth)) - floor)
     starts, stops = _above_threshold_runs(smooth >= half)
     max_gap = np.max(starts[1:] - stops[:-1], initial=0)

@@ -31,7 +31,6 @@ from .ifm_engine import (
 )
 from .photonic_link import LinkModels
 from .scan_engine import (
-    THRESHOLD_FRAC,
     CalibrationTable,
     SawtoothDrive,
     _scan_axis,
@@ -297,10 +296,12 @@ def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport, ke
     report.classification = label.token
     report.extras.update(_fit_quality(plan, table))
     if trace.level is not None:
-        floor, fullscale = trace.level
+        # the detection threshold is the floor plus THRESHOLD_FRAC of full
+        # scale, and the trace holds a signal because full scale > 8 sigma
+        floor, fullscale, sigma = trace.level
         report.extras["detect_floor_w"] = f"{floor:.6e}"
-        report.extras["detect_threshold_w"] = f"{floor + THRESHOLD_FRAC * fullscale:.6e}"
         report.extras["detect_full_scale_w"] = f"{fullscale:.6e}"
+        report.extras["detect_noise_sigma_w"] = f"{sigma:.6e}"
     report.extras["n_envelopes"] = str(features.n_envelopes)
     if events:
         fill = max(ev.fill_randomness for ev in events)

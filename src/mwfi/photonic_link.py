@@ -194,12 +194,20 @@ def mrr_drop_response(model: MrrModel, detuning):
     """
     d = np.asarray(detuning, dtype=float)
     half_fsr = model.fsr / 2.0
-    if d.size and (d.min() < -half_fsr or d.max() > half_fsr):
-        d = d - model.fsr * np.round(d / model.fsr)
+    wrap = d.size and (d.min() < -half_fsr or d.max() > half_fsr)
     if d.ndim == 0:
+        if wrap:
+            d = d - model.fsr * np.round(d / model.fsr)
         return 1.0 / (1.0 + (2.0 * d / model.fwhm) ** 2)
-    # the same operations in the same order, on one buffer
-    x = 2.0 * d
+    # the same operations in the same order, on one new buffer
+    if wrap:
+        x = d / model.fsr
+        np.round(x, out=x)
+        x *= model.fsr
+        np.subtract(d, x, out=x)
+        x *= 2.0
+    else:
+        x = 2.0 * d
     x /= model.fwhm
     np.square(x, out=x)
     x += 1.0
@@ -275,7 +283,7 @@ def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
     sets the SNR; output is clamped at zero.
     """
     p = np.asarray(power, dtype=float)
-    if np.any(p < 0):
+    if p.min(initial=0.0) < 0:
         raise ValueError("power samples must be >= 0")
     out = p
     nyquist = grid.sample_rate / 2.0
@@ -289,5 +297,10 @@ def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
     scale = model.noise_sigma * float(np.max(p, initial=0.0))
     if scale > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
-        out = out + rng.normal(0.0, scale, size=out.shape)
+        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, in one
+        # buffer; out may be the caller's array, so it is only read
+        noisy = rng.standard_normal(out.shape)
+        noisy *= scale
+        noisy += out
+        return np.maximum(noisy, 0.0, out=noisy)
     return np.maximum(out, 0.0)

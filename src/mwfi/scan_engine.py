@@ -8,7 +8,9 @@ quadratic lookup table fitted during calibration. Statistical measurements
 """
 
 import functools
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -30,6 +32,7 @@ from .seeding import STAGE_CAL, derive_seed
 __all__ = [
     "SawtoothDrive",
     "ScanTrace",
+    "TraceLevel",
     "PulseEvent",
     "CalibrationTable",
     "CalibrationError",
@@ -78,6 +81,14 @@ class SawtoothDrive:
         return self.v_min + (self.v_max - self.v_min) * phase
 
 
+class TraceLevel(NamedTuple):
+    """Signal level of a scan trace, in detected watts (ScanTrace.level)."""
+
+    floor: float
+    full_scale: float
+    noise_sigma: float
+
+
 @dataclass(frozen=True)
 class ScanTrace:
     """Detected-power record of one or more scan periods.
@@ -105,20 +116,53 @@ class ScanTrace:
 
     @functools.cached_property
     def level(self):
-        """(floor, full scale) of the power, or None when it holds no signal.
+        """TraceLevel of the power, or None when it holds no signal.
 
-        The floor is the median of all samples and full scale the peak
-        above it; every estimator of the trace reads this one pair. The
+        The floor is the median of all samples, full scale the peak above
+        it and noise_sigma 1.4826 x the median absolute deviation from the
+        floor (MAD); every estimator of the trace reads this one level. The
         extreme of a pure-noise trace sits ~5 sigma above its floor, so a
-        peak within 8 sigma (MAD estimate) is not a signal.
+        peak within 8 sigma is not a signal. A trace whose floor or peak is
+        not finite (a NaN or +inf sample, or -inf on half the samples) has
+        no level.
+
+        All three come from one sorted copy, bit for bit equal to
+        np.median(power), max(power) - floor and
+        np.median(np.abs(power - floor)).
         """
-        power = self.power
-        floor = float(np.median(power))
-        fullscale = float(np.max(power)) - floor
-        noise_scale = 1.4826 * float(np.median(np.abs(power - floor)))
-        if fullscale <= 0 or fullscale <= 8.0 * noise_scale:
+        s = np.sort(self.power)
+        n = s.size
+        k = n // 2
+        # np.median's own arithmetic: the middle sample, or the mean of two
+        floor = float(s[k]) if n % 2 else (float(s[k - 1]) + float(s[k])) / 2
+        fullscale = float(s[-1]) - floor
+        if not math.isfinite(fullscale):  # NaN and +inf sort last, -inf first
             return None
-        return floor, fullscale
+
+        def dev(i):
+            # |s[i] - floor|: IEEE subtraction is sign-symmetric
+            x = float(s[i])
+            return floor - x if x <= floor else x - floor
+
+        # the k+1 deviations nearest the floor are one window of s, and every
+        # such window straddles the floor; binary-search its start
+        lo, hi = 0, n - k - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if dev(mid) > dev(mid + k + 1):
+                lo = mid + 1
+            else:
+                hi = mid
+        left, right = dev(lo), dev(lo + k)
+        mad = max(left, right)  # the k-th smallest deviation
+        if n % 2 == 0:
+            # the (k-1)-th: the window without its farther end
+            inner = max(dev(lo + 1), right) if left >= right else max(left, dev(lo + k - 1))
+            mad = (inner + mad) / 2
+        noise_sigma = 1.4826 * mad
+        if fullscale <= 0 or fullscale <= 8.0 * noise_sigma:
+            return None
+        return TraceLevel(floor, fullscale, noise_sigma)
 
 
 @dataclass(frozen=True)
@@ -283,7 +327,7 @@ def detect_pulses(trace: ScanTrace) -> list:
     """
     if trace.level is None:
         return []
-    floor, fullscale = trace.level
+    floor, fullscale, _ = trace.level
     power = trace.power
     threshold = floor + THRESHOLD_FRAC * fullscale
     # full scale is above the threshold, so there is at least one run
@@ -439,7 +483,7 @@ def measure_span(trace: ScanTrace, table: CalibrationTable) -> float:
     """
     if trace.level is None:
         raise ValueError("no envelope: trace is flat or noise-limited")
-    floor, fullscale = trace.level
+    floor, fullscale, _ = trace.level
     above = trace.power > floor + THRESHOLD_FRAC * fullscale
     if not np.any(above):
         raise ValueError("no envelope: nothing above threshold")

@@ -87,21 +87,21 @@ GOLDEN = {
         "report.txt": "c82663330e15447d4e7a34492f6d16681e614a866dd5da7be0abe3f8558d2148",
     },
     "tiny_chirp": {
-        "report.txt": "2cadb4fdf3f8f12c5dec8073797296704903d30a5a01d6f92a088da2ff99a70b",
+        "report.txt": "001bd2742be7ce23de1bbae73d5235fb8aa7559f126400b00116753fb588d070",
         "scan_trace.csv": "dadfc575aaa5d11ba8e94058c4869b5253051faa15a0725d662b62a83aadfaf1",
     },
     "tiny_classify": {
-        "report.txt": "6c0106957b331813042aa270490de4dcedea7f7765e7b442f58cf839d0695ef2",
+        "report.txt": "8faa401e601d15c9d3ca0014a670dcbe57abb9b0e1b845cb250e8a8ce1149ffa",
         "scan_trace.csv": "a9972397705c6fa6dcc0e02f1e4fff62ae767a8d4b7aa4d44e5e5898296249c8",
     },
     "tiny_hop": {
-        "report.txt": "fdd10e9d1a0faa897465d4c465bc7669d6b5954db21b501e15fbacb5e2b06ffe",
+        "report.txt": "2ba86615c2e911a3cee93a9d0670cd85358467eac181f1f1ff39677b7e44a0ae",
         "scan_trace.csv": "2b8b25389ba366fe75e2f648112c181f2f0a2faa19ace17eae43c874c5082c40",
     },
     "tiny_sweep": {
         "report.txt": "5ffb16462ad471c9f67196103d6acde29948477d8c11da69b2338c6c733d1e8e",
-        "seed_1/report.txt": "6c0106957b331813042aa270490de4dcedea7f7765e7b442f58cf839d0695ef2",
-        "seed_2/report.txt": "33326495a032c6c9bb5b016d6711d58f731fb9af4f76c89cc1d5a8efb1921b56",
+        "seed_1/report.txt": "8faa401e601d15c9d3ca0014a670dcbe57abb9b0e1b845cb250e8a8ce1149ffa",
+        "seed_2/report.txt": "f10b39e1b5068a557b3500fafeb53f31dee87a4021294b629383f322537bee83",
         "sweep.csv": "54b541b17e50b3b2f3b5c6ef1357146cd0cabbd10c7048e741bd1b3dfcbf7ed4",
     },
     "tiny_measure": {

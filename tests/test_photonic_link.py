@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter, lfilter_zi
 
 from mwfi.ifm_engine import simulate_ifm
 from mwfi.rf_signals import (
@@ -80,6 +83,18 @@ class TestMrr:
             assert np.array_equal(d, before)
         # a scalar detuning gives a scalar
         assert np.ndim(mrr_drop_response(m, 1e9)) == 0
+
+    @pytest.mark.parametrize("span", [30e9, 250e9])  # within half an FSR, and wrapped
+    def test_equals_wrapped_lorentzian(self, span):
+        m = MrrModel()
+        rng = np.random.default_rng(5)
+        half = m.fsr / 2.0
+        d = np.concatenate((rng.uniform(-span, span, 10001), [0.0, -0.0, span, -span]))
+        if span > half:
+            d = np.concatenate((d, [half, -half, m.fsr, -3 * m.fsr, np.nextafter(half, 0)]))
+        want = 1.0 / (1.0 + (2.0 * (d - m.fsr * np.round(d / m.fsr)) / m.fwhm) ** 2)
+        assert np.array_equal(mrr_drop_response(m, d), want)
+        assert [mrr_drop_response(m, x) for x in d[-5:]] == list(want[-5:])
 
     def test_resonance_offset_quadratic(self):
         m = MrrModel()
@@ -251,6 +266,29 @@ class TestPd:
         grid = TimeGrid(sample_rate=1e6, n_samples=4)
         with pytest.raises(ValueError):
             pd_detect(np.array([0.1, -0.1, 0.2, 0.3]), PdModel(), grid)
+
+    @pytest.mark.parametrize("rate", [1e6, 100e9])  # transparent, low-pass
+    def test_noise_equals_one_normal_draw(self, rate):
+        grid = TimeGrid(sample_rate=rate, n_samples=4096)
+        x = np.abs(np.sin(np.linspace(0, 30, 4096)))
+        before = x.copy()
+        model = PdModel(bw_3db=1e9, noise_sigma=0.3, seed=77)
+        out = x
+        if rate / 2.0 >= model.bw_3db:
+            k = 2.0 * np.pi * model.bw_3db * grid.dt / 2.0
+            b = [k / (1.0 + k), k / (1.0 + k)]
+            a = [1.0, (k - 1.0) / (1.0 + k)]
+            out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
+        scale = model.noise_sigma * float(np.max(x))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
+        want = np.maximum(out + rng.normal(0.0, scale, size=out.shape), 0.0)
+        got = pd_detect(x, model, grid)
+        assert np.array_equal(got, want)
+        assert np.any(got == 0.0)  # the clamp acted
+        assert np.array_equal(x, before)
+        quiet = pd_detect(x, replace(model, noise_sigma=0.0), grid)
+        assert np.array_equal(quiet, np.maximum(out, 0.0))
+        assert np.array_equal(x, before)
 
 
 def test_all_transmissions_bounded():

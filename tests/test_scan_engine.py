@@ -14,6 +14,7 @@ from mwfi.scan_engine import (
     CalibrationTable,
     SawtoothDrive,
     ScanTrace,
+    TraceLevel,
     calibrate,
     detect_pulses,
     estimate_frequencies,
@@ -180,6 +181,65 @@ def test_pure_noise_reads_as_no_signal(seed, noise_sigma):
     assert compute_features(events, trace) == EnvelopeFeatures(0, False, None)
 
 
+def level_oracle(power):
+    """ScanTrace.level as two full np.medians compute it."""
+    floor = float(np.median(power))
+    fullscale = float(np.max(power)) - floor
+    noise_sigma = 1.4826 * float(np.median(np.abs(power - floor)))
+    if fullscale <= 0 or fullscale <= 8.0 * noise_sigma:
+        return None
+    return TraceLevel(floor, fullscale, noise_sigma)
+
+
+# few distinct values, 0.0 among them, so a trace is full of ties
+LEVEL_VALUES = (0.0, 1e-3, 0.1, 0.25, 1.0 / 3.0, 0.5, 1.0, 7.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 2000),
+    values=st.lists(st.sampled_from(LEVEL_VALUES), min_size=1, max_size=4, unique=True),
+    jitter=st.sampled_from([0.0, 1e-3, 0.3]),
+    n_spikes=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_equals_two_medians(n, values, jitter, n_spikes, seed):
+    # one value without jitter is a constant trace; jitter below zero clamps
+    # to 0.0 as the detector does; spikes give the trace a signal
+    rng = np.random.default_rng(seed)
+    power = rng.choice(np.array(values), size=n)
+    if jitter:
+        power = np.maximum(power + jitter * rng.uniform(-1.0, 1.0, size=n), 0.0)
+    power[rng.integers(0, n, size=n_spikes)] = 1e3
+    grid = TimeGrid(sample_rate=1e6, n_samples=n)
+    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=grid.duration))
+    assert trace.level == level_oracle(power)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample(bad):
+    # a 5 ms scan holding one clean pulse at 2 ms, and one non-finite sample
+    grid = TimeGrid(sample_rate=1e6, n_samples=5000)
+    power = np.exp(-(((grid.times() - 2e-3) / 20e-6) ** 2))
+    power[100] = bad
+    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=5e-3))
+    if bad < 0:
+        # -inf sorts first: the floor and the pulse stand
+        assert trace.level == level_oracle(power)
+        events = detect_pulses(trace)
+        assert len(events) == 1
+        assert events[0].peak_time == pytest.approx(2e-3, abs=grid.dt)
+        # -inf on half the samples is the floor: no level either
+        power[: grid.n_samples // 2] = bad
+        assert ScanTrace(grid=grid, power=power, drive=trace.drive).level is None
+        return
+    # NaN and +inf: no level, so no pulse and no span
+    assert trace.level is None
+    assert detect_pulses(trace) == []
+    with pytest.raises(ValueError, match="no envelope"):
+        measure_span(trace, CalibrationTable((0.0, 2e12, 1e10), (0.0, 5e-3), 0.0))
+
+
 def uncached_scan_frequency(mrr, drive, grid):
     v2_eff = thermal_lag(drive.voltage(grid.times()) ** 2, mrr.tau_thermal, grid)
     return mrr.f_offset0 + mrr.k_thermal * v2_eff
@@ -298,7 +358,7 @@ class TestMeasureSpan:
         # and last above-threshold samples sit far out in the Lorentzian tails
         models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=0))
         trace = simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid_fast)
-        floor, fullscale = trace.level
+        floor, fullscale, _ = trace.level
         hit = np.flatnonzero(trace.power > floor + THRESHOLD_FRAC * fullscale)
         times = (trace.grid.t0 + hit[[0, -1]] * trace.grid.dt) % drive.period
         raw = float(table_fast.freq_at(times[1]) - table_fast.freq_at(times[0]))
