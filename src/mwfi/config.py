@@ -62,23 +62,43 @@ _SECTIONS = {
 }
 _EMITTERS = ("tone", "chirp", "hop")
 
-# every key the parser accepts: the run settings and notch.enabled by hand,
-# the model keys from _SECTIONS; emitters repeat by index (tone1, tone2, ...)
-_KEY_PATTERNS = [
-    r"mode",
-    r"seed",
-    r"out_dir",
-    r"scan\.sample_rate_hz",
-    r"notch\.enabled",
-    r"calibration\.(lo_hz|hi_hz|step_hz)",
-    r"measure\.(lo_hz|hi_hz|step_hz|method)",
-    r"ifm\.(sample_rate_hz|duration_s|port|band_lo_hz|band_hi_hz|n_knots|noise_floor|upper_limit_hz|mode)",
-    r"sweep\.(mode|n_seeds)",
-] + [
+# run key -> (type, default, check); a check (op, bound) requires `value op
+# bound`, and a key without a default (None) is required where it is read
+_RUN = {
+    "mode": (str, None, ("in", MODES)),
+    "seed": (int, 1, (">=", 0)),
+    "out_dir": (str, "out", None),
+    "notch.enabled": (bool, False, None),
+    "scan.sample_rate_hz": (float, 1e6, None),
+    "calibration.lo_hz": (float, 10e9, (">", 0)),
+    "calibration.hi_hz": (float, 20e9, None),
+    "calibration.step_hz": (float, 1e9, (">", 0)),
+    "measure.lo_hz": (float, 10e9, (">", 0)),
+    "measure.hi_hz": (float, 20e9, None),
+    "measure.step_hz": (float, 0.5e9, (">", 0)),
+    "measure.method": (str, "fttm", ("in", ("fttm", "ftpm"))),
+    "ifm.sample_rate_hz": (float, 1e9, None),
+    "ifm.duration_s": (float, 400e-9, None),
+    "ifm.band_lo_hz": (float, 10e9, None),
+    "ifm.band_hi_hz": (float, 20e9, None),
+    "ifm.mode": (str, "single_port", ("in", ("single_port", "ratio"))),
+    "ifm.port": (int, 2, ("in", (1, 2))),
+    "ifm.n_knots": (int, 4096, (">=", 2)),
+    "ifm.noise_floor": (float, 0.05, (">=", 0)),
+    "ifm.upper_limit_hz": (float, 20e9, None),
+    "sweep.mode": (str, None, ("in", tuple(m for m in MODES if m != "sweep"))),
+    "sweep.n_seeds": (int, 10, (">=", 1)),
+}
+
+# every key the parser accepts: the run keys, and the model keys, whose
+# emitters repeat by index (tone1, tone2, ...)
+_KEY_RE = re.compile("|".join([re.escape(key) for key in _RUN] + [
     (rf"scenario\.{section}\d+" if section in _EMITTERS else section) + rf"\.({'|'.join(keys)})"
     for section, (_, keys) in _SECTIONS.items()
-]
-_KEY_RE = re.compile("^(" + "|".join(_KEY_PATTERNS) + ")$")
+]))
+_BOOLS = dict.fromkeys(("true", "yes", "1", "on"), True)
+_BOOLS.update(dict.fromkeys(("false", "no", "0", "off"), False))
+_CHECKS = {">": lambda v, b: v > b, ">=": lambda v, b: v >= b, "in": lambda v, b: v in b}
 
 
 class ConfigError(ValueError):
@@ -94,7 +114,7 @@ def _parse_text(text: str, source: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not _KEY_RE.match(key):
+        if not _KEY_RE.fullmatch(key):
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -117,12 +137,29 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read(), source=str(path))
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read the config file: {exc}") from None
+        return cls.from_text(text, source=str(path))
 
-    # typed getters -------------------------------------------------------
-    def get_str(self, key, default=None):
-        return self.values.get(key, default)
+    def get(self, key):
+        """Run key `key`'s value, parsed and checked, or its default if unset."""
+        kind, default, check = _RUN[key]
+        if key not in self.values:
+            self.require(default is not None, f"key {key!r}", "missing required key")
+            return default
+        value = self._value(key, kind)
+        if check is not None:
+            op, bound = check
+            ok = _CHECKS[op](value, bound)
+            self.require(ok, f"key {key!r}", f"must be {op} {bound!r}, got {value!r}")
+        return value
+
+    @property
+    def mode(self) -> str:
+        return self.get("mode")
 
     def _number(self, key, token):
         try:
@@ -133,28 +170,22 @@ class RunConfig:
             raise ConfigError(f"{self.source}: key {key!r}: not a finite number: {token!r}")
         return value
 
-    def get_float(self, key, default=None):
-        if key not in self.values:
-            return default
-        return self._number(key, self.values[key])
-
-    def get_int(self, key, default=None):
-        value = self.get_float(key)
-        if value is None:
-            return default
-        if not value.is_integer():
-            raise ConfigError(f"{self.source}: key {key!r}: not an integer: {self.values[key]!r}")
-        return int(value)
-
-    def get_bool(self, key, default=None):
-        if key not in self.values:
-            return default
-        token = self.values[key].lower()
-        if token in ("true", "yes", "1", "on"):
-            return True
-        if token in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self.source}: key {key!r}: not a boolean: {self.values[key]!r}")
+    def _value(self, key, kind):
+        """The value of a set key, parsed as kind, a model field's or run key's type."""
+        token = self.values[key]
+        if kind is str:
+            return token
+        if kind is bool:
+            self.require(token.lower() in _BOOLS, f"key {key!r}", f"not a boolean: {token!r}")
+            return _BOOLS[token.lower()]
+        if kind is tuple:
+            return tuple(self._number(key, tok) for tok in token.split(",") if tok.strip())
+        value = self._number(key, token)
+        if kind is float:
+            return value
+        self.require(value.is_integer(), f"key {key!r}", f"not an integer: {token!r}")
+        # digits parse exactly, also past 2**53 where the float rounds
+        return int(token) if token.isdigit() else int(value)
 
     # checks and section builders -----------------------------------------
     def require(self, ok, where, message):
@@ -170,25 +201,6 @@ class RunConfig:
             yield
         except ValueError as exc:
             raise ConfigError(f"{self.source}: {where}: {exc}") from None
-
-    @property
-    def mode(self) -> str:
-        mode = self.get_str("mode")
-        self.require(mode is not None, "key 'mode'", "missing required key")
-        self.require(mode in MODES, "key 'mode'", f"unknown mode {mode!r} ({', '.join(MODES)})")
-        return mode
-
-    @property
-    def seed(self) -> int:
-        return self.get_int("seed", 1)
-
-    def _value(self, key, kind):
-        """The value of a set key, parsed as the model field type kind."""
-        if kind is tuple:
-            tokens = self.values[key].split(",")
-            return tuple(self._number(key, tok) for tok in tokens if tok.strip())
-        parse = {float: self.get_float, int: self.get_int, bool: self.get_bool, str: self.get_str}
-        return parse[kind](key)
 
     def _build(self, section, prefix=None, **given):
         """The section's model from its keys under prefix (default the
@@ -223,14 +235,14 @@ class RunConfig:
         return RfScenario(tones=emitters["tone"], chirps=emitters["chirp"], hops=emitters["hop"])
 
     def build_models(self, seed: int | None = None) -> LinkModels:
-        notch = self._build("notch") if self.get_bool("notch.enabled", False) else None
+        notch = self._build("notch") if self.get("notch.enabled") else None
         return self._build(
             "link",
             modulator=self._build("modulator"),
             mrr=self._build("mrr"),
             mzi=self._build("mzi"),
             notch=notch,
-            pd=self._build("pd", seed=self.seed if seed is None else seed),
+            pd=self._build("pd", seed=self.get("seed") if seed is None else seed),
         )
 
     def build_drive(self) -> SawtoothDrive:

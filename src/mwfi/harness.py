@@ -17,7 +17,7 @@ import numpy as np
 from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, sole_component_freq
 from .classifier import FILL_THRESHOLD, ClassLabel, classify, compute_features
-from .config import MODES, RunConfig
+from .config import RunConfig
 from .ifm_engine import (
     AcfLut,
     build_lut,
@@ -143,62 +143,12 @@ class RunPlan:
         return replace(self.models, pd=replace(self.models.pd, seed=seed))
 
 
-def _tone_list(cfg: RunConfig, section: str, lo: float, hi: float, step: float) -> np.ndarray:
+def _tone_list(cfg: RunConfig, section: str) -> np.ndarray:
     """Tones lo, lo + step, ... up to hi (Hz) from a section's lo_hz, hi_hz
-    and step_hz keys, which default to the given values."""
-    lo = cfg.get_float(f"{section}.lo_hz", lo)
-    hi = cfg.get_float(f"{section}.hi_hz", hi)
-    step = cfg.get_float(f"{section}.step_hz", step)
-    cfg.require(lo > 0, f"key '{section}.lo_hz'", f"must be > 0, got {lo!r}")
-    cfg.require(step > 0, f"key '{section}.step_hz'", f"must be > 0, got {step!r}")
+    and step_hz keys."""
+    lo, hi, step = (cfg.get(f"{section}.{key}") for key in ("lo_hz", "hi_hz", "step_hz"))
     cfg.require(hi >= lo, f"key '{section}.hi_hz'", f"{hi!r} is below {section}.lo_hz = {lo!r}")
     return np.arange(lo, hi + step / 2, step)
-
-
-def _scan_settings(cfg: RunConfig, models: LinkModels) -> dict:
-    """Drive, scan grid and calibration tones of an FTTM run."""
-    tones = _tone_list(cfg, "calibration", 10e9, 20e9, 1e9)
-    cfg.require(tones.size >= 3, "section 'calibration'", f"{tones.size} tones, the fit needs 3")
-    drive = cfg.build_drive()
-    rate = cfg.get_float("scan.sample_rate_hz", 1e6)
-    n = int(round(rate * drive.period * drive.n_periods))
-    with cfg.blame("key 'scan.sample_rate_hz'"):
-        grid = TimeGrid(sample_rate=rate, n_samples=n)
-        # the heater lag refuses too slow a rate; the run's scans share this axis
-        _scan_axis(models.mrr, drive, grid)
-    return dict(drive=drive, scan_grid=grid, cal_tones=tones)
-
-
-def _ifm_grid(cfg: RunConfig, scenario: RfScenario) -> TimeGrid:
-    rate = cfg.get_float("ifm.sample_rate_hz", 1e9)
-    duration = cfg.get_float("ifm.duration_s", 400e-9)
-    # the rate is checked on its own, so an empty grid is the duration's fault
-    with cfg.blame("key 'ifm.sample_rate_hz'"):
-        grid = TimeGrid(sample_rate=rate, n_samples=1)
-        check_hop_sampling(scenario, grid)
-    with cfg.blame("key 'ifm.duration_s'"):
-        return replace(grid, n_samples=int(round(rate * duration)))
-
-
-def _lut_settings(cfg: RunConfig, models: LinkModels) -> dict:
-    """Lookup table, noise floor and upper limit of the ifm section."""
-    noise_floor = cfg.get_float("ifm.noise_floor", 0.05)
-    cfg.require(noise_floor >= 0, "key 'ifm.noise_floor'", f"must be >= 0, got {noise_floor!r}")
-    band = (cfg.get_float("ifm.band_lo_hz", 10e9), cfg.get_float("ifm.band_hi_hz", 20e9))
-    port = cfg.get_int("ifm.port", 2)
-    cfg.require(port in (1, 2), "key 'ifm.port'", f"port must be 1 or 2, got {port}")
-    n_knots = cfg.get_int("ifm.n_knots", 4096)
-    cfg.require(n_knots >= 2, "key 'ifm.n_knots'", f"need at least 2 knots, got {n_knots}")
-    mode = cfg.get_str("ifm.mode", "single_port")
-    cfg.require(mode in ("single_port", "ratio"), "key 'ifm.mode'", f"unknown mode {mode!r}")
-    with cfg.blame("section 'ifm'"):
-        lut = build_lut(models.mzi, band, mode, port, n_knots, models.modulator)
-    upper_limit = cfg.get_float("ifm.upper_limit_hz", 20e9)
-    cfg.require(
-        lut.band[0] <= upper_limit <= lut.band[1], "key 'ifm.upper_limit_hz'",
-        f"{upper_limit!r} lies outside the lookup band {lut.band[0]!r}..{lut.band[1]!r}",
-    )
-    return dict(lut=lut, noise_floor=noise_floor, upper_limit=upper_limit)
 
 
 def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
@@ -208,29 +158,48 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     several keys meet. FTTM plans compute the run's scan axis, which run
     clears when the run ends.
     """
-    mode = cfg.mode if mode is None else mode
+    mode = cfg.get("mode") if mode is None else mode
     if mode == "sweep":
-        target = cfg.get_str("sweep.mode")
-        targets = [m for m in MODES if m != "sweep"]
-        cfg.require(target in targets, "key 'sweep.mode'", f"{target!r} is not one of {targets}")
-        n_seeds = cfg.get_int("sweep.n_seeds", 10)
-        cfg.require(n_seeds >= 1, "key 'sweep.n_seeds'", f"need at least 1 seed, got {n_seeds}")
+        target, n_seeds = cfg.get("sweep.mode"), cfg.get("sweep.n_seeds")
         scenario = cfg.build_scenario()
         return RunPlan(mode, scenario=scenario, target=build_plan(cfg, target), n_seeds=n_seeds)
 
-    plan = dict(models=cfg.build_models(seed=0))
+    models = cfg.build_models(seed=0)
+    plan = dict(models=models)
     if mode in ("classify", "dynamic"):
         plan["scenario"] = cfg.build_scenario()
     if mode == "measure":
-        plan["tones"] = _tone_list(cfg, "measure", 10e9, 20e9, 0.5e9)
-        method = plan["method"] = cfg.get_str("measure.method", "fttm")
-        cfg.require(method in ("fttm", "ftpm"), "key 'measure.method'", f"unknown {method!r}")
+        plan.update(tones=_tone_list(cfg, "measure"), method=cfg.get("measure.method"))
     if mode in ("calibrate", "classify") or plan.get("method") == "fttm":
-        plan.update(_scan_settings(cfg, plan["models"]))
+        tones = _tone_list(cfg, "calibration")
+        enough = tones.size >= 3
+        cfg.require(enough, "section 'calibration'", f"{tones.size} tones, the fit needs 3")
+        drive, rate = cfg.build_drive(), cfg.get("scan.sample_rate_hz")
+        n = round(rate * drive.period * drive.n_periods)
+        with cfg.blame("key 'scan.sample_rate_hz'"):
+            grid = TimeGrid(sample_rate=rate, n_samples=n)
+            # the heater lag refuses too slow a rate; the run's scans share this axis
+            _scan_axis(models.mrr, drive, grid)
+        plan.update(drive=drive, scan_grid=grid, cal_tones=tones)
     if mode in ("calibrate", "dynamic") or plan.get("method") == "ftpm":
-        plan.update(_lut_settings(cfg, plan["models"]))
+        band = (cfg.get("ifm.band_lo_hz"), cfg.get("ifm.band_hi_hz"))
+        lut_mode, port, n_knots = (cfg.get(f"ifm.{key}") for key in ("mode", "port", "n_knots"))
+        with cfg.blame("section 'ifm'"):
+            lut = build_lut(models.mzi, band, lut_mode, port, n_knots, models.modulator)
+        upper_limit = cfg.get("ifm.upper_limit_hz")
+        cfg.require(
+            lut.band[0] <= upper_limit <= lut.band[1], "key 'ifm.upper_limit_hz'",
+            f"{upper_limit!r} lies outside the lookup band {lut.band[0]!r}..{lut.band[1]!r}",
+        )
+        plan.update(lut=lut, noise_floor=cfg.get("ifm.noise_floor"), upper_limit=upper_limit)
     if mode == "dynamic" or plan.get("method") == "ftpm":
-        plan["ifm_grid"] = _ifm_grid(cfg, plan.get("scenario", RfScenario()))
+        rate, duration = cfg.get("ifm.sample_rate_hz"), cfg.get("ifm.duration_s")
+        # the rate is checked on its own, so an empty grid is the duration's fault
+        with cfg.blame("key 'ifm.sample_rate_hz'"):
+            grid = TimeGrid(sample_rate=rate, n_samples=1)
+            check_hop_sampling(plan.get("scenario", RfScenario()), grid)
+        with cfg.blame("key 'ifm.duration_s'"):
+            plan["ifm_grid"] = replace(grid, n_samples=round(rate * duration))
     single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
     cfg.require(single, "key 'ifm.mode'", "ftpm measure needs single_port")
     return RunPlan(mode, **plan)
@@ -424,10 +393,13 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     seed and out_dir override the config's values (CLI flags map here).
     The run's plan is built first, so a ConfigError leaves out_dir untouched.
     """
+    if seed is not None:
+        # the override is checked as the config's own seed is
+        cfg = replace(cfg, values={**cfg.values, "seed": str(seed)})
     try:
         plan = build_plan(cfg)
-        seed = cfg.seed if seed is None else int(seed)
-        out = Path(out_dir if out_dir is not None else cfg.get_str("out_dir", "out"))
+        seed = cfg.get("seed")
+        out = Path(out_dir if out_dir is not None else cfg.get("out_dir"))
         try:
             return _run_mode(plan, seed, out)
         except Exception as exc:

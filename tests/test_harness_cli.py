@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 import subprocess
 import sys
@@ -6,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
-from mwfi.config import _EMITTERS, _SECTIONS, MODES, ConfigError, RunConfig
+from mwfi.config import _EMITTERS, _RUN, _SECTIONS, MODES, ConfigError, RunConfig
 from mwfi.harness import MetricsReport, build_plan, expected_label, rms_error, run
+from mwfi.ifm_engine import DEFAULT_BAND, build_lut, extract_inst_freq
 from mwfi.photonic_link import LinkModels, PdModel
 from mwfi.presets import list_presets, preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
@@ -54,15 +56,15 @@ class TestConfigParsing:
     def test_invalid_mode_names_field(self):
         cfg = RunConfig.from_text("mode = warp\n")
         with pytest.raises(ConfigError, match="key 'mode'.*warp"):
-            _ = cfg.mode
+            cfg.get("mode")
 
     def test_missing_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
-            _ = RunConfig.from_text("seed = 1\n").mode
+            RunConfig.from_text("seed = 1\n").get("mode")
 
     def test_comments_and_blanks_ignored(self):
         cfg = RunConfig.from_text("# header\n\nmode = classify  # trailing\n")
-        assert cfg.mode == "classify"
+        assert cfg.get("mode") == "classify"
 
     def test_bad_number_reported(self):
         cfg = RunConfig.from_text("mode = measure\npd.noise_sigma = lots\n")
@@ -72,20 +74,22 @@ class TestConfigParsing:
     def test_non_integral_integer_rejected(self):
         cfg = RunConfig.from_text("mode = sweep\nsweep.n_seeds = 2.9\n")
         with pytest.raises(ConfigError, match="sweep.n_seeds"):
-            cfg.get_int("sweep.n_seeds")
+            cfg.get("sweep.n_seeds")
         for text in ("4096", "4096.0", "1e3"):
             cfg = RunConfig.from_text(f"mode = calibrate\nifm.n_knots = {text}\n")
-            assert cfg.get_int("ifm.n_knots") == int(float(text))
+            assert cfg.get("ifm.n_knots") == int(float(text))
 
     def test_readme_configuration_example_builds(self):
         # a key the parser stops accepting cannot stay documented
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("## Configuration", 1)[1].split("```\n", 2)[1]
         cfg = RunConfig.from_text(block, source="README.md")
-        assert cfg.mode == "classify"
+        assert cfg.get("mode") == "classify"
         cfg.build_scenario()
         cfg.build_models()
         cfg.build_drive()
+        for key in _RUN:
+            assert key in cfg.values, f"README lacks {key}"
         # every model key is documented; an emitter key by its name
         for section, (_, keys) in _SECTIONS.items():
             for key in keys:
@@ -101,10 +105,10 @@ class TestConfigParsing:
 
     def test_bool_parsing(self):
         cfg = RunConfig.from_text("mode = dynamic\nnotch.enabled = true\n")
-        assert cfg.get_bool("notch.enabled") is True
+        assert cfg.get("notch.enabled") is True
         cfg = RunConfig.from_text("mode = dynamic\nnotch.enabled = maybe\n")
         with pytest.raises(ConfigError, match="boolean"):
-            cfg.get_bool("notch.enabled")
+            cfg.get("notch.enabled")
 
 
 class TestScenarioBuilding:
@@ -383,10 +387,11 @@ PLAN_LINES = {
     "scan rate": (["scan.sample_rate_hz = 2718281"], ["scan.sample_rate_hz = 1e4"]),
     "periods": (["drive.n_periods = 1"], ["drive.n_periods = 2"]),
     "cal step": (["calibration.step_hz = 5e9"], ["calibration.step_hz = 0"]),
+    "cal lo": (["calibration.lo_hz = 8e9"], ["calibration.lo_hz = 0"]),
     "cal band": (["calibration.hi_hz = 18e9"], ["calibration.hi_hz = 11e9"]),
     "tones": (
-        ["measure.hi_hz = 16e9"],
-        ["measure.hi_hz = 5e9", "measure.lo_hz = 0", "measure.lo_hz = inf"],
+        ["measure.hi_hz = 16e9", "measure.step_hz = 2e9"],
+        ["measure.hi_hz = 5e9", "measure.lo_hz = 0", "measure.lo_hz = inf", "measure.step_hz = 0"],
     ),
     "method": (["measure.method = fttm", "measure.method = ftpm"], ["measure.method = bogus"]),
     # 1e8 S/s is too slow only for the 80 ns dwell of "hop"
@@ -433,6 +438,78 @@ def test_plan_builds_or_names_its_key(mode, picks, data):
         assert re.match(r"drawn\.cfg: (key|section) '[a-z0-9_.]+': ", str(exc)), str(exc)
     finally:
         _scan_axis.cache_clear()
+
+
+def test_checked_run_keys_are_drawn():
+    # a run key's check is exercised by an invalid line of the plan test;
+    # mode is drawn by the test itself and seed is read by run, not the plan
+    drawn = {
+        line.split(" = ")[0]
+        for _, invalid in PLAN_LINES.values() for text in invalid for line in text.splitlines()
+    }
+    checked = {key for key, (_, _, check) in _RUN.items() if check is not None}
+    assert checked - {"mode", "seed"} <= drawn
+
+
+def test_run_defaults_match_the_engine_defaults():
+    # an unset run key behaves as the engine function called without it
+    lut = inspect.signature(build_lut).parameters
+    extract = inspect.signature(extract_inst_freq).parameters
+    default = {key: row[1] for key, row in _RUN.items()}
+    assert (default["ifm.band_lo_hz"], default["ifm.band_hi_hz"]) == lut["band"].default
+    assert lut["band"].default == DEFAULT_BAND
+    for key in ("mode", "port", "n_knots"):
+        assert default[f"ifm.{key}"] == lut[key].default, key
+    assert default["ifm.noise_floor"] == extract["noise_floor"].default
+    assert default["ifm.upper_limit_hz"] == extract["upper_limit"].default
+
+
+# run key -> (reader of the plan field it sets, default, valid values other
+# than the default), kept apart from the config module's _RUN for the same
+# reason as ROUND_TRIP below; a key without a default is drawn in every example
+RUN_TRIP = {
+    "scan.sample_rate_hz": (lambda p: p["calibrate"].scan_grid.sample_rate, 1e6, [2718281.0]),
+    "calibration.lo_hz": (lambda p: p["calibrate"].cal_tones[0], 10e9, [12e9]),
+    "calibration.hi_hz": (lambda p: p["calibrate"].cal_tones[-1], 20e9, [16e9]),
+    "calibration.step_hz": (lambda p: np.diff(p["calibrate"].cal_tones)[0], 1e9, [2e9]),
+    "measure.lo_hz": (lambda p: p["measure"].tones[0], 10e9, [12e9]),
+    "measure.hi_hz": (lambda p: p["measure"].tones[-1], 20e9, [16e9]),
+    "measure.step_hz": (lambda p: np.diff(p["measure"].tones)[0], 0.5e9, [1e9, 2e9]),
+    "measure.method": (lambda p: p["measure"].method, "fttm", ["ftpm"]),
+    "ifm.sample_rate_hz": (lambda p: p["dynamic"].ifm_grid.sample_rate, 1e9, [2e9]),
+    "ifm.duration_s": (
+        lambda p: p["dynamic"].ifm_grid.n_samples / p["dynamic"].ifm_grid.sample_rate,
+        400e-9, [200e-9],
+    ),
+    "ifm.band_lo_hz": (lambda p: p["dynamic"].lut.band[0], 10e9, [11e9]),
+    "ifm.band_hi_hz": (lambda p: p["dynamic"].lut.band[1], 20e9, [21e9]),
+    "ifm.mode": (lambda p: p["dynamic"].lut.mode, "single_port", ["ratio"]),
+    "ifm.port": (lambda p: p["dynamic"].lut.port, 2, [1]),
+    "ifm.n_knots": (lambda p: p["dynamic"].lut.freqs.size, 4096, [64]),
+    "ifm.noise_floor": (lambda p: p["dynamic"].noise_floor, 0.05, [0.1]),
+    "ifm.upper_limit_hz": (lambda p: p["dynamic"].upper_limit, 20e9, [18e9]),
+    "sweep.n_seeds": (lambda p: p["sweep"].n_seeds, 10, [2]),
+    "sweep.mode": (lambda p: p["sweep"].target.mode, None, ["calibrate", "dynamic", "measure"]),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_run_keys_round_trip_to_plan_fields(data):
+    keys = data.draw(st.sets(st.sampled_from(sorted(RUN_TRIP))))
+    keys |= {key for key, (_, default, _) in RUN_TRIP.items() if default is None}
+    drawn = {key: data.draw(st.sampled_from(RUN_TRIP[key][2])) for key in sorted(keys)}
+    # an ftpm measure refuses the ratio lookup, as the plan test shows
+    assume(not (drawn.get("measure.method") == "ftpm" and drawn.get("ifm.mode") == "ratio"))
+    lines = ["mode = sweep"] + [f"{key} = {value}" for key, value in drawn.items()]
+    cfg = RunConfig.from_text("\n".join(lines) + "\n", source="drawn.cfg")
+    try:
+        plans = {mode: build_plan(cfg, mode) for mode in ("calibrate", "measure", "dynamic")}
+        plans["sweep"] = build_plan(cfg)
+    finally:
+        _scan_axis.cache_clear()
+    for key, (read, default, _) in RUN_TRIP.items():
+        assert read(plans) == drawn.get(key, default), key
 
 
 # config key -> (model field, valid values other than its default); kept
@@ -631,6 +708,29 @@ class TestCli:
         bad.write_text(f"mode = classify\nscenario.tone1.freq_hz = 15e9\n{line}\n")
         assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, flags", [("seed = -1", []), ("", ["--seed", "-3"])], ids=["config", "flag"]
+    )
+    def test_negative_seed_exits_two(self, tmp_path, capsys, line, flags):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = dynamic\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["dynamic", "--config", str(bad), "--out", str(out), *flags]) == 2
+        assert f"config error: {bad}: key 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"mode = measure\nseed = \xff\n")
+        out = tmp_path / "out"
+        assert main(["measure", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_two(self, tmp_path):
         proc = self._run("measure", "--config", "no_such_file.cfg", "--out", str(tmp_path))
