@@ -9,7 +9,6 @@ runtime failures; failures print a one-line reason to stderr.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import MODES, ConfigError, RunConfig
@@ -24,9 +23,8 @@ def _load_config(name_or_path: str) -> RunConfig:
     builtin = preset_path(name_or_path)
     if builtin is not None:
         return RunConfig.from_file(builtin)
-    raise ConfigError(
-        f"config {name_or_path!r} is neither a file nor a preset (presets: {', '.join(list_presets())})"
-    )
+    names = ", ".join(list_presets())
+    raise ConfigError(f"config {name_or_path!r} is neither a file nor a preset (presets: {names})")
 
 
 def main(argv=None) -> int:

@@ -91,10 +91,10 @@ _RUN = {
 }
 
 # every key the parser accepts: the run keys, and the model keys, whose
-# emitters repeat by index (tone1, tone2, ...)
+# emitters repeat by an index without leading zeros (tone1, tone2, ...)
 _KEY_RE = re.compile("|".join([re.escape(key) for key in _RUN] + [
-    (rf"scenario\.{section}\d+" if section in _EMITTERS else section) + rf"\.({'|'.join(keys)})"
-    for section, (_, keys) in _SECTIONS.items()
+    (rf"scenario\.{name}(0|[1-9]\d*)" if name in _EMITTERS else name) + rf"\.({'|'.join(keys)})"
+    for name, (_, keys) in _SECTIONS.items()
 ]))
 _BOOLS = dict.fromkeys(("true", "yes", "1", "on"), True)
 _BOOLS.update(dict.fromkeys(("false", "no", "0", "off"), False))

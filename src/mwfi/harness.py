@@ -100,10 +100,8 @@ class MetricsReport:
 def expected_label(scenario: RfScenario) -> ClassLabel:
     """Ground-truth label for a pure scenario (used by sweep aggregation)."""
     kinds = (len(scenario.tones) > 0) + (len(scenario.chirps) > 0) + (len(scenario.hops) > 0)
-    if scenario.n_emitters == 0:
-        return ClassLabel.UNKNOWN
-    if kinds > 1:
-        return ClassLabel.UNKNOWN  # mixed scenarios are out of the decision table
+    if kinds != 1:
+        return ClassLabel.UNKNOWN  # no emitter, or a mix outside the decision table
     if scenario.tones:
         return (
             ClassLabel.SINGLE_FREQUENCY
@@ -326,7 +324,6 @@ def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, kee
     diff = est.freq - sole_component_freq(scenario, grid)
     errors = diff[~np.isnan(diff)]
     if errors.size:
-        report.per_tone_errors_hz = []
         report.rms_error_hz = float(np.sqrt(np.mean(errors**2)))
     report.extras["n_samples"] = str(est.freq.size)
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
@@ -394,7 +391,8 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     The run's plan is built first, so a ConfigError leaves out_dir untouched.
     """
     if seed is not None:
-        # the override is checked as the config's own seed is
+        # the override is checked as the config's own seed is, under its own source
+        RunConfig({"seed": str(seed)}, source="seed override").get("seed")
         cfg = replace(cfg, values={**cfg.values, "seed": str(seed)})
     try:
         plan = build_plan(cfg)

@@ -133,7 +133,7 @@ def build_lut(
     mode: str = "single_port",
     port: int = 2,
     n_knots: int = 4096,
-    modulator: ModulatorModel | None = None,
+    modulator: ModulatorModel = ModulatorModel(),
 ) -> AcfLut:
     """Tabulate the frequency-to-power curve for inversion.
 
@@ -151,8 +151,6 @@ def build_lut(
         )
     if n_knots < 2:
         raise ValueError("need at least 2 knots")
-    if modulator is None:
-        modulator = ModulatorModel()
     freqs = np.linspace(f_lo, f_hi, n_knots)
     if mode == "single_port":
         values = _single_tone_power(modulator, mzi, port, freqs)

@@ -194,24 +194,20 @@ def mrr_drop_response(model: MrrModel, detuning):
     """
     d = np.asarray(detuning, dtype=float)
     half_fsr = model.fsr / 2.0
-    wrap = d.size and (d.min() < -half_fsr or d.max() > half_fsr)
-    if d.ndim == 0:
-        if wrap:
-            d = d - model.fsr * np.round(d / model.fsr)
-        return 1.0 / (1.0 + (2.0 * d / model.fwhm) ** 2)
-    # the same operations in the same order, on one new buffer
-    if wrap:
-        x = d / model.fsr
+    # one new buffer for every shape; a 0-d one comes back as a scalar
+    x = np.empty_like(d)
+    if d.size and (d.min() < -half_fsr or d.max() > half_fsr):
+        np.divide(d, model.fsr, out=x)
         np.round(x, out=x)
         x *= model.fsr
         np.subtract(d, x, out=x)
         x *= 2.0
     else:
-        x = 2.0 * d
+        np.multiply(2.0, d, out=x)
     x /= model.fwhm
     np.square(x, out=x)
     x += 1.0
-    return np.divide(1.0, x, out=x)
+    return np.divide(1.0, x, out=x)[()]
 
 
 def mrr_resonance_offset(model: MrrModel, v_effective):
@@ -232,7 +228,8 @@ def thermal_lag(drive_power, tau: float, grid: TimeGrid) -> np.ndarray:
     dt = grid.dt
     if dt >= tau / 4.0:
         raise ValueError(
-            f"grid interval {dt:.3e} s undersamples thermal dynamics (need < tau/4 = {tau / 4.0:.3e} s)"
+            f"grid interval {dt:.3e} s undersamples thermal dynamics"
+            f" (need < tau/4 = {tau / 4.0:.3e} s)"
         )
     alpha = dt / tau
     # IIR form of the recurrence: y[n] = (1-alpha) y[n-1] + alpha x[n-1]

@@ -149,9 +149,6 @@ class SpectralSnapshot:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
 
-    def freqs(self) -> list:
-        return [f for f, _ in self.components]
-
 
 def _merge_components(pairs):
     """Merge equal frequencies; amplitudes combine on a power basis."""

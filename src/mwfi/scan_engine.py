@@ -309,8 +309,6 @@ def _fill_randomness(seg: np.ndarray) -> float:
     half = 0.5 * float(np.max(seg))
     at_least_half = np.flatnonzero(seg >= half)
     lo, hi = at_least_half[0], at_least_half[-1]
-    if hi - lo < 2:
-        return 0.0
     interior = seg[lo : hi + 1]
     return float(np.mean(interior < half))
 
@@ -351,16 +349,10 @@ def detect_pulses(trace: ScanTrace) -> list:
         # averages well below the raw full scale
         prom = THRESHOLD_FRAC * max(float(np.max(smooth)) - floor, 0.0)
         peaks = find_peaks(coarse, prominence=prom)[0] * dec if prom > 0 else []
-        if len(peaks) >= 2:
-            # split at the smoothed minimum between adjacent peaks
-            bounds = [0]
-            for left, right in zip(peaks[:-1], peaks[1:]):
-                bounds.append(left + int(np.argmin(smooth[left:right])))
-            bounds.append(seg.size)
-            slices = [(bounds[i], bounds[i + 1]) for i in range(len(peaks))]
-        else:
-            slices = [(0, seg.size)]
-        for s0, s1 in slices:
+        # split at the smoothed minimum between adjacent peaks
+        minima = [a + int(np.argmin(smooth[a:b])) for a, b in zip(peaks, peaks[1:])]
+        bounds = [0, *minima, seg.size]
+        for s0, s1 in zip(bounds, bounds[1:]):
             sub = seg[s0:s1]
             above = np.flatnonzero(sub > threshold)
             if above.size == 0:
@@ -484,9 +476,8 @@ def measure_span(trace: ScanTrace, table: CalibrationTable) -> float:
     if trace.level is None:
         raise ValueError("no envelope: trace is flat or noise-limited")
     floor, fullscale, _ = trace.level
+    # full scale > 0 puts the peak above the threshold, so some sample is above it
     above = trace.power > floor + THRESHOLD_FRAC * fullscale
-    if not np.any(above):
-        raise ValueError("no envelope: nothing above threshold")
 
     w = max(5, int(round(0.6 * trace.pulse_width_hint * trace.grid.sample_rate)))
     i_lo, i_hi = _occupancy_edges(above, w)

@@ -440,6 +440,53 @@ def test_plan_builds_or_names_its_key(mode, picks, data):
         _scan_axis.cache_clear()
 
 
+# a mode that reads each setting of PLAN_LINES, with the lines it needs
+PLAN_READERS = {
+    "scan rate": "mode = calibrate",
+    "periods": "mode = calibrate",
+    "cal step": "mode = calibrate",
+    "cal lo": "mode = calibrate",
+    "cal band": "mode = calibrate",
+    "tones": "mode = measure",
+    "method": "mode = measure",
+    "ifm rate": "mode = dynamic\n" + PLAN_LINES["hop"][0][0],
+    "duration": "mode = dynamic",
+    "lut mode": "mode = dynamic",
+    "port": "mode = dynamic",
+    "knots": "mode = dynamic",
+    "floor": "mode = dynamic",
+    "limit": "mode = dynamic",
+    "band": "mode = dynamic",
+    "target": "mode = sweep",
+    "seeds": "mode = sweep\nsweep.mode = dynamic",
+    "hop": "mode = dynamic",
+    "ring": "mode = dynamic",
+}
+# what an invalid line is blamed on where it is not the line's own key
+PLAN_BLAME = {
+    "calibration.hi_hz = 11e9": "section 'calibration'",  # 2 tones, the fit needs 3
+    "ifm.band_hi_hz = 90e9": "section 'ifm'",  # wider than half the MZI FSR
+    "scenario.hop1.dwell_s = 80e-9": "key 'scenario.hop1.freqs_hz'",
+    "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0": "section 'scenario.hop1'",
+    "mrr.fwhm_hz = 0": "section 'mrr'",
+}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [(name, text) for name, (_, invalid) in PLAN_LINES.items() for text in invalid],
+    ids=lambda v: v.replace("\n", "; "),
+)
+def test_plan_refuses_every_invalid_line(name, text):
+    where = PLAN_BLAME.get(text, f"key '{text.split(' = ')[0]}'")
+    cfg = RunConfig.from_text(f"{PLAN_READERS[name]}\n{text}\n", source="bad.cfg")
+    try:
+        with pytest.raises(ConfigError, match=f"^bad\\.cfg: {re.escape(where)}: "):
+            build_plan(cfg)
+    finally:
+        _scan_axis.cache_clear()
+
+
 def test_checked_run_keys_are_drawn():
     # a run key's check is exercised by an invalid line of the plan test;
     # mode is drawn by the test itself and seed is read by run, not the plan
@@ -717,7 +764,25 @@ class TestCli:
         bad.write_text(f"mode = dynamic\n{line}\n")
         out = tmp_path / "out"
         assert main(["dynamic", "--config", str(bad), "--out", str(out), *flags]) == 2
-        assert f"config error: {bad}: key 'seed'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if flags:
+            # the value came from the flag, not the file
+            assert "config error: seed override: key 'seed'" in err
+            assert bad.name not in err
+        else:
+            assert f"config error: {bad}: key 'seed'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "other", ["scenario.tone1.freq_hz = 10e9\n", ""], ids=["beside tone1", "alone"]
+    )
+    def test_emitter_index_with_leading_zero_exits_two(self, tmp_path, capsys, other):
+        # tone01 would be tone1: ignored beside it, or blamed on a key not in the file
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = classify\n{other}scenario.tone01.freq_hz = 15e9\n")
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(bad), "--out", str(out)]) == 2
+        assert "unknown key 'scenario.tone01.freq_hz'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])

@@ -96,6 +96,16 @@ class TestMrr:
         assert np.array_equal(mrr_drop_response(m, d), want)
         assert [mrr_drop_response(m, x) for x in d[-5:]] == list(want[-5:])
 
+    def test_scalar_gives_the_bits_of_its_array_element(self):
+        # one kernel for every shape, in the wrap region and out of it
+        m = MrrModel()
+        d = np.random.default_rng(7).uniform(-120e9, 120e9, 20000)
+        d = np.concatenate((d, [0.0, -0.0, m.fsr / 2, -m.fsr / 2, m.fsr, -3 * m.fsr]))
+        inside = d[np.abs(d) <= m.fsr / 2]  # an array that needs no wrap
+        for detunings in (d, inside):
+            scalars = [mrr_drop_response(m, x) for x in detunings]
+            assert np.array_equal(scalars, mrr_drop_response(m, detunings))
+
     def test_resonance_offset_quadratic(self):
         m = MrrModel()
         assert mrr_resonance_offset(m, 0.0) == pytest.approx(8e9)

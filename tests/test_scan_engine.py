@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +240,29 @@ def test_non_finite_sample(bad):
     assert detect_pulses(trace) == []
     with pytest.raises(ValueError, match="no envelope"):
         measure_span(trace, CalibrationTable((0.0, 2e12, 1e10), (0.0, 5e-3), 0.0))
+
+
+@st.composite
+def blocky_power(draw):
+    """Blocks of equal samples: exact zeros, +-inf, a value and its neighbours."""
+    base = draw(st.floats(allow_nan=False, allow_infinity=False))
+    near = [math.nextafter(base, math.inf), math.nextafter(base, -math.inf)]
+    value = st.sampled_from([0.0, np.inf, -np.inf, base, *near]) | st.floats(allow_nan=False)
+    blocks = draw(st.lists(st.tuples(value, st.integers(1, 40)), min_size=1, max_size=6))
+    return np.concatenate([np.full(n, v) for v, n in blocks])
+
+
+@settings(max_examples=50, deadline=None)
+@given(power=blocky_power())
+def test_a_level_puts_the_peak_above_the_threshold(power):
+    # detect_pulses and measure_span find a sample above the threshold
+    # without checking: rounding never lifts floor + THRESHOLD_FRAC x full
+    # scale to the peak, floor + full scale
+    grid = TimeGrid(sample_rate=1e6, n_samples=power.size)
+    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=grid.duration))
+    if trace.level is not None:
+        floor, fullscale, _ = trace.level
+        assert np.max(power) > floor + THRESHOLD_FRAC * fullscale
 
 
 def uncached_scan_frequency(mrr, drive, grid):
