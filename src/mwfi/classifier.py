@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
+# not scipy: it takes about a second to import, so _is_continuous imports its
+# one filter where it calls it, and importing mwfi does not load scipy
 
 from .scan_engine import ScanTrace, _above_threshold_runs
 
@@ -48,6 +49,8 @@ def _is_continuous(trace: ScanTrace) -> bool:
     not read as gaps; only scan stretches with no nearby component leave a
     sub-half-level hole of one nominal pulse width or more.
     """
+    from scipy.ndimage import uniform_filter1d
+
     size = max(3, int(round(trace.pulse_width_hint * trace.grid.sample_rate)))
     smooth = uniform_filter1d(trace.power, size=size, mode="nearest")
     floor = trace.level.floor

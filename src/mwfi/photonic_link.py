@@ -9,7 +9,8 @@ optical power, whose one scale is LinkModels.link_gain.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter, lfilter_zi
+# not scipy.signal: it takes about a second to import and only the scan path
+# filters, so thermal_lag and pd_detect import it where they call it
 
 from .rf_signals import TimeGrid
 
@@ -231,6 +232,8 @@ def thermal_lag(drive_power, tau: float, grid: TimeGrid) -> np.ndarray:
             f"grid interval {dt:.3e} s undersamples thermal dynamics"
             f" (need < tau/4 = {tau / 4.0:.3e} s)"
         )
+    from scipy.signal import lfilter
+
     alpha = dt / tau
     # IIR form of the recurrence: y[n] = (1-alpha) y[n-1] + alpha x[n-1]
     y = lfilter([0.0, alpha], [1.0, -(1.0 - alpha)], x, zi=np.array([x[0]]))[0]
@@ -285,6 +288,8 @@ def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
     out = p
     nyquist = grid.sample_rate / 2.0
     if nyquist >= model.bw_3db:
+        from scipy.signal import lfilter, lfilter_zi
+
         # bilinear single-pole low-pass at bw_3db
         wc = 2.0 * np.pi * model.bw_3db
         k = wc * grid.dt / 2.0

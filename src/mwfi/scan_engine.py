@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import find_peaks
+# not scipy: it takes about a second to import and only the scan estimators
+# use it, so each imports its function where it calls it; IFM runs never load it
 
 from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_powers
@@ -323,6 +323,9 @@ def detect_pulses(trace: ScanTrace) -> list:
     profile shows several prominent peaks, which resolves closely spaced
     clean tones.
     """
+    from scipy.ndimage import uniform_filter1d
+    from scipy.signal import find_peaks
+
     if trace.level is None:
         return []
     floor, fullscale, _ = trace.level
@@ -442,6 +445,8 @@ def _occupancy_edges(above: np.ndarray, window: int):
     the envelope's true edge, which makes the crossing an unbiased edge
     estimate regardless of linewidth or threshold choice.
     """
+    from scipy.ndimage import uniform_filter1d
+
     occ = uniform_filter1d(above.astype(float), size=window, mode="constant", cval=0.0)
     # two-pass plateau estimate: max(occ) rides noise wiggles high, so take
     # the median over the central quarter of the first-pass support
@@ -512,13 +517,20 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
 
     The file holds only times and power; the pulse width hint and settle
     time come from the models and drive that produced it, as in
-    simulate_scan, so the reloaded trace detects the same events.
+    simulate_scan, so the reloaded trace detects the same events. A file with
+    fewer than 2 rows, or a power sample that detected power cannot take
+    (negative or not finite), is refused.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if len(data) < 2:
+        raise ValueError(f"{path}: need at least 2 samples, got {len(data)}")
+    power = data[:, 1]
+    if not np.all((power >= 0) & (power < np.inf)):
+        raise ValueError(f"{path}: power samples must be finite and >= 0")
     t = data[:, 0]
     rate = 1.0 / float(np.median(np.diff(t)))
     grid = TimeGrid(sample_rate=rate, n_samples=len(t), t0=float(t[0]))
     hint, settle = _scan_timing(models, drive)
     return ScanTrace(
-        grid=grid, power=data[:, 1], drive=drive, pulse_width_hint=hint, settle_time=settle
+        grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle
     )

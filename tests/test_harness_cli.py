@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import re
 import subprocess
 import sys
@@ -810,6 +811,38 @@ class TestCli:
         proc = self._run("measure", "--config", str(bad), "--out", str(tmp_path))
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    # runs the CLI in a cold interpreter, then prints its exit code and the
+    # scipy modules it loaded
+    COLD = (
+        "import json, sys\n"
+        "from mwfi.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "args, code, scipy",
+        [
+            (["dynamic", "--config", "fig6c"], 0, False),
+            (["measure", "--config", "fig3b"], 0, False),  # FTPM
+            (["measure", "--config", "{bad}"], 2, False),
+            (["measure", "--config", "no_such_preset"], 2, False),
+            (["measure", "--config", "fig3a"], 0, True),  # FTTM scans
+        ],
+        ids=["dynamic", "ftpm", "bad config", "unknown preset", "fttm"],
+    )
+    def test_only_scan_runs_load_scipy(self, tmp_path, args, code, scipy):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("mode = measure\nmeasure.step_hz = 0\n")
+        argv = [a.format(bad=bad) for a in args] + ["--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.COLD, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        got, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert got == code, proc.stderr
+        assert bool(loaded) == scipy, loaded
 
     def test_reproducible_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

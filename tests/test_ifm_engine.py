@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwfi.photonic_link import (
     LinkModels,
@@ -68,6 +69,23 @@ class TestBuildLut:
     def test_round_trip_within_knot_spacing(self):
         lut = build_lut(MziModel())
         f = np.random.default_rng(1).uniform(*lut.band, 1000)
+        back = lut.invert(lut.evaluate(f))
+        assert np.max(np.abs(back - f)) <= lut.step
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lo=st.floats(1e9, 35e9),
+        width=st.floats(0.1e9, 35e9),
+        n_knots=st.integers(2, 4096),
+        table=st.sampled_from([("single_port", 1), ("single_port", 2), ("ratio", 2)]),
+        at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+    )
+    def test_round_trip_across_tables(self, lo, width, n_knots, table, at):
+        # every band below the port-2 roll-off peak (~37 GHz) is monotone
+        band = (lo, min(lo + width, 36e9))
+        mode, port = table
+        lut = build_lut(MziModel(), band=band, mode=mode, port=port, n_knots=n_knots)
+        f = band[0] + np.array(at) * (band[1] - band[0])
         back = lut.invert(lut.evaluate(f))
         assert np.max(np.abs(back - f)) <= lut.step
 

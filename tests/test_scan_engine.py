@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -460,3 +461,32 @@ class TestPersistence:
         assert [ev.peak_time for ev in reloaded] == pytest.approx(
             [ev.peak_time for ev in events], rel=1e-9
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_trace_csv_refuses_non_finite_power(self, noiseless_models, drive, tmp_path, bad):
+        grid = TimeGrid(sample_rate=1e6, n_samples=100)
+        power = np.ones(grid.n_samples)
+        power[50] = bad
+        path = tmp_path / "trace.csv"
+        scan_trace_to_csv(ScanTrace(grid=grid, power=power, drive=drive), path)
+        error = re.escape(f"{path}: power samples must be finite")
+        with pytest.raises(ValueError, match=error):
+            scan_trace_from_csv(path, noiseless_models, drive)
+
+    def test_trace_csv_refuses_negative_power(self, noiseless_models, drive, tmp_path):
+        # a -5 W pulse on a -10 W floor has a level, and half of its negative
+        # peak lies above every sample, which pulse detection cannot take
+        grid = TimeGrid(sample_rate=1e6, n_samples=5000)
+        power = -10.0 + 5.0 * np.exp(-(((grid.times() - 2e-3) / 20e-6) ** 2))
+        path = tmp_path / "trace.csv"
+        scan_trace_to_csv(ScanTrace(grid=grid, power=power, drive=drive), path)
+        error = re.escape(f"{path}: power samples must be finite and >= 0")
+        with pytest.raises(ValueError, match=error):
+            scan_trace_from_csv(path, noiseless_models, drive)
+
+    def test_trace_csv_refuses_a_single_row(self, noiseless_models, drive, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time_s,power\n0.0,1.0\n")
+        error = re.escape(f"{path}: need at least 2 samples, got 1")
+        with pytest.raises(ValueError, match=error):
+            scan_trace_from_csv(path, noiseless_models, drive)
