@@ -14,6 +14,16 @@ exact product, which is the mantissa CPython prints (a result of exactly
 1e10 or 1e11 from a misjudged exponent still prints the right power of
 ten). The remaining values (non-finite except NaN, subnormal, |k| > 22, or
 near a rounding tie) are rendered by the f-string itself.
+
+Each value of a chunk fills a 19-byte token: a pad byte, the sign byte, the
+16 bytes ``d.dddddddddde+dd`` and the separator (comma or newline). The
+exponent with its ``e`` and sign is one 4-byte word from a table of the
+exponents -99..99 (vectorised values need only -12..33). A NaN or fallback
+text, at most 18 bytes, fills the slot before the separator from its start.
+Byte 0 never occurs in the text, so a chunk's output is its non-zero bytes.
+A chunk whose tokens are all full width (no sign, NaN text or fallback
+text) has pad and sign bytes of 0 and no other 0 byte: its output is then
+the last 17 bytes of every token, taken without testing a byte.
 """
 
 import numpy as np
@@ -40,17 +50,22 @@ _DIGITS4 = _DIGITS.view(np.uint32).ravel()
 _DIGITS2 = np.ascontiguousarray(_DIGITS[:100, 2:]).view(np.uint16).ravel()
 del _n
 
-# one column's bytes in a row: the slot (sign, d.dddd dddd dd e+dd, pad) and
-# the separator after it. Byte 0 marks an unused position (no sign, pad,
-# short fallback text); it never occurs in the text and is dropped on output.
+# the text e-99..e+99, each read as one integer, indexed by exponent + 99
+_EXP_MAX = 99
+_EXP4 = np.frombuffer(b"".join(b"e%+03d" % x for x in range(-_EXP_MAX, _EXP_MAX + 1)), np.uint32)
+
+# one column's bytes in a row: the slot (pad, sign, d.dddd dddd dd e+dd) and
+# the separator after it
 _TOKEN = np.dtype(
     {
-        "names": ["sign", "lead", "dot", "g1", "g2", "g3", "e", "esign", "exp", "pad", "sep"],
-        "formats": ["u1", "u1", "u1", "u4", "u4", "u2", "u1", "u1", "u2", "u1", "u1"],
-        "offsets": [0, 1, 2, 3, 7, 11, 13, 14, 15, 17, _SLOT],
+        "names": ["pad", "sign", "lead", "dot", "g1", "g2", "g3", "exp", "sep"],
+        "formats": ["u1", "u1", "u1", "u1", "u4", "u4", "u2", "u4", "u1"],
+        "offsets": [0, 1, 2, 3, 4, 8, 12, 14, _SLOT],
         "itemsize": _SLOT + 1,
     }
 )
+# a full-width token's text and separator: all bytes after its sign
+_FULL = slice(2, _TOKEN.itemsize)
 
 
 def _slot_text(text: bytes) -> np.ndarray:
@@ -58,24 +73,28 @@ def _slot_text(text: bytes) -> np.ndarray:
     return np.frombuffer(text.ljust(_SLOT, b"\0"), dtype=np.uint8)
 
 
-def _render_column(v, tok, raw, nan_slot):
-    """Fill the token fields tok (raw: the same row bytes) for column v."""
+def _render_column(v, tok, raw, nan_slot) -> bool:
+    """Fill the token fields tok (raw: the same slot bytes) for column v.
+
+    Returns whether every token is full width: no sign, NaN or fallback text.
+    """
     a = np.abs(v)
     finite = np.isfinite(v)
     zero = a == 0.0
+    # zero and non-finite values take exponent 0
     e = np.floor(np.log10(np.where(finite & ~zero, a, 1.0))).astype(np.int64)
     k = 10 - e
     ok = finite & (np.abs(k) <= _MAX_K)
     kc = np.clip(k, -_MAX_K, _MAX_K)
     with np.errstate(invalid="ignore"):  # inf and NaN rows leave the fast path below
-        scaled = np.where(kc >= 0, a * _POW10[np.maximum(kc, 0)], a / _POW10[np.maximum(-kc, 0)])
+        # one of the two factors is exactly 1.0
+        scaled = a * _POW10[np.maximum(kc, 0)] / _POW10[np.maximum(-kc, 0)]
         frac = scaled - np.floor(scaled)
     ok &= (scaled >= _M_LO) & (scaled <= _M_HI) & (np.abs(frac - 0.5) >= _TIE_GUARD)
     ok |= zero
 
     # the mantissa m < 2**37 is an exact float, and so is every split below
-    m = np.where(ok & ~zero, np.rint(scaled), 0.0)
-    e = np.where(zero, 0, e)
+    m = np.where(ok, np.rint(scaled), 0.0)
     carry = m == _M_HI
     m[carry] = _M_LO
     e[carry] += 1
@@ -84,22 +103,25 @@ def _render_column(v, tok, raw, nan_slot):
     lo = m - hi * 1e6
     lead = np.floor(hi / 1e4)
     mid = np.floor(lo / 100)
-    tok["sign"] = np.where(np.signbit(v), ord("-"), 0)
+    neg = np.signbit(v)
+    tok["pad"] = 0
+    tok["sign"] = np.where(neg, ord("-"), 0)
     tok["lead"] = lead + ord("0")
     tok["dot"] = ord(".")
     tok["g1"] = _DIGITS4.take((hi - lead * 1e4).astype(np.intp))
     tok["g2"] = _DIGITS4.take(mid.astype(np.intp))
     tok["g3"] = _DIGITS2.take((lo - mid * 100).astype(np.intp))
-    tok["e"] = ord("e")
-    tok["esign"] = np.where(e < 0, ord("-"), ord("+"))
-    tok["exp"] = _DIGITS2.take(np.abs(e) % 100)
-    tok["pad"] = 0
+    # exponents beyond two digits only occur on fallback rows, rewritten below
+    tok["exp"] = _EXP4.take(e + _EXP_MAX, mode="clip")
 
+    short = ~ok
+    if not short.any():
+        return not neg.any()
     isnan = np.isnan(v)
-    if isnan.any():
-        raw[isnan] = nan_slot
-    for i in np.flatnonzero(~ok & ~isnan):
+    raw[isnan] = nan_slot
+    for i in np.flatnonzero(short & ~isnan):
         raw[i] = _slot_text(f"{v[i]:.10e}".encode())
+    return False
 
 
 def render_rows(columns, nan: str = "nan") -> bytes:
@@ -112,11 +134,14 @@ def render_rows(columns, nan: str = "nan") -> bytes:
     rows = np.empty(cols[0].size, dtype=[(f"c{j}", _TOKEN) for j in range(len(cols))])
     raw = rows.view(np.uint8).reshape(rows.size, -1)
     nan_slot = _slot_text(nan.encode())
+    full = True
     for j, v in enumerate(cols):
         tok = rows[f"c{j}"]
         off = j * _TOKEN.itemsize
-        _render_column(v, tok, raw[:, off : off + _SLOT], nan_slot)
+        full &= _render_column(v, tok, raw[:, off : off + _SLOT], nan_slot)
         tok["sep"] = ord("\n") if j == len(cols) - 1 else ord(",")
+    if full:
+        return raw.reshape(rows.size, len(cols), _TOKEN.itemsize)[:, :, _FULL].tobytes()
     flat = rows.view(np.uint8)
     return flat[flat != 0].tobytes()
 

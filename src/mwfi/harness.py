@@ -176,8 +176,6 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         n = round(rate * drive.period * drive.n_periods)
         with cfg.blame("key 'scan.sample_rate_hz'"):
             grid = TimeGrid(sample_rate=rate, n_samples=n)
-            # the heater lag refuses too slow a rate; the run's scans share this axis
-            _scan_axis(models.mrr, drive, grid)
         plan.update(drive=drive, scan_grid=grid, cal_tones=tones)
     if mode in ("calibrate", "dynamic") or plan.get("method") == "ftpm":
         band = (cfg.get("ifm.band_lo_hz"), cfg.get("ifm.band_hi_hz"))
@@ -200,6 +198,11 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
             plan["ifm_grid"] = replace(grid, n_samples=round(rate * duration))
     single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
     cfg.require(single, "key 'ifm.mode'", "ftpm measure needs single_port")
+    if "scan_grid" in plan:
+        # last, since it loads scipy: the heater lag refuses too slow a rate,
+        # and the run's scans share this axis
+        with cfg.blame("key 'scan.sample_rate_hz'"):
+            _scan_axis(models.mrr, plan["drive"], plan["scan_grid"])
     return RunPlan(mode, **plan)
 
 

@@ -261,13 +261,11 @@ def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:
     ``len(snapshot.components) == 1`` and ``snapshot.components[0][0]``
     over the grid.
     """
-    tracks = component_tracks(scenario, grid)
-    out = np.full(grid.n_samples, np.nan)
-    if not tracks:
-        return out
-    freq = np.stack([f for f, _, _ in tracks])
-    active = np.stack([act for _, _, act in tracks])
-    first = freq[np.argmax(active, axis=0), np.arange(grid.n_samples)]
-    sole = active.any(axis=0) & np.all(~active | (freq == first), axis=0)
-    out[sole] = first[sole]
-    return out
+    # first: the frequency of the first active emitter in track order
+    first = np.full(grid.n_samples, np.nan)
+    sole = np.ones(grid.n_samples, dtype=bool)
+    for freq, _, active in component_tracks(scenario, grid):
+        np.copyto(first, freq, where=active & np.isnan(first))
+        sole &= ~active | (freq == first)
+    first[~sole] = np.nan
+    return first

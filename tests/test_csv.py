@@ -51,9 +51,17 @@ floats = st.one_of(
 )
 
 
+# positive normal floats of the vectorised domain: rows of these alone take
+# the fixed-width route of render_rows
+positive = st.floats(min_value=1e-12, max_value=1e33, exclude_max=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    rows=st.lists(st.tuples(floats, floats), min_size=1, max_size=40),
+    rows=st.one_of(
+        st.lists(st.tuples(floats, floats), min_size=1, max_size=40),
+        st.lists(st.tuples(positive, positive), min_size=1, max_size=40),
+    ),
     nan=st.sampled_from([None, "NOISE"]),
 )
 def test_render_rows_matches_fstring(rows, nan):
@@ -69,6 +77,12 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
     power = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 3, n)
     freq = rng.uniform(10e9, 20e9, n)
     freq[rng.random(n) < 0.4] = np.nan
+    # non-negative chunks take the fixed-width route; the second of four
+    # (the last one short) holds -0.0, a NaN and a 3-digit exponent
+    n_pos = 3 * CHUNK_ROWS + 5
+    pos_grid = TimeGrid(sample_rate=1e9, n_samples=n_pos)
+    positive = rng.uniform(1.0, 10.0, n_pos) * 10.0 ** rng.integers(-12, 32, n_pos)
+    positive[CHUNK_ROWS + np.array([3, 500, 4000])] = -0.0, np.nan, 1.5e-150
     # ratio-mode values are in dB; this band crosses 0 dB at quadrature
     lut = build_lut(MziModel(), band=(20e9, 50e9), mode="ratio", n_knots=n)
 
@@ -77,6 +91,8 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
          "time_s,power\n" + scalar_rows((grid.times(), power))),
         (ifm_trace_to_csv, IfmTrace(grid=grid, power=power, normalization=1.0),
          "time_s,power\n" + scalar_rows((grid.times(), power))),
+        (ifm_trace_to_csv, IfmTrace(grid=pos_grid, power=positive, normalization=1.0),
+         "time_s,power\n" + scalar_rows((pos_grid.times(), positive))),
         (inst_freq_to_csv, InstFreqEstimate(times=grid.times(), freq=freq),
          "time_s,freq_hz_or_NOISE\n" + scalar_rows((grid.times(), freq), nan="NOISE")),
         (lut_to_csv, lut,

@@ -827,15 +827,22 @@ class TestCli:
             (["dynamic", "--config", "fig6c"], 0, False),
             (["measure", "--config", "fig3b"], 0, False),  # FTPM
             (["measure", "--config", "{bad}"], 2, False),
+            # the scan axis is computed after the ifm keys are checked
+            (["calibrate", "--config", "{bad_ifm}"], 2, False),
             (["measure", "--config", "no_such_preset"], 2, False),
             (["measure", "--config", "fig3a"], 0, True),  # FTTM scans
         ],
-        ids=["dynamic", "ftpm", "bad config", "unknown preset", "fttm"],
+        ids=["dynamic", "ftpm", "bad config", "bad ifm key", "unknown preset", "fttm"],
     )
     def test_only_scan_runs_load_scipy(self, tmp_path, args, code, scipy):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("mode = measure\nmeasure.step_hz = 0\n")
-        argv = [a.format(bad=bad) for a in args] + ["--out", str(tmp_path / "out")]
+        configs = {
+            "bad": "mode = measure\nmeasure.step_hz = 0\n",
+            "bad_ifm": "mode = calibrate\nifm.port = 3\n",
+        }
+        paths = {name: tmp_path / f"{name}.cfg" for name in configs}
+        for name, text in configs.items():
+            paths[name].write_text(text)
+        argv = [a.format(**paths) for a in args] + ["--out", str(tmp_path / "out")]
         proc = subprocess.run(
             [sys.executable, "-c", self.COLD, *argv], capture_output=True, text=True
         )

@@ -191,6 +191,15 @@ def test_component_tracks_matches_scalar_path():
                 HopSpec(freqs=(13e9, 12e9), dwell=75e-9, start=1e-6, repeat=False),
             ),
         ),
+        # the first hop starts after the grid; the other two agree on 11 GHz
+        # and disagree (13 against 12 GHz) on alternate dwells
+        RfScenario(
+            hops=(
+                HopSpec(freqs=(15e9,), dwell=100e-9, start=5e-6),
+                HopSpec(freqs=(11e9, 13e9), dwell=100e-9),
+                HopSpec(freqs=(11e9, 12e9), dwell=100e-9),
+            ),
+        ),
         RfScenario(),
     ],
 )
