@@ -10,6 +10,7 @@ per-sample traces or its lookup table. Every run is deterministic given
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,10 +92,6 @@ class MetricsReport:
             out.append(f"{key} = {value}")
         out.append(f"runtime_s = {self.runtime_s:.3f}")
         return out
-
-    def save(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(self.lines()) + "\n")
 
 
 def expected_label(scenario: RfScenario) -> ClassLabel:
@@ -219,19 +216,16 @@ def _fit_quality(plan: RunPlan, table: CalibrationTable) -> dict:
     return extras
 
 
-def _run_calibrate(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
+def _run_calibrate(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
-    table.save(out / "calibration.txt")
-    if keep_all:
-        lut_to_csv(plan.lut, out / "lut.csv")
     report.extras.update(_fit_quality(plan, table))
+    return {"calibration.txt": table.save, "lut.csv": partial(lut_to_csv, plan.lut)}
 
 
-def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
+def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     fttm = plan.method == "fttm"
     if fttm:
         table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
-        table.save(out / "calibration.txt")
     ests = np.empty(plan.tones.size)
     for i, f in enumerate(plan.tones):
         tone = RfScenario(tones=(ToneSpec(freq=f),))
@@ -248,17 +242,18 @@ def _run_measure(plan: RunPlan, seed: int, out: Path, report: MetricsReport, kee
             ests[i] = estimate_static_frequency(trace, plan.lut, plan.noise_floor)
 
     truths, errors = plan.tones, ests - plan.tones
-    write_columns(out / "estimates.csv", "truth_hz,estimate_hz,error_hz\n", (truths, ests, errors))
     report.per_tone_errors_hz = errors.tolist()
     report.rms_error_hz = rms_error(ests, truths)
+    header = "truth_hz,estimate_hz,error_hz\n"
+    writes = {"calibration.txt": table.save} if fttm else {}
+    writes["estimates.csv"] = lambda path: write_columns(path, header, (truths, ests, errors))
+    return writes
 
 
-def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
+def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
     models = plan.seeded_models(derive_seed(seed, STAGE_CLASSIFY, 0))
     trace = simulate_scan(plan.scenario, models, plan.drive, plan.scan_grid)
-    if keep_all:
-        scan_trace_to_csv(trace, out / "scan_trace.csv")
     events = detect_pulses(trace)
     features = compute_features(events, trace)
     label = classify(features)
@@ -302,13 +297,12 @@ def _run_classify(plan: RunPlan, seed: int, out: Path, report: MetricsReport, ke
             if len(hops) == len(truths):
                 report.rms_error_hz = rms_error(hops, truths)
                 report.per_tone_errors_hz = [e - t for e, t in zip(hops, truths)]
+    return {"scan_trace.csv": partial(scan_trace_to_csv, trace)}
 
 
-def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
+def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
     models = plan.seeded_models(derive_seed(seed, STAGE_DYNAMIC, 0))
-    if keep_all:
-        lut_to_csv(lut, out / "lut.csv")
     if lut.mode == "ratio":
         # ratio extraction compares the two complementary ports
         trace = simulate_ifm(scenario, models, grid, port=1, band=lut.band)
@@ -317,11 +311,7 @@ def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, kee
     else:
         trace = simulate_ifm(scenario, models, grid, port=lut.port, band=lut.band)
         reference = None
-    if keep_all:
-        ifm_trace_to_csv(trace, out / "ifm_trace.csv")
     est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, reference)
-    if keep_all:
-        inst_freq_to_csv(est, out / "inst_freq.csv")
 
     # score samples that are not noise and where the scenario has one frequency
     diff = est.freq - sole_component_freq(scenario, grid)
@@ -330,13 +320,18 @@ def _run_dynamic(plan: RunPlan, seed: int, out: Path, report: MetricsReport, kee
         report.rms_error_hz = float(np.sqrt(np.mean(errors**2)))
     report.extras["n_samples"] = str(est.freq.size)
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
+    return {"lut.csv": partial(lut_to_csv, lut), "ifm_trace.csv": partial(ifm_trace_to_csv, trace),
+            "inst_freq.csv": partial(inst_freq_to_csv, est)}
 
 
-def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_all=True):
-    # sub-runs keep what the sweep aggregates; rerunning the target mode at
-    # one seed rebuilds that seed's traces and lookup table byte for byte
+# what a sweep sub-run leaves out: the per-sample traces, which the target mode
+# rebuilds byte for byte at the sub-run's seed, and lut.csv, which no seed changes
+_SWEEP_DROPS = frozenset({"scan_trace.csv", "ifm_trace.csv", "inst_freq.csv", "lut.csv"})
+
+
+def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport) -> dict:
     rows = [
-        _run_mode(plan.target, seed + k, out / f"seed_{seed + k}", keep_all=False)
+        _run_mode(plan.target, seed + k, out / f"seed_{seed + k}", drop=_SWEEP_DROPS)
         for k in range(plan.n_seeds)
     ]
 
@@ -356,34 +351,38 @@ def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport, keep_
         report.extras["classification_accuracy"] = f"{correct / len(labels):.4f}"
     report.extras["n_seeds"] = str(plan.n_seeds)
 
-    with open(out / "sweep.csv", "w", newline="\n") as fh:
-        fh.write("seed,rms_error_hz,span_error_frac,classification\n")
-        for r in rows:
-            rms = f"{r.rms_error_hz:.10e}" if r.rms_error_hz is not None else ""
-            spn = f"{r.span_error_frac:.10e}" if r.span_error_frac is not None else ""
-            fh.write(f"{r.seed},{rms},{spn},{r.classification or ''}\n")
+    table = "seed,rms_error_hz,span_error_frac,classification\n"
+    for r in rows:
+        rms = f"{r.rms_error_hz:.10e}" if r.rms_error_hz is not None else ""
+        spn = f"{r.span_error_frac:.10e}" if r.span_error_frac is not None else ""
+        table += f"{r.seed},{rms},{spn},{r.classification or ''}\n"
+    return {"sweep.csv": lambda path: path.write_text(table, newline="\n")}
 
 
-# Each runner takes (plan, seed, out, report, keep_all); keep_all=False skips
-# what a sweep does not keep: the per-sample trace CSVs (scan_trace.csv,
-# ifm_trace.csv, inst_freq.csv) and lut.csv, which does not depend on the seed.
 _MODE_RUNNERS = {
     "calibrate": _run_calibrate,
     "measure": _run_measure,
     "classify": _run_classify,
     "dynamic": _run_dynamic,
-    "sweep": _run_sweep,
 }
 
 
-def _run_mode(plan: RunPlan, seed: int, out: Path, keep_all=True) -> MetricsReport:
-    """Run plan's mode at seed into out and save its timed report.txt."""
+def _run_mode(plan: RunPlan, seed: int, out: Path, drop=frozenset()) -> MetricsReport:
+    """Run plan's mode at seed, then write into out its artifacts not named in
+    drop and its timed report.txt. Runners return their artifacts as {file
+    name: write(path)} and write nothing, so a failed stage leaves out as is."""
     started = time.perf_counter()
-    out.mkdir(parents=True, exist_ok=True)
     report = MetricsReport(mode=plan.mode, seed=seed)
-    _MODE_RUNNERS[plan.mode](plan, seed, out, report, keep_all)
+    if plan.mode == "sweep":
+        writes = _run_sweep(plan, seed, out, report)
+    else:
+        writes = _MODE_RUNNERS[plan.mode](plan, seed, report)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in writes.items():
+        if name not in drop:
+            write(out / name)
     report.runtime_s = time.perf_counter() - started
-    report.save(out / "report.txt")
+    (out / "report.txt").write_text("\n".join(report.lines()) + "\n", newline="\n")
     return report
 
 

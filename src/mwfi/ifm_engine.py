@@ -57,6 +57,10 @@ class AcfLut:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.mode not in ("single_port", "ratio"):
+            raise ValueError(f"unknown LUT mode {self.mode!r}")
+        if self.port not in (1, 2):
+            raise ValueError(f"port must be 1 or 2, got {self.port!r}")
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         d = np.diff(self.values)
@@ -155,13 +159,11 @@ def build_lut(
     if mode == "single_port":
         values = _single_tone_power(modulator, mzi, port, freqs)
         values = values / float(np.max(values))
-    elif mode == "ratio":
+    else:  # ratio; AcfLut refuses any other mode
         values = 10.0 * np.log10(
             _single_tone_power(modulator, mzi, 1, freqs)
             / _single_tone_power(modulator, mzi, 2, freqs)
         )
-    else:
-        raise ValueError(f"unknown LUT mode {mode!r}")
     return AcfLut(mode=mode, port=port, band=(f_lo, f_hi), freqs=freqs, values=values)
 
 
@@ -266,19 +268,29 @@ def lut_to_csv(lut: AcfLut, path):
 
 
 def lut_from_csv(path) -> AcfLut:
+    """Reload a table written by lut_to_csv; a malformed file raises a
+    ValueError that names path."""
     with open(path) as fh:
         header = fh.readline().strip()
-    if not header.startswith("#"):
-        raise ValueError(f"{path}: missing LUT header line")
-    meta = dict(item.split("=", 1) for item in header[1:].split())
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return AcfLut(
-        mode=meta["mode"],
-        port=int(meta["port"]),
-        band=(float(meta["f_lo_hz"]), float(meta["f_hi_hz"])),
-        freqs=data[:, 0],
-        values=data[:, 1],
-    )
+    try:
+        if not header.startswith("#"):
+            raise ValueError("missing LUT header line")
+        meta = dict(item.split("=", 1) for item in header[1:].split() if "=" in item)
+        missing = [key for key in ("mode", "port", "f_lo_hz", "f_hi_hz") if key not in meta]
+        if missing:
+            raise ValueError(f"LUT header has no {', '.join(missing)}")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1))
+        if len(data) < 2:
+            raise ValueError(f"need at least 2 knots, got {len(data)}")
+        return AcfLut(
+            mode=meta["mode"],
+            port=int(meta["port"]),
+            band=(float(meta["f_lo_hz"]), float(meta["f_hi_hz"])),
+            freqs=data[:, 0],
+            values=data[:, 1],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def ifm_trace_to_csv(trace: IfmTrace, path):

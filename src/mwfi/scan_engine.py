@@ -202,13 +202,17 @@ class CalibrationTable:
 
     @classmethod
     def load(cls, path):
+        """Reload a table written by save; a malformed file raises a
+        ValueError that names path."""
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh.readlines() if ln.strip()]
+            lines = [ln.split() for ln in fh if ln.strip()]
         if len(lines) != 3:
             raise ValueError(f"{path}: expected 3 lines, got {len(lines)}")
-        a, b, c = (float(x) for x in lines[0].split())
-        t0, t1 = (float(x) for x in lines[1].split())
-        return cls((a, b, c), (t0, t1), float(lines[2]))
+        try:
+            (a, b, c), (t0, t1), (rms,) = ([float(x) for x in ln] for ln in lines)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls((a, b, c), (t0, t1), rms)
 
 
 @functools.lru_cache(maxsize=1)
@@ -518,8 +522,8 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
     The file holds only times and power; the pulse width hint and settle
     time come from the models and drive that produced it, as in
     simulate_scan, so the reloaded trace detects the same events. A file with
-    fewer than 2 rows, or a power sample that detected power cannot take
-    (negative or not finite), is refused.
+    fewer than 2 rows, time stamps that do not increase, or a power sample
+    that detected power cannot take (negative or not finite), is refused.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if len(data) < 2:
@@ -527,8 +531,10 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
     power = data[:, 1]
     if not np.all((power >= 0) & (power < np.inf)):
         raise ValueError(f"{path}: power samples must be finite and >= 0")
-    t = data[:, 0]
-    rate = 1.0 / float(np.median(np.diff(t)))
+    t, dt = data[:, 0], np.diff(data[:, 0])
+    if not np.all(dt > 0):
+        raise ValueError(f"{path}: time stamps must increase row by row")
+    rate = 1.0 / float(np.median(dt))
     grid = TimeGrid(sample_rate=rate, n_samples=len(t), t0=float(t[0]))
     hint, settle = _scan_timing(models, drive)
     return ScanTrace(

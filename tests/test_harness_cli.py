@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
 from mwfi.config import _EMITTERS, _RUN, _SECTIONS, MODES, ConfigError, RunConfig
-from mwfi.harness import MetricsReport, build_plan, expected_label, rms_error, run
+from mwfi.harness import _SWEEP_DROPS, MetricsReport, build_plan, expected_label, rms_error, run
 from mwfi.ifm_engine import DEFAULT_BAND, build_lut, extract_inst_freq
 from mwfi.photonic_link import LinkModels, PdModel
 from mwfi.presets import list_presets, preset_path
@@ -186,6 +186,16 @@ FAST_MEASURE = (
 )
 
 
+# a small config of each sweep target mode: 3 calibration tones at 1 MS/s,
+# one measured tone, a 200 ns dynamic run
+SWEEP_TARGETS = {
+    "calibrate": "calibration.step_hz = 5e9",
+    "measure": "calibration.step_hz = 5e9\nmeasure.lo_hz = 15e9\nmeasure.hi_hz = 15e9",
+    "classify": "calibration.step_hz = 5e9\nscenario.tone1.freq_hz = 12e9",
+    "dynamic": "ifm.duration_s = 200e-9\nscenario.tone1.freq_hz = 14e9",
+}
+
+
 def _read_report(path) -> dict:
     return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
 
@@ -308,22 +318,24 @@ class TestRun:
         assert ("fit_residual_rms_hz" in _read_report(tmp_path / "report.txt")) == residual
         assert len((tmp_path / "calibration.txt").read_text().splitlines()) == 3
 
-    def test_single_run_rebuilds_a_sweep_seed(self, tmp_path):
+    @pytest.mark.parametrize("mode", SWEEP_TARGETS)
+    def test_single_run_rebuilds_a_sweep_seed(self, tmp_path, mode):
         # the sweep's config and one of its seeds, run in the target mode,
-        # give that seed's report and write the trace the sweep left out
+        # give that seed's files and write the ones the sweep left out
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(
-            "mode = sweep\nsweep.mode = classify\nsweep.n_seeds = 2\n"
-            "calibration.step_hz = 5e9\nscenario.tone1.freq_hz = 12e9\n"
-        )
+        lines = SWEEP_TARGETS[mode]
+        cfg.write_text(f"mode = sweep\nsweep.mode = {mode}\nsweep.n_seeds = 2\n{lines}\n")
         sweep, single = tmp_path / "sweep", tmp_path / "single"
         assert main(["sweep", "--config", str(cfg), "--seed", "5", "--out", str(sweep)]) == 0
-        assert main(["classify", "--config", str(cfg), "--seed", "6", "--out", str(single)]) == 0
-        kept = _read_report(sweep / "seed_6" / "report.txt")
-        rebuilt = _read_report(single / "report.txt")
-        del kept["runtime_s"], rebuilt["runtime_s"]
-        assert kept == rebuilt
-        assert (single / "scan_trace.csv").exists()
+        assert main([mode, "--config", str(cfg), "--seed", "6", "--out", str(single)]) == 0
+        kept = sweep / "seed_6"
+        names = {p.name for p in kept.iterdir()}
+        assert names == {p.name for p in single.iterdir()} - _SWEEP_DROPS
+        for name in names - {"report.txt"}:
+            assert (kept / name).read_bytes() == (single / name).read_bytes(), name
+        report, rebuilt = _read_report(kept / "report.txt"), _read_report(single / "report.txt")
+        del report["runtime_s"], rebuilt["runtime_s"]
+        assert report == rebuilt
 
     def test_sweep_needs_target_mode(self, tmp_path):
         cfg = RunConfig.from_text("mode = sweep\nsweep.mode = sweep\n")
@@ -807,10 +819,14 @@ class TestCli:
         bad = tmp_path / "oob.cfg"
         bad.write_text(
             "mode = measure\nmeasure.lo_hz = 2e9\nmeasure.hi_hz = 3e9\nmeasure.step_hz = 1e9\n"
+            "calibration.step_hz = 5e9\n"
         )
-        proc = self._run("measure", "--config", str(bad), "--out", str(tmp_path))
+        out = tmp_path / "out"
+        proc = self._run("measure", "--config", str(bad), "--out", str(out))
         assert proc.returncode == 1
         assert "error" in proc.stderr
+        # the stage failed before any artifact was written
+        assert not out.exists()
 
     # runs the CLI in a cold interpreter, then prints its exit code and the
     # scipy modules it loaded

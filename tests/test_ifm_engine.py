@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,25 @@ class TestBuildLut:
         assert loaded.mode == lut.mode and loaded.port == lut.port
         assert loaded.band == pytest.approx(lut.band)
         np.testing.assert_allclose(loaded.values, lut.values, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda head, rows: head + rows[:1], "need at least 2 knots, got 1"),
+            (lambda head, rows: [head[0].replace(" port=2", "")] + rows, "header has no port"),
+            (lambda head, rows: [head[0].replace("single_port", "bogus")] + rows, "LUT mode"),
+            (lambda head, rows: [head[0].replace("port=2", "port=3")] + rows, "port must be 1 or 2"),
+            (lambda head, rows: head + ["1e10,x\n"] + rows, "could not convert"),
+        ],
+        ids=["one knot", "no port", "unknown mode", "port 3", "not a number"],
+    )
+    def test_csv_refuses_a_malformed_file(self, tmp_path, edit, error):
+        path = tmp_path / "lut.csv"
+        lut_to_csv(build_lut(MziModel(), n_knots=4), path)
+        head, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit([head], rows)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + error):
+            lut_from_csv(path)
 
 
 class TestSimulateIfm:

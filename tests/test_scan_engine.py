@@ -439,6 +439,12 @@ class TestPersistence:
         assert loaded.valid_range == pytest.approx(table_1ms.valid_range)
         assert loaded.fit_residual_rms == pytest.approx(table_1ms.fit_residual_rms)
 
+    def test_calibration_table_refuses_a_non_numeric_field(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("1.0 2.0 3.0\n0.0 x\n0.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert")):
+            CalibrationTable.load(path)
+
     def test_trace_csv_round_trip(self, noiseless_models, tmp_path):
         # two periods: the reload must keep the settle window, or the
         # post-reset flyback crossing reads as a third pulse
@@ -488,5 +494,12 @@ class TestPersistence:
         path = tmp_path / "trace.csv"
         path.write_text("time_s,power\n0.0,1.0\n")
         error = re.escape(f"{path}: need at least 2 samples, got 1")
+        with pytest.raises(ValueError, match=error):
+            scan_trace_from_csv(path, noiseless_models, drive)
+
+    def test_trace_csv_refuses_repeated_time_stamps(self, noiseless_models, drive, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("time_s,power\n0.0,1.0\n0.0,1.0\n0.0,1.0\n")
+        error = re.escape(f"{path}: time stamps must increase")
         with pytest.raises(ValueError, match=error):
             scan_trace_from_csv(path, noiseless_models, drive)
