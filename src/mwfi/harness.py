@@ -42,6 +42,7 @@ from .scan_engine import (
     measure_span,
     scan_trace_to_csv,
     simulate_scan,
+    tone_scans,
 )
 from .seeding import (
     STAGE_CLASSIFY,
@@ -65,8 +66,8 @@ def rms_error(estimates, truths) -> float:
 
 @dataclass
 class MetricsReport:
-    """Per-run metrics; rms_error_hz is always the RMS of per_tone_errors_hz
-    when both are present."""
+    """Per-run metrics; score sets per_tone_errors_hz, so rms_error_hz is
+    always their RMS when both are present."""
 
     mode: str
     seed: int
@@ -92,6 +93,12 @@ class MetricsReport:
             out.append(f"{key} = {value}")
         out.append(f"runtime_s = {self.runtime_s:.3f}")
         return out
+
+    def score(self, estimates, truths):
+        """Set per-tone errors and their RMS where estimates and truths pair off."""
+        if 0 < len(truths) == len(estimates):
+            self.per_tone_errors_hz = np.subtract(estimates, truths).tolist()
+            self.rms_error_hz = rms_error(estimates, truths)
 
 
 def expected_label(scenario: RfScenario) -> ClassLabel:
@@ -199,7 +206,13 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         # last, since it loads scipy: the heater lag refuses too slow a rate,
         # and the run's scans share this axis
         with cfg.blame("key 'scan.sample_rate_hz'"):
-            _scan_axis(models.mrr, plan["drive"], plan["scan_grid"])
+            f_s = _scan_axis(models.mrr, plan["drive"], plan["scan_grid"])[0]
+        # a tone the resonance never reaches gives at most a tail "pulse"
+        lo, hi = float(f_s.min()), float(f_s.max())
+        for section, key in (("calibration", "cal_tones"), ("measure", "tones")):
+            for f in plan.get(key, ()):
+                cfg.require(lo <= f <= hi, f"section '{section}'", f"tone {f / 1e9:.3f} GHz"
+                            f" lies outside the scan's reach {lo / 1e9:.3f}..{hi / 1e9:.3f} GHz")
     return RunPlan(mode, **plan)
 
 
@@ -223,30 +236,28 @@ def _run_calibrate(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
 
 
 def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
-    fttm = plan.method == "fttm"
-    if fttm:
-        table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
-    ests = np.empty(plan.tones.size)
-    for i, f in enumerate(plan.tones):
-        tone = RfScenario(tones=(ToneSpec(freq=f),))
-        if fttm:
-            models = plan.seeded_models(derive_seed(seed, STAGE_MEASURE, i))
-            trace = simulate_scan(tone, models, plan.drive, plan.scan_grid)
-            found = [e for e in estimate_frequencies(detect_pulses(trace), table) if e is not None]
+    ests, writes = np.empty(plan.tones.size), {}
+    if plan.method == "fttm":
+        models = plan.seeded_models(seed)
+        table = calibrate(models, plan.drive, plan.cal_tones, plan.scan_grid)
+        scans = tone_scans(models, plan.drive, plan.scan_grid, plan.tones, STAGE_MEASURE)
+        for i, (f, events) in enumerate(zip(plan.tones, scans)):
+            found = estimate_frequencies(events, table)
             if len(found) != 1:
                 raise RuntimeError(f"tone {f / 1e9:.3f} GHz gave {len(found)} in-band pulses")
             ests[i] = found[0]
-        else:
+        writes["calibration.txt"] = table.save
+    else:
+        for i, f in enumerate(plan.tones):
+            tone = RfScenario(tones=(ToneSpec(freq=f),))
             models = plan.seeded_models(derive_seed(seed, STAGE_FTPM, i))
             trace = simulate_ifm(tone, models, plan.ifm_grid, plan.lut.port, plan.lut.band)
             ests[i] = estimate_static_frequency(trace, plan.lut, plan.noise_floor)
 
-    truths, errors = plan.tones, ests - plan.tones
-    report.per_tone_errors_hz = errors.tolist()
-    report.rms_error_hz = rms_error(ests, truths)
+    report.score(ests, plan.tones)
     header = "truth_hz,estimate_hz,error_hz\n"
-    writes = {"calibration.txt": table.save} if fttm else {}
-    writes["estimates.csv"] = lambda path: write_columns(path, header, (truths, ests, errors))
+    columns = (plan.tones, ests, report.per_tone_errors_hz)
+    writes["estimates.csv"] = lambda path: write_columns(path, header, columns)
     return writes
 
 
@@ -277,12 +288,9 @@ def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
         report.extras["continuous"] = str(features.continuous).lower()
 
     if label in (ClassLabel.SINGLE_FREQUENCY, ClassLabel.MULTIPLE_FREQUENCY):
-        ests = [e for e in estimate_frequencies(events, table) if e is not None]
-        report.extras["estimated_freqs_hz"] = ",".join(f"{e:.6e}" for e in sorted(ests))
-        truths = sorted(t.freq for t in plan.scenario.tones)
-        if len(ests) == len(truths):
-            report.per_tone_errors_hz = [e - t for e, t in zip(sorted(ests), truths)]
-            report.rms_error_hz = rms_error(sorted(ests), truths)
+        ests = sorted(estimate_frequencies(events, table))
+        report.extras["estimated_freqs_hz"] = ",".join(f"{e:.6e}" for e in ests)
+        report.score(ests, sorted(t.freq for t in plan.scenario.tones))
     elif label is ClassLabel.CHIRPED:
         span = measure_span(trace, table)
         report.extras["measured_span_hz"] = f"{span:.6e}"
@@ -293,25 +301,19 @@ def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
         hops = estimate_hop_set(events, table)
         report.extras["estimated_hop_set_hz"] = ",".join(f"{h:.6e}" for h in hops)
         if len(plan.scenario.hops) == 1:
-            truths = sorted(plan.scenario.hops[0].freqs)
-            if len(hops) == len(truths):
-                report.rms_error_hz = rms_error(hops, truths)
-                report.per_tone_errors_hz = [e - t for e, t in zip(hops, truths)]
+            report.score(hops, sorted(plan.scenario.hops[0].freqs))
     return {"scan_trace.csv": partial(scan_trace_to_csv, trace)}
 
 
 def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
-    models = plan.seeded_models(derive_seed(seed, STAGE_DYNAMIC, 0))
-    if lut.mode == "ratio":
-        # ratio extraction compares the two complementary ports
-        trace = simulate_ifm(scenario, models, grid, port=1, band=lut.band)
-        models2 = plan.seeded_models(derive_seed(seed, STAGE_DYNAMIC, 1))
-        reference = simulate_ifm(scenario, models2, grid, port=2, band=lut.band)
-    else:
-        trace = simulate_ifm(scenario, models, grid, port=lut.port, band=lut.band)
-        reference = None
-    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, reference)
+    # the k-th port the table reads draws its noise from (seed, STAGE_DYNAMIC, k)
+    seeds = (derive_seed(seed, STAGE_DYNAMIC, k) for k in range(len(lut.ports)))
+    trace, *reference = [
+        simulate_ifm(scenario, plan.seeded_models(s), grid, port, lut.band)
+        for s, port in zip(seeds, lut.ports)
+    ]
+    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, *reference)
 
     # score samples that are not noise and where the scenario has one frequency
     diff = est.freq - sole_component_freq(scenario, grid)

@@ -68,6 +68,11 @@ class AcfLut:
             raise ValueError("LUT values must be strictly monotone over the band")
 
     @property
+    def ports(self) -> tuple:
+        """The MZI ports the table reads: both for a ratio, else its own."""
+        return (1, 2) if self.mode == "ratio" else (self.port,)
+
+    @property
     def rising(self) -> bool:
         return bool(self.values[-1] > self.values[0])
 

@@ -211,12 +211,9 @@ def mrr_drop_response(model: MrrModel, detuning):
     return np.divide(1.0, x, out=x)[()]
 
 
-def mrr_resonance_offset(model: MrrModel, v_effective):
-    """Tracked-resonance offset above the carrier for an effective drive voltage."""
-    v = np.asarray(v_effective, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("v_effective must be >= 0")
-    return model.f_offset0 + model.k_thermal * v**2
+def mrr_resonance_offset(model: MrrModel, drive_power):
+    """Tracked-resonance offset above the carrier for a heater drive power V^2."""
+    return model.f_offset0 + model.k_thermal * np.asarray(drive_power, dtype=float)
 
 
 def thermal_lag(drive_power, tau: float, grid: TimeGrid) -> np.ndarray:

@@ -70,8 +70,9 @@ class SawtoothDrive:
     n_periods: int = 1
 
     def __post_init__(self):
-        if self.v_max <= self.v_min:
-            raise ValueError("need v_max > v_min")
+        # a ramp through 0 V would heat, cool and heat again: the scan turns back
+        if not 0 <= self.v_min < self.v_max:
+            raise ValueError("need 0 <= v_min < v_max")
         if self.period <= 0 or self.n_periods < 1:
             raise ValueError("period must be > 0 and n_periods >= 1")
 
@@ -171,7 +172,6 @@ class PulseEvent:
 
     peak_time: float  # s, delay from sawtooth start
     peak_power: float
-    width: float  # s, above-threshold extent
     fill_randomness: float  # fraction of half-max-interior samples below half max
 
 
@@ -224,9 +224,7 @@ def _scan_axis(mrr: MrrModel, drive: SawtoothDrive, grid: TimeGrid):
     cache when a run ends.
     """
     v = drive.voltage(grid.times())
-    v2_eff = thermal_lag(v**2, mrr.tau_thermal, grid)
-    # offset law evaluated on lagged V^2 directly (avoids sqrt/square round trip)
-    f_s = mrr.f_offset0 + mrr.k_thermal * v2_eff
+    f_s = mrr_resonance_offset(mrr, thermal_lag(v**2, mrr.tau_thermal, grid))
     carrier = mrr_drop_response(mrr, 0.0 - f_s)
     f_s.setflags(write=False)
     carrier.setflags(write=False)
@@ -280,10 +278,8 @@ def simulate_scan(
 
 def _scan_timing(models: LinkModels, drive: SawtoothDrive):
     """(pulse_width_hint, settle_time) of a scan, as ScanTrace defines them."""
-    span = mrr_resonance_offset(models.mrr, drive.v_max) - mrr_resonance_offset(
-        models.mrr, drive.v_min
-    )
-    return float(models.mrr.fwhm / (span / drive.period)), 10.0 * models.mrr.tau_thermal
+    lo, hi = mrr_resonance_offset(models.mrr, np.square((drive.v_min, drive.v_max)))
+    return float(models.mrr.fwhm / ((hi - lo) / drive.period)), 10.0 * models.mrr.tau_thermal
 
 
 def _above_threshold_runs(above: np.ndarray):
@@ -361,17 +357,15 @@ def detect_pulses(trace: ScanTrace) -> list:
         bounds = [0, *minima, seg.size]
         for s0, s1 in zip(bounds, bounds[1:]):
             sub = seg[s0:s1]
-            above = np.flatnonzero(sub > threshold)
-            if above.size == 0:
-                continue
             peak_idx = int(np.argmax(sub))  # argmax takes the earliest tie
+            if sub[peak_idx] <= threshold:
+                continue
             # the grid's time of sample k, as TimeGrid.times() computes it
             peak_time = grid.t0 + (start + s0 + peak_idx) / grid.sample_rate
             events.append(
                 PulseEvent(
                     peak_time=float(peak_time % trace.drive.period),
                     peak_power=float(sub[peak_idx]),
-                    width=float((above[-1] - above[0] + 1) * grid.dt),
                     fill_randomness=_fill_randomness(sub),
                 )
             )
@@ -380,6 +374,15 @@ def detect_pulses(trace: ScanTrace) -> list:
         events = [ev for ev in events if ev.peak_time >= trace.settle_time]
     events.sort(key=lambda ev: ev.peak_time)
     return events
+
+
+def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, stage: int):
+    """detect_pulses of one scan per tone; tone i's detector noise is drawn
+    from (models.pd.seed, stage, i)."""
+    for i, f in enumerate(tone_freqs):
+        pd_i = replace(models.pd, seed=derive_seed(models.pd.seed, stage, i))
+        tone = RfScenario(tones=(ToneSpec(freq=f),))
+        yield detect_pulses(simulate_scan(tone, replace(models, pd=pd_i), drive, grid))
 
 
 def calibrate(
@@ -398,11 +401,7 @@ def calibrate(
     if len(tone_freqs) < 3:
         raise CalibrationError("need at least 3 calibration tones for a quadratic fit")
     delays = []
-    for i, f in enumerate(tone_freqs):
-        pd_i = replace(models.pd, seed=derive_seed(models.pd.seed, STAGE_CAL, i))
-        models_i = replace(models, pd=pd_i)
-        trace = simulate_scan(RfScenario(tones=(ToneSpec(freq=f),)), models_i, drive, grid)
-        events = detect_pulses(trace)
+    for f, events in zip(tone_freqs, tone_scans(models, drive, grid, tone_freqs, STAGE_CAL)):
         if len(events) != 1:
             raise CalibrationError(
                 f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"
@@ -425,20 +424,15 @@ def calibrate(
 
 
 def estimate_frequencies(events, table: CalibrationTable) -> list:
-    """Map pulse delays to frequencies; None for events outside the table.
+    """Frequencies of the events inside the table's delay range, in order.
 
     Events beyond the fitted delay range (plus a small jitter margin) are
-    flagged rather than extrapolated.
+    left out rather than extrapolated.
     """
     t0, t1 = table.valid_range
     margin = VALID_RANGE_MARGIN * (t1 - t0)
-    out = []
-    for ev in events:
-        if t0 - margin <= ev.peak_time <= t1 + margin:
-            out.append(float(table.freq_at(ev.peak_time)))
-        else:
-            out.append(None)
-    return out
+    inside = (ev.peak_time for ev in events if t0 - margin <= ev.peak_time <= t1 + margin)
+    return [float(table.freq_at(t)) for t in inside]
 
 
 def _occupancy_edges(above: np.ndarray, window: int):
@@ -506,7 +500,7 @@ def estimate_hop_set(events, table: CalibrationTable) -> list:
     """
     if not events:
         raise ValueError("no sub-envelopes detected")
-    freqs = [f for f in estimate_frequencies(events, table) if f is not None]
+    freqs = estimate_frequencies(events, table)
     if not freqs:
         raise ValueError("all sub-envelopes fall outside the calibrated range")
     return sorted(freqs)

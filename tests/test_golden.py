@@ -1,10 +1,11 @@
 """Byte-stability of run artifacts: SHA-256 digests pinned per file.
 
-Every artifact of three shipped presets, four tiny FTTM configs and a tiny
-classify sweep is hashed, sub-run directories included; report.txt is hashed
-without its runtime_s line. A change to the numerics, the CSV formatting or
-the report layout fails here. Update a digest only for a deliberate change of
-output, and record why in CHANGES.md.
+Every artifact of three shipped presets, four tiny FTTM configs, a tiny
+classify sweep and a tiny ratio-mode dynamic run is hashed, sub-run
+directories included; report.txt is hashed without its runtime_s line. A
+change to the numerics, the CSV formatting or the report layout fails here.
+Update a digest only for a deliberate change of output, and record why in
+CHANGES.md.
 """
 
 import hashlib
@@ -69,6 +70,20 @@ scenario.tone1.freq_hz = 10e9
 scenario.tone2.freq_hz = 15e9
 """
 
+# fig6f's hops and bandstop read through the two-port ratio lookup
+TINY_RATIO = """\
+mode = dynamic
+scenario.hop1.freqs_hz = 10e9,13e9,15e9,17e9
+scenario.hop1.dwell_s = 80e-9
+notch.enabled = true
+notch.centers_hz = 9.75e9,10e9,10.25e9
+notch.fwhm_each_hz = 300e6
+notch.rejection_db = 20
+ifm.sample_rate_hz = 1e9
+ifm.duration_s = 2e-6
+ifm.mode = ratio
+"""
+
 GOLDEN = {
     "fig3b": {
         "estimates.csv": "64e84fca58e70c355ee9796a349bdb8acb959131ee81187ad953830fcece53e9",
@@ -98,6 +113,12 @@ GOLDEN = {
         "report.txt": "2ba86615c2e911a3cee93a9d0670cd85358467eac181f1f1ff39677b7e44a0ae",
         "scan_trace.csv": "2b8b25389ba366fe75e2f648112c181f2f0a2faa19ace17eae43c874c5082c40",
     },
+    "tiny_ratio": {
+        "ifm_trace.csv": "e32546521a18f1282b3c0bc038d28468ef102addd416ab9de7ac8208dbf76a78",
+        "inst_freq.csv": "1ba63a19a1b48f0bc1252326c687b21e6ab2fcb485fe049f184981c0b4e5c51b",
+        "lut.csv": "123f2c8c80818bb4ae24a3ffc9e430ad7599c10a0186cf29b9e5757aefcc9053",
+        "report.txt": "abee6c32626d1acd8dd0b8d62d980b095aa12db02890b5323a98f6b99162bc42",
+    },
     "tiny_sweep": {
         "report.txt": "5ffb16462ad471c9f67196103d6acde29948477d8c11da69b2338c6c733d1e8e",
         "seed_1/report.txt": "8faa401e601d15c9d3ca0014a670dcbe57abb9b0e1b845cb250e8a8ce1149ffa",
@@ -118,6 +139,7 @@ TINY = {
     "tiny_classify": TINY_CLASSIFY,
     "tiny_chirp": TINY_CHIRP,
     "tiny_hop": TINY_HOP,
+    "tiny_ratio": TINY_RATIO,
 }
 
 

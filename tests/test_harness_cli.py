@@ -344,9 +344,9 @@ class TestRun:
 
     def test_errors_name_failing_stage(self, tmp_path):
         cfg = RunConfig.from_text(
-            "mode = measure\nmeasure.lo_hz = 2e9\nmeasure.hi_hz = 4e9\nmeasure.step_hz = 1e9\n"
+            "mode = measure\nmeasure.lo_hz = 35e9\nmeasure.hi_hz = 36e9\nmeasure.step_hz = 1e9\n"
         )
-        # tones below the scan band cannot be measured
+        # the scan reaches these tones, but the 10-20 GHz calibration does not
         with pytest.raises(RuntimeError, match="measure stage failed"):
             run(cfg, out_dir=tmp_path)
 
@@ -354,7 +354,7 @@ class TestRun:
         "mode, line, error",
         [
             ("measure", "measure.lo_hz = 15e9\nmeasure.hi_hz = 15e9", None),
-            ("measure", "measure.lo_hz = 2e9\nmeasure.hi_hz = 2e9", RuntimeError),
+            ("measure", "measure.lo_hz = 35e9\nmeasure.hi_hz = 35e9", RuntimeError),
             # the plan computes the axis before it refuses the lookup port
             ("calibrate", "ifm.port = 3", ConfigError),
         ],
@@ -368,6 +368,34 @@ class TestRun:
         else:
             run(cfg, out_dir=tmp_path)
         assert _scan_axis.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "estimates, truths, errors",
+    [([10.5e9, 14e9], [10e9, 15e9], [0.5e9, -1e9]), ([10e9], [10e9, 15e9], []), ([], [], [])],
+    ids=["paired", "count differs", "empty"],
+)
+def test_score_sets_errors_and_rms_together(estimates, truths, errors):
+    report = MetricsReport(mode="classify", seed=1)
+    report.score(estimates, truths)
+    assert report.per_tone_errors_hz == errors
+    if errors:
+        assert report.rms_error_hz == rms_error(estimates, truths)
+    else:
+        assert report.rms_error_hz is None
+
+
+def test_classify_scores_nothing_without_truths(tmp_path):
+    # a lone 30 GHz hop reads as one tone, outside the 10-20 GHz calibration:
+    # no estimate, no truth tone, and so no score
+    cfg = RunConfig.from_text(
+        "mode = classify\ncalibration.step_hz = 5e9\n"
+        "scenario.hop1.freqs_hz = 30e9\nscenario.hop1.dwell_s = 80e-9\n"
+    )
+    report = run(cfg, out_dir=tmp_path)
+    assert report.classification == "single"
+    assert report.extras["estimated_freqs_hz"] == ""
+    assert report.per_tone_errors_hz == [] and report.rms_error_hz is None
 
 
 def test_report_lines_round_trip():
@@ -400,11 +428,15 @@ PLAN_LINES = {
     "scan rate": (["scan.sample_rate_hz = 2718281"], ["scan.sample_rate_hz = 1e4"]),
     "periods": (["drive.n_periods = 1"], ["drive.n_periods = 2"]),
     "cal step": (["calibration.step_hz = 5e9"], ["calibration.step_hz = 0"]),
-    "cal lo": (["calibration.lo_hz = 8e9"], ["calibration.lo_hz = 0"]),
+    # the scan runs from 8 GHz, exactly mrr.f_offset0_hz, to 39.99 GHz
+    "cal lo": (["calibration.lo_hz = 8e9"], ["calibration.lo_hz = 0", "calibration.lo_hz = 5e9"]),
     "cal band": (["calibration.hi_hz = 18e9"], ["calibration.hi_hz = 11e9"]),
     "tones": (
         ["measure.hi_hz = 16e9", "measure.step_hz = 2e9"],
-        ["measure.hi_hz = 5e9", "measure.lo_hz = 0", "measure.lo_hz = inf", "measure.step_hz = 0"],
+        [
+            "measure.hi_hz = 5e9", "measure.lo_hz = 0", "measure.lo_hz = inf",
+            "measure.step_hz = 0", "measure.lo_hz = 5e9",
+        ],
     ),
     "method": (["measure.method = fttm", "measure.method = ftpm"], ["measure.method = bogus"]),
     # 1e8 S/s is too slow only for the 80 ns dwell of "hop"
@@ -428,6 +460,7 @@ PLAN_LINES = {
         ],
     ),
     "ring": (["mrr.fwhm_hz = 500e6"], ["mrr.fwhm_hz = 0"]),
+    "drive": (["drive.v_min_v = 0"], ["drive.v_min_v = -1"]),
 }
 
 
@@ -474,6 +507,7 @@ PLAN_READERS = {
     "seeds": "mode = sweep\nsweep.mode = dynamic",
     "hop": "mode = dynamic",
     "ring": "mode = dynamic",
+    "drive": "mode = calibrate",
 }
 # what an invalid line is blamed on where it is not the line's own key
 PLAN_BLAME = {
@@ -482,6 +516,9 @@ PLAN_BLAME = {
     "scenario.hop1.dwell_s = 80e-9": "key 'scenario.hop1.freqs_hz'",
     "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0": "section 'scenario.hop1'",
     "mrr.fwhm_hz = 0": "section 'mrr'",
+    "calibration.lo_hz = 5e9": "section 'calibration'",  # below the scan's reach
+    "measure.lo_hz = 5e9": "section 'measure'",
+    "drive.v_min_v = -1": "section 'drive'",
 }
 
 
@@ -576,7 +613,7 @@ def test_run_keys_round_trip_to_plan_fields(data):
 # apart from the config module's own table, so a wrong row there fails here.
 # The object a key sets is named by its second-to-last part.
 ROUND_TRIP = {
-    "drive.v_min_v": ("v_min", [0.5, -1.0]),
+    "drive.v_min_v": ("v_min", [0.5, 0.25]),
     "drive.v_max_v": ("v_max", [3.0, 5.0]),
     "drive.period_s": ("period", [0.1, 0.5]),
     "drive.n_periods": ("n_periods", [1]),
@@ -735,6 +772,13 @@ class TestCli:
             ("dynamic", HOP_AT_1E8, "ifm.sample_rate_hz"),
             ("sweep", "sweep.mode = dynamic\n" + HOP_AT_1E8, "ifm.sample_rate_hz"),
             ("dynamic", "ifm.mode = bogus", "ifm.mode"),
+            # a ramp through 0 V turns the scan back
+            ("calibrate", "drive.v_min_v = -1", "drive"),
+            # tones the scan never reaches: it runs from 8 to 39.99 GHz
+            ("calibrate", "calibration.lo_hz = 5e9\ncalibration.step_hz = 5e9", "calibration"),
+            ("calibrate", "calibration.lo_hz = 30e9\ncalibration.hi_hz = 50e9", "calibration"),
+            ("measure", "measure.lo_hz = 5e9", "measure"),
+            ("sweep", "sweep.mode = measure\nmeasure.hi_hz = 45e9", "measure"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):
@@ -816,9 +860,10 @@ class TestCli:
         assert "preset" in proc.stderr
 
     def test_runtime_error_exits_one(self, tmp_path):
+        # the scan reaches 35-36 GHz, but the calibrated delays end at 20 GHz
         bad = tmp_path / "oob.cfg"
         bad.write_text(
-            "mode = measure\nmeasure.lo_hz = 2e9\nmeasure.hi_hz = 3e9\nmeasure.step_hz = 1e9\n"
+            "mode = measure\nmeasure.lo_hz = 35e9\nmeasure.hi_hz = 36e9\nmeasure.step_hz = 1e9\n"
             "calibration.step_hz = 5e9\n"
         )
         out = tmp_path / "out"

@@ -107,14 +107,18 @@ class TestMrr:
             assert np.array_equal(scalars, mrr_drop_response(m, detunings))
 
     def test_resonance_offset_quadratic(self):
+        # the law takes the heater drive power V^2: 0, 2 and 4 V
         m = MrrModel()
         assert mrr_resonance_offset(m, 0.0) == pytest.approx(8e9)
-        assert mrr_resonance_offset(m, 2.0) == pytest.approx(16e9)
-        assert mrr_resonance_offset(m, 4.0) == pytest.approx(40e9)
+        assert mrr_resonance_offset(m, 4.0) == pytest.approx(16e9)
+        assert mrr_resonance_offset(m, 16.0) == pytest.approx(40e9)
 
     def test_resonance_offset_rejects_negative_voltage(self):
-        with pytest.raises(ValueError):
-            mrr_resonance_offset(MrrModel(), -1.0)
+        # V^2 cannot be negative; the drive refuses a ramp through 0 V, on
+        # which the heating, and so the scan, would turn back
+        with pytest.raises(ValueError, match="0 <= v_min"):
+            SawtoothDrive(v_min=-1.0)
+        SawtoothDrive(v_min=0.0)
 
 
 class TestThermalLag:

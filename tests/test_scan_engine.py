@@ -356,8 +356,12 @@ class TestEstimateFrequencies:
     def test_out_of_range_event_flagged(self, table_1ms):
         from mwfi.scan_engine import PulseEvent
 
-        ev = PulseEvent(peak_time=0.24, peak_power=1.0, width=1e-3, fill_randomness=0.0)
-        assert estimate_frequencies([ev], table_1ms) == [None]
+        # an event past the table's delays is left out, one inside is kept
+        out = PulseEvent(peak_time=0.24, peak_power=1.0, fill_randomness=0.0)
+        assert estimate_frequencies([out], table_1ms) == []
+        t = sum(table_1ms.valid_range) / 2
+        inside = PulseEvent(peak_time=t, peak_power=1.0, fill_randomness=0.0)
+        assert estimate_frequencies([out, inside], table_1ms) == [table_1ms.freq_at(t)]
 
 
 class TestMeasureSpan:
