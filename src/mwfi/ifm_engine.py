@@ -133,7 +133,7 @@ def _single_tone_power(mod: ModulatorModel, mzi: MziModel, port: int, f: np.ndar
     image-sideband leakage, i.e. exactly the curve an end-to-end power
     calibration measures (bandstop filter off).
     """
-    return link_power(mod, lambda x: mzi_port_response(mzi, x, port), [(f, 1.0)], f.size)
+    return link_power(mod, lambda x, _: mzi_port_response(mzi, x, port), [(f, 1.0)], f.size)
 
 
 def build_lut(
@@ -198,7 +198,7 @@ def simulate_ifm(
     """
     check_hop_sampling(scenario, grid)
 
-    def response(freqs):
+    def response(freqs, _):
         resp = mzi_port_response(models.mzi, freqs, port)
         if models.notch is not None:
             resp = resp * notch_response(models.notch, freqs)

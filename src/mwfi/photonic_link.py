@@ -14,6 +14,10 @@ import numpy as np
 
 from .rf_signals import TimeGrid
 
+# samples per block of the power sum and of the detector noise: their
+# per-sample temporaries stay this long whatever the trace length
+BLOCK = 16384
+
 __all__ = [
     "ModulatorModel",
     "MrrModel",
@@ -163,21 +167,37 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
     per-sample arrays for dynamic emitters (zero power where inactive).
     Each pair contributes its sideband at +f and the suppressed image at
     -f, both weighted by the modulator roll-off at f; the residual carrier
-    at 0 scales with the summed sideband power. response(freq) is the
-    filter's power transmission at an RF offset (scalar or per sample);
-    for +f and -f it must return a new array, which is scaled in place.
+    at 0 scales with the summed sideband power.
+
+    response(freq, block) is the filter's power transmission at an RF
+    offset (scalar or per sample) for the samples of the slice block, which
+    a per-sample freq already covers; for +f and -f it must return a new
+    array, which is scaled in place. The sum runs over blocks of BLOCK
+    samples into one output, so its temporaries stay block-sized. Blocking
+    cannot change a bit: every operation is elementwise and runs in the
+    same order as over the whole trace, and a response that picks its path
+    per block must give each sample the same value on every path (the
+    wrapped detuning of mrr_drop_response is d - 0 * fsr = d in range).
     """
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
     total = np.zeros(n_samples)
-    sideband_power = 0.0
-    for f, p in components:
-        w = modulator_sideband_weight(modulator, f)
-        total += _scaled(response(f), p * w)
-        total += _scaled(response(-f), imgs * p * w)
-        sideband_power = sideband_power + p
-    total += cs * sideband_power * response(0.0)
+    for block in _blocks(n_samples):
+        out = total[block]
+        sideband_power = 0.0
+        for f, p in components:
+            f, p = (v[block] if np.ndim(v) else v for v in (f, p))
+            w = modulator_sideband_weight(modulator, f)
+            out += _scaled(response(f, block), p * w)
+            out += _scaled(response(-f, block), imgs * p * w)
+            sideband_power = sideband_power + p
+        out += cs * sideband_power * response(0.0, block)
     return total
+
+
+def _blocks(n_samples: int):
+    """Slices of BLOCK consecutive samples covering 0..n_samples."""
+    return (slice(i, i + BLOCK) for i in range(0, n_samples, BLOCK))
 
 
 def _scaled(values, factor):
@@ -277,7 +297,9 @@ def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
     The single-pole low-pass only engages when the grid can represent it
     (Nyquist >= bw_3db); at the slow scan rates used here the PD is
     transparent. Noise std is noise_sigma x max(power), so noise_sigma alone
-    sets the SNR; output is clamped at zero.
+    sets the SNR; output is clamped at zero. The noise is drawn, added and
+    clamped in blocks of BLOCK samples, which gives the output of one
+    whole-array pass.
     """
     p = np.asarray(power, dtype=float)
     if p.min(initial=0.0) < 0:
@@ -296,10 +318,15 @@ def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
     scale = model.noise_sigma * float(np.max(p, initial=0.0))
     if scale > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
-        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, in one
-        # buffer; out may be the caller's array, so it is only read
-        noisy = rng.standard_normal(out.shape)
-        noisy *= scale
-        noisy += out
-        return np.maximum(noisy, 0.0, out=noisy)
+        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
+        # block at a time into one buffer: consecutive fills continue one
+        # stream, so they equal one fill; out may be the caller's array, so
+        # it is only read
+        noisy = np.empty(out.shape)
+        for block in _blocks(out.size):
+            z = rng.standard_normal(out=noisy[block])
+            z *= scale
+            z += out[block]
+            np.maximum(z, 0.0, out=z)
+        return noisy
     return np.maximum(out, 0.0)

@@ -260,11 +260,11 @@ def simulate_scan(
     f_s = scan_frequency(models, drive, grid)
     carrier = _scan_axis(models.mrr, drive, grid)[1]
 
-    def response(f):
+    def response(f, block):
         # a scalar 0 is the carrier term, whose transmission is cached
         if np.ndim(f) == 0 and f == 0.0:
-            return carrier
-        return mrr_drop_response(models.mrr, f - f_s)
+            return carrier[block]
+        return mrr_drop_response(models.mrr, f - f_s[block])
 
     total = link_power(
         models.modulator, response, component_powers(scenario, grid), grid.n_samples

@@ -1,9 +1,10 @@
 """Byte-stability of run artifacts: SHA-256 digests pinned per file.
 
 Every artifact of three shipped presets, four tiny FTTM configs, a tiny
-classify sweep and a tiny ratio-mode dynamic run is hashed, sub-run
-directories included; report.txt is hashed without its runtime_s line. A
-change to the numerics, the CSV formatting or the report layout fails here.
+classify sweep, a tiny ratio-mode dynamic run and a 40 us dynamic run is
+hashed, sub-run directories included; report.txt is hashed without its
+runtime_s line. A change to the numerics, the CSV formatting or the report
+layout fails here.
 Update a digest only for a deliberate change of output, and record why in
 CHANGES.md.
 """
@@ -84,6 +85,21 @@ ifm.duration_s = 2e-6
 ifm.mode = ratio
 """
 
+# fig6f for 40 us: 40,000 samples, so the power sum and the detector noise
+# cross two block boundaries (photonic_link.BLOCK)
+TINY_LONG_DYNAMIC = """\
+mode = dynamic
+seed = 1
+scenario.hop1.freqs_hz = 10e9,13e9,15e9,17e9
+scenario.hop1.dwell_s = 80e-9
+notch.enabled = true
+notch.centers_hz = 9.75e9,10e9,10.25e9
+notch.fwhm_each_hz = 300e6
+notch.rejection_db = 20
+ifm.sample_rate_hz = 1e9
+ifm.duration_s = 40e-6
+"""
+
 GOLDEN = {
     "fig3b": {
         "estimates.csv": "64e84fca58e70c355ee9796a349bdb8acb959131ee81187ad953830fcece53e9",
@@ -125,6 +141,12 @@ GOLDEN = {
         "seed_2/report.txt": "f10b39e1b5068a557b3500fafeb53f31dee87a4021294b629383f322537bee83",
         "sweep.csv": "54b541b17e50b3b2f3b5c6ef1357146cd0cabbd10c7048e741bd1b3dfcbf7ed4",
     },
+    "tiny_long_dynamic": {
+        "ifm_trace.csv": "7032917c43f072c2bc2ba4e128bc7eb240bb1f7f9833747fe55aba7025c2d803",
+        "inst_freq.csv": "83516f2e6fa59198954147fb44216ad6f2cad4f7719bc9e2dda2453a69403590",
+        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "report.txt": "918c06a8be7ce4eb9ba10925b530435ea05a34ce0c7e5b93f07db1074c6ec518",
+    },
     "tiny_measure": {
         "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",
         "estimates.csv": "0098136da7abf25e955b5fb45d3ff093f939820da3fa03899e7fc796d695d366",
@@ -140,6 +162,7 @@ TINY = {
     "tiny_chirp": TINY_CHIRP,
     "tiny_hop": TINY_HOP,
     "tiny_ratio": TINY_RATIO,
+    "tiny_long_dynamic": TINY_LONG_DYNAMIC,
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -685,11 +686,24 @@ def test_config_round_trips_to_model_fields(data):
         assert getattr(model, name) == want, key
 
 
+# a child interpreter imports mwfi from this checkout's src/, whether or not
+# PYTHONPATH names it (pytest's own pythonpath setting reaches only pytest)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
+
+
 class TestCli:
-    def _run(self, *args):
+    def _python(self, *argv):
+        """A fresh interpreter's run of argv, output captured as text."""
         return subprocess.run(
-            [sys.executable, "-m", "mwfi.cli", *args], capture_output=True, text=True
+            [sys.executable, *argv], capture_output=True, text=True, env=CHILD_ENV
         )
+
+    def _run(self, *args):
+        return self._python("-m", "mwfi.cli", *args)
 
     def test_dynamic_preset_exits_zero(self, tmp_path):
         proc = self._run("dynamic", "--config", "fig6c", "--out", str(tmp_path))
@@ -904,9 +918,7 @@ class TestCli:
         for name, text in configs.items():
             paths[name].write_text(text)
         argv = [a.format(**paths) for a in args] + ["--out", str(tmp_path / "out")]
-        proc = subprocess.run(
-            [sys.executable, "-c", self.COLD, *argv], capture_output=True, text=True
-        )
+        proc = self._python("-c", self.COLD, *argv)
         assert proc.returncode == 0, proc.stderr
         got, loaded = json.loads(proc.stdout.splitlines()[-1])
         assert got == code, proc.stderr

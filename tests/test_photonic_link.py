@@ -11,9 +11,11 @@ from mwfi.rf_signals import (
     RfScenario,
     TimeGrid,
     ToneSpec,
+    component_powers,
     instantaneous_components,
 )
 from mwfi.photonic_link import (
+    BLOCK,
     LinkModels,
     ModulatorModel,
     MrrModel,
@@ -21,6 +23,7 @@ from mwfi.photonic_link import (
     NotchFilterModel,
     PdModel,
     acf,
+    link_power,
     modulator_sideband_weight,
     mrr_drop_response,
     mrr_resonance_offset,
@@ -373,3 +376,83 @@ class TestLinkPower:
         want = self._oracle(grid, response)
         got = simulate_ifm(self.SCENARIO, self.MODELS, grid, port=port).power
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestBlocking:
+    """link_power and pd_detect work in blocks of BLOCK samples; each result
+    equals the whole-array formula bit for bit, at lengths on both sides of
+    the block boundaries."""
+
+    LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
+
+    @staticmethod
+    def _unblocked(modulator, response, components, n_samples):
+        """The whole-array sum; response(freq) covers every sample."""
+        cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
+        imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
+        total = np.zeros(n_samples)
+        sideband_power = 0.0
+        for f, p in components:
+            w = modulator_sideband_weight(modulator, f)
+            resp = response(f)
+            resp *= p * w
+            total += resp
+            resp = response(-f)
+            resp *= imgs * p * w
+            total += resp
+            sideband_power = sideband_power + p
+        total += cs * sideband_power * response(0.0)
+        return total
+
+    @staticmethod
+    def _components(n_samples):
+        """A scalar tone, a chirp and a hop (TestLinkPower's scenario)."""
+        grid = TimeGrid(sample_rate=1e9, n_samples=n_samples)
+        return component_powers(TestLinkPower.SCENARIO, grid)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_ring_sum_equals_whole_array(self, n):
+        mrr = MrrModel()
+        # one sample in the first block and the last sample put the
+        # detunings beyond -fsr/2 and +fsr/2; the middle block of the
+        # longest trace stays within them, so it takes the unwrapped path
+        # while the whole array takes the wrapped one
+        f_s = np.linspace(-25e9, 25e9, n)
+        f_s[BLOCK // 2], f_s[-1] = -70e9, 70e9
+        detunings = np.subtract.outer([11e9, -11e9, 0.0], f_s)
+        assert detunings.min() < -mrr.fsr / 2 and detunings.max() > mrr.fsr / 2
+        if n > 2 * BLOCK:
+            assert np.all(np.abs(detunings[:, BLOCK : 2 * BLOCK]) <= mrr.fsr / 2)
+        components = self._components(n)
+        mod = TestLinkPower.MODELS.modulator
+        got = link_power(
+            mod, lambda f, block: mrr_drop_response(mrr, f - f_s[block]), components, n
+        )
+        want = self._unblocked(mod, lambda f: mrr_drop_response(mrr, f - f_s), components, n)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_mzi_bandstop_sum_equals_whole_array(self, n):
+        mzi, notch = TestLinkPower.MODELS.mzi, TestLinkPower.MODELS.notch
+
+        def response(f, _=None):
+            return mzi_port_response(mzi, f, 2) * notch_response(notch, f)
+
+        components = self._components(n)
+        mod = TestLinkPower.MODELS.modulator
+        got = link_power(mod, response, components, n)
+        assert np.array_equal(got, self._unblocked(mod, response, components, n))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_noise_equals_one_fill(self, n):
+        grid = TimeGrid(sample_rate=1e6, n_samples=n)  # below the PD low-pass
+        x = np.abs(np.sin(np.linspace(0.0, 40.0, n)))
+        model = PdModel(noise_sigma=0.3, seed=91)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
+        want = rng.standard_normal(n)
+        want *= model.noise_sigma * float(np.max(x))
+        want += x
+        np.maximum(want, 0.0, out=want)
+        got = pd_detect(x, model, grid)
+        assert np.array_equal(got, want)
+        assert np.any(got == 0.0)  # the clamp acted
