@@ -234,7 +234,7 @@ class RunConfig:
         }
         return RfScenario(tones=emitters["tone"], chirps=emitters["chirp"], hops=emitters["hop"])
 
-    def build_models(self, seed: int | None = None) -> LinkModels:
+    def build_models(self) -> LinkModels:
         notch = self._build("notch") if self.get("notch.enabled") else None
         return self._build(
             "link",
@@ -242,7 +242,7 @@ class RunConfig:
             mrr=self._build("mrr"),
             mzi=self._build("mzi"),
             notch=notch,
-            pd=self._build("pd", seed=self.get("seed") if seed is None else seed),
+            pd=self._build("pd"),
         )
 
     def build_drive(self) -> SawtoothDrive:

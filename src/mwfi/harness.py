@@ -121,8 +121,7 @@ def expected_label(scenario: RfScenario) -> ClassLabel:
 class RunPlan:
     """Every setting a run uses, read and checked before any stage starts.
 
-    Fields the mode does not use stay None. The detector seed of models is a
-    placeholder: each stage draws its noise from its own seed (seeded_models).
+    Fields the mode does not use stay None.
     """
 
     mode: str
@@ -139,10 +138,6 @@ class RunPlan:
     upper_limit: float | None = None
     target: "RunPlan | None" = None  # sweep
     n_seeds: int | None = None
-
-    def seeded_models(self, seed: int) -> LinkModels:
-        """The models with the detector noise drawn from seed."""
-        return replace(self.models, pd=replace(self.models.pd, seed=seed))
 
 
 def _tone_list(cfg: RunConfig, section: str) -> np.ndarray:
@@ -166,7 +161,7 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         scenario = cfg.build_scenario()
         return RunPlan(mode, scenario=scenario, target=build_plan(cfg, target), n_seeds=n_seeds)
 
-    models = cfg.build_models(seed=0)
+    models = cfg.build_models()
     plan = dict(models=models)
     if mode in ("classify", "dynamic"):
         plan["scenario"] = cfg.build_scenario()
@@ -208,11 +203,14 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         with cfg.blame("key 'scan.sample_rate_hz'"):
             f_s = _scan_axis(models.mrr, plan["drive"], plan["scan_grid"])[0]
         # a tone the resonance never reaches gives at most a tail "pulse"
-        lo, hi = float(f_s.min()), float(f_s.max())
-        for section, key in (("calibration", "cal_tones"), ("measure", "tones")):
-            for f in plan.get(key, ()):
-                cfg.require(lo <= f <= hi, f"section '{section}'", f"tone {f / 1e9:.3f} GHz"
-                            f" lies outside the scan's reach {lo / 1e9:.3f}..{hi / 1e9:.3f} GHz")
+        reach, lo, hi = "the scan's reach", float(f_s.min()), float(f_s.max())
+    else:
+        # an FTPM estimate beyond the table clamps to its band edge
+        reach, (lo, hi) = "the lookup band", plan["lut"].band
+    for section, key in (("calibration", "cal_tones"), ("measure", "tones")):
+        for f in plan.get(key, ()):
+            cfg.require(lo <= f <= hi, f"section '{section}'", f"tone {f / 1e9:.3f} GHz"
+                        f" lies outside {reach} {lo / 1e9:.3f}..{hi / 1e9:.3f} GHz")
     return RunPlan(mode, **plan)
 
 
@@ -230,7 +228,7 @@ def _fit_quality(plan: RunPlan, table: CalibrationTable) -> dict:
 
 
 def _run_calibrate(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
-    table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
+    table = calibrate(plan.models, plan.drive, plan.cal_tones, plan.scan_grid, seed)
     report.extras.update(_fit_quality(plan, table))
     return {"calibration.txt": table.save, "lut.csv": partial(lut_to_csv, plan.lut)}
 
@@ -238,9 +236,8 @@ def _run_calibrate(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
 def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     ests, writes = np.empty(plan.tones.size), {}
     if plan.method == "fttm":
-        models = plan.seeded_models(seed)
-        table = calibrate(models, plan.drive, plan.cal_tones, plan.scan_grid)
-        scans = tone_scans(models, plan.drive, plan.scan_grid, plan.tones, STAGE_MEASURE)
+        table = calibrate(plan.models, plan.drive, plan.cal_tones, plan.scan_grid, seed)
+        scans = tone_scans(plan.models, plan.drive, plan.scan_grid, plan.tones, seed, STAGE_MEASURE)
         for i, (f, events) in enumerate(zip(plan.tones, scans)):
             found = estimate_frequencies(events, table)
             if len(found) != 1:
@@ -250,8 +247,8 @@ def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     else:
         for i, f in enumerate(plan.tones):
             tone = RfScenario(tones=(ToneSpec(freq=f),))
-            models = plan.seeded_models(derive_seed(seed, STAGE_FTPM, i))
-            trace = simulate_ifm(tone, models, plan.ifm_grid, plan.lut.port, plan.lut.band)
+            s = derive_seed(seed, STAGE_FTPM, i)
+            trace = simulate_ifm(tone, plan.models, plan.ifm_grid, plan.lut.port, plan.lut.band, s)
             ests[i] = estimate_static_frequency(trace, plan.lut, plan.noise_floor)
 
     report.score(ests, plan.tones)
@@ -262,9 +259,9 @@ def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
 
 
 def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
-    table = calibrate(plan.seeded_models(seed), plan.drive, plan.cal_tones, plan.scan_grid)
-    models = plan.seeded_models(derive_seed(seed, STAGE_CLASSIFY, 0))
-    trace = simulate_scan(plan.scenario, models, plan.drive, plan.scan_grid)
+    table = calibrate(plan.models, plan.drive, plan.cal_tones, plan.scan_grid, seed)
+    s = derive_seed(seed, STAGE_CLASSIFY, 0)
+    trace = simulate_scan(plan.scenario, plan.models, plan.drive, plan.scan_grid, s)
     events = detect_pulses(trace)
     features = compute_features(events, trace)
     label = classify(features)
@@ -310,7 +307,7 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     # the k-th port the table reads draws its noise from (seed, STAGE_DYNAMIC, k)
     seeds = (derive_seed(seed, STAGE_DYNAMIC, k) for k in range(len(lut.ports)))
     trace, *reference = [
-        simulate_ifm(scenario, plan.seeded_models(s), grid, port, lut.band)
+        simulate_ifm(scenario, plan.models, grid, port, lut.band, s)
         for s, port in zip(seeds, lut.ports)
     ]
     est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, *reference)
@@ -392,15 +389,13 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     """Execute a configured run; returns the metrics and writes artifacts.
 
     seed and out_dir override the config's values (CLI flags map here).
-    The run's plan is built first, so a ConfigError leaves out_dir untouched.
+    The seed and the plan are read first, so a ConfigError leaves out_dir untouched.
     """
-    if seed is not None:
-        # the override is checked as the config's own seed is, under its own source
-        RunConfig({"seed": str(seed)}, source="seed override").get("seed")
-        cfg = replace(cfg, values={**cfg.values, "seed": str(seed)})
+    # the override is checked as the config's own seed is, under its own source
+    seed_cfg = cfg if seed is None else RunConfig({"seed": str(seed)}, source="seed override")
+    seed = seed_cfg.get("seed")
     try:
         plan = build_plan(cfg)
-        seed = cfg.get("seed")
         out = Path(out_dir if out_dir is not None else cfg.get("out_dir"))
         try:
             return _run_mode(plan, seed, out)

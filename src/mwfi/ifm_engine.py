@@ -188,13 +188,14 @@ def simulate_ifm(
     grid: TimeGrid,
     port: int = 2,
     band=DEFAULT_BAND,
+    seed: int = 0,
 ) -> IfmTrace:
     """Detected power of the bandstop-filtered MZI path.
 
     link_power through the port response times the bandstop transmission,
-    through the detector. The normalization is the detected power of a
-    unit-amplitude component at the band maximum of the port response
-    (bandstop excluded).
+    through the detector, whose noise seed is seed. The normalization is
+    the detected power of a unit-amplitude component at the band maximum of
+    the port response (bandstop excluded).
     """
     check_hop_sampling(scenario, grid)
 
@@ -209,7 +210,7 @@ def simulate_ifm(
     )
     total *= models.link_gain
 
-    power = pd_detect(total, models.pd, grid)
+    power = pd_detect(total, models.pd, grid, seed)
     ref = np.linspace(band[0], band[1], 2048)
     peak = float(np.max(_single_tone_power(models.modulator, models.mzi, port, ref)))
     return IfmTrace(grid=grid, power=power, normalization=models.link_gain * peak)

@@ -122,13 +122,11 @@ class PdModel:
     """Band-limited photodetector with additive Gaussian noise.
 
     noise_sigma is the noise std as a fraction of the waveform's full-scale
-    detected power. The noise stream comes from a counter-based Philox
-    generator keyed by `seed`, so equal seeds give bit-identical output.
+    detected power; the noise seed belongs to each pd_detect call.
     """
 
     bw_3db: float = 33e9  # Hz
     noise_sigma: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if self.bw_3db <= 0:
@@ -291,15 +289,16 @@ def notch_response(model: NotchFilterModel, f):
     return t
 
 
-def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
+def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0) -> np.ndarray:
     """Photodetection: bandwidth limit and additive noise on the power.
 
     The single-pole low-pass only engages when the grid can represent it
     (Nyquist >= bw_3db); at the slow scan rates used here the PD is
     transparent. Noise std is noise_sigma x max(power), so noise_sigma alone
-    sets the SNR; output is clamped at zero. The noise is drawn, added and
-    clamped in blocks of BLOCK samples, which gives the output of one
-    whole-array pass.
+    sets the SNR; output is clamped at zero. The noise comes from a
+    counter-based Philox generator keyed by seed, so equal seeds give
+    bit-identical output; it is drawn, added and clamped in blocks of BLOCK
+    samples, which gives the output of one whole-array pass.
     """
     p = np.asarray(power, dtype=float)
     if p.min(initial=0.0) < 0:
@@ -317,7 +316,7 @@ def pd_detect(power, model: PdModel, grid: TimeGrid) -> np.ndarray:
         out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
     scale = model.noise_sigma * float(np.max(p, initial=0.0))
     if scale > 0:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
         # block at a time into one buffer: consecutive fills continue one
         # stream, so they equal one fill; out may be the caller's array, so

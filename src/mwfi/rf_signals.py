@@ -202,29 +202,23 @@ def sample_track(scenario: RfScenario, grid: TimeGrid) -> list:
 def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
     """Vectorized per-emitter tracks over a grid.
 
-    Returns a list of (freq, amplitude, active) arrays, one triple per
-    emitter, equivalent to evaluating instantaneous_components at every grid
-    time. component_powers and sole_component_freq build on this form;
+    Returns a list of (freq, amplitude, active) triples, one per emitter,
+    equivalent to evaluating instantaneous_components at every grid time.
+    A tone is a scalar track (freq, amplitude, np.True_); chirps and hops
+    give per-sample freq and active arrays beside their scalar amplitude.
+    component_powers and sole_component_freq build on this form;
     sample_track is the scalar oracle. Note that unlike sample_track,
     coincident equal frequencies from different emitters are not merged
     (the power sum is identical either way).
     """
-    t = grid.times()
-    n = grid.n_samples
-    tracks = []
-    for tone in scenario.tones:
-        tracks.append(
-            (
-                np.full(n, tone.freq),
-                np.full(n, tone.amplitude),
-                np.ones(n, dtype=bool),
-            )
-        )
+    tracks = [(tone.freq, tone.amplitude, np.True_) for tone in scenario.tones]
+    # only chirps and hops change over time: a tone-only scan needs no time axis
+    t = grid.times() if scenario.chirps or scenario.hops else None
     for chirp in scenario.chirps:
         phase = t - chirp.repeat_interval * np.floor(t / chirp.repeat_interval)
         active = phase < chirp.pulse_width
         freq = np.where(active, chirp.inst_freq(phase), chirp.center)
-        tracks.append((freq, np.full(n, chirp.amplitude), active))
+        tracks.append((freq, chirp.amplitude, active))
     for hop in scenario.hops:
         rel = t - hop.start
         active = rel >= 0
@@ -235,21 +229,18 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
             active = active & (idx < len(hop.freqs))
             idx = np.clip(idx, 0, len(hop.freqs) - 1)
         freq = np.asarray(hop.freqs)[idx]
-        tracks.append((freq, np.full(n, hop.amplitude), active))
+        tracks.append((freq, hop.amplitude, active))
     return tracks
 
 
 def component_powers(scenario: RfScenario, grid: TimeGrid) -> list:
     """(freq, power) pairs of every emitter, the input of link_power.
 
-    Tones give scalars; chirps and hops give per-sample arrays from
-    component_tracks, with zero power where the emitter is inactive.
+    Tones give scalars; chirps and hops give per-sample arrays, with zero
+    power where the emitter is inactive (a**2 * on equals
+    np.where(on, a**2, 0.0) bit for bit, since a >= 0).
     """
-    pairs = [(tone.freq, tone.amplitude**2) for tone in scenario.tones]
-    if scenario.chirps or scenario.hops:
-        dynamic = RfScenario(chirps=scenario.chirps, hops=scenario.hops)
-        pairs += [(f, np.where(on, a**2, 0.0)) for f, a, on in component_tracks(dynamic, grid)]
-    return pairs
+    return [(f, a**2 * on) for f, a, on in component_tracks(scenario, grid)]
 
 
 def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:

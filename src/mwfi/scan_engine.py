@@ -9,7 +9,7 @@ quadratic lookup table fitted during calibration. Statistical measurements
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -245,12 +245,13 @@ def simulate_scan(
     models: LinkModels,
     drive: SawtoothDrive,
     grid: TimeGrid,
+    seed: int = 0,
 ) -> ScanTrace:
     """Detected power of the scanning-filter path for a full scenario.
 
     Per sample: sawtooth voltage -> lagged V^2 -> scan frequency, then
     link_power through the ring response at each component's detuning
-    from the scan frequency, through the detector.
+    from the scan frequency, through the detector, whose noise seed is seed.
     """
     expected = drive.n_periods * drive.period
     if abs(grid.duration - expected) > grid.dt:
@@ -271,7 +272,7 @@ def simulate_scan(
     )
     total *= models.link_gain
 
-    power = pd_detect(total, models.pd, grid)
+    power = pd_detect(total, models.pd, grid, seed)
     hint, settle = _scan_timing(models, drive)
     return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
 
@@ -376,13 +377,12 @@ def detect_pulses(trace: ScanTrace) -> list:
     return events
 
 
-def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, stage: int):
-    """detect_pulses of one scan per tone; tone i's detector noise is drawn
-    from (models.pd.seed, stage, i)."""
+def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, seed, stage):
+    """detect_pulses of one scan per tone; tone i's detector noise seed is
+    derive_seed(seed, stage, i)."""
     for i, f in enumerate(tone_freqs):
-        pd_i = replace(models.pd, seed=derive_seed(models.pd.seed, stage, i))
         tone = RfScenario(tones=(ToneSpec(freq=f),))
-        yield detect_pulses(simulate_scan(tone, replace(models, pd=pd_i), drive, grid))
+        yield detect_pulses(simulate_scan(tone, models, drive, grid, derive_seed(seed, stage, i)))
 
 
 def calibrate(
@@ -390,10 +390,12 @@ def calibrate(
     drive: SawtoothDrive,
     tone_freqs,
     grid: TimeGrid,
+    seed: int = 0,
 ) -> CalibrationTable:
     """Fit the frequency-vs-delay lookup from known single tones.
 
-    Each tone is scanned separately; its pulse delay and frequency feed an
+    Each tone is scanned separately, tone i with the noise seed
+    derive_seed(seed, STAGE_CAL, i); its pulse delay and frequency feed an
     ordinary least-squares quadratic fit. The heater lag acts during
     calibration exactly as during measurement, so its bias cancels in use.
     """
@@ -401,7 +403,7 @@ def calibrate(
     if len(tone_freqs) < 3:
         raise CalibrationError("need at least 3 calibration tones for a quadratic fit")
     delays = []
-    for f, events in zip(tone_freqs, tone_scans(models, drive, grid, tone_freqs, STAGE_CAL)):
+    for f, events in zip(tone_freqs, tone_scans(models, drive, grid, tone_freqs, seed, STAGE_CAL)):
         if len(events) != 1:
             raise CalibrationError(
                 f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"

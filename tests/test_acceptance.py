@@ -3,8 +3,6 @@ PASS/FAIL line with the measured figure (run with -s to see them inline).
 """
 
 import time
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -48,12 +46,12 @@ def report(criterion, ok, detail):
 
 def run_fttm_pipeline(seed, noise_sigma, drive, grid):
     """Calibrate and estimate the 21-tone sweep; returns per-tone errors."""
-    models = LinkModels(pd=PdModel(noise_sigma=noise_sigma, seed=seed))
-    table = calibrate(models, drive, CAL_TONES, grid)
+    models = LinkModels(pd=PdModel(noise_sigma=noise_sigma))
+    table = calibrate(models, drive, CAL_TONES, grid, seed)
     errors, bounds = [], []
     for i, f in enumerate(TEST_TONES):
-        models_i = replace(models, pd=replace(models.pd, seed=derive_seed(seed, 1, i)))
-        trace = simulate_scan(RfScenario(tones=(ToneSpec(freq=f),)), models_i, drive, grid)
+        tone = RfScenario(tones=(ToneSpec(freq=f),))
+        trace = simulate_scan(tone, models, drive, grid, derive_seed(seed, 1, i))
         events = detect_pulses(trace)
         assert len(events) == 1
         est = estimate_frequencies(events, table)[0]
@@ -103,8 +101,10 @@ def test_criterion_04_chirp_span(drive, grid_fast, table_fast):
     for span in (4e9, 6e9):
         chirp = ChirpSpec(center=15e9, span=span, pulse_width=1.6e-6, repeat_interval=4e-6)
         for seed in range(10):
-            models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=derive_seed(seed, 40)))
-            trace = simulate_scan(RfScenario(chirps=(chirp,)), models, drive, grid_fast)
+            models = LinkModels(pd=PdModel(noise_sigma=0.01))
+            trace = simulate_scan(
+                RfScenario(chirps=(chirp,)), models, drive, grid_fast, derive_seed(seed, 40)
+            )
             err = abs(measure_span(trace, table_fast) - span) / span
             worst = max(worst, err)
     report(4, worst < 0.03, f"chirp spans 4/6 GHz, 10 seeds: worst error {worst * 100:.2f}% < 3% "
@@ -116,8 +116,8 @@ def test_criterion_05_hop_set_estimation(drive, grid_fast, table_fast):
     for hop_set in ((10e9, 13e9, 18e9), (10e9, 13e9, 15e9, 17e9)):
         sc = RfScenario(hops=(HopSpec(freqs=hop_set, dwell=80e-9),))
         for seed in range(10):
-            models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=derive_seed(seed, 50)))
-            trace = simulate_scan(sc, models, drive, grid_fast)
+            models = LinkModels(pd=PdModel(noise_sigma=0.01))
+            trace = simulate_scan(sc, models, drive, grid_fast, derive_seed(seed, 50))
             est = estimate_hop_set(detect_pulses(trace), table_fast)
             assert len(est) == len(hop_set)
             worst = max(worst, float(np.max(np.abs(np.array(est) - np.array(sorted(hop_set))))))
@@ -132,8 +132,8 @@ def test_criterion_06_dynamic_chirp_reconstruction():
     sc = RfScenario(chirps=(chirp,))
 
     def errors(noise_sigma, seed):
-        models = LinkModels(pd=PdModel(noise_sigma=noise_sigma, seed=seed))
-        trace = simulate_ifm(sc, models, grid)
+        models = LinkModels(pd=PdModel(noise_sigma=noise_sigma))
+        trace = simulate_ifm(sc, models, grid, seed=seed)
         est = extract_inst_freq(trace, lut)
         on = ~est.is_noise
         phase = est.times[on] % chirp.repeat_interval
@@ -154,10 +154,10 @@ def test_criterion_06_dynamic_chirp_reconstruction():
 def test_criterion_07_dynamic_hop_jam_filtering():
     lut = build_lut(MziModel())
     notch = NotchFilterModel(centers=(9.75e9, 10e9, 10.25e9), fwhm_each=300e6, rejection=20.0)
-    models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=77), notch=notch)
+    models = LinkModels(pd=PdModel(noise_sigma=0.01), notch=notch)
     grid = TimeGrid(sample_rate=1e9, n_samples=640)
     sc = RfScenario(hops=(HopSpec(freqs=(10e9, 13e9, 15e9, 17e9), dwell=80e-9),))
-    trace = simulate_ifm(sc, models, grid)
+    trace = simulate_ifm(sc, models, grid, seed=77)
     est = extract_inst_freq(trace, lut)
 
     jam_flagged = all(est.is_noise[c * 320 : c * 320 + 80].all() for c in range(2))
@@ -195,8 +195,8 @@ def test_criterion_08_classifier_accuracy(drive, grid_fast):
     total = correct = 0
     for want, scenario in scenarios.items():
         for seed in range(20):
-            models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=derive_seed(seed, 80)))
-            trace = simulate_scan(scenario, models, drive, grid_fast)
+            models = LinkModels(pd=PdModel(noise_sigma=0.01))
+            trace = simulate_scan(scenario, models, drive, grid_fast, derive_seed(seed, 80))
             got = classify(compute_features(detect_pulses(trace), trace))
             total += 1
             correct += got is want

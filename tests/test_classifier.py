@@ -51,15 +51,15 @@ class TestEndToEnd:
     def test_canonical_scenarios(self, want, drive, grid_fast):
         scenario = SCENARIOS[want]
         for seed in range(3):
-            models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=100 + seed))
-            trace = simulate_scan(scenario, models, drive, grid_fast)
+            models = LinkModels(pd=PdModel(noise_sigma=0.01))
+            trace = simulate_scan(scenario, models, drive, grid_fast, 100 + seed)
             events = detect_pulses(trace)
             assert classify(compute_features(events, trace)) is want
 
     def test_four_hop_sequence_is_discrete(self, drive, grid_fast):
         sc = RfScenario(hops=(HopSpec(freqs=(10e9, 13e9, 15e9, 17e9), dwell=80e-9),))
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=21))
-        trace = simulate_scan(sc, models, drive, grid_fast)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        trace = simulate_scan(sc, models, drive, grid_fast, 21)
         features = compute_features(detect_pulses(trace), trace)
         assert features.filled and features.continuous is False
         assert classify(features) is ClassLabel.FREQUENCY_HOPPING
@@ -76,8 +76,8 @@ class TestEndToEnd:
         fill_threshold = 0.25
         static_max, modulated_min = 0.0, 1.0
         for want, scenario in SCENARIOS.items():
-            models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=55))
-            trace = simulate_scan(scenario, models, drive, grid_fast)
+            models = LinkModels(pd=PdModel(noise_sigma=0.01))
+            trace = simulate_scan(scenario, models, drive, grid_fast, 55)
             fills = [ev.fill_randomness for ev in detect_pulses(trace)]
             if want in (ClassLabel.SINGLE_FREQUENCY, ClassLabel.MULTIPLE_FREQUENCY):
                 static_max = max(static_max, max(fills))

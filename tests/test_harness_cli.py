@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import json
@@ -15,11 +16,14 @@ from mwfi.classifier import ClassLabel
 from mwfi.cli import main
 from mwfi.config import _EMITTERS, _RUN, _SECTIONS, MODES, ConfigError, RunConfig
 from mwfi.harness import _SWEEP_DROPS, MetricsReport, build_plan, expected_label, rms_error, run
-from mwfi.ifm_engine import DEFAULT_BAND, build_lut, extract_inst_freq
-from mwfi.photonic_link import LinkModels, PdModel
+from mwfi.ifm_engine import (
+    DEFAULT_BAND, build_lut, extract_inst_freq, ifm_trace_to_csv, simulate_ifm,
+)
+from mwfi.photonic_link import LinkModels
 from mwfi.presets import list_presets, preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
 from mwfi.scan_engine import SawtoothDrive, _scan_axis
+from mwfi.seeding import STAGE_DYNAMIC, derive_seed
 
 
 class TestRmsError:
@@ -102,8 +106,13 @@ class TestConfigParsing:
 
     def test_no_model_keys_take_model_defaults(self):
         cfg = RunConfig.from_text("mode = classify\nseed = 7\n")
-        assert cfg.build_models() == LinkModels(pd=PdModel(seed=7))
+        assert cfg.build_models() == LinkModels()
         assert cfg.build_drive() == SawtoothDrive()
+
+    @pytest.mark.parametrize("line", ["seed =", "seed =   # no value"])
+    def test_empty_value_names_line(self, line):
+        with pytest.raises(ConfigError, match=r"^cfg:2: empty value for 'seed'$"):
+            RunConfig.from_text(f"mode = measure\n{line}\n", source="cfg")
 
     def test_bool_parsing(self):
         cfg = RunConfig.from_text("mode = dynamic\nnotch.enabled = true\n")
@@ -111,6 +120,18 @@ class TestConfigParsing:
         cfg = RunConfig.from_text("mode = dynamic\nnotch.enabled = maybe\n")
         with pytest.raises(ConfigError, match="boolean"):
             cfg.get("notch.enabled")
+
+
+def test_readme_library_example_runs(capsys):
+    # a signature change cannot leave the documented library use stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    try:
+        exec(compile(block, "README.md", "exec"), {})
+    finally:
+        _scan_axis.cache_clear()
+    (printed,) = capsys.readouterr().out.splitlines()
+    assert ast.literal_eval(printed) == pytest.approx([15e9], abs=0.5e9)
 
 
 class TestScenarioBuilding:
@@ -175,6 +196,21 @@ class TestExpectedLabel:
             is ClassLabel.MULTIPLE_FREQUENCY
         )
         assert expected_label(RfScenario()) is ClassLabel.UNKNOWN
+
+    @pytest.mark.parametrize(
+        "chirps, hops, label",
+        [
+            (1, 0, ClassLabel.CHIRPED),
+            (0, 1, ClassLabel.FREQUENCY_HOPPING),
+            (1, 1, ClassLabel.UNKNOWN),  # a mix is outside the decision table
+        ],
+        ids=["chirped", "hopping", "mixed"],
+    )
+    def test_dynamic_scenarios(self, chirps, hops, label):
+        chirp = ChirpSpec(center=15e9, span=4e9, pulse_width=1.6e-6, repeat_interval=4e-6)
+        hop = HopSpec(freqs=(10e9, 13e9), dwell=80e-9)
+        scenario = RfScenario(chirps=(chirp,) * chirps, hops=(hop,) * hops)
+        assert expected_label(scenario) is label
 
 
 FAST_MEASURE = (
@@ -269,6 +305,34 @@ class TestRun:
         r1 = run(cfg, seed=1, out_dir=tmp_path / "a")
         r2 = run(cfg, seed=2, out_dir=tmp_path / "b")
         assert r1.per_tone_errors_hz != r2.per_tone_errors_hz
+
+    @pytest.mark.parametrize("override", [None, 8], ids=["config seed", "override"])
+    def test_run_seed_reaches_the_noise(self, tmp_path, override):
+        # port 2's noise is drawn from (run seed, STAGE_DYNAMIC, 0)
+        cfg = RunConfig.from_text(f"mode = dynamic\nseed = 7\n{SWEEP_TARGETS['dynamic']}\n")
+        run(cfg, seed=override, out_dir=tmp_path / "run")
+        plan = build_plan(cfg)
+        seed = derive_seed(7 if override is None else override, STAGE_DYNAMIC, 0)
+        trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, 2, plan.lut.band, seed)
+        ifm_trace_to_csv(trace, tmp_path / "want.csv")
+        got = (tmp_path / "run" / "ifm_trace.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+
+    def test_chirp_sweep_aggregates_span_errors(self, tmp_path):
+        lines = preset_path("fig5a").read_text().replace("mode = classify", "mode = sweep")
+        cfg = RunConfig.from_text(
+            lines + "sweep.mode = classify\nsweep.n_seeds = 2\ncalibration.step_hz = 5e9\n"
+        )
+        report = run(cfg, out_dir=tmp_path)
+        assert report.classification == "chirped"
+        assert report.extras["classification_accuracy"] == "1.0000"
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        spans = [float(row.split(",")[2]) for row in rows]
+        for seed, span in zip((1, 2), spans):
+            sub = _read_report(tmp_path / f"seed_{seed}" / "report.txt")
+            assert float(sub["span_error_frac"]) == pytest.approx(span, rel=1e-6)
+        assert report.span_error_frac == pytest.approx(np.mean(spans), rel=1e-9)
+        assert report.extras["span_error_frac_max"] == f"{max(spans):.6e}"
 
     def test_sweep_aggregates(self, tmp_path):
         cfg = RunConfig.from_text(
@@ -450,7 +514,8 @@ PLAN_LINES = {
     "knots": (["ifm.n_knots = 64"], ["ifm.n_knots = 1"]),
     "floor": (["ifm.noise_floor = 0.1"], ["ifm.noise_floor = -1"]),
     "limit": (["ifm.upper_limit_hz = 18e9"], ["ifm.upper_limit_hz = 25e9"]),
-    "band": (["ifm.band_lo_hz = 11e9"], ["ifm.band_hi_hz = 90e9"]),
+    # an ftpm measure of the default 10-20 GHz tones needs the band to hold them
+    "band": (["ifm.band_lo_hz = 9e9"], ["ifm.band_hi_hz = 90e9"]),
     "target": (["sweep.mode = classify", "sweep.mode = dynamic"], ["sweep.mode = sweep"]),
     "seeds": (["sweep.n_seeds = 2"], ["sweep.n_seeds = 0"]),
     "hop": (
@@ -579,7 +644,7 @@ RUN_TRIP = {
         lambda p: p["dynamic"].ifm_grid.n_samples / p["dynamic"].ifm_grid.sample_rate,
         400e-9, [200e-9],
     ),
-    "ifm.band_lo_hz": (lambda p: p["dynamic"].lut.band[0], 10e9, [11e9]),
+    "ifm.band_lo_hz": (lambda p: p["dynamic"].lut.band[0], 10e9, [9e9]),
     "ifm.band_hi_hz": (lambda p: p["dynamic"].lut.band[1], 20e9, [21e9]),
     "ifm.mode": (lambda p: p["dynamic"].lut.mode, "single_port", ["ratio"]),
     "ifm.port": (lambda p: p["dynamic"].lut.port, 2, [1]),
@@ -678,7 +743,6 @@ def test_config_round_trips_to_model_fields(data):
         "mzi": models.mzi, "notch": models.notch, "pd": models.pd, "link": models,
         "tone1": scenario.tones[0], "chirp1": scenario.chirps[0], "hop1": scenario.hops[0],
     }
-    assert models.pd.seed == 3
     for key, (name, _) in ROUND_TRIP.items():
         model = built[key.split(".")[-2]]
         defaults = {f.name: f.default for f in dataclasses.fields(model)}
@@ -793,6 +857,11 @@ class TestCli:
             ("calibrate", "calibration.lo_hz = 30e9\ncalibration.hi_hz = 50e9", "calibration"),
             ("measure", "measure.lo_hz = 5e9", "measure"),
             ("sweep", "sweep.mode = measure\nmeasure.hi_hz = 45e9", "measure"),
+            # an ftpm estimate beyond the 10-20 GHz lookup band would clamp to its edge
+            ("measure", "measure.method = ftpm\nmeasure.lo_hz = 21e9\nmeasure.hi_hz = 23e9",
+             "measure"),
+            ("measure", "measure.method = ftpm\nmeasure.lo_hz = 5e9\nmeasure.hi_hz = 9e9",
+             "measure"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):

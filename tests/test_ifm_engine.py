@@ -62,6 +62,19 @@ class TestBuildLut:
         with pytest.raises(ValueError, match="FSR"):
             build_lut(MziModel(), band=(5e9, 90e9))
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(band=(15e9, 15e9)), "f_lo < f_hi"),
+            (dict(band=(16e9, 12e9)), "f_lo < f_hi"),
+            (dict(n_knots=1), "at least 2 knots"),
+        ],
+        ids=["empty band", "reversed band", "one knot"],
+    )
+    def test_bad_table_settings_rejected(self, kwargs, error):
+        with pytest.raises(ValueError, match=error):
+            build_lut(MziModel(), **kwargs)
+
     def test_non_monotone_band_rejected(self):
         # the roll-off-weighted port response peaks near 37 GHz; a band
         # straddling that peak cannot invert
@@ -108,8 +121,9 @@ class TestBuildLut:
             (lambda head, rows: [head[0].replace("single_port", "bogus")] + rows, "LUT mode"),
             (lambda head, rows: [head[0].replace("port=2", "port=3")] + rows, "port must be 1 or 2"),
             (lambda head, rows: head + ["1e10,x\n"] + rows, "could not convert"),
+            (lambda head, rows: rows, "missing LUT header line"),
         ],
-        ids=["one knot", "no port", "unknown mode", "port 3", "not a number"],
+        ids=["one knot", "no port", "unknown mode", "port 3", "not a number", "no header"],
     )
     def test_csv_refuses_a_malformed_file(self, tmp_path, edit, error):
         path = tmp_path / "lut.csv"
@@ -184,11 +198,11 @@ class TestExtractInstFreq:
         assert recovered == pytest.approx([13e9, 17e9, 15e9, 11e9], abs=lut.step)
 
     def test_jammed_dwells_flag_noise_others_in_order(self):
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=6), notch=JAM_NOTCH)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01), notch=JAM_NOTCH)
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=640)
         sc = RfScenario(hops=(HopSpec(freqs=HOP_SET, dwell=80e-9),))
-        trace = simulate_ifm(sc, models, grid)
+        trace = simulate_ifm(sc, models, grid, seed=6)
         est = extract_inst_freq(trace, lut)
         for cycle in range(2):
             base = cycle * 320
@@ -261,8 +275,8 @@ class TestEstimateStaticFrequency:
     def test_noisy_within_one_gigahertz(self):
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=2000)
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=8))
-        trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=14e9),)), models, grid)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=14e9),)), models, grid, seed=8)
         assert estimate_static_frequency(trace, lut) == pytest.approx(14e9, abs=1e9)
 
     def test_no_signal_raises(self):

@@ -262,21 +262,21 @@ class TestPd:
     def test_same_seed_bit_identical(self):
         grid = TimeGrid(sample_rate=1e6, n_samples=512)
         x = np.linspace(0, 1, 512)
-        a = pd_detect(x, PdModel(noise_sigma=0.02, seed=123), grid)
-        b = pd_detect(x, PdModel(noise_sigma=0.02, seed=123), grid)
+        a = pd_detect(x, PdModel(noise_sigma=0.02), grid, seed=123)
+        b = pd_detect(x, PdModel(noise_sigma=0.02), grid, seed=123)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         grid = TimeGrid(sample_rate=1e6, n_samples=512)
         x = np.linspace(0, 1, 512)
-        a = pd_detect(x, PdModel(noise_sigma=0.02, seed=1), grid)
-        b = pd_detect(x, PdModel(noise_sigma=0.02, seed=2), grid)
+        a = pd_detect(x, PdModel(noise_sigma=0.02), grid, seed=1)
+        b = pd_detect(x, PdModel(noise_sigma=0.02), grid, seed=2)
         assert not np.array_equal(a, b)
 
     def test_output_clamped_nonnegative(self):
         grid = TimeGrid(sample_rate=1e6, n_samples=2048)
         x = np.full(2048, 1e-3)
-        out = pd_detect(x, PdModel(noise_sigma=0.5, seed=5), grid)
+        out = pd_detect(x, PdModel(noise_sigma=0.5), grid, seed=5)
         assert np.all(out >= 0)
 
     def test_negative_power_rejected(self):
@@ -289,7 +289,7 @@ class TestPd:
         grid = TimeGrid(sample_rate=rate, n_samples=4096)
         x = np.abs(np.sin(np.linspace(0, 30, 4096)))
         before = x.copy()
-        model = PdModel(bw_3db=1e9, noise_sigma=0.3, seed=77)
+        model = PdModel(bw_3db=1e9, noise_sigma=0.3)
         out = x
         if rate / 2.0 >= model.bw_3db:
             k = 2.0 * np.pi * model.bw_3db * grid.dt / 2.0
@@ -297,13 +297,13 @@ class TestPd:
             a = [1.0, (k - 1.0) / (1.0 + k)]
             out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
         scale = model.noise_sigma * float(np.max(x))
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(77)))
         want = np.maximum(out + rng.normal(0.0, scale, size=out.shape), 0.0)
-        got = pd_detect(x, model, grid)
+        got = pd_detect(x, model, grid, seed=77)
         assert np.array_equal(got, want)
         assert np.any(got == 0.0)  # the clamp acted
         assert np.array_equal(x, before)
-        quiet = pd_detect(x, replace(model, noise_sigma=0.0), grid)
+        quiet = pd_detect(x, replace(model, noise_sigma=0.0), grid, seed=77)
         assert np.array_equal(quiet, np.maximum(out, 0.0))
         assert np.array_equal(x, before)
 
@@ -447,12 +447,12 @@ class TestBlocking:
     def test_noise_equals_one_fill(self, n):
         grid = TimeGrid(sample_rate=1e6, n_samples=n)  # below the PD low-pass
         x = np.abs(np.sin(np.linspace(0.0, 40.0, n)))
-        model = PdModel(noise_sigma=0.3, seed=91)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(model.seed)))
+        model = PdModel(noise_sigma=0.3)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(91)))
         want = rng.standard_normal(n)
         want *= model.noise_sigma * float(np.max(x))
         want += x
         np.maximum(want, 0.0, out=want)
-        got = pd_detect(x, model, grid)
+        got = pd_detect(x, model, grid, seed=91)
         assert np.array_equal(got, want)
         assert np.any(got == 0.0)  # the clamp acted

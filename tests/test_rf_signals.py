@@ -160,7 +160,11 @@ def test_component_tracks_matches_scalar_path():
             hops=(HopSpec(freqs=tuple(rng.uniform(9e9, 21e9, 3)), dwell=rng.uniform(5e-8, 2e-7)),),
         )
         grid = TimeGrid(sample_rate=rng.uniform(5e6, 5e7), n_samples=64, t0=rng.uniform(0, 1e-5))
-        tracks = component_tracks(sc, grid)
+        # a tone's track and every amplitude are scalars: widen them to the grid
+        n = grid.n_samples
+        tracks = [
+            tuple(np.broadcast_to(v, n) for v in track) for track in component_tracks(sc, grid)
+        ]
         for k, t in enumerate(grid.times()):
             expected = set(instantaneous_components(sc, float(t)).components)
             got = {

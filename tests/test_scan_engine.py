@@ -86,14 +86,14 @@ class TestSimulateScan:
             simulate_scan(RfScenario(), noiseless_models, drive, short)
 
     def test_same_seed_reproducible(self, drive, grid_1ms):
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=9))
-        a = simulate_scan(tone_scenario(12e9), models, drive, grid_1ms)
-        b = simulate_scan(tone_scenario(12e9), models, drive, grid_1ms)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        a = simulate_scan(tone_scenario(12e9), models, drive, grid_1ms, 9)
+        b = simulate_scan(tone_scenario(12e9), models, drive, grid_1ms, 9)
         assert np.array_equal(a.power, b.power)
 
     def test_chirp_envelope_is_filled(self, drive, grid_fast):
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=2))
-        trace = simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid_fast)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        trace = simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid_fast, 2)
         events = detect_pulses(trace)
         assert len(events) == 1
         assert events[0].fill_randomness > 0.4
@@ -133,8 +133,8 @@ class TestDetectPulses:
     def test_one_sample_noise_spike_is_not_a_pulse(self, drive, grid_fast):
         # with this noise stream one sample on the slow rising tail of the
         # 10 GHz pulse crosses the threshold 38 ms before the real peak
-        models = LinkModels(pd=PdModel(seed=derive_seed(311, STAGE_CAL, 0)))
-        trace = simulate_scan(tone_scenario(10e9), models, drive, grid_fast)
+        seed = derive_seed(311, STAGE_CAL, 0)
+        trace = simulate_scan(tone_scenario(10e9), LinkModels(), drive, grid_fast, seed)
         assert len(detect_pulses(trace)) == 1
 
 
@@ -173,8 +173,8 @@ def test_run_helpers_match_loop(above, gap):
 def test_pure_noise_reads_as_no_signal(seed, noise_sigma):
     # a constant optical level through the detector noise, on a 5 ms scan
     grid = TimeGrid(sample_rate=1e6, n_samples=5000)
-    pd = PdModel(noise_sigma=noise_sigma, seed=seed)
-    power = pd_detect(np.full(grid.n_samples, 0.5), pd, grid)
+    pd = PdModel(noise_sigma=noise_sigma)
+    power = pd_detect(np.full(grid.n_samples, 0.5), pd, grid, seed)
     trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=5e-3))
     assert trace.level is None
     events = detect_pulses(trace)
@@ -182,6 +182,30 @@ def test_pure_noise_reads_as_no_signal(seed, noise_sigma):
     with pytest.raises(ValueError, match="no envelope"):
         measure_span(trace, CalibrationTable((0.0, 2e12, 1e10), (0.0, 5e-3), 0.0))
     assert compute_features(events, trace) == EnvelopeFeatures(0, False, None)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    gain=st.floats(0.05, 4.0),
+    amplitude=st.floats(0.3, 2.0),
+    freq=st.floats(10.5e9, 19.5e9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_delays_do_not_depend_on_optical_scale(drive, grid_1ms, gain, amplitude, freq, seed):
+    # detection is relative to the trace's level and the noise scales with
+    # the peak power, so a gain or amplitude moves no pulse; IEEE rounding
+    # may, by at most one sample
+    def delays(models, amp):
+        scenario = RfScenario(tones=(ToneSpec(freq=freq, amplitude=amp),))
+        trace = simulate_scan(scenario, models, drive, grid_1ms, seed)
+        # in samples, each peak's index in the scan
+        return np.rint([ev.peak_time * grid_1ms.sample_rate for ev in detect_pulses(trace)])
+
+    base = delays(LinkModels(), 1.0)
+    scaled = delays(LinkModels(link_gain=gain), amplitude)
+    assert len(base) == 1
+    assert len(scaled) == len(base)
+    assert np.all(np.abs(scaled - base) <= 1)
 
 
 def level_oracle(power):
@@ -290,12 +314,12 @@ class TestScanAxisCache:
                         assert np.array_equal(got, uncached_scan_frequency(mrr, drive, grid))
 
     def test_noisy_trace_same_with_cold_and_warm_cache(self, drive, grid_1ms):
-        models = LinkModels(pd=PdModel(seed=7))
+        models = LinkModels()
         scenario = tone_scenario(12e9, 17e9)
         _scan_axis.cache_clear()
-        cold = simulate_scan(scenario, models, drive, grid_1ms).power
+        cold = simulate_scan(scenario, models, drive, grid_1ms, 7).power
         assert _scan_axis.cache_info().currsize == 1
-        warm = simulate_scan(scenario, models, drive, grid_1ms).power
+        warm = simulate_scan(scenario, models, drive, grid_1ms, 7).power
         assert _scan_axis.cache_info().hits >= 2
         assert np.array_equal(cold, warm)
 
@@ -331,9 +355,9 @@ class TestCalibrate:
             calibrate(noiseless_models, drive, [10e9, 15e9, 50e9], grid_1ms)
 
     def test_repeatable_with_seed(self, drive, grid_1ms):
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=17))
-        t1 = calibrate(models, drive, CAL_TONES, grid_1ms)
-        t2 = calibrate(models, drive, CAL_TONES, grid_1ms)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        t1 = calibrate(models, drive, CAL_TONES, grid_1ms, 17)
+        t2 = calibrate(models, drive, CAL_TONES, grid_1ms, 17)
         assert t1.coeffs == t2.coeffs
 
 
@@ -369,8 +393,8 @@ class TestMeasureSpan:
     def test_chirp_span_within_3_percent(self, drive, grid_fast, table_fast, span):
         chirp = ChirpSpec(center=15e9, span=span, pulse_width=1.6e-6, repeat_interval=4e-6)
         for seed in range(3):
-            models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=seed))
-            trace = simulate_scan(RfScenario(chirps=(chirp,)), models, drive, grid_fast)
+            models = LinkModels(pd=PdModel(noise_sigma=0.01))
+            trace = simulate_scan(RfScenario(chirps=(chirp,)), models, drive, grid_fast, seed)
             measured = measure_span(trace, table_fast)
             assert abs(measured - span) / span < 0.03
 
@@ -386,8 +410,8 @@ class TestMeasureSpan:
     def test_raw_edges_show_lorentzian_bias(self, drive, grid_fast, table_fast):
         # documents why measure_span uses occupancy edges: the literal first
         # and last above-threshold samples sit far out in the Lorentzian tails
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=0))
-        trace = simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid_fast)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        trace = simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid_fast, 0)
         floor, fullscale, _ = trace.level
         hit = np.flatnonzero(trace.power > floor + THRESHOLD_FRAC * fullscale)
         times = (trace.grid.t0 + hit[[0, -1]] * trace.grid.dt) % drive.period
@@ -405,8 +429,8 @@ class TestMeasureSpan:
 class TestEstimateHopSet:
     def test_three_hop_set(self, drive, grid_fast, table_fast):
         sc = RfScenario(hops=(HopSpec(freqs=(10e9, 13e9, 18e9), dwell=80e-9),))
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=4))
-        trace = simulate_scan(sc, models, drive, grid_fast)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        trace = simulate_scan(sc, models, drive, grid_fast, 4)
         est = estimate_hop_set(detect_pulses(trace), table_fast)
         assert len(est) == 3
         for got, want in zip(est, (10e9, 13e9, 18e9)):
@@ -414,8 +438,8 @@ class TestEstimateHopSet:
 
     def test_four_hop_set_sorted(self, drive, grid_fast, table_fast):
         sc = RfScenario(hops=(HopSpec(freqs=(17e9, 10e9, 15e9, 13e9), dwell=80e-9),))
-        models = LinkModels(pd=PdModel(noise_sigma=0.01, seed=5))
-        trace = simulate_scan(sc, models, drive, grid_fast)
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        trace = simulate_scan(sc, models, drive, grid_fast, 5)
         est = estimate_hop_set(detect_pulses(trace), table_fast)
         assert len(est) == 4
         assert est == sorted(est)  # chronological order is not recoverable
@@ -442,6 +466,13 @@ class TestPersistence:
         assert loaded.coeffs == pytest.approx(table_1ms.coeffs)
         assert loaded.valid_range == pytest.approx(table_1ms.valid_range)
         assert loaded.fit_residual_rms == pytest.approx(table_1ms.fit_residual_rms)
+
+    @pytest.mark.parametrize("text, n", [("1.0 2.0 3.0\n0.0 1.0\n", 2), ("1 2 3\n0 1\n0\n0\n", 4)])
+    def test_calibration_table_refuses_a_wrong_line_count(self, tmp_path, text, n):
+        path = tmp_path / "cal.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 3 lines, got {n}")):
+            CalibrationTable.load(path)
 
     def test_calibration_table_refuses_a_non_numeric_field(self, tmp_path):
         path = tmp_path / "cal.txt"
