@@ -8,6 +8,7 @@ per-sample traces or its lookup table. Every run is deterministic given
 (config, seed); artifact CSVs are byte-stable.
 """
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -238,11 +239,12 @@ def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     if plan.method == "fttm":
         table = calibrate(plan.models, plan.drive, plan.cal_tones, plan.scan_grid, seed)
         scans = tone_scans(plan.models, plan.drive, plan.scan_grid, plan.tones, seed, STAGE_MEASURE)
-        for i, (f, events) in enumerate(zip(plan.tones, scans)):
-            found = estimate_frequencies(events, table)
-            if len(found) != 1:
-                raise RuntimeError(f"tone {f / 1e9:.3f} GHz gave {len(found)} in-band pulses")
-            ests[i] = found[0]
+        with contextlib.closing(scans):
+            for i, (f, events) in enumerate(zip(plan.tones, scans)):
+                found = estimate_frequencies(events, table)
+                if len(found) != 1:
+                    raise RuntimeError(f"tone {f / 1e9:.3f} GHz gave {len(found)} in-band pulses")
+                ests[i] = found[0]
         writes["calibration.txt"] = table.save
     else:
         for i, f in enumerate(plan.tones):

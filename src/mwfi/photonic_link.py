@@ -158,7 +158,7 @@ def modulator_sideband_weight(model: ModulatorModel, f):
     return 1.0 / (1.0 + (f / model.bw_3db) ** 2)
 
 
-def link_power(modulator: ModulatorModel, response, components, n_samples: int) -> np.ndarray:
+def link_power(modulator: ModulatorModel, response, components, n_samples: int, out=None):
     """Optical power reaching the detector through one filter.
 
     components holds (freq, power) pairs: scalars for always-on tones,
@@ -176,21 +176,35 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
     same order as over the whole trace, and a response that picks its path
     per block must give each sample the same value on every path (the
     wrapped detuning of mrr_drop_response is d - 0 * fsr = d in range).
+
+    out, when given, is a float array of n_samples that receives the sum
+    (its old contents are overwritten) and is returned; otherwise a new
+    array is.
     """
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
-    total = np.zeros(n_samples)
+    total = _output(out, (n_samples,))
     for block in _blocks(n_samples):
-        out = total[block]
+        acc = total[block]
+        acc.fill(0.0)
         sideband_power = 0.0
         for f, p in components:
             f, p = (v[block] if np.ndim(v) else v for v in (f, p))
             w = modulator_sideband_weight(modulator, f)
-            out += _scaled(response(f, block), p * w)
-            out += _scaled(response(-f, block), imgs * p * w)
+            acc += _scaled(response(f, block), p * w)
+            acc += _scaled(response(-f, block), imgs * p * w)
             sideband_power = sideband_power + p
-        out += cs * sideband_power * response(0.0, block)
+        acc += cs * sideband_power * response(0.0, block)
     return total
+
+
+def _output(out, shape) -> np.ndarray:
+    """A new float array of shape when out is None, else out once it is one."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    return out
 
 
 def _blocks(n_samples: int):
@@ -289,7 +303,7 @@ def notch_response(model: NotchFilterModel, f):
     return t
 
 
-def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0) -> np.ndarray:
+def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, out=None) -> np.ndarray:
     """Photodetection: bandwidth limit and additive noise on the power.
 
     The single-pole low-pass only engages when the grid can represent it
@@ -299,11 +313,16 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0) -> np.ndarra
     counter-based Philox generator keyed by seed, so equal seeds give
     bit-identical output; it is drawn, added and clamped in blocks of BLOCK
     samples, which gives the output of one whole-array pass.
+
+    out, when given, is a float array of power's shape that receives the
+    output and is returned; it may be power itself, which is then detected
+    in place. Otherwise power is only read and a new array is returned.
     """
     p = np.asarray(power, dtype=float)
     if p.min(initial=0.0) < 0:
         raise ValueError("power samples must be >= 0")
-    out = p
+    detected = _output(out, p.shape)
+    filtered = p
     nyquist = grid.sample_rate / 2.0
     if nyquist >= model.bw_3db:
         from scipy.signal import lfilter, lfilter_zi
@@ -313,19 +332,20 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0) -> np.ndarra
         k = wc * grid.dt / 2.0
         b = [k / (1.0 + k), k / (1.0 + k)]
         a = [1.0, (k - 1.0) / (1.0 + k)]
-        out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
+        filtered = lfilter(b, a, filtered, zi=lfilter_zi(b, a) * filtered[0])[0]
     scale = model.noise_sigma * float(np.max(p, initial=0.0))
     if scale > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
-        # block at a time into one buffer: consecutive fills continue one
-        # stream, so they equal one fill; out may be the caller's array, so
-        # it is only read
-        noisy = np.empty(out.shape)
-        for block in _blocks(out.size):
-            z = rng.standard_normal(out=noisy[block])
+        # filtered + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
+        # block at a time through one block-sized scratch buffer: consecutive
+        # fills continue one stream, so they equal one fill, and scale * z +
+        # filtered is filtered + scale * z bit for bit
+        scratch = np.empty(min(BLOCK, p.size))
+        for block in _blocks(p.size):
+            dst = detected[block]
+            z = rng.standard_normal(out=scratch[: dst.size])
             z *= scale
-            z += out[block]
-            np.maximum(z, 0.0, out=z)
-        return noisy
-    return np.maximum(out, 0.0)
+            np.add(z, filtered[block], out=dst)
+            np.maximum(dst, 0.0, out=dst)
+        return detected
+    return np.maximum(filtered, 0.0, out=detected)

@@ -7,14 +7,17 @@ quadratic lookup table fitted during calibration. Statistical measurements
 (frequency sets, chirp spans, hop sets) all run on the detected trace.
 """
 
+import contextlib
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 # not scipy: it takes about a second to import and only the scan estimators
-# use it, so each imports its function where it calls it; IFM runs never load it
+# use it, so each imports its function where it calls it; IFM runs never load it.
+# Nor concurrent.futures (about 7 ms, mostly logging): tone_scans imports it.
 
 from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_powers
@@ -54,6 +57,11 @@ VALID_RANGE_MARGIN = 0.05
 # Detection threshold and peak prominence, as a fraction of full scale above
 # the trace floor; pulse detection and the span edges share it.
 THRESHOLD_FRAC = 0.1
+
+# tone_scans simulates its scans on this many worker threads, with at most
+# SCAN_WINDOW tones submitted and not yet detected
+SCAN_WORKERS = 2
+SCAN_WINDOW = 3
 
 
 class CalibrationError(RuntimeError):
@@ -246,12 +254,15 @@ def simulate_scan(
     drive: SawtoothDrive,
     grid: TimeGrid,
     seed: int = 0,
+    out=None,
 ) -> ScanTrace:
     """Detected power of the scanning-filter path for a full scenario.
 
     Per sample: sawtooth voltage -> lagged V^2 -> scan frequency, then
     link_power through the ring response at each component's detuning
     from the scan frequency, through the detector, whose noise seed is seed.
+    The optical power is detected in place, in out when it is given (a
+    float array of grid.n_samples, which becomes the trace's power).
     """
     expected = drive.n_periods * drive.period
     if abs(grid.duration - expected) > grid.dt:
@@ -268,11 +279,11 @@ def simulate_scan(
         return mrr_drop_response(models.mrr, f - f_s[block])
 
     total = link_power(
-        models.modulator, response, component_powers(scenario, grid), grid.n_samples
+        models.modulator, response, component_powers(scenario, grid), grid.n_samples, out
     )
     total *= models.link_gain
 
-    power = pd_detect(total, models.pd, grid, seed)
+    power = pd_detect(total, models.pd, grid, seed, out=total)
     hint, settle = _scan_timing(models, drive)
     return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
 
@@ -378,11 +389,34 @@ def detect_pulses(trace: ScanTrace) -> list:
 
 
 def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, seed, stage):
-    """detect_pulses of one scan per tone; tone i's detector noise seed is
-    derive_seed(seed, stage, i)."""
-    for i, f in enumerate(tone_freqs):
-        tone = RfScenario(tones=(ToneSpec(freq=f),))
-        yield detect_pulses(simulate_scan(tone, models, drive, grid, derive_seed(seed, stage, i)))
+    """detect_pulses of one scan per tone, in tone order; tone i's detector
+    noise seed is derive_seed(seed, stage, i).
+
+    SCAN_WORKERS threads simulate the scans, at most SCAN_WINDOW tones
+    ahead, while this thread detects the pulses of the oldest. Each scan
+    fills a trace buffer this thread allocates: a worker's own large arrays
+    would stay in its malloc arena after the run. Every tone's noise is
+    keyed by its index, so the events equal those of a serial run, and an
+    error surfaces at its own tone. Closing the generator stops the pool.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    # lru_cache does not lock a miss: build the shared axis before any worker reads it
+    _scan_axis(models.mrr, drive, grid)
+    pool = ThreadPoolExecutor(SCAN_WORKERS)
+    pending = deque()
+    try:
+        for i, f in enumerate(tone_freqs):
+            tone = RfScenario(tones=(ToneSpec(freq=f),))
+            buf = np.empty(grid.n_samples)
+            s = derive_seed(seed, stage, i)
+            pending.append(pool.submit(simulate_scan, tone, models, drive, grid, s, buf))
+            if len(pending) == SCAN_WINDOW:
+                yield detect_pulses(pending.popleft().result())
+        while pending:
+            yield detect_pulses(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def calibrate(
@@ -403,12 +437,13 @@ def calibrate(
     if len(tone_freqs) < 3:
         raise CalibrationError("need at least 3 calibration tones for a quadratic fit")
     delays = []
-    for f, events in zip(tone_freqs, tone_scans(models, drive, grid, tone_freqs, seed, STAGE_CAL)):
-        if len(events) != 1:
-            raise CalibrationError(
-                f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"
-            )
-        delays.append(events[0].peak_time)
+    with contextlib.closing(tone_scans(models, drive, grid, tone_freqs, seed, STAGE_CAL)) as scans:
+        for f, events in zip(tone_freqs, scans):
+            if len(events) != 1:
+                raise CalibrationError(
+                    f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"
+                )
+            delays.append(events[0].peak_time)
 
     t = np.asarray(delays)
     f = np.asarray(tone_freqs)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from mwfi.ifm_engine import (
 from mwfi.photonic_link import LinkModels
 from mwfi.presets import list_presets, preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
+from mwfi import scan_engine
 from mwfi.scan_engine import SawtoothDrive, _scan_axis
 from mwfi.seeding import STAGE_DYNAMIC, derive_seed
 
@@ -414,6 +416,17 @@ class TestRun:
         # the scan reaches these tones, but the 10-20 GHz calibration does not
         with pytest.raises(RuntimeError, match="measure stage failed"):
             run(cfg, out_dir=tmp_path)
+
+    def test_one_scan_axis_per_run(self, tmp_path, monkeypatch):
+        # the calibration and measure scans, two at a time, share one axis
+        calls = []
+        lag = scan_engine.thermal_lag
+        monkeypatch.setattr(scan_engine, "thermal_lag", lambda *a: calls.append(a) or lag(*a))
+        _scan_axis.cache_clear()
+        for seed in (1, 2):
+            cfg = RunConfig.from_text(FAST_MEASURE + "drive.period_s = 0.02\n")
+            run(cfg, seed=seed, out_dir=tmp_path / str(seed))
+            assert len(calls) == seed
 
     @pytest.mark.parametrize(
         "mode, line, error",
@@ -942,6 +955,28 @@ class TestCli:
         assert proc.returncode == 2
         assert "preset" in proc.stderr
 
+    # a short drive keeps these scans at 20,000 samples
+    @pytest.mark.parametrize(
+        "mode, lines, error",
+        [
+            # at this noise level and seed, calibration tones 12 and 13 GHz
+            # each give 2 pulses (TestToneScans.test_error_surfaces_at_its_tone)
+            ("calibrate", "pd.noise_sigma = 0.03\nseed = 14\n",
+             "calibration tone 12.000 GHz produced 2 pulses (need 1)"),
+            # the calibration ends at 20 GHz: 24, 28, 32 and 36 GHz lie beyond it
+            ("measure", "measure.lo_hz = 12e9\nmeasure.hi_hz = 36e9\nmeasure.step_hz = 4e9\n",
+             "tone 24.000 GHz gave 0 in-band pulses"),
+        ],
+        ids=["calibration tone", "measure tone"],
+    )
+    def test_failing_tone_exits_one_and_stops_workers(self, tmp_path, capsys, mode, lines, error):
+        cfg = tmp_path / "fails.cfg"
+        cfg.write_text(f"mode = {mode}\ndrive.period_s = 0.02\n{lines}")
+        before = threading.active_count()
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"mwfi: error: {mode} stage failed: {error}\n"
+        assert threading.active_count() == before
+
     def test_runtime_error_exits_one(self, tmp_path):
         # the scan reaches 35-36 GHz, but the calibrated delays end at 20 GHz
         bad = tmp_path / "oob.cfg"
@@ -956,13 +991,14 @@ class TestCli:
         # the stage failed before any artifact was written
         assert not out.exists()
 
-    # runs the CLI in a cold interpreter, then prints its exit code and the
-    # scipy modules it loaded
+    # runs the CLI in a cold interpreter, then prints its exit code, the
+    # scipy modules it loaded and whether it loaded the scan thread pool
     COLD = (
         "import json, sys\n"
         "from mwfi.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
+        "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps([code, scipy, 'concurrent.futures' in sys.modules]))\n"
     )
 
     @pytest.mark.parametrize(
@@ -989,9 +1025,11 @@ class TestCli:
         argv = [a.format(**paths) for a in args] + ["--out", str(tmp_path / "out")]
         proc = self._python("-c", self.COLD, *argv)
         assert proc.returncode == 0, proc.stderr
-        got, loaded = json.loads(proc.stdout.splitlines()[-1])
+        got, loaded, pool = json.loads(proc.stdout.splitlines()[-1])
         assert got == code, proc.stderr
         assert bool(loaded) == scipy, loaded
+        # only the scans import concurrent.futures (and logging with it)
+        assert pool == scipy
 
     def test_reproducible_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

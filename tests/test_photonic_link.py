@@ -456,3 +456,31 @@ class TestBlocking:
         got = pd_detect(x, model, grid, seed=91)
         assert np.array_equal(got, want)
         assert np.any(got == 0.0)  # the clamp acted
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_noise_in_place_equals_new_array(self, n):
+        grid = TimeGrid(sample_rate=1e6, n_samples=n)
+        x = np.abs(np.sin(np.linspace(0.0, 40.0, n)))
+        before = x.copy()
+        model = PdModel(noise_sigma=0.3)
+        want = pd_detect(x, model, grid, seed=91)
+        assert np.array_equal(x, before)  # without out, power is only read
+        got = pd_detect(x, model, grid, seed=91, out=x)
+        assert got is x
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_sum_into_given_buffer(self, n):
+        mzi, notch = TestLinkPower.MODELS.mzi, TestLinkPower.MODELS.notch
+
+        def response(f, _):
+            return mzi_port_response(mzi, f, 2) * notch_response(notch, f)
+
+        components = self._components(n)
+        mod = TestLinkPower.MODELS.modulator
+        buf = np.full(n, np.nan)
+        got = link_power(mod, response, components, n, out=buf)
+        assert got is buf
+        assert np.array_equal(got, link_power(mod, response, components, n))
+        with pytest.raises(ValueError, match="out must be"):
+            link_power(mod, response, components, n, out=np.empty(n + 1))

@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from mwfi.classifier import EnvelopeFeatures, compute_features
 from mwfi.photonic_link import LinkModels, MrrModel, PdModel, pd_detect, thermal_lag
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
+from mwfi import scan_engine
 from mwfi.scan_engine import (
+    SCAN_WINDOW,
     THRESHOLD_FRAC,
     _above_threshold_runs,
     _merge_runs,
@@ -27,8 +31,9 @@ from mwfi.scan_engine import (
     scan_trace_from_csv,
     scan_trace_to_csv,
     simulate_scan,
+    tone_scans,
 )
-from mwfi.seeding import STAGE_CAL, derive_seed
+from mwfi.seeding import STAGE_CAL, STAGE_MEASURE, derive_seed
 
 from conftest import CAL_TONES, INCOMMENSURATE_RATE, make_grid
 
@@ -359,6 +364,69 @@ class TestCalibrate:
         t1 = calibrate(models, drive, CAL_TONES, grid_1ms, 17)
         t2 = calibrate(models, drive, CAL_TONES, grid_1ms, 17)
         assert t1.coeffs == t2.coeffs
+
+
+class TestToneScans:
+    """tone_scans simulates on worker threads and detects on the caller's;
+    its events equal the serial loop's, tone for tone."""
+
+    DRIVE = SawtoothDrive(period=0.02)
+    GRID = make_grid(1e6, DRIVE)  # 20,000 samples: two blocks of the power sum
+    MODELS = LinkModels(pd=PdModel(noise_sigma=0.02))
+
+    def serial(self, tones, seed, stage, models=MODELS):
+        seeds = (derive_seed(seed, stage, i) for i in range(len(tones)))
+        return [
+            detect_pulses(simulate_scan(tone_scenario(f), models, self.DRIVE, self.GRID, s))
+            for f, s in zip(tones, seeds)
+        ]
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=SCAN_WINDOW + 2),
+        seed=st.integers(0, 2**32 - 1),
+        stage=st.sampled_from([STAGE_CAL, STAGE_MEASURE]),
+    )
+    def test_events_equal_serial_scans(self, fracs, seed, stage):
+        # tones anywhere inside the scan's reach, fewer and more than the window
+        f_s = scan_frequency(self.MODELS, self.DRIVE, self.GRID)
+        lo, hi = float(f_s.min()), float(f_s.max())
+        tones = [lo + x * (hi - lo) for x in fracs]
+        got = list(tone_scans(self.MODELS, self.DRIVE, self.GRID, tones, seed, stage))
+        assert got == self.serial(tones, seed, stage)
+
+    def test_cold_calibration_builds_the_axis_once(self, monkeypatch):
+        calls = []
+        real = scan_engine.thermal_lag
+
+        def slow_lag(*args):
+            # a slow heater lag gives a second thread time to miss the cache too
+            calls.append(args)
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(scan_engine, "thermal_lag", slow_lag)
+        _scan_axis.cache_clear()
+        calibrate(self.MODELS, self.DRIVE, CAL_TONES, self.GRID, 3)
+        assert len(calls) == 1
+
+    def test_closing_early_stops_the_workers(self):
+        before = threading.active_count()
+        scans = tone_scans(self.MODELS, self.DRIVE, self.GRID, CAL_TONES, 5, STAGE_CAL)
+        assert next(scans) == self.serial(CAL_TONES[:1], 5, STAGE_CAL)[0]
+        scans.close()
+        assert threading.active_count() == before
+
+    def test_error_surfaces_at_its_tone(self):
+        # seed 14 at this noise level: 12 GHz gives 2 pulses and so does 13
+        # GHz, which is in flight when 12 GHz is detected
+        models = LinkModels(pd=PdModel(noise_sigma=0.03))
+        counts = [len(ev) for ev in self.serial(CAL_TONES, 14, STAGE_CAL, models)]
+        first = next(i for i, n in enumerate(counts) if n != 1)
+        assert 0 < first and counts[first + 1] != 1
+        name = f"tone {CAL_TONES[first] / 1e9:.3f} GHz produced"
+        with pytest.raises(CalibrationError, match=name):
+            calibrate(models, self.DRIVE, CAL_TONES, self.GRID, 14)
 
 
 class TestEstimateFrequencies:
