@@ -32,6 +32,7 @@ __all__ = [
     "mzi_port_response",
     "acf",
     "notch_response",
+    "noise_stream",
     "pd_detect",
     "link_power",
 ]
@@ -158,7 +159,7 @@ def modulator_sideband_weight(model: ModulatorModel, f):
     return 1.0 / (1.0 + (f / model.bw_3db) ** 2)
 
 
-def link_power(modulator: ModulatorModel, response, components, n_samples: int, out=None):
+def link_power(modulator: ModulatorModel, response, components, n_samples: int) -> np.ndarray:
     """Optical power reaching the detector through one filter.
 
     components holds (freq, power) pairs: scalars for always-on tones,
@@ -176,35 +177,21 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int, 
     same order as over the whole trace, and a response that picks its path
     per block must give each sample the same value on every path (the
     wrapped detuning of mrr_drop_response is d - 0 * fsr = d in range).
-
-    out, when given, is a float array of n_samples that receives the sum
-    (its old contents are overwritten) and is returned; otherwise a new
-    array is.
     """
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
-    total = _output(out, (n_samples,))
+    total = np.zeros(n_samples)
     for block in _blocks(n_samples):
-        acc = total[block]
-        acc.fill(0.0)
+        out = total[block]
         sideband_power = 0.0
         for f, p in components:
             f, p = (v[block] if np.ndim(v) else v for v in (f, p))
             w = modulator_sideband_weight(modulator, f)
-            acc += _scaled(response(f, block), p * w)
-            acc += _scaled(response(-f, block), imgs * p * w)
+            out += _scaled(response(f, block), p * w)
+            out += _scaled(response(-f, block), imgs * p * w)
             sideband_power = sideband_power + p
-        acc += cs * sideband_power * response(0.0, block)
+        out += cs * sideband_power * response(0.0, block)
     return total
-
-
-def _output(out, shape) -> np.ndarray:
-    """A new float array of shape when out is None, else out once it is one."""
-    if out is None:
-        return np.empty(shape)
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
-        raise ValueError(f"out must be a float64 array of shape {shape}")
-    return out
 
 
 def _blocks(n_samples: int):
@@ -303,26 +290,32 @@ def notch_response(model: NotchFilterModel, f):
     return t
 
 
-def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, out=None) -> np.ndarray:
+def noise_stream(seed: int) -> np.random.Generator:
+    """The detector noise generator keyed by seed: a counter-based Philox
+    stream, so equal seeds give bit-identical draws."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, draws=None) -> np.ndarray:
     """Photodetection: bandwidth limit and additive noise on the power.
 
     The single-pole low-pass only engages when the grid can represent it
     (Nyquist >= bw_3db); at the slow scan rates used here the PD is
     transparent. Noise std is noise_sigma x max(power), so noise_sigma alone
-    sets the SNR; output is clamped at zero. The noise comes from a
-    counter-based Philox generator keyed by seed, so equal seeds give
-    bit-identical output; it is drawn, added and clamped in blocks of BLOCK
-    samples, which gives the output of one whole-array pass.
+    sets the SNR; output is clamped at zero. The noise comes from
+    noise_stream(seed), so equal seeds give bit-identical output; it is
+    drawn, added and clamped in blocks of BLOCK samples, which gives the
+    output of one whole-array pass.
 
-    out, when given, is a float array of power's shape that receives the
-    output and is returned; it may be power itself, which is then detected
-    in place. Otherwise power is only read and a new array is returned.
+    draws, when given, are the first power.size standard-normal draws of
+    noise_stream(seed), drawn ahead by the caller; the output is written
+    over them and returned. Otherwise a new array is returned. Either way
+    power is only read.
     """
     p = np.asarray(power, dtype=float)
     if p.min(initial=0.0) < 0:
         raise ValueError("power samples must be >= 0")
-    detected = _output(out, p.shape)
-    filtered = p
+    out = p
     nyquist = grid.sample_rate / 2.0
     if nyquist >= model.bw_3db:
         from scipy.signal import lfilter, lfilter_zi
@@ -332,20 +325,22 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, out=None) ->
         k = wc * grid.dt / 2.0
         b = [k / (1.0 + k), k / (1.0 + k)]
         a = [1.0, (k - 1.0) / (1.0 + k)]
-        filtered = lfilter(b, a, filtered, zi=lfilter_zi(b, a) * filtered[0])[0]
+        out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
     scale = model.noise_sigma * float(np.max(p, initial=0.0))
     if scale > 0:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        # filtered + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
-        # block at a time through one block-sized scratch buffer: consecutive
-        # fills continue one stream, so they equal one fill, and scale * z +
-        # filtered is filtered + scale * z bit for bit
-        scratch = np.empty(min(BLOCK, p.size))
-        for block in _blocks(p.size):
-            dst = detected[block]
-            z = rng.standard_normal(out=scratch[: dst.size])
+        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
+        # block at a time into one buffer: consecutive fills continue one
+        # stream, so they equal one fill, or the caller's draws
+        if draws is None:
+            rng, noisy = noise_stream(seed), np.empty(out.shape)
+        else:
+            rng, noisy = None, draws
+        for block in _blocks(out.size):
+            z = noisy[block]
+            if rng is not None:
+                rng.standard_normal(out=z)
             z *= scale
-            np.add(z, filtered[block], out=dst)
-            np.maximum(dst, 0.0, out=dst)
-        return detected
-    return np.maximum(filtered, 0.0, out=detected)
+            z += out[block]
+            np.maximum(z, 0.0, out=z)
+        return noisy
+    return np.maximum(out, 0.0, out=draws)

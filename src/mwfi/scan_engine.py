@@ -10,7 +10,6 @@ quadratic lookup table fitted during calibration. Statistical measurements
 import contextlib
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +26,7 @@ from .photonic_link import (
     link_power,
     mrr_drop_response,
     mrr_resonance_offset,
+    noise_stream,
     pd_detect,
     thermal_lag,
 )
@@ -57,11 +57,6 @@ VALID_RANGE_MARGIN = 0.05
 # Detection threshold and peak prominence, as a fraction of full scale above
 # the trace floor; pulse detection and the span edges share it.
 THRESHOLD_FRAC = 0.1
-
-# tone_scans simulates its scans on this many worker threads, with at most
-# SCAN_WINDOW tones submitted and not yet detected
-SCAN_WORKERS = 2
-SCAN_WINDOW = 3
 
 
 class CalibrationError(RuntimeError):
@@ -254,15 +249,15 @@ def simulate_scan(
     drive: SawtoothDrive,
     grid: TimeGrid,
     seed: int = 0,
-    out=None,
+    draws=None,
 ) -> ScanTrace:
     """Detected power of the scanning-filter path for a full scenario.
 
     Per sample: sawtooth voltage -> lagged V^2 -> scan frequency, then
     link_power through the ring response at each component's detuning
     from the scan frequency, through the detector, whose noise seed is seed.
-    The optical power is detected in place, in out when it is given (a
-    float array of grid.n_samples, which becomes the trace's power).
+    draws, when given, are that noise's standard-normal draws, drawn ahead;
+    they become the trace's power (pd_detect).
     """
     expected = drive.n_periods * drive.period
     if abs(grid.duration - expected) > grid.dt:
@@ -279,11 +274,11 @@ def simulate_scan(
         return mrr_drop_response(models.mrr, f - f_s[block])
 
     total = link_power(
-        models.modulator, response, component_powers(scenario, grid), grid.n_samples, out
+        models.modulator, response, component_powers(scenario, grid), grid.n_samples
     )
     total *= models.link_gain
 
-    power = pd_detect(total, models.pd, grid, seed, out=total)
+    power = pd_detect(total, models.pd, grid, seed, draws)
     hint, settle = _scan_timing(models, drive)
     return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
 
@@ -392,31 +387,29 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
     """detect_pulses of one scan per tone, in tone order; tone i's detector
     noise seed is derive_seed(seed, stage, i).
 
-    SCAN_WORKERS threads simulate the scans, at most SCAN_WINDOW tones
-    ahead, while this thread detects the pulses of the oldest. Each scan
-    fills a trace buffer this thread allocates: a worker's own large arrays
-    would stay in its malloc arena after the run. Every tone's noise is
-    keyed by its index, so the events equal those of a serial run, and an
-    error surfaces at its own tone. Closing the generator stops the pool.
+    The scans run on this thread, one after another, while one worker
+    thread draws the next tone's detector noise (noise_stream fills release
+    the GIL), about half the time of a scan. The worker only fills a buffer
+    this thread allocates and calls no function of the program, so every
+    scan function keeps its order and its thread, and the events and errors
+    are a serial run's. Closing the generator stops the worker.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    # lru_cache does not lock a miss: build the shared axis before any worker reads it
-    _scan_axis(models.mrr, drive, grid)
-    pool = ThreadPoolExecutor(SCAN_WORKERS)
-    pending = deque()
-    try:
-        for i, f in enumerate(tone_freqs):
-            tone = RfScenario(tones=(ToneSpec(freq=f),))
-            buf = np.empty(grid.n_samples)
+    tone_freqs = list(tone_freqs)
+    with ThreadPoolExecutor(1) as pool:
+
+        def drawn(i):
             s = derive_seed(seed, stage, i)
-            pending.append(pool.submit(simulate_scan, tone, models, drive, grid, s, buf))
-            if len(pending) == SCAN_WINDOW:
-                yield detect_pulses(pending.popleft().result())
-        while pending:
-            yield detect_pulses(pending.popleft().result())
-    finally:
-        pool.shutdown(cancel_futures=True)
+            return s, pool.submit(noise_stream(s).standard_normal, out=np.empty(grid.n_samples))
+
+        ahead = drawn(0) if tone_freqs else None
+        for i, f in enumerate(tone_freqs):
+            s, draws = ahead
+            if i + 1 < len(tone_freqs):
+                ahead = drawn(i + 1)
+            tone = RfScenario(tones=(ToneSpec(freq=f),))
+            yield detect_pulses(simulate_scan(tone, models, drive, grid, s, draws.result()))
 
 
 def calibrate(

@@ -23,7 +23,6 @@ from mwfi.ifm_engine import (
 from mwfi.photonic_link import LinkModels
 from mwfi.presets import list_presets, preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
-from mwfi import scan_engine
 from mwfi.scan_engine import SawtoothDrive, _scan_axis
 from mwfi.seeding import STAGE_DYNAMIC, derive_seed
 
@@ -416,17 +415,6 @@ class TestRun:
         # the scan reaches these tones, but the 10-20 GHz calibration does not
         with pytest.raises(RuntimeError, match="measure stage failed"):
             run(cfg, out_dir=tmp_path)
-
-    def test_one_scan_axis_per_run(self, tmp_path, monkeypatch):
-        # the calibration and measure scans, two at a time, share one axis
-        calls = []
-        lag = scan_engine.thermal_lag
-        monkeypatch.setattr(scan_engine, "thermal_lag", lambda *a: calls.append(a) or lag(*a))
-        _scan_axis.cache_clear()
-        for seed in (1, 2):
-            cfg = RunConfig.from_text(FAST_MEASURE + "drive.period_s = 0.02\n")
-            run(cfg, seed=seed, out_dir=tmp_path / str(seed))
-            assert len(calls) == seed
 
     @pytest.mark.parametrize(
         "mode, line, error",

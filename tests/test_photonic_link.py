@@ -29,6 +29,7 @@ from mwfi.photonic_link import (
     mrr_resonance_offset,
     mzi_port_response,
     notch_response,
+    noise_stream,
     pd_detect,
     thermal_lag,
 )
@@ -458,29 +459,15 @@ class TestBlocking:
         assert np.any(got == 0.0)  # the clamp acted
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_noise_in_place_equals_new_array(self, n):
+    @pytest.mark.parametrize("sigma", [0.3, 0.0])
+    def test_drawn_ahead_equals_drawn_here(self, n, sigma):
         grid = TimeGrid(sample_rate=1e6, n_samples=n)
         x = np.abs(np.sin(np.linspace(0.0, 40.0, n)))
         before = x.copy()
-        model = PdModel(noise_sigma=0.3)
+        model = PdModel(noise_sigma=sigma)
         want = pd_detect(x, model, grid, seed=91)
-        assert np.array_equal(x, before)  # without out, power is only read
-        got = pd_detect(x, model, grid, seed=91, out=x)
-        assert got is x
+        draws = noise_stream(91).standard_normal(n)
+        got = pd_detect(x, model, grid, seed=91, draws=draws)
+        assert got is draws
         assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("n", LENGTHS)
-    def test_sum_into_given_buffer(self, n):
-        mzi, notch = TestLinkPower.MODELS.mzi, TestLinkPower.MODELS.notch
-
-        def response(f, _):
-            return mzi_port_response(mzi, f, 2) * notch_response(notch, f)
-
-        components = self._components(n)
-        mod = TestLinkPower.MODELS.modulator
-        buf = np.full(n, np.nan)
-        got = link_power(mod, response, components, n, out=buf)
-        assert got is buf
-        assert np.array_equal(got, link_power(mod, response, components, n))
-        with pytest.raises(ValueError, match="out must be"):
-            link_power(mod, response, components, n, out=np.empty(n + 1))
+        assert np.array_equal(x, before)  # power is only read
