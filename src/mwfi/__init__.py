@@ -40,6 +40,7 @@ from .scan_engine import (
     SawtoothDrive,
     ScanTrace,
     calibrate,
+    calibrated_scans,
     detect_pulses,
     estimate_frequencies,
     estimate_hop_set,

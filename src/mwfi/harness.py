@@ -8,7 +8,6 @@ per-sample traces or its lookup table. Every run is deterministic given
 (config, seed); artifact CSVs are byte-stable.
 """
 
-import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csv import write_columns
-from .rf_signals import RfScenario, TimeGrid, ToneSpec, sole_component_freq
+from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_tracks, sole_component_freq
 from .classifier import FILL_THRESHOLD, ClassLabel, classify, compute_features
 from .config import RunConfig
 from .ifm_engine import (
@@ -37,21 +36,15 @@ from .scan_engine import (
     SawtoothDrive,
     _scan_axis,
     calibrate,
+    calibrated_scans,
     detect_pulses,
     estimate_frequencies,
     estimate_hop_set,
     measure_span,
     scan_trace_to_csv,
     simulate_scan,
-    tone_scans,
 )
-from .seeding import (
-    STAGE_CLASSIFY,
-    STAGE_DYNAMIC,
-    STAGE_FTPM,
-    STAGE_MEASURE,
-    derive_seed,
-)
+from .seeding import STAGE_CLASSIFY, STAGE_DYNAMIC, STAGE_FTPM, derive_seed
 
 __all__ = ["MetricsReport", "RunPlan", "build_plan", "run", "rms_error", "expected_label"]
 
@@ -237,14 +230,14 @@ def _run_calibrate(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
 def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     ests, writes = np.empty(plan.tones.size), {}
     if plan.method == "fttm":
-        table = calibrate(plan.models, plan.drive, plan.cal_tones, plan.scan_grid, seed)
-        scans = tone_scans(plan.models, plan.drive, plan.scan_grid, plan.tones, seed, STAGE_MEASURE)
-        with contextlib.closing(scans):
-            for i, (f, events) in enumerate(zip(plan.tones, scans)):
-                found = estimate_frequencies(events, table)
-                if len(found) != 1:
-                    raise RuntimeError(f"tone {f / 1e9:.3f} GHz gave {len(found)} in-band pulses")
-                ests[i] = found[0]
+        table, scans = calibrated_scans(
+            plan.models, plan.drive, plan.scan_grid, plan.cal_tones, plan.tones, seed
+        )
+        for i, (f, events) in enumerate(zip(plan.tones, scans)):
+            found = estimate_frequencies(events, table)
+            if len(found) != 1:
+                raise RuntimeError(f"tone {f / 1e9:.3f} GHz gave {len(found)} in-band pulses")
+            ests[i] = found[0]
         writes["calibration.txt"] = table.save
     else:
         for i, f in enumerate(plan.tones):
@@ -306,22 +299,26 @@ def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
 
 def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
+    # the time axis and the emitter tracks, once for every stage of the run
+    times = grid.times()
+    tracks = component_tracks(scenario, grid, times)
     # the k-th port the table reads draws its noise from (seed, STAGE_DYNAMIC, k)
     seeds = (derive_seed(seed, STAGE_DYNAMIC, k) for k in range(len(lut.ports)))
     trace, *reference = [
-        simulate_ifm(scenario, plan.models, grid, port, lut.band, s)
+        simulate_ifm(scenario, plan.models, grid, port, lut.band, s, tracks)
         for s, port in zip(seeds, lut.ports)
     ]
-    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, *reference)
+    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, *reference, times=times)
 
     # score samples that are not noise and where the scenario has one frequency
-    diff = est.freq - sole_component_freq(scenario, grid)
+    diff = est.freq - sole_component_freq(scenario, grid, tracks)
     errors = diff[~np.isnan(diff)]
     if errors.size:
         report.rms_error_hz = float(np.sqrt(np.mean(errors**2)))
     report.extras["n_samples"] = str(est.freq.size)
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
-    return {"lut.csv": partial(lut_to_csv, lut), "ifm_trace.csv": partial(ifm_trace_to_csv, trace),
+    return {"lut.csv": partial(lut_to_csv, lut),
+            "ifm_trace.csv": partial(ifm_trace_to_csv, trace, times=times),
             "inst_freq.csv": partial(inst_freq_to_csv, est)}
 
 

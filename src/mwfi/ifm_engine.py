@@ -189,13 +189,15 @@ def simulate_ifm(
     port: int = 2,
     band=DEFAULT_BAND,
     seed: int = 0,
+    tracks=None,
 ) -> IfmTrace:
     """Detected power of the bandstop-filtered MZI path.
 
     link_power through the port response times the bandstop transmission,
     through the detector, whose noise seed is seed. The normalization is
     the detected power of a unit-amplitude component at the band maximum of
-    the port response (bandstop excluded).
+    the port response (bandstop excluded). tracks, when given, is
+    component_tracks(scenario, grid), shared by the caller's other stages.
     """
     check_hop_sampling(scenario, grid)
 
@@ -206,7 +208,7 @@ def simulate_ifm(
         return resp
 
     total = link_power(
-        models.modulator, response, component_powers(scenario, grid), grid.n_samples
+        models.modulator, response, component_powers(scenario, grid, tracks), grid.n_samples
     )
     total *= models.link_gain
 
@@ -222,6 +224,7 @@ def extract_inst_freq(
     noise_floor: float = 0.05,
     upper_limit: float = 20e9,
     reference_trace: IfmTrace | None = None,
+    times=None,
 ) -> InstFreqEstimate:
     """Invert the lookup sample by sample.
 
@@ -229,7 +232,8 @@ def extract_inst_freq(
     noise_floor, outside the tabulated value range, or implies a frequency
     above upper_limit (frequencies beyond the table cannot be told apart
     from noise). For a ratio LUT, trace must be the port-1 record and
-    reference_trace the port-2 record.
+    reference_trace the port-2 record. times, when given, is
+    trace.grid.times(), evaluated once by the caller.
     """
     if not lut.band[0] <= upper_limit <= lut.band[1]:
         raise ValueError("upper_limit must lie within the LUT band")
@@ -251,7 +255,8 @@ def extract_inst_freq(
     ok = valid & in_range
     freq[ok] = lut.invert(metric[ok])
     freq[freq > upper_limit] = NOISE
-    return InstFreqEstimate(times=trace.grid.times(), freq=freq)
+    times = trace.grid.times() if times is None else times
+    return InstFreqEstimate(times=times, freq=freq)
 
 
 def estimate_static_frequency(trace: IfmTrace, lut: AcfLut, noise_floor: float = 0.05) -> float:
@@ -299,8 +304,10 @@ def lut_from_csv(path) -> AcfLut:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def ifm_trace_to_csv(trace: IfmTrace, path):
-    write_columns(path, "time_s,power\n", (trace.grid.times(), trace.power))
+def ifm_trace_to_csv(trace: IfmTrace, path, times=None):
+    """times, when given, is trace.grid.times(), evaluated once by the caller."""
+    times = trace.grid.times() if times is None else times
+    write_columns(path, "time_s,power\n", (times, trace.power))
 
 
 def inst_freq_to_csv(est: InstFreqEstimate, path):

@@ -6,6 +6,7 @@ are power ratios in [0, 1]; the photodetector output is the detected
 optical power, whose one scale is LinkModels.link_gain.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +176,8 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
     samples into one output, so its temporaries stay block-sized. Blocking
     cannot change a bit: every operation is elementwise and runs in the
     same order as over the whole trace, and a response that picks its path
-    per block must give each sample the same value on every path (the
-    wrapped detuning of mrr_drop_response is d - 0 * fsr = d in range).
+    per block must give each sample the same value on every path (each
+    detuning path of mrr_drop_response gives d - round(d / fsr) * fsr).
     """
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
@@ -216,15 +217,23 @@ def mrr_drop_response(model: MrrModel, detuning):
     half_fsr = model.fsr / 2.0
     # one new buffer for every shape; a 0-d one comes back as a scalar
     x = np.empty_like(d)
-    if d.size and (d.min() < -half_fsr or d.max() > half_fsr):
-        np.divide(d, model.fsr, out=x)
-        np.round(x, out=x)
-        x *= model.fsr
-        np.subtract(d, x, out=x)
-        x *= 2.0
-    else:
-        np.multiply(2.0, d, out=x)
-    x /= model.fwhm
+    lo, hi = (float(d.min()), float(d.max())) if d.size else (0.0, 0.0)
+    if lo < -half_fsr or hi > half_fsr:
+        # round(d / fsr) is monotone in d: when both bounds round to one
+        # comb line n (Python's round halves to even, as np.round does),
+        # every sample does, and subtracting the scalar n * fsr is the same
+        # arithmetic; an infinite quotient has no nearest line
+        q_lo, q_hi = lo / model.fsr, hi / model.fsr
+        if math.isfinite(q_lo) and math.isfinite(q_hi) and round(q_lo) == round(q_hi):
+            np.subtract(d, round(q_lo) * model.fsr, out=x)
+        else:
+            np.divide(d, model.fsr, out=x)
+            np.round(x, out=x)
+            x *= model.fsr
+            np.subtract(d, x, out=x)
+        d = x
+    # 2 d / fwhm: doubling is exact, so dividing by fwhm / 2 gives the same bits
+    np.divide(d, model.fwhm / 2.0, out=x)
     np.square(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)[()]

@@ -199,7 +199,7 @@ def sample_track(scenario: RfScenario, grid: TimeGrid) -> list:
     return [instantaneous_components(scenario, t) for t in grid.times()]
 
 
-def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
+def component_tracks(scenario: RfScenario, grid: TimeGrid, times=None) -> list:
     """Vectorized per-emitter tracks over a grid.
 
     Returns a list of (freq, amplitude, active) triples, one per emitter,
@@ -209,11 +209,12 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
     component_powers and sole_component_freq build on this form;
     sample_track is the scalar oracle. Note that unlike sample_track,
     coincident equal frequencies from different emitters are not merged
-    (the power sum is identical either way).
+    (the power sum is identical either way). times, when given, is
+    grid.times(), evaluated once by a caller that also needs it.
     """
     tracks = [(tone.freq, tone.amplitude, np.True_) for tone in scenario.tones]
     # only chirps and hops change over time: a tone-only scan needs no time axis
-    t = grid.times() if scenario.chirps or scenario.hops else None
+    t = grid.times() if times is None and (scenario.chirps or scenario.hops) else times
     for chirp in scenario.chirps:
         phase = t - chirp.repeat_interval * np.floor(t / chirp.repeat_interval)
         active = phase < chirp.pulse_width
@@ -233,29 +234,32 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid) -> list:
     return tracks
 
 
-def component_powers(scenario: RfScenario, grid: TimeGrid) -> list:
+def component_powers(scenario: RfScenario, grid: TimeGrid, tracks=None) -> list:
     """(freq, power) pairs of every emitter, the input of link_power.
 
     Tones give scalars; chirps and hops give per-sample arrays, with zero
     power where the emitter is inactive (a**2 * on equals
-    np.where(on, a**2, 0.0) bit for bit, since a >= 0).
+    np.where(on, a**2, 0.0) bit for bit, since a >= 0). tracks, when given,
+    is component_tracks(scenario, grid), evaluated once by the caller.
     """
-    return [(f, a**2 * on) for f, a, on in component_tracks(scenario, grid)]
+    tracks = component_tracks(scenario, grid) if tracks is None else tracks
+    return [(f, a**2 * on) for f, a, on in tracks]
 
 
-def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:
+def sole_component_freq(scenario: RfScenario, grid: TimeGrid, tracks=None) -> np.ndarray:
     """Per-sample frequency where exactly one distinct frequency is active.
 
     NaN elsewhere: no emitter active, or several distinct frequencies.
     Equal frequencies from different emitters count once, as in
     instantaneous_components, so this is the vectorised form of
     ``len(snapshot.components) == 1`` and ``snapshot.components[0][0]``
-    over the grid.
+    over the grid. tracks is as in component_powers.
     """
+    tracks = component_tracks(scenario, grid) if tracks is None else tracks
     # first: the frequency of the first active emitter in track order
     first = np.full(grid.n_samples, np.nan)
     sole = np.ones(grid.n_samples, dtype=bool)
-    for freq, _, active in component_tracks(scenario, grid):
+    for freq, _, active in tracks:
         np.copyto(first, freq, where=active & np.isnan(first))
         sole &= ~active | (freq == first)
     first[~sole] = np.nan

@@ -30,7 +30,7 @@ from .photonic_link import (
     pd_detect,
     thermal_lag,
 )
-from .seeding import STAGE_CAL, derive_seed
+from .seeding import STAGE_CAL, STAGE_MEASURE, derive_seed
 
 __all__ = [
     "SawtoothDrive",
@@ -42,7 +42,9 @@ __all__ = [
     "simulate_scan",
     "scan_frequency",
     "detect_pulses",
+    "fit_calibration",
     "calibrate",
+    "calibrated_scans",
     "estimate_frequencies",
     "measure_span",
     "estimate_hop_set",
@@ -250,6 +252,7 @@ def simulate_scan(
     grid: TimeGrid,
     seed: int = 0,
     draws=None,
+    optical=None,
 ) -> ScanTrace:
     """Detected power of the scanning-filter path for a full scenario.
 
@@ -257,7 +260,9 @@ def simulate_scan(
     link_power through the ring response at each component's detuning
     from the scan frequency, through the detector, whose noise seed is seed.
     draws, when given, are that noise's standard-normal draws, drawn ahead;
-    they become the trace's power (pd_detect).
+    they become the trace's power (pd_detect). optical, when given, is the
+    scenario's noiseless detector input (_optical_power), which scans that
+    differ only in their noise share; it is only read.
     """
     expected = drive.n_periods * drive.period
     if abs(grid.duration - expected) > grid.dt:
@@ -265,7 +270,22 @@ def simulate_scan(
             f"grid duration {grid.duration:.6e} s != {drive.n_periods} x {drive.period} s drive"
         )
     f_s = scan_frequency(models, drive, grid)
-    carrier = _scan_axis(models.mrr, drive, grid)[1]
+    if optical is None:
+        optical = _optical_power(scenario, models, drive, grid)
+    elif np.shape(optical) != f_s.shape:
+        raise ValueError(f"optical has shape {np.shape(optical)}, the scan axis {f_s.shape}")
+
+    power = pd_detect(optical, models.pd, grid, seed, draws)
+    hint, settle = _scan_timing(models, drive)
+    return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
+
+
+def _optical_power(
+    scenario: RfScenario, models: LinkModels, drive: SawtoothDrive, grid: TimeGrid
+) -> np.ndarray:
+    """Noiseless detector input of a scan: link_power through the ring at
+    each component's detuning from the scan frequency, times link_gain."""
+    f_s, carrier = _scan_axis(models.mrr, drive, grid)
 
     def response(f, block):
         # a scalar 0 is the carrier term, whose transmission is cached
@@ -277,10 +297,7 @@ def simulate_scan(
         models.modulator, response, component_powers(scenario, grid), grid.n_samples
     )
     total *= models.link_gain
-
-    power = pd_detect(total, models.pd, grid, seed, draws)
-    hint, settle = _scan_timing(models, drive)
-    return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
+    return total
 
 
 def _scan_timing(models: LinkModels, drive: SawtoothDrive):
@@ -383,9 +400,15 @@ def detect_pulses(trace: ScanTrace) -> list:
     return events
 
 
-def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, seed, stage):
-    """detect_pulses of one scan per tone, in tone order; tone i's detector
-    noise seed is derive_seed(seed, stage, i).
+def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, seed,
+               stage=None):
+    """detect_pulses of one scan per tone, in tone order. Tone i's detector
+    noise seed is seed[i], one seed per tone, or derive_seed(seed, stage, i)
+    when a stage is given.
+
+    Consecutive tones of one frequency differ only in their noise, so they
+    share one _optical_power; one is alive at a time, and it is dropped
+    before the pulses of its last scan are found.
 
     The scans run on this thread, one after another, while one worker
     thread draws the next tone's detector noise (noise_stream fills release
@@ -397,46 +420,46 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
     from concurrent.futures import ThreadPoolExecutor
 
     tone_freqs = list(tone_freqs)
+    n = len(tone_freqs)
+    seeds = list(seed) if stage is None else [derive_seed(seed, stage, i) for i in range(n)]
     with ThreadPoolExecutor(1) as pool:
 
         def drawn(i):
-            s = derive_seed(seed, stage, i)
-            return s, pool.submit(noise_stream(s).standard_normal, out=np.empty(grid.n_samples))
+            return pool.submit(noise_stream(seeds[i]).standard_normal, out=np.empty(grid.n_samples))
 
-        ahead = drawn(0) if tone_freqs else None
+        ahead = drawn(0) if n else None
+        optical = None
         for i, f in enumerate(tone_freqs):
-            s, draws = ahead
-            if i + 1 < len(tone_freqs):
+            draws = ahead
+            if i + 1 < n:
                 ahead = drawn(i + 1)
             tone = RfScenario(tones=(ToneSpec(freq=f),))
-            yield detect_pulses(simulate_scan(tone, models, drive, grid, s, draws.result()))
+            if optical is None:
+                optical = _optical_power(tone, models, drive, grid)
+            trace = simulate_scan(tone, models, drive, grid, seeds[i], draws.result(), optical)
+            if i + 1 == n or tone_freqs[i + 1] != f:
+                optical = None
+            yield detect_pulses(trace)
 
 
-def calibrate(
-    models: LinkModels,
-    drive: SawtoothDrive,
-    tone_freqs,
-    grid: TimeGrid,
-    seed: int = 0,
-) -> CalibrationTable:
-    """Fit the frequency-vs-delay lookup from known single tones.
+def fit_calibration(tone_freqs, scans) -> CalibrationTable:
+    """Fit the frequency-vs-delay lookup from the pulses of known tones.
 
-    Each tone is scanned separately, tone i with the noise seed
-    derive_seed(seed, STAGE_CAL, i); its pulse delay and frequency feed an
-    ordinary least-squares quadratic fit. The heater lag acts during
-    calibration exactly as during measurement, so its bias cancels in use.
+    scans holds detect_pulses of each tone's scan, in the order of
+    tone_freqs. It is read tone by tone, and the first tone without exactly
+    one pulse raises CalibrationError. The pulse delays and frequencies feed
+    an ordinary least-squares quadratic fit.
     """
     tone_freqs = [float(f) for f in tone_freqs]
     if len(tone_freqs) < 3:
         raise CalibrationError("need at least 3 calibration tones for a quadratic fit")
     delays = []
-    with contextlib.closing(tone_scans(models, drive, grid, tone_freqs, seed, STAGE_CAL)) as scans:
-        for f, events in zip(tone_freqs, scans):
-            if len(events) != 1:
-                raise CalibrationError(
-                    f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"
-                )
-            delays.append(events[0].peak_time)
+    for f, events in zip(tone_freqs, scans):
+        if len(events) != 1:
+            raise CalibrationError(
+                f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"
+            )
+        delays.append(events[0].peak_time)
 
     t = np.asarray(delays)
     f = np.asarray(tone_freqs)
@@ -451,6 +474,47 @@ def calibrate(
     if min(table.slope_at(table.valid_range[0]), table.slope_at(table.valid_range[1])) <= 0:
         raise CalibrationError("fitted lookup is not monotone over the observed delays")
     return table
+
+
+def calibrate(
+    models: LinkModels,
+    drive: SawtoothDrive,
+    tone_freqs,
+    grid: TimeGrid,
+    seed: int = 0,
+) -> CalibrationTable:
+    """Fit the frequency-vs-delay lookup from known single tones.
+
+    fit_calibration of tone_scans: each tone is scanned separately, tone i
+    with the noise seed derive_seed(seed, STAGE_CAL, i). The heater lag acts
+    during calibration exactly as during measurement, so its bias cancels in
+    use.
+    """
+    tone_freqs = list(tone_freqs)
+    with contextlib.closing(tone_scans(models, drive, grid, tone_freqs, seed, STAGE_CAL)) as scans:
+        return fit_calibration(tone_freqs, scans)
+
+
+def calibrated_scans(
+    models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, cal_tones, tones, seed: int = 0
+):
+    """(table, events): calibrate on cal_tones, then detect_pulses of one
+    scan per tone of tones, in order, from one pass of tone_scans.
+
+    Tone i of tones draws the noise seed derive_seed(seed, STAGE_MEASURE, i)
+    and the table is calibrate(models, drive, cal_tones, grid, seed), so the
+    result, and the first error, are those of calibrating first and then
+    scanning tones. The scans run in frequency order, calibration first at
+    equal frequency, so a frequency both lists hold takes one _optical_power.
+    """
+    scans = [(float(f), STAGE_CAL, i) for i, f in enumerate(cal_tones)]
+    scans += [(float(f), STAGE_MEASURE, i) for i, f in enumerate(tones)]
+    scans.sort(key=lambda scan: scan[0])  # a stable sort keeps calibration first
+    seeds = [derive_seed(seed, stage, i) for _, stage, i in scans]
+    found = tone_scans(models, drive, grid, [f for f, _, _ in scans], seeds)
+    events = dict(zip([scan[1:] for scan in scans], found))
+    table = fit_calibration(cal_tones, (events[STAGE_CAL, i] for i in range(len(cal_tones))))
+    return table, [events[STAGE_MEASURE, i] for i in range(len(tones))]
 
 
 def estimate_frequencies(events, table: CalibrationTable) -> list:

@@ -25,7 +25,7 @@ from mwfi.presets import preset_path
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi.scan_engine import (
     SawtoothDrive,
-    calibrate,
+    calibrated_scans,
     detect_pulses,
     estimate_frequencies,
     estimate_hop_set,
@@ -45,14 +45,13 @@ def report(criterion, ok, detail):
 
 
 def run_fttm_pipeline(seed, noise_sigma, drive, grid):
-    """Calibrate and estimate the 21-tone sweep; returns per-tone errors."""
+    """Calibrate and estimate the 21-tone sweep in one pass of scans, which
+    the 11 calibration tones share with the sweep; returns per-tone errors
+    and quantization bounds."""
     models = LinkModels(pd=PdModel(noise_sigma=noise_sigma))
-    table = calibrate(models, drive, CAL_TONES, grid, seed)
+    table, scans = calibrated_scans(models, drive, grid, CAL_TONES, TEST_TONES, seed)
     errors, bounds = [], []
-    for i, f in enumerate(TEST_TONES):
-        tone = RfScenario(tones=(ToneSpec(freq=f),))
-        trace = simulate_scan(tone, models, drive, grid, derive_seed(seed, 1, i))
-        events = detect_pulses(trace)
+    for f, events in zip(TEST_TONES, scans):
         assert len(events) == 1
         est = estimate_frequencies(events, table)[0]
         errors.append(est - f)

@@ -301,6 +301,33 @@ class TestRun:
         assert report.rms_error_hz < 10e6
         assert report.extras["n_noise_flagged"] == "0"
 
+    def test_dynamic_run_evaluates_its_tracks_once(self, tmp_path, monkeypatch):
+        # a ratio run simulates two ports, scores against the sole frequency
+        # and writes two time columns, all from one time axis and one set of
+        # emitter tracks
+        from mwfi import harness, rf_signals
+
+        calls = {"times": 0, "tracks": 0}
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        times = counted("times", rf_signals.TimeGrid.times)
+        monkeypatch.setattr(rf_signals.TimeGrid, "times", times)
+        tracks = counted("tracks", rf_signals.component_tracks)
+        monkeypatch.setattr(rf_signals, "component_tracks", tracks)
+        monkeypatch.setattr(harness, "component_tracks", tracks)
+        cfg = RunConfig.from_text(
+            "mode = dynamic\nifm.mode = ratio\nifm.duration_s = 400e-9\n"
+            "scenario.hop1.freqs_hz = 10e9,13e9\nscenario.hop1.dwell_s = 80e-9\n"
+        )
+        run(cfg, out_dir=tmp_path)
+        assert calls == {"times": 1, "tracks": 1}
+
     def test_seed_override_changes_noise(self, tmp_path):
         cfg = RunConfig.from_file(preset_path("fig3a"))
         r1 = run(cfg, seed=1, out_dir=tmp_path / "a")

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter, lfilter_zi
 
 from mwfi.ifm_engine import simulate_ifm
@@ -37,6 +38,27 @@ from mwfi.scan_engine import SawtoothDrive, scan_frequency, simulate_scan
 
 # fringe contrast for the default 18 dB extinction ratio: (R-1)/(R+1), R = 10^1.8
 GAMMA_18DB = 0.9687966755163407
+
+
+def _per_sample_mrr_drop_response(model, detuning):
+    """mrr_drop_response as it was before the one-comb-line shortcut: every
+    sample divided, rounded and multiplied back, then doubled and divided by
+    fwhm. The reference the kernel must equal bit for bit."""
+    d = np.asarray(detuning, dtype=float)
+    half_fsr = model.fsr / 2.0
+    x = np.empty_like(d)
+    if d.size and (d.min() < -half_fsr or d.max() > half_fsr):
+        np.divide(d, model.fsr, out=x)
+        np.round(x, out=x)
+        x *= model.fsr
+        np.subtract(d, x, out=x)
+        x *= 2.0
+    else:
+        np.multiply(2.0, d, out=x)
+    x /= model.fwhm
+    np.square(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)[()]
 
 
 class TestModulator:
@@ -109,6 +131,44 @@ class TestMrr:
         for detunings in (d, inside):
             scalars = [mrr_drop_response(m, x) for x in detunings]
             assert np.array_equal(scalars, mrr_drop_response(m, detunings))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fsr=st.floats(1e6, 1e12),
+        frac=st.floats(1e-4, 0.99),
+        centre=st.floats(-4.0, 4.0),
+        spread=st.floats(0.0, 2.0),
+        units=st.lists(st.floats(0.0, 1.0), max_size=40),
+        extras=st.lists(
+            st.sampled_from([0.5, -0.5, 1.5, -1.5, 0.0, -0.0, np.nan, np.inf, -np.inf]),
+            max_size=3,
+        ),
+        scalar=st.booleans(),
+    )
+    def test_equals_the_per_sample_kernel(self, fsr, frac, centre, spread, units, extras, scalar):
+        # detunings in FSR units around a centre, so some arrays sit near one
+        # comb line and some span several, plus the half-line boundaries
+        # (+-fsr/2, +-3 fsr/2) and the values with no nearest line
+        m = MrrModel(fsr=fsr, fwhm=frac * fsr)
+        d = fsr * (centre + spread * (np.asarray(units) - 0.5))
+        d = np.concatenate((d, fsr * np.asarray(extras, dtype=float)))
+        inputs = [d[:1].reshape(())] if scalar and d.size else [d]
+        for x in inputs:
+            with np.errstate(invalid="ignore"):
+                want = _per_sample_mrr_drop_response(m, x)
+                got = mrr_drop_response(m, x)
+            assert np.ndim(got) == np.ndim(want)
+            np.testing.assert_array_equal(got, want)
+
+    def test_edge_shapes_equal_the_per_sample_kernel(self):
+        m = MrrModel()
+        with np.errstate(invalid="ignore"):
+            for x in (np.zeros(0), np.array(1.5 * m.fsr), np.array(np.inf), -3 * m.fsr,
+                      np.array([np.nan, 2.5 * m.fsr]), np.array([-np.inf, 0.5 * m.fsr])):
+                want = _per_sample_mrr_drop_response(m, x)
+                got = mrr_drop_response(m, x)
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_array_equal(got, want)
 
     def test_resonance_offset_quadratic(self):
         # the law takes the heater drive power V^2: 0, 2 and 4 V

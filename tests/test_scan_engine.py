@@ -2,6 +2,7 @@ import math
 import re
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mwfi.scan_engine import (
     ScanTrace,
     TraceLevel,
     calibrate,
+    calibrated_scans,
     detect_pulses,
     estimate_frequencies,
     estimate_hop_set,
@@ -445,6 +447,112 @@ class TestToneScans:
         name = f"tone {CAL_TONES[first] / 1e9:.3f} GHz produced"
         with pytest.raises(CalibrationError, match=name):
             calibrate(models, self.DRIVE, CAL_TONES, self.GRID, 14)
+
+
+class TestCalibratedScans:
+    """One pass of tone_scans over the calibration and measure tones, in
+    frequency order, gives the serial calibrate-then-measure result; scans
+    of one frequency share one optical sum."""
+
+    DRIVE = TestToneScans.DRIVE
+    GRID = TestToneScans.GRID
+    MODELS = TestToneScans.MODELS
+
+    def serial_events(self, tones, seed, stage):
+        seeds = (derive_seed(seed, stage, i) for i in range(len(tones)))
+        return [
+            detect_pulses(simulate_scan(tone_scenario(f), self.MODELS, self.DRIVE, self.GRID, s))
+            for f, s in zip(tones, seeds)
+        ]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        cal_fracs=st.lists(st.floats(0.05, 0.95), min_size=3, max_size=5),
+        picks=st.lists(st.integers(0, 4), max_size=3),
+        fresh=st.lists(st.floats(0.0, 1.0), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equals_serial_calibrate_then_measure(self, cal_fracs, picks, fresh, seed, data):
+        f_s = scan_frequency(self.MODELS, self.DRIVE, self.GRID)
+        lo, hi = float(f_s.min()), float(f_s.max())
+        cal = [lo + x * (hi - lo) for x in sorted(cal_fracs)]
+        # measure tones at calibration frequencies (shared scans, some more
+        # than once) and elsewhere, in any order
+        tones = [cal[k % len(cal)] for k in picks] + [lo + x * (hi - lo) for x in fresh]
+        tones = data.draw(st.permutations(tones))
+
+        want_cal = self.serial_events(cal, seed, STAGE_CAL)
+        want = self.serial_events(tones, seed, STAGE_MEASURE)
+        try:
+            want_table = calibrate(self.MODELS, self.DRIVE, cal, self.GRID, seed)
+        except CalibrationError as exc:
+            with pytest.raises(CalibrationError, match=re.escape(str(exc))):
+                calibrated_scans(self.MODELS, self.DRIVE, self.GRID, cal, tones, seed)
+            return
+
+        got_cal = []
+        real_fit = scan_engine.fit_calibration
+
+        def spy(freqs, scans):
+            got_cal.extend(scans)
+            return real_fit(freqs, got_cal)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scan_engine, "fit_calibration", spy)
+            table, got = calibrated_scans(self.MODELS, self.DRIVE, self.GRID, cal, tones, seed)
+        assert got_cal == want_cal
+        assert got == want
+        assert table == want_table
+        def errors(table, scans):
+            return [[e - f for e in estimate_frequencies(ev, table)] for f, ev in zip(tones, scans)]
+
+        assert errors(table, got) == errors(want_table, want)
+
+    def test_a_shared_frequency_sums_once(self, monkeypatch):
+        calls = []
+        real = scan_engine.link_power
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scan_engine, "link_power", counted)
+        _, events = calibrated_scans(
+            self.MODELS, self.DRIVE, self.GRID, [10e9, 15e9, 20e9], [15e9], 4
+        )
+        assert len(calls) == 3
+        assert events == self.serial_events([15e9], 4, STAGE_MEASURE)
+        calls.clear()
+        list(tone_scans(self.MODELS, self.DRIVE, self.GRID, [12e9] * 3, [1, 2, 3]))
+        assert len(calls) == 1
+
+    def test_one_optical_sum_alive_at_a_time(self, monkeypatch):
+        # at each scan's pulse search, only a sum that a later scan still
+        # reads is alive
+        alive, live_at_detect = [], []
+        real_sum, real_detect = scan_engine._optical_power, scan_engine.detect_pulses
+
+        def tracked_sum(*args):
+            optical = real_sum(*args)
+            alive.append(weakref.ref(optical))
+            return optical
+
+        def tracked_detect(trace):
+            live_at_detect.append(sum(ref() is not None for ref in alive))
+            return real_detect(trace)
+
+        monkeypatch.setattr(scan_engine, "_optical_power", tracked_sum)
+        monkeypatch.setattr(scan_engine, "detect_pulses", tracked_detect)
+        tones = [12e9, 15e9, 15e9, 15e9, 18e9, 18e9]
+        list(tone_scans(self.MODELS, self.DRIVE, self.GRID, tones, range(6)))
+        assert len(alive) == 3
+        assert live_at_detect == [0, 1, 1, 0, 1, 0]
+
+    def test_refuses_an_optical_sum_of_another_length(self):
+        tone = tone_scenario(15e9)
+        with pytest.raises(ValueError, match="optical has shape"):
+            simulate_scan(tone, self.MODELS, self.DRIVE, self.GRID, 0, None, np.zeros(5))
 
 
 class TestEstimateFrequencies:
