@@ -24,11 +24,16 @@ Byte 0 never occurs in the text, so a chunk's output is its non-zero bytes.
 A chunk whose tokens are all full width (no sign, NaN text or fallback
 text) has pad and sign bytes of 0 and no other 0 byte: its output is then
 the last 17 bytes of every token, taken without testing a byte.
+
+A column that several files write, such as a dynamic run's time axis, is
+rendered once: write_columns takes it as a SharedColumn, whose tokens the
+first file renders and every file copies into its rows as raw bytes. Its NaN
+slots are rewritten with each file's NaN text.
 """
 
 import numpy as np
 
-__all__ = ["render_rows", "write_columns"]
+__all__ = ["SharedColumn", "render_rows", "write_columns"]
 
 # rows rendered per chunk; larger chunks raise peak memory for no speed
 CHUNK_ROWS = 8192
@@ -85,10 +90,10 @@ def _render_column(v, tok, raw, nan_slot) -> bool:
     e = np.floor(np.log10(np.where(finite & ~zero, a, 1.0))).astype(np.int64)
     k = 10 - e
     ok = finite & (np.abs(k) <= _MAX_K)
-    kc = np.clip(k, -_MAX_K, _MAX_K)
     with np.errstate(invalid="ignore"):  # inf and NaN rows leave the fast path below
-        # one of the two factors is exactly 1.0
-        scaled = a * _POW10[np.maximum(kc, 0)] / _POW10[np.maximum(-kc, 0)]
+        # one of the two factors is exactly 1.0; |k| > _MAX_K rows are not ok
+        up = _POW10.take(np.maximum(k, 0), mode="clip")
+        scaled = a * up / _POW10.take(np.maximum(-k, 0), mode="clip")
         frac = scaled - np.floor(scaled)
     ok &= (scaled >= _M_LO) & (scaled <= _M_HI) & (np.abs(frac - 0.5) >= _TIE_GUARD)
     ok |= zero
@@ -130,26 +135,76 @@ def render_rows(columns, nan: str = "nan") -> bytes:
     NaN renders as the nan text (at most 18 characters); the default equals
     the f-string's own text.
     """
-    cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    rows = np.empty(cols[0].size, dtype=[(f"c{j}", _TOKEN) for j in range(len(cols))])
-    raw = rows.view(np.uint8).reshape(rows.size, -1)
+    return _render_rows([(np.asarray(c, dtype=np.float64), None) for c in columns], nan)
+
+
+def _render_rows(parts, nan):
+    """render_rows over (values, rendered) pairs, where rendered is None or
+    the column's tokens (rows of 19 bytes) and full-width flag."""
+    n = parts[0][0].size
+    rows = np.empty(n, dtype=[(f"c{j}", _TOKEN) for j in range(len(parts))])
+    raw = rows.view(np.uint8).reshape(n, -1)
     nan_slot = _slot_text(nan.encode())
     full = True
-    for j, v in enumerate(cols):
-        tok = rows[f"c{j}"]
+    for j, (v, rendered) in enumerate(parts):
         off = j * _TOKEN.itemsize
-        full &= _render_column(v, tok, raw[:, off : off + _SLOT], nan_slot)
-        tok["sep"] = ord("\n") if j == len(cols) - 1 else ord(",")
+        slot = raw[:, off : off + _SLOT]
+        if rendered is None:
+            full &= _render_column(v, rows[f"c{j}"], slot, nan_slot)
+        else:
+            tokens, whole = rendered
+            raw[:, off : off + _TOKEN.itemsize] = tokens
+            if not whole:
+                slot[np.isnan(v)] = nan_slot  # this file's NaN text
+            full &= whole
+        raw[:, off + _SLOT] = ord("\n") if j == len(parts) - 1 else ord(",")
     if full:
-        return raw.reshape(rows.size, len(cols), _TOKEN.itemsize)[:, :, _FULL].tobytes()
+        return raw.reshape(n, len(parts), _TOKEN.itemsize)[:, :, _FULL].tobytes()
     flat = rows.view(np.uint8)
     return flat[flat != 0].tobytes()
 
 
+class SharedColumn:
+    """A float64 column that several files of a run write, rendered once.
+
+    write_columns takes it in place of an array. The first file to write it
+    renders its tokens, chunk by chunk on the boundaries write_columns uses,
+    and every file copies them into its own rows.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.size = self.values.size
+        self._chunks = None  # per chunk: its tokens and full-width flag
+
+    def chunk(self, lo: int):
+        """The values of the chunk at row lo and their (tokens, full-width flag)."""
+        if self._chunks is None:
+            rows = range(0, self.size, CHUNK_ROWS)
+            self._chunks = [_tokens(self.values[i : i + CHUNK_ROWS]) for i in rows]
+        return self.values[lo : lo + CHUNK_ROWS], self._chunks[lo // CHUNK_ROWS]
+
+
+def _tokens(v):
+    """Column v's tokens, rows of 19 bytes whose separator each file writes,
+    and whether all are full width."""
+    tok = np.empty(v.size, _TOKEN)
+    raw = tok.view(np.uint8).reshape(v.size, _TOKEN.itemsize)
+    return raw, _render_column(v, tok, raw[:, :_SLOT], _slot_text(b"nan"))
+
+
 def write_columns(path, header: str, columns, nan: str = "nan"):
-    """Write header, then one CSV row per index of the equal-length columns."""
-    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    """Write header, then one CSV row per index of the equal-length columns.
+
+    A column is an array or a SharedColumn, whose text is rendered once for
+    every file that writes it.
+    """
+    cols = [c if isinstance(c, SharedColumn) else np.asarray(c, dtype=np.float64) for c in columns]
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for lo in range(0, cols[0].size, CHUNK_ROWS):
-            fh.write(render_rows([c[lo : lo + CHUNK_ROWS] for c in cols], nan))
+            parts = [
+                c.chunk(lo) if isinstance(c, SharedColumn) else (c[lo : lo + CHUNK_ROWS], None)
+                for c in cols
+            ]
+            fh.write(_render_rows(parts, nan))

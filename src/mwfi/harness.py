@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csv import write_columns
+from ._csv import SharedColumn, write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_tracks, sole_component_freq
 from .classifier import FILL_THRESHOLD, ClassLabel, classify, compute_features
 from .config import RunConfig
@@ -47,6 +47,12 @@ from .scan_engine import (
 from .seeding import STAGE_CLASSIFY, STAGE_DYNAMIC, STAGE_FTPM, derive_seed
 
 __all__ = ["MetricsReport", "RunPlan", "build_plan", "run", "rms_error", "expected_label"]
+
+# the most tones in one tone list and samples in one trace or lookup table a
+# plan accepts, counted before any array exists; the presets need at most 21
+# tones and 679,570 samples
+MAX_TONES = 1_000
+MAX_SAMPLES = 10_000_000
 
 
 def rms_error(estimates, truths) -> float:
@@ -139,7 +145,16 @@ def _tone_list(cfg: RunConfig, section: str) -> np.ndarray:
     and step_hz keys."""
     lo, hi, step = (cfg.get(f"{section}.{key}") for key in ("lo_hz", "hi_hz", "step_hz"))
     cfg.require(hi >= lo, f"key '{section}.hi_hz'", f"{hi!r} is below {section}.lo_hz = {lo!r}")
+    # the length of the np.arange below, before it allocates
+    count = np.ceil((hi + step / 2 - lo) / step)
+    cfg.require(count <= MAX_TONES, f"key '{section}.step_hz'",
+                f"{count:.0f} tones from {lo!r} to {hi!r}, more than {MAX_TONES}")
     return np.arange(lo, hi + step / 2, step)
+
+
+def _require_samples(cfg: RunConfig, key: str, count: float, what: str):
+    cfg.require(count <= MAX_SAMPLES, f"key '{key}'",
+                f"{what} holds {count:.4g} samples, more than {MAX_SAMPLES}")
 
 
 def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
@@ -166,13 +181,15 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         enough = tones.size >= 3
         cfg.require(enough, "section 'calibration'", f"{tones.size} tones, the fit needs 3")
         drive, rate = cfg.build_drive(), cfg.get("scan.sample_rate_hz")
-        n = round(rate * drive.period * drive.n_periods)
+        n = rate * drive.period * drive.n_periods
+        _require_samples(cfg, "scan.sample_rate_hz", n, "a scan")
         with cfg.blame("key 'scan.sample_rate_hz'"):
-            grid = TimeGrid(sample_rate=rate, n_samples=n)
+            grid = TimeGrid(sample_rate=rate, n_samples=round(n))
         plan.update(drive=drive, scan_grid=grid, cal_tones=tones)
     if mode in ("calibrate", "dynamic") or plan.get("method") == "ftpm":
         band = (cfg.get("ifm.band_lo_hz"), cfg.get("ifm.band_hi_hz"))
         lut_mode, port, n_knots = (cfg.get(f"ifm.{key}") for key in ("mode", "port", "n_knots"))
+        _require_samples(cfg, "ifm.n_knots", n_knots, "the lookup table")
         with cfg.blame("section 'ifm'"):
             lut = build_lut(models.mzi, band, lut_mode, port, n_knots, models.modulator)
         upper_limit = cfg.get("ifm.upper_limit_hz")
@@ -187,6 +204,7 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         with cfg.blame("key 'ifm.sample_rate_hz'"):
             grid = TimeGrid(sample_rate=rate, n_samples=1)
             check_hop_sampling(plan.get("scenario", RfScenario()), grid)
+        _require_samples(cfg, "ifm.sample_rate_hz", rate * duration, f"a {duration!r} s trace")
         with cfg.blame("key 'ifm.duration_s'"):
             plan["ifm_grid"] = replace(grid, n_samples=round(rate * duration))
     single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
@@ -317,9 +335,12 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
         report.rms_error_hz = float(np.sqrt(np.mean(errors**2)))
     report.extras["n_samples"] = str(est.freq.size)
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
+    # both per-sample files start with the time axis: the first to be written
+    # renders its text, and the second copies it
+    column = SharedColumn(times)
     return {"lut.csv": partial(lut_to_csv, lut),
-            "ifm_trace.csv": partial(ifm_trace_to_csv, trace, times=times),
-            "inst_freq.csv": partial(inst_freq_to_csv, est)}
+            "ifm_trace.csv": partial(ifm_trace_to_csv, trace, times=column),
+            "inst_freq.csv": partial(inst_freq_to_csv, est, times=column)}
 
 
 # what a sweep sub-run leaves out: the per-sample traces, which the target mode

@@ -88,9 +88,16 @@ class AcfLut:
         """Frequency whose tabulated value matches; inputs outside the value
         range clamp to the band edges."""
         v = np.asarray(value, dtype=float)
-        if self.rising:
-            return np.interp(v, self.values, self.freqs)
-        return np.interp(v, self.values[::-1], self.freqs[::-1])
+        xp, fp = (self.values, self.freqs) if self.rising else (self.values[::-1], self.freqs[::-1])
+        if v.ndim != 1:
+            return np.interp(v, xp, fp)
+        # np.interp searches from the previous query's knot, so sorted queries
+        # are found in a step or two; each result reads only its own query and
+        # knots, so the order changes no bit
+        order = np.argsort(v)
+        freq = np.empty_like(v)
+        freq[order] = np.interp(v[order], xp, fp)
+        return freq
 
 
 @dataclass(frozen=True)
@@ -305,10 +312,14 @@ def lut_from_csv(path) -> AcfLut:
 
 
 def ifm_trace_to_csv(trace: IfmTrace, path, times=None):
-    """times, when given, is trace.grid.times(), evaluated once by the caller."""
+    """times, when given, is trace.grid.times(), evaluated once by the caller:
+    an array, or a _csv.SharedColumn of it that other files of the run write."""
     times = trace.grid.times() if times is None else times
     write_columns(path, "time_s,power\n", (times, trace.power))
 
 
-def inst_freq_to_csv(est: InstFreqEstimate, path):
-    write_columns(path, "time_s,freq_hz_or_NOISE\n", (est.times, est.freq), nan="NOISE")
+def inst_freq_to_csv(est: InstFreqEstimate, path, times=None):
+    """times, when given, is est.times: an array, or a _csv.SharedColumn of it
+    that other files of the run write."""
+    times = est.times if times is None else times
+    write_columns(path, "time_s,freq_hz_or_NOISE\n", (times, est.freq), nan="NOISE")

@@ -1,9 +1,14 @@
 """The vectorised column writer against the f-string loops it replaced."""
 
+from functools import partial
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mwfi._csv import CHUNK_ROWS, render_rows
+from mwfi import _csv
+from mwfi._csv import CHUNK_ROWS, SharedColumn, render_rows
+from mwfi.config import RunConfig
+from mwfi.harness import run
 from mwfi.ifm_engine import (
     IfmTrace,
     InstFreqEstimate,
@@ -83,6 +88,13 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
     pos_grid = TimeGrid(sample_rate=1e9, n_samples=n_pos)
     positive = rng.uniform(1.0, 10.0, n_pos) * 10.0 ** rng.integers(-12, 32, n_pos)
     positive[CHUNK_ROWS + np.array([3, 500, 4000])] = -0.0, np.nan, 1.5e-150
+    # one time column for both dynamic writers; its third chunk holds a
+    # negative value, a NaN (each file's own NaN text) and a fallback value
+    times = pos_grid.times()
+    times[2 * CHUNK_ROWS + np.array([7, 800, 5000])] = -2.5e-6, np.nan, 1.5e-150
+    shared = SharedColumn(times)
+    pos_freq = rng.uniform(10e9, 20e9, n_pos)
+    pos_freq[CHUNK_ROWS + 11] = np.nan
     # ratio-mode values are in dB; this band crosses 0 dB at quadrature
     lut = build_lut(MziModel(), band=(20e9, 50e9), mode="ratio", n_knots=n)
 
@@ -95,12 +107,37 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
          "time_s,power\n" + scalar_rows((pos_grid.times(), positive))),
         (inst_freq_to_csv, InstFreqEstimate(times=grid.times(), freq=freq),
          "time_s,freq_hz_or_NOISE\n" + scalar_rows((grid.times(), freq), nan="NOISE")),
+        (partial(ifm_trace_to_csv, times=shared),
+         IfmTrace(grid=pos_grid, power=positive, normalization=1.0),
+         "time_s,power\n" + scalar_rows((times, positive))),
+        (partial(inst_freq_to_csv, times=shared), InstFreqEstimate(times=times, freq=pos_freq),
+         "time_s,freq_hz_or_NOISE\n" + scalar_rows((times, pos_freq), nan="NOISE")),
         (lut_to_csv, lut,
          f"# mode=ratio port=2 f_lo_hz={20e9:.10e} f_hi_hz={50e9:.10e}\n"
          + scalar_rows((lut.freqs, lut.values))),
     ]
     assert lut.values.min() < 0 < lut.values.max()
-    for writer, obj, expected in cases:
-        path = tmp_path / f"{writer.__name__}.csv"
+    for i, (writer, obj, expected) in enumerate(cases):
+        path = tmp_path / f"{i}.csv"
         writer(obj, path)
-        assert path.read_bytes() == expected.encode(), writer.__name__
+        assert path.read_bytes() == expected.encode(), i
+
+
+def test_dynamic_run_renders_its_time_axis_once(tmp_path, monkeypatch):
+    rendered = []
+    render = _csv._render_column
+
+    def counting(v, *args):
+        rendered.append(v.size)
+        return render(v, *args)
+
+    monkeypatch.setattr(_csv, "_render_column", counting)
+    n, n_knots = 2 * CHUNK_ROWS + 100, 64
+    cfg = RunConfig.from_text(
+        f"mode = dynamic\nifm.duration_s = {n}e-9\nifm.n_knots = {n_knots}\n"
+        "scenario.tone1.freq_hz = 14e9\n"
+    )
+    report = run(cfg, out_dir=tmp_path)
+    assert report.extras["n_samples"] == str(n)
+    # time and power, then frequency, once each; the table's two columns
+    assert sum(rendered) == 3 * n + 2 * n_knots

@@ -16,7 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
 from mwfi.config import _EMITTERS, _RUN, _SECTIONS, MODES, ConfigError, RunConfig
-from mwfi.harness import _SWEEP_DROPS, MetricsReport, build_plan, expected_label, rms_error, run
+from mwfi.harness import (
+    _SWEEP_DROPS, MAX_TONES, MetricsReport, _tone_list, build_plan, expected_label, rms_error, run,
+)
 from mwfi.ifm_engine import (
     DEFAULT_BAND, build_lut, extract_inst_freq, ifm_trace_to_csv, simulate_ifm,
 )
@@ -520,7 +522,10 @@ HOP_AT_1E8 = (
 PLAN_LINES = {
     "scan rate": (["scan.sample_rate_hz = 2718281"], ["scan.sample_rate_hz = 1e4"]),
     "periods": (["drive.n_periods = 1"], ["drive.n_periods = 2"]),
-    "cal step": (["calibration.step_hz = 5e9"], ["calibration.step_hz = 0"]),
+    # a step of 1 Hz asks for 10^10 tones, more than MAX_TONES
+    "cal step": (
+        ["calibration.step_hz = 5e9"], ["calibration.step_hz = 0", "calibration.step_hz = 1"]
+    ),
     # the scan runs from 8 GHz, exactly mrr.f_offset0_hz, to 39.99 GHz
     "cal lo": (["calibration.lo_hz = 8e9"], ["calibration.lo_hz = 0", "calibration.lo_hz = 5e9"]),
     "cal band": (["calibration.hi_hz = 18e9"], ["calibration.hi_hz = 11e9"]),
@@ -528,18 +533,20 @@ PLAN_LINES = {
         ["measure.hi_hz = 16e9", "measure.step_hz = 2e9"],
         [
             "measure.hi_hz = 5e9", "measure.lo_hz = 0", "measure.lo_hz = inf",
-            "measure.step_hz = 0", "measure.lo_hz = 5e9",
+            "measure.step_hz = 0", "measure.lo_hz = 5e9", "measure.step_hz = 1e3",
         ],
     ),
     "method": (["measure.method = fttm", "measure.method = ftpm"], ["measure.method = bogus"]),
     # 1e8 S/s is too slow only for the 80 ns dwell of "hop"
+    # 1e15 S/s over the default 400 ns is 4e8 samples, more than MAX_SAMPLES
     "ifm rate": (
-        ["ifm.sample_rate_hz = 2e8"], ["ifm.sample_rate_hz = 0", "ifm.sample_rate_hz = 1e8"]
+        ["ifm.sample_rate_hz = 2e8"],
+        ["ifm.sample_rate_hz = 0", "ifm.sample_rate_hz = 1e8", "ifm.sample_rate_hz = 1e15"],
     ),
     "duration": (["ifm.duration_s = 200e-9"], ["ifm.duration_s = 1e-12"]),
     "lut mode": (["ifm.mode = single_port"], ["ifm.mode = bogus"]),
     "port": (["ifm.port = 1", "ifm.port = 2"], ["ifm.port = 3", "ifm.port = 1.5"]),
-    "knots": (["ifm.n_knots = 64"], ["ifm.n_knots = 1"]),
+    "knots": (["ifm.n_knots = 64"], ["ifm.n_knots = 1", "ifm.n_knots = 1e8"]),
     "floor": (["ifm.noise_floor = 0.1"], ["ifm.noise_floor = -1"]),
     "limit": (["ifm.upper_limit_hz = 18e9"], ["ifm.upper_limit_hz = 25e9"]),
     # an ftpm measure of the default 10-20 GHz tones needs the band to hold them
@@ -578,6 +585,28 @@ def test_plan_builds_or_names_its_key(mode, picks, data):
         assert re.match(r"drawn\.cfg: (key|section) '[a-z0-9_.]+': ", str(exc)), str(exc)
     finally:
         _scan_axis.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(1e9, 30e9),
+    span=st.floats(0.0, 20e9),
+    n=st.integers(1, MAX_TONES + 2),
+    nudge=st.floats(0.999, 1.001),
+)
+def test_tone_cap_counts_as_arange_does(lo, span, n, nudge):
+    step = (span or 1e9) / n * nudge
+    cfg = RunConfig.from_text(
+        f"mode = measure\nmeasure.lo_hz = {lo!r}\nmeasure.hi_hz = {lo + span!r}\n"
+        f"measure.step_hz = {step!r}\n"
+    )
+    lo, hi = cfg.get("measure.lo_hz"), cfg.get("measure.hi_hz")
+    count = np.arange(lo, hi + step / 2, step).size
+    if count > MAX_TONES:
+        with pytest.raises(ConfigError, match="key 'measure.step_hz'"):
+            _tone_list(cfg, "measure")
+    else:
+        assert _tone_list(cfg, "measure").size == count
 
 
 # a mode that reads each setting of PLAN_LINES, with the lines it needs
@@ -890,6 +919,16 @@ class TestCli:
              "measure"),
             ("measure", "measure.method = ftpm\nmeasure.lo_hz = 5e9\nmeasure.hi_hz = 9e9",
              "measure"),
+            # more tones or samples than the plan caps, counted before any array exists
+            ("calibrate", "calibration.step_hz = 1", "calibration.step_hz"),
+            ("dynamic", "ifm.sample_rate_hz = 1e15", "ifm.sample_rate_hz"),
+            ("measure", "measure.method = ftpm\nmeasure.step_hz = 1e3", "measure.step_hz"),
+            ("classify", "scan.sample_rate_hz = 1e12", "scan.sample_rate_hz"),
+            ("dynamic", "ifm.n_knots = 1e8", "ifm.n_knots"),
+            # counts that overflow to inf; a trace's count is named on its rate key
+            ("calibrate", "scan.sample_rate_hz = 1e308\ndrive.period_s = 1e10",
+             "scan.sample_rate_hz"),
+            ("dynamic", "ifm.duration_s = 1e300", "ifm.sample_rate_hz"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):

@@ -15,6 +15,7 @@ from mwfi.photonic_link import (
 )
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi.ifm_engine import (
+    AcfLut,
     build_lut,
     estimate_static_frequency,
     extract_inst_freq,
@@ -103,6 +104,30 @@ class TestBuildLut:
         f = band[0] + np.array(at) * (band[1] - band[0])
         back = lut.invert(lut.evaluate(f))
         assert np.max(np.abs(back - f)) <= lut.step
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        knots=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40, unique=True),
+        rising=st.booleans(),
+        data=st.data(),
+    )
+    def test_invert_equals_interp_bit_for_bit(self, knots, rising, data):
+        xp = np.sort(knots)
+        freqs = np.linspace(10e9, 20e9, xp.size)
+        values = xp if rising else xp[::-1]
+        lut = AcfLut(mode="single_port", port=2, band=(10e9, 20e9), freqs=freqs, values=values)
+        fp = freqs if rising else freqs[::-1]  # the table read with its values ascending
+        # exact knots, values past both ends and NaN, repeated and in any order
+        query = st.one_of(
+            st.sampled_from([*xp, xp[0] - 1.0, xp[-1] + 1.0, -np.inf, np.inf, np.nan]),
+            st.floats(-2e3, 2e3),
+        )
+        v = np.array(data.draw(st.lists(query, max_size=60)), dtype=float)
+        v = np.concatenate([v, v[::-1]])
+        for q in (v, v[:0], v[:1], v[:2]):
+            assert lut.invert(q).tobytes() == np.interp(q, xp, fp).tobytes()
+        for x in v[:3]:  # a 0-d input, as the static estimate passes one
+            assert lut.invert(np.float64(x)).tobytes() == np.interp(x, xp, fp).tobytes()
 
     def test_csv_round_trip(self, tmp_path):
         lut = build_lut(MziModel(), n_knots=512)
@@ -271,6 +296,15 @@ class TestEstimateStaticFrequency:
         grid = TimeGrid(sample_rate=1e9, n_samples=500)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=14e9),)), NOISELESS, grid)
         assert estimate_static_frequency(trace, lut) == pytest.approx(14e9, abs=lut.step)
+
+    @settings(max_examples=20, deadline=None)
+    @given(at=st.floats(0.0, 1.0), n_knots=st.sampled_from([64, 512, 4096]))
+    def test_noiseless_within_one_step_on_drawn_tones(self, at, n_knots):
+        lut = build_lut(MziModel(), n_knots=n_knots)
+        f = lut.band[0] + at * (lut.band[1] - lut.band[0])
+        grid = TimeGrid(sample_rate=1e9, n_samples=64)
+        trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=f, amplitude=1.0),)), NOISELESS, grid)
+        assert abs(estimate_static_frequency(trace, lut) - f) <= lut.step
 
     def test_noisy_within_one_gigahertz(self):
         lut = build_lut(MziModel())
