@@ -181,7 +181,7 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         enough = tones.size >= 3
         cfg.require(enough, "section 'calibration'", f"{tones.size} tones, the fit needs 3")
         drive, rate = cfg.build_drive(), cfg.get("scan.sample_rate_hz")
-        n = rate * drive.period * drive.n_periods
+        n = rate * drive.period
         _require_samples(cfg, "scan.sample_rate_hz", n, "a scan")
         with cfg.blame("key 'scan.sample_rate_hz'"):
             grid = TimeGrid(sample_rate=rate, n_samples=round(n))

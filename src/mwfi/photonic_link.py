@@ -93,8 +93,8 @@ class MziModel:
     def __post_init__(self):
         if self.fsr <= 0:
             raise ValueError("fsr must be > 0")
-        if self.extinction_ratio <= 0:
-            raise ValueError("extinction ratio must be > 0 dB")
+        if not 0 < self.extinction_ratio <= 3000:  # 10 ** (dB / 10) overflows past 3082 dB
+            raise ValueError("extinction ratio must be > 0 and <= 3000 dB")
 
     @property
     def fringe_contrast(self) -> float:
@@ -313,8 +313,8 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, draws=None) 
     transparent. Noise std is noise_sigma x max(power), so noise_sigma alone
     sets the SNR; output is clamped at zero. The noise comes from
     noise_stream(seed), so equal seeds give bit-identical output; it is
-    drawn, added and clamped in blocks of BLOCK samples, which gives the
-    output of one whole-array pass.
+    drawn in one fill, then scaled, added and clamped in blocks of BLOCK
+    samples, which gives the output of one whole-array pass.
 
     draws, when given, are the first power.size standard-normal draws of
     noise_stream(seed), drawn ahead by the caller; the output is written
@@ -338,16 +338,10 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, draws=None) 
     scale = model.noise_sigma * float(np.max(p, initial=0.0))
     if scale > 0:
         # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
-        # block at a time into one buffer: consecutive fills continue one
-        # stream, so they equal one fill, or the caller's draws
-        if draws is None:
-            rng, noisy = noise_stream(seed), np.empty(out.shape)
-        else:
-            rng, noisy = None, draws
+        # block at a time over one buffer of draws
+        noisy = noise_stream(seed).standard_normal(out.shape) if draws is None else draws
         for block in _blocks(out.size):
             z = noisy[block]
-            if rng is not None:
-                rng.standard_normal(out=z)
             z *= scale
             z += out[block]
             np.maximum(z, 0.0, out=z)

@@ -7,7 +7,6 @@ quadratic lookup table fitted during calibration. Statistical measurements
 (frequency sets, chirp spans, hop sets) all run on the detected trace.
 """
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -67,19 +66,22 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SawtoothDrive:
-    """Heater drive: v_min -> v_max ramp repeated every period."""
+    """Heater drive: one v_min -> v_max ramp over period, a scan's length.
+
+    voltage folds time into the period, so a grid one sample longer than the
+    period starts its last sample back at v_min.
+    """
 
     v_min: float = 0.0
     v_max: float = 4.0
     period: float = 0.25
-    n_periods: int = 1
 
     def __post_init__(self):
         # a ramp through 0 V would heat, cool and heat again: the scan turns back
         if not 0 <= self.v_min < self.v_max:
             raise ValueError("need 0 <= v_min < v_max")
-        if self.period <= 0 or self.n_periods < 1:
-            raise ValueError("period must be > 0 and n_periods >= 1")
+        if self.period <= 0:
+            raise ValueError("period must be > 0")
 
     def voltage(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -97,14 +99,14 @@ class TraceLevel(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanTrace:
-    """Detected-power record of one or more scan periods.
+    """Detected-power record of one scan period.
 
     pulse_width_hint is the nominal time-domain width of a static-tone
     crossing pulse (MRR linewidth / mean scan rate), 1% of the trace
     duration when not given; detectors use it to scale gap tolerances and
-    smoothing windows. settle_time is the heater settling window after
-    each sawtooth reset, during which the lagged resonance flies back down
-    through the band and crossings are spurious.
+    smoothing windows. settle_time is a window at the start of the ramp,
+    ten heater time constants long, in which detect_pulses drops every
+    crossing; it follows no reset, since a trace holds one ramp.
     """
 
     grid: TimeGrid
@@ -264,11 +266,8 @@ def simulate_scan(
     scenario's noiseless detector input (_optical_power), which scans that
     differ only in their noise share; it is only read.
     """
-    expected = drive.n_periods * drive.period
-    if abs(grid.duration - expected) > grid.dt:
-        raise ValueError(
-            f"grid duration {grid.duration:.6e} s != {drive.n_periods} x {drive.period} s drive"
-        )
+    if abs(grid.duration - drive.period) > grid.dt:
+        raise ValueError(f"grid duration {grid.duration:.6e} s != {drive.period} s drive period")
     f_s = scan_frequency(models, drive, grid)
     if optical is None:
         optical = _optical_power(scenario, models, drive, grid)
@@ -394,17 +393,14 @@ def detect_pulses(trace: ScanTrace) -> list:
                 )
             )
     if trace.settle_time is not None:
-        # crossings during the post-reset flyback are duplicates, not signals
         events = [ev for ev in events if ev.peak_time >= trace.settle_time]
     events.sort(key=lambda ev: ev.peak_time)
     return events
 
 
-def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, seed,
-               stage=None):
-    """detect_pulses of one scan per tone, in tone order. Tone i's detector
-    noise seed is seed[i], one seed per tone, or derive_seed(seed, stage, i)
-    when a stage is given.
+def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_freqs, seeds):
+    """detect_pulses of one scan per tone, in tone order, as a list; tone i
+    draws its detector noise from seeds[i].
 
     Consecutive tones of one frequency differ only in their noise, so they
     share one _optical_power; one is alive at a time, and it is dropped
@@ -415,13 +411,12 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
     the GIL), about half the time of a scan. The worker only fills a buffer
     this thread allocates and calls no function of the program, so every
     scan function keeps its order and its thread, and the events and errors
-    are a serial run's. Closing the generator stops the worker.
+    are a serial run's. The worker has ended when the call returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    tone_freqs = list(tone_freqs)
-    n = len(tone_freqs)
-    seeds = list(seed) if stage is None else [derive_seed(seed, stage, i) for i in range(n)]
+    tone_freqs, seeds = list(tone_freqs), list(seeds)
+    n, found = len(tone_freqs), []
     with ThreadPoolExecutor(1) as pool:
 
         def drawn(i):
@@ -439,7 +434,8 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
             trace = simulate_scan(tone, models, drive, grid, seeds[i], draws.result(), optical)
             if i + 1 == n or tone_freqs[i + 1] != f:
                 optical = None
-            yield detect_pulses(trace)
+            found.append(detect_pulses(trace))
+    return found
 
 
 def fit_calibration(tone_freqs, scans) -> CalibrationTable:
@@ -476,36 +472,28 @@ def fit_calibration(tone_freqs, scans) -> CalibrationTable:
     return table
 
 
-def calibrate(
-    models: LinkModels,
-    drive: SawtoothDrive,
-    tone_freqs,
-    grid: TimeGrid,
-    seed: int = 0,
-) -> CalibrationTable:
-    """Fit the frequency-vs-delay lookup from known single tones.
-
-    fit_calibration of tone_scans: each tone is scanned separately, tone i
+def calibrate(models: LinkModels, drive: SawtoothDrive, tone_freqs, grid: TimeGrid,
+              seed: int = 0) -> CalibrationTable:
+    """Fit the frequency-vs-delay lookup from known single tones: the table
+    of calibrated_scans with no measure tones, so tone i is scanned alone
     with the noise seed derive_seed(seed, STAGE_CAL, i). The heater lag acts
     during calibration exactly as during measurement, so its bias cancels in
     use.
     """
-    tone_freqs = list(tone_freqs)
-    with contextlib.closing(tone_scans(models, drive, grid, tone_freqs, seed, STAGE_CAL)) as scans:
-        return fit_calibration(tone_freqs, scans)
+    return calibrated_scans(models, drive, grid, tone_freqs, (), seed)[0]
 
 
 def calibrated_scans(
     models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, cal_tones, tones, seed: int = 0
 ):
-    """(table, events): calibrate on cal_tones, then detect_pulses of one
-    scan per tone of tones, in order, from one pass of tone_scans.
+    """(table, events): fit_calibration of one scan per tone of cal_tones,
+    then detect_pulses of one scan per tone of tones, from one tone_scans.
 
-    Tone i of tones draws the noise seed derive_seed(seed, STAGE_MEASURE, i)
-    and the table is calibrate(models, drive, cal_tones, grid, seed), so the
-    result, and the first error, are those of calibrating first and then
-    scanning tones. The scans run in frequency order, calibration first at
-    equal frequency, so a frequency both lists hold takes one _optical_power.
+    Tone i draws the noise seed derive_seed(seed, STAGE_CAL, i) in cal_tones
+    and derive_seed(seed, STAGE_MEASURE, i) in tones. The scans run in
+    frequency order, calibration first at equal frequency, so a frequency
+    both lists hold takes one _optical_power. The fit reads cal_tones in
+    their order, so neither the table nor the first error depends on the sort.
     """
     scans = [(float(f), STAGE_CAL, i) for i, f in enumerate(cal_tones)]
     scans += [(float(f), STAGE_MEASURE, i) for i, f in enumerate(tones)]

@@ -13,7 +13,7 @@ CAL_TONES = np.arange(10e9, 20.1e9, 1e9)
 
 
 def make_grid(rate: float, drive: SawtoothDrive) -> TimeGrid:
-    return TimeGrid(sample_rate=rate, n_samples=round(rate * drive.period * drive.n_periods))
+    return TimeGrid(sample_rate=rate, n_samples=round(rate * drive.period))
 
 
 @pytest.fixture(scope="session")

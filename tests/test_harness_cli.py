@@ -17,7 +17,8 @@ from mwfi.classifier import ClassLabel
 from mwfi.cli import main
 from mwfi.config import _EMITTERS, _RUN, _SECTIONS, MODES, ConfigError, RunConfig
 from mwfi.harness import (
-    _SWEEP_DROPS, MAX_TONES, MetricsReport, _tone_list, build_plan, expected_label, rms_error, run,
+    _SWEEP_DROPS, MAX_SAMPLES, MAX_TONES, MetricsReport, _tone_list, build_plan, expected_label,
+    rms_error, run,
 )
 from mwfi.ifm_engine import (
     DEFAULT_BAND, build_lut, extract_inst_freq, ifm_trace_to_csv, simulate_ifm,
@@ -521,7 +522,6 @@ HOP_AT_1E8 = (
 # (valid, invalid) config lines of the settings that the plan test draws
 PLAN_LINES = {
     "scan rate": (["scan.sample_rate_hz = 2718281"], ["scan.sample_rate_hz = 1e4"]),
-    "periods": (["drive.n_periods = 1"], ["drive.n_periods = 2"]),
     # a step of 1 Hz asks for 10^10 tones, more than MAX_TONES
     "cal step": (
         ["calibration.step_hz = 5e9"], ["calibration.step_hz = 0", "calibration.step_hz = 1"]
@@ -587,6 +587,64 @@ def test_plan_builds_or_names_its_key(mode, picks, data):
         _scan_axis.cache_clear()
 
 
+def _key_tokens(kind, default, check=None):
+    """Valid, boundary and nonsense tokens for a key of type kind with that
+    default (None or MISSING when it has none) and run-key check."""
+    if kind is bool:
+        return ["true", "off", "1", "maybe"]
+    if kind is str:
+        allowed = list(check[1]) if check else ["out"]
+        return allowed + ["bogus"]
+    if kind is tuple:
+        base = ",".join(repr(v) for v in default) if isinstance(default, tuple) else "12e9"
+        return [base, f"{base},14e9", "-1e9", f"{base},nan", "a,b"]
+    scaled = [repr(kind(default * k)) for k in (0.5, 2) if isinstance(default, (int, float))]
+    ints = ["1", "2", "2.5", "1e3"] if kind is int else ["1e-12", "1e12"]
+    return scaled + ints + ["0", "-1", "1e308", "nan", "-inf", "x"]
+
+
+# every key the parser accepts, emitters by index 1, with its tokens
+PLAN_TOKENS = {key: _key_tokens(kind, default, check)
+               for key, (kind, default, check) in _RUN.items()}
+for _section, (_model, _keys) in _SECTIONS.items():
+    _prefix = f"scenario.{_section}1" if _section in _EMITTERS else _section
+    _fields = {f.name: f for f in dataclasses.fields(_model)}
+    for _key, _name in _keys.items():
+        PLAN_TOKENS[f"{_prefix}.{_key}"] = _key_tokens(_fields[_name].type, _fields[_name].default)
+
+
+def _within_caps(plan):
+    if plan.target is not None:
+        return _within_caps(plan.target)
+    for tones in (plan.tones, plan.cal_tones):
+        assert tones is None or tones.size <= MAX_TONES
+    for grid in (plan.scan_grid, plan.ifm_grid):
+        assert grid is None or grid.n_samples <= MAX_SAMPLES
+    assert plan.lut is None or plan.lut.freqs.size <= MAX_SAMPLES
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.sets(st.sampled_from(sorted(PLAN_TOKENS)), max_size=6), data=st.data())
+def test_drawn_plan_stays_within_caps_or_names_a_key(keys, data):
+    # no simulation: only build_plan, on tokens drawn from the parser's tables
+    lines = [f"{key} = {data.draw(st.sampled_from(PLAN_TOKENS[key]))}"
+             for key in sorted(keys | {"mode"})]
+    cfg = RunConfig.from_text("\n".join(lines) + "\n", source="drawn.cfg")
+    held = {key.rsplit(".", n)[0] for key in cfg.values for n in range(3)}
+    try:
+        _within_caps(build_plan(cfg))
+    except ConfigError as exc:
+        m = re.match(r"drawn\.cfg: (key|section) '([a-z0-9_.]+)': ", str(exc))
+        assert m, str(exc)
+        # a run key or section read at its default, or an emitter's unset
+        # key, is blamed where the held keys make it invalid
+        kind, name = m.groups()
+        read = set(_RUN) if kind == "key" else {key.rsplit(".", 1)[0] for key in _RUN}
+        assert name in held | read or name.rsplit(".", 1)[0] in held, str(exc)
+    finally:
+        _scan_axis.cache_clear()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lo=st.floats(1e9, 30e9),
@@ -601,7 +659,9 @@ def test_tone_cap_counts_as_arange_does(lo, span, n, nudge):
         f"measure.step_hz = {step!r}\n"
     )
     lo, hi = cfg.get("measure.lo_hz"), cfg.get("measure.hi_hz")
-    count = np.arange(lo, hi + step / 2, step).size
+    # a subnormal span over n tones can round the step to 0, which the
+    # step's own check refuses by the same key
+    count = np.arange(lo, hi + step / 2, step).size if step > 0 else np.inf
     if count > MAX_TONES:
         with pytest.raises(ConfigError, match="key 'measure.step_hz'"):
             _tone_list(cfg, "measure")
@@ -612,7 +672,6 @@ def test_tone_cap_counts_as_arange_does(lo, span, n, nudge):
 # a mode that reads each setting of PLAN_LINES, with the lines it needs
 PLAN_READERS = {
     "scan rate": "mode = calibrate",
-    "periods": "mode = calibrate",
     "cal step": "mode = calibrate",
     "cal lo": "mode = calibrate",
     "cal band": "mode = calibrate",
@@ -739,7 +798,6 @@ ROUND_TRIP = {
     "drive.v_min_v": ("v_min", [0.5, 0.25]),
     "drive.v_max_v": ("v_max", [3.0, 5.0]),
     "drive.period_s": ("period", [0.1, 0.5]),
-    "drive.n_periods": ("n_periods", [1]),
     "modulator.bw_3db_hz": ("bw_3db", [20e9, 30e9]),
     "modulator.carrier_suppression_db": ("carrier_suppression", [20.0, 30.0]),
     "modulator.image_suppression_db": ("image_sideband_suppression", [15.0, 35.0]),
@@ -864,6 +922,8 @@ class TestCli:
             ("link.gain = 0", "section 'link'"),
             ("notch.enabled = true\nnotch.centers_hz = 10e9,-inf", "notch.centers_hz"),
             ("scenario.tone1.freq_hz = -1e9", "section 'scenario.tone1'"),
+            # 10 ** (dB / 10) would overflow a float
+            ("mzi.extinction_ratio_db = 1e12", "section 'mzi'"),
         ],
     )
     def test_invalid_value_exits_two(self, tmp_path, capsys, line, name):
@@ -879,7 +939,6 @@ class TestCli:
             ("measure", "scan.sample_rate_hz = 0", "scan.sample_rate_hz"),
             ("dynamic", "ifm.n_knots = 1", "ifm.n_knots"),
             ("dynamic", "ifm.port = 3", "ifm.port"),
-            ("measure", "drive.n_periods = 2", "drive.n_periods"),
             ("dynamic", "ifm.sample_rate_hz = 0", "ifm.sample_rate_hz"),
             ("dynamic", "ifm.duration_s = 0", "ifm.duration_s"),
             # too slow for the heater lag, which refuses the grid
@@ -955,13 +1014,18 @@ class TestCli:
             "mrr.peak_transmission = 0.5",
             "mzi.insertion_loss_db = 3",
             "pd.responsivity = 4",
+            # a trace holds one scan period
+            "drive.n_periods = 1",
+            "drive.n_periods = 2",
         ],
     )
     def test_removed_keys_exit_two(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"mode = classify\nscenario.tone1.freq_hz = 15e9\n{line}\n")
-        assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
-        assert "unknown key" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"unknown key {line.split(' = ')[0]!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, flags", [("seed = -1", []), ("", ["--seed", "-3"])], ids=["config", "flag"]
