@@ -140,7 +140,9 @@ def _single_tone_power(mod: ModulatorModel, mzi: MziModel, port: int, f: np.ndar
     image-sideband leakage, i.e. exactly the curve an end-to-end power
     calibration measures (bandstop filter off).
     """
-    return link_power(mod, lambda x, _: mzi_port_response(mzi, x, port), [(f, 1.0)], f.size)
+    return link_power(
+        mod, lambda x, _: mzi_port_response(mzi, x, port), lambda knots: [(f[knots], 1.0)], f.size
+    )
 
 
 def build_lut(

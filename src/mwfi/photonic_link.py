@@ -117,6 +117,8 @@ class NotchFilterModel:
             raise ValueError("need 1-3 notch centers")
         if self.fwhm_each <= 0:
             raise ValueError("fwhm_each must be > 0")
+        if self.rejection < 0:  # a negative rejection would amplify
+            raise ValueError("rejection must be >= 0 dB")
 
 
 @dataclass(frozen=True)
@@ -163,21 +165,24 @@ def modulator_sideband_weight(model: ModulatorModel, f):
 def link_power(modulator: ModulatorModel, response, components, n_samples: int) -> np.ndarray:
     """Optical power reaching the detector through one filter.
 
-    components holds (freq, power) pairs: scalars for always-on tones,
-    per-sample arrays for dynamic emitters (zero power where inactive).
-    Each pair contributes its sideband at +f and the suppressed image at
-    -f, both weighted by the modulator roll-off at f; the residual carrier
-    at 0 scales with the summed sideband power.
+    components(block) gives the (freq, power) pairs of the samples of the
+    slice block: scalars for always-on tones, arrays as long as the block
+    for dynamic emitters (zero power where inactive); component_powers
+    gives it for a scenario. Each pair contributes its sideband at +f and
+    the suppressed image at -f, both weighted by the modulator roll-off at
+    f; the residual carrier at 0 scales with the summed sideband power.
 
     response(freq, block) is the filter's power transmission at an RF
-    offset (scalar or per sample) for the samples of the slice block, which
-    a per-sample freq already covers; for +f and -f it must return a new
+    offset (scalar or per sample) for the samples of block, which a
+    per-sample freq already covers; for +f and -f it must return a new
     array, which is scaled in place. The sum runs over blocks of BLOCK
-    samples into one output, so its temporaries stay block-sized. Blocking
-    cannot change a bit: every operation is elementwise and runs in the
-    same order as over the whole trace, and a response that picks its path
-    per block must give each sample the same value on every path (each
-    detuning path of mrr_drop_response gives d - round(d / fsr) * fsr).
+    samples into one output, so its temporaries and the components stay
+    block-sized. Blocking cannot change a bit: every operation is
+    elementwise and runs in the same order as over the whole trace, the
+    components of a block must equal the slices of the whole trace's, and
+    a response that picks its path per block must give each sample the
+    same value on every path (each detuning path of mrr_drop_response
+    gives d - round(d / fsr) * fsr).
     """
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
@@ -185,8 +190,7 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
     for block in _blocks(n_samples):
         out = total[block]
         sideband_power = 0.0
-        for f, p in components:
-            f, p = (v[block] if np.ndim(v) else v for v in (f, p))
+        for f, p in components(block):
             w = modulator_sideband_weight(modulator, f)
             out += _scaled(response(f, block), p * w)
             out += _scaled(response(-f, block), imgs * p * w)

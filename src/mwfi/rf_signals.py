@@ -49,7 +49,12 @@ class TimeGrid:
         return self.n_samples * self.dt
 
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_samples) / self.sample_rate
+        return self.block_times(slice(0, self.n_samples))
+
+    def block_times(self, block: slice) -> np.ndarray:
+        """Times of the grid samples in the slice block: elementwise equal to
+        times()[block], without building the whole axis."""
+        return self.t0 + np.arange(*block.indices(self.n_samples)) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -209,8 +214,11 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, times=None) -> list:
     component_powers and sole_component_freq build on this form;
     sample_track is the scalar oracle. Note that unlike sample_track,
     coincident equal frequencies from different emitters are not merged
-    (the power sum is identical either way). times, when given, is
-    grid.times(), evaluated once by a caller that also needs it.
+    (the power sum is identical either way). times, when given, are the
+    times of the samples to evaluate: grid.times(), evaluated once by a
+    caller that also needs it, or one block of them (TimeGrid.block_times).
+    Every operation is elementwise, so a block's tracks equal the slices of
+    the whole grid's bit for bit.
     """
     tracks = [(tone.freq, tone.amplitude, np.True_) for tone in scenario.tones]
     # only chirps and hops change over time: a tone-only scan needs no time axis
@@ -234,16 +242,35 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, times=None) -> list:
     return tracks
 
 
-def component_powers(scenario: RfScenario, grid: TimeGrid, tracks=None) -> list:
-    """(freq, power) pairs of every emitter, the input of link_power.
+def component_powers(scenario: RfScenario, grid: TimeGrid, tracks=None):
+    """The components of link_power for a scenario: a function from a slice
+    of sample indices to the (freq, power) pair of every emitter over those
+    samples.
 
-    Tones give scalars; chirps and hops give per-sample arrays, with zero
-    power where the emitter is inactive (a**2 * on equals
+    Tones give scalars; chirps and hops give arrays as long as the block,
+    with zero power where the emitter is inactive (a**2 * on equals
     np.where(on, a**2, 0.0) bit for bit, since a >= 0). tracks, when given,
-    is component_tracks(scenario, grid), evaluated once by the caller.
+    is component_tracks(scenario, grid), evaluated once by the caller, and
+    a block reads their slices. Otherwise chirps and hops are evaluated on
+    each block's times, so no track is longer than a block, with the
+    values of one whole-grid pass.
     """
-    tracks = component_tracks(scenario, grid) if tracks is None else tracks
-    return [(f, a**2 * on) for f, a, on in tracks]
+    if tracks is None and not (scenario.chirps or scenario.hops):
+        tracks = component_tracks(scenario, grid)  # scalars only: one set serves every block
+
+    def components(block):
+        if tracks is None:
+            block_tracks = component_tracks(scenario, grid, grid.block_times(block))
+        else:
+            block_tracks = [(_part(f, block), a, _part(on, block)) for f, a, on in tracks]
+        return [(f, a**2 * on) for f, a, on in block_tracks]
+
+    return components
+
+
+def _part(track, block):
+    """The samples block of a per-sample track; a scalar track is every sample's."""
+    return track[block] if np.ndim(track) else track
 
 
 def sole_component_freq(scenario: RfScenario, grid: TimeGrid, tracks=None) -> np.ndarray:

@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 # not scipy: it takes about a second to import and only the scan estimators
 # use it, so each imports its function where it calls it; IFM runs never load it.
-# Nor concurrent.futures (about 7 ms, mostly logging): tone_scans imports it.
+# Nor concurrent.futures (about 7 ms, mostly logging): the scans that draw
+# their noise on a worker thread import it.
 
 from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_powers
@@ -265,11 +266,23 @@ def simulate_scan(
     they become the trace's power (pd_detect). optical, when given, is the
     scenario's noiseless detector input (_optical_power), which scans that
     differ only in their noise share; it is only read.
+
+    Given neither, the scan sums its optical power on this thread, one
+    block of emitter tracks at a time, while one worker thread draws its
+    noise, as tone_scans does; the worker has ended when the call returns
+    or raises, and the trace equals a serial run's bit for bit.
     """
     if abs(grid.duration - drive.period) > grid.dt:
         raise ValueError(f"grid duration {grid.duration:.6e} s != {drive.period} s drive period")
     f_s = scan_frequency(models, drive, grid)
-    if optical is None:
+    if optical is None and draws is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as pool:
+            drawn = _draw_ahead(pool, seed, grid)
+            optical = _optical_power(scenario, models, drive, grid)
+        draws = drawn.result()
+    elif optical is None:
         optical = _optical_power(scenario, models, drive, grid)
     elif np.shape(optical) != f_s.shape:
         raise ValueError(f"optical has shape {np.shape(optical)}, the scan axis {f_s.shape}")
@@ -277,6 +290,14 @@ def simulate_scan(
     power = pd_detect(optical, models.pd, grid, seed, draws)
     hint, settle = _scan_timing(models, drive)
     return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
+
+
+def _draw_ahead(pool, seed: int, grid: TimeGrid):
+    """A future of the grid's standard-normal draws of noise_stream(seed),
+    filled on the pool into a buffer this thread allocates. The fill
+    releases the GIL and runs no function of the program, so the scan
+    functions keep their thread."""
+    return pool.submit(noise_stream(seed).standard_normal, out=np.empty(grid.n_samples))
 
 
 def _optical_power(
@@ -407,27 +428,22 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
     before the pulses of its last scan are found.
 
     The scans run on this thread, one after another, while one worker
-    thread draws the next tone's detector noise (noise_stream fills release
-    the GIL), about half the time of a scan. The worker only fills a buffer
-    this thread allocates and calls no function of the program, so every
-    scan function keeps its order and its thread, and the events and errors
-    are a serial run's. The worker has ended when the call returns or raises.
+    thread draws the next tone's detector noise (_draw_ahead), about half
+    the time of a scan. So every scan function keeps its order and its
+    thread, and the events and errors are a serial run's. The worker has
+    ended when the call returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     tone_freqs, seeds = list(tone_freqs), list(seeds)
     n, found = len(tone_freqs), []
     with ThreadPoolExecutor(1) as pool:
-
-        def drawn(i):
-            return pool.submit(noise_stream(seeds[i]).standard_normal, out=np.empty(grid.n_samples))
-
-        ahead = drawn(0) if n else None
+        ahead = _draw_ahead(pool, seeds[0], grid) if n else None
         optical = None
         for i, f in enumerate(tone_freqs):
             draws = ahead
             if i + 1 < n:
-                ahead = drawn(i + 1)
+                ahead = _draw_ahead(pool, seeds[i + 1], grid)
             tone = RfScenario(tones=(ToneSpec(freq=f),))
             if optical is None:
                 optical = _optical_power(tone, models, drive, grid)
@@ -520,14 +536,16 @@ def estimate_frequencies(events, table: CalibrationTable) -> list:
 def _occupancy_edges(above: np.ndarray, window: int):
     """Edge indices (fractional) where windowed exceedance crosses half its plateau.
 
-    The exceedance fraction of a filled envelope ramps linearly through the
-    filter's response tails and passes half its in-band plateau exactly at
-    the envelope's true edge, which makes the crossing an unbiased edge
+    above is the boolean mask of above-threshold samples. The exceedance
+    fraction of a filled envelope ramps linearly through the filter's
+    response tails and passes half its in-band plateau exactly at the
+    envelope's true edge, which makes the crossing an unbiased edge
     estimate regardless of linewidth or threshold choice.
     """
     from scipy.ndimage import uniform_filter1d
 
-    occ = uniform_filter1d(above.astype(float), size=window, mode="constant", cval=0.0)
+    # a float64 output over the boolean mask: the float copy's result bit for bit
+    occ = uniform_filter1d(above, size=window, output=np.float64, mode="constant", cval=0.0)
     # two-pass plateau estimate: max(occ) rides noise wiggles high, so take
     # the median over the central quarter of the first-pass support
     support = np.flatnonzero(occ >= 0.5 * float(np.max(occ)))

@@ -924,14 +924,19 @@ class TestCli:
             ("scenario.tone1.freq_hz = -1e9", "section 'scenario.tone1'"),
             # 10 ** (dB / 10) would overflow a float
             ("mzi.extinction_ratio_db = 1e12", "section 'mzi'"),
+            # a negative rejection amplifies; at -1e308 dB 10 ** (-dB / 10) overflows
+            ("notch.enabled = true\nnotch.rejection_db = -20", "section 'notch'"),
+            ("notch.enabled = true\nnotch.rejection_db = -1e308", "section 'notch'"),
         ],
     )
     def test_invalid_value_exits_two(self, tmp_path, capsys, line, name):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"mode = classify\n{line}\n")
-        assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {bad}: " in err and name in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "mode, line, key",
@@ -1094,6 +1099,39 @@ class TestCli:
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"mwfi: error: {mode} stage failed: {error}\n"
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a chirp scene: calibration and the scene scan draw noise on a worker
+            "mode = classify\ncalibration.step_hz = 5e9\nscenario.chirp1.center_hz = 15e9\n"
+            "scenario.chirp1.span_hz = 4e9\nscenario.chirp1.pulse_width_s = 1.6e-6\n"
+            "scenario.chirp1.repeat_interval_s = 4e-6\n",
+            "mode = dynamic\nscenario.hop1.freqs_hz = 10e9,13e9\nscenario.hop1.dwell_s = 80e-9\n"
+            "ifm.sample_rate_hz = 1e9\nifm.duration_s = 40e-6\n",
+        ],
+        ids=["classify chirp", "dynamic"],
+    )
+    def test_program_runs_on_the_main_thread_only(self, tmp_path, text):
+        # the benchmark's tracer keeps one span stack: a worker thread may
+        # fill noise buffers, but no function of the program may run on it
+        import mwfi
+
+        package = os.path.dirname(os.path.abspath(mwfi.__file__))
+        off_main = []  # code files of the Python frames other threads entered
+
+        def profile(frame, event, arg):
+            if event == "call":
+                off_main.append(os.path.abspath(frame.f_code.co_filename))
+
+        threading.setprofile(profile)  # for threads started from here on
+        try:
+            run(RunConfig.from_text(text), out_dir=tmp_path)
+        finally:
+            threading.setprofile(None)
+        assert not [f for f in off_main if f.startswith(package + os.sep)]
+        if "classify" in text:
+            assert off_main  # the worker ran, and the profile saw it
 
     def test_runtime_error_exits_one(self, tmp_path):
         # the scan reaches 35-36 GHz, but the calibrated delays end at 20 GHz

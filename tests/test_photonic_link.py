@@ -13,6 +13,7 @@ from mwfi.rf_signals import (
     TimeGrid,
     ToneSpec,
     component_powers,
+    component_tracks,
     instantaneous_components,
 )
 from mwfi.photonic_link import (
@@ -465,11 +466,41 @@ class TestBlocking:
         total += cs * sideband_power * response(0.0)
         return total
 
-    @staticmethod
-    def _components(n_samples):
-        """A scalar tone, a chirp and a hop (TestLinkPower's scenario)."""
-        grid = TimeGrid(sample_rate=1e9, n_samples=n_samples)
-        return component_powers(TestLinkPower.SCENARIO, grid)
+    # at 2**30 S/s every sample time is exact: the chirp repeats every 1024
+    # samples and the hop dwells 64, so sample BLOCK starts both a chirp
+    # pulse and a dwell (of the next hop frequency)
+    RATE = 2.0**30
+    EDGES = RfScenario(
+        tones=(ToneSpec(freq=11e9, amplitude=0.6),),
+        chirps=(ChirpSpec(15e9, 4e9, 256 / RATE, 1024 / RATE, amplitude=1.3),),
+        hops=(HopSpec((10e9, 13e9, 18e9), dwell=64 / RATE, amplitude=0.8),),
+    )
+
+    @classmethod
+    def _components(cls, n_samples):
+        """(blocked, whole): component_powers of EDGES, a tone, a chirp and a
+        hop, and its (freq, power) pairs from one whole-grid evaluation."""
+        grid = TimeGrid(sample_rate=cls.RATE, n_samples=n_samples)
+        whole = [(f, a**2 * on) for f, a, on in component_tracks(cls.EDGES, grid)]
+        return component_powers(cls.EDGES, grid), whole
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_block_tracks_equal_whole_grid(self, n):
+        grid = TimeGrid(sample_rate=self.RATE, n_samples=n)
+        tracks = component_tracks(self.EDGES, grid)
+        if n > BLOCK:
+            (_, _, chirp_on), (hop_freq, _, _) = tracks[1:]
+            assert not chirp_on[BLOCK - 1] and chirp_on[BLOCK]
+            assert hop_freq[BLOCK - 1] != hop_freq[BLOCK]
+        blocked, whole = self._components(n)
+        shared = component_powers(self.EDGES, grid, tracks)  # a dynamic run's slices
+        for start in range(0, n, BLOCK):
+            block = slice(start, start + BLOCK)
+            for pairs in (blocked(block), shared(block)):
+                assert len(pairs) == len(whole)
+                for got, want in zip(pairs, whole):
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w[block] if np.ndim(w) else w)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_ring_sum_equals_whole_array(self, n):
@@ -484,12 +515,12 @@ class TestBlocking:
         assert detunings.min() < -mrr.fsr / 2 and detunings.max() > mrr.fsr / 2
         if n > 2 * BLOCK:
             assert np.all(np.abs(detunings[:, BLOCK : 2 * BLOCK]) <= mrr.fsr / 2)
-        components = self._components(n)
+        blocked, whole = self._components(n)
         mod = TestLinkPower.MODELS.modulator
         got = link_power(
-            mod, lambda f, block: mrr_drop_response(mrr, f - f_s[block]), components, n
+            mod, lambda f, block: mrr_drop_response(mrr, f - f_s[block]), blocked, n
         )
-        want = self._unblocked(mod, lambda f: mrr_drop_response(mrr, f - f_s), components, n)
+        want = self._unblocked(mod, lambda f: mrr_drop_response(mrr, f - f_s), whole, n)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -499,10 +530,10 @@ class TestBlocking:
         def response(f, _=None):
             return mzi_port_response(mzi, f, 2) * notch_response(notch, f)
 
-        components = self._components(n)
+        blocked, whole = self._components(n)
         mod = TestLinkPower.MODELS.modulator
-        got = link_power(mod, response, components, n)
-        assert np.array_equal(got, self._unblocked(mod, response, components, n))
+        got = link_power(mod, response, blocked, n)
+        assert np.array_equal(got, self._unblocked(mod, response, whole, n))
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_noise_equals_one_fill(self, n):

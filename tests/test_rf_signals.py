@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mwfi.photonic_link import BLOCK
 from mwfi.rf_signals import (
     ChirpSpec,
     HopSpec,
     RfScenario,
     TimeGrid,
     ToneSpec,
+    component_powers,
     component_tracks,
     instantaneous_components,
     sample_track,
@@ -173,6 +176,49 @@ def test_component_tracks_matches_scalar_path():
                 if active[k]
             }
             assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    center=st.floats(9e9, 21e9),
+    span=st.floats(1e8, 6e9),
+    duty=st.floats(0.05, 1.0),
+    repeat=st.floats(2e-7, 1e-5),
+    direction=st.sampled_from(["up", "down"]),
+    hop=st.builds(
+        HopSpec,
+        freqs=st.lists(st.floats(9e9, 21e9), min_size=1, max_size=4).map(tuple),
+        dwell=st.floats(1e-8, 1e-6),
+        amplitude=st.floats(0.1, 2.0),
+        start=st.floats(0.0, 2e-5),
+        repeat=st.booleans(),
+    ),
+    rate=st.floats(1e8, 4e9),
+    t0=st.floats(0.0, 1e-5),
+    n=st.integers(BLOCK + 1, 3 * BLOCK),
+    data=st.data(),
+)
+def test_block_powers_match_scalar_path(
+    center, span, duty, repeat, direction, hop, rate, t0, n, data
+):
+    # the components the power sum reads, one block at a time, against
+    # instantaneous_components at drawn samples of the whole grid; most
+    # samples lie past the first block
+    chirp = ChirpSpec(center, span, duty * repeat, repeat, amplitude=1.3, direction=direction)
+    sc = RfScenario(tones=(ToneSpec(freq=11e9, amplitude=0.6),), chirps=(chirp,), hops=(hop,))
+    grid = TimeGrid(sample_rate=rate, n_samples=n, t0=t0)
+    components = component_powers(sc, grid)
+    times = grid.times()
+    for k in data.draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=8)):
+        start = k - k % BLOCK
+        got = {}
+        for f, p in components(slice(start, start + BLOCK)):
+            f, p = (float(v[k - start]) if np.ndim(v) else float(v) for v in (f, p))
+            if p > 0:
+                got[f] = got.get(f, 0.0) + p
+        want = instantaneous_components(sc, float(times[k])).components
+        assert sorted(got) == [f for f, _ in want]
+        assert [got[f] for f, _ in want] == pytest.approx([a * a for _, a in want], rel=1e-12)
 
 
 @pytest.mark.parametrize(

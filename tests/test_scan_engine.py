@@ -3,6 +3,7 @@ import math
 import re
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,8 @@ from mwfi.scan_engine import (
     THRESHOLD_FRAC,
     _above_threshold_runs,
     _merge_runs,
+    _occupancy_edges,
+    _optical_power,
     _scan_axis,
     CalibrationError,
     CalibrationTable,
@@ -90,6 +93,32 @@ class TestSimulateScan:
         a = simulate_scan(tone_scenario(12e9), models, drive, grid_1ms, 9)
         b = simulate_scan(tone_scenario(12e9), models, drive, grid_1ms, 9)
         assert np.array_equal(a.power, b.power)
+
+    def test_worker_noise_equals_pd_detect_fill(self, drive, grid_1ms):
+        # a scan given neither draws nor optical draws its noise on a worker
+        # thread; pd_detect's own fill of the same stream gives the same trace
+        models = LinkModels(pd=PdModel(noise_sigma=0.02))
+        sc = RfScenario(tones=(ToneSpec(freq=12e9),), chirps=(CHIRP_4G,))
+        before = threading.active_count()
+        got = simulate_scan(sc, models, drive, grid_1ms, 17).power
+        assert threading.active_count() == before
+        optical = _optical_power(sc, models, drive, grid_1ms)
+        assert np.array_equal(got, pd_detect(optical, models.pd, grid_1ms, 17))
+
+    def test_scene_scan_holds_about_two_trace_lengths(self, drive):
+        # the emitter tracks are evaluated one block at a time, so the scan
+        # holds its optical sum, its noise buffer and block-sized parts; whole
+        # tracks took 4.13 trace lengths
+        models = LinkModels()
+        grid = make_grid(1.6e6, drive)  # 400,000 samples: 2.30 trace lengths measured
+        scan_frequency(models, drive, grid)  # the cached axis belongs to the run
+        tracemalloc.start()
+        try:
+            simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * grid.n_samples * 8
 
     def test_chirp_envelope_is_filled(self, drive, grid_fast):
         models = LinkModels(pd=PdModel(noise_sigma=0.01))
@@ -621,6 +650,20 @@ class TestMeasureSpan:
         times = (trace.grid.t0 + hit[[0, -1]] * trace.grid.dt) % drive.period
         raw = float(table_fast.freq_at(times[1]) - table_fast.freq_at(times[0]))
         assert raw - 4e9 > 1e9
+
+    @pytest.mark.parametrize("n", [1_000, 250_000, 679_570])
+    def test_occupancy_of_the_mask_equals_its_float_copy(self, n):
+        from scipy.ndimage import uniform_filter1d
+
+        # a filled envelope over a sixth of the trace, sparse noise elsewhere
+        rng = np.random.default_rng(n)
+        above = rng.random(n) < 0.02
+        above[n // 3 : n // 2] = rng.random(n // 2 - n // 3) < 0.6
+        w = max(5, n // 400)
+        copy = uniform_filter1d(above.astype(float), size=w, mode="constant", cval=0.0)
+        mask = uniform_filter1d(above, size=w, output=np.float64, mode="constant", cval=0.0)
+        assert np.array_equal(mask, copy)
+        assert _occupancy_edges(above, w) == _occupancy_edges(above.astype(float), w)
 
     def test_flat_trace_raises(self, drive, grid_1ms, table_1ms):
         from mwfi.scan_engine import ScanTrace
