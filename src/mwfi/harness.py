@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csv import SharedColumn, write_columns
-from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_tracks, sole_component_freq
+from .rf_signals import RfScenario, TimeGrid, ToneSpec, sole_component_freq
 from .classifier import FILL_THRESHOLD, ClassLabel, classify, compute_features
 from .config import RunConfig
 from .ifm_engine import (
@@ -317,19 +317,16 @@ def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
 
 def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
-    # the time axis and the emitter tracks, once for every stage of the run
-    times = grid.times()
-    tracks = component_tracks(scenario, grid, times)
     # the k-th port the table reads draws its noise from (seed, STAGE_DYNAMIC, k)
     seeds = (derive_seed(seed, STAGE_DYNAMIC, k) for k in range(len(lut.ports)))
     trace, *reference = [
-        simulate_ifm(scenario, plan.models, grid, port, lut.band, s, tracks)
+        simulate_ifm(scenario, plan.models, grid, port, lut.band, s)
         for s, port in zip(seeds, lut.ports)
     ]
-    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, *reference, times=times)
+    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, *reference)
 
     # score samples that are not noise and where the scenario has one frequency
-    diff = est.freq - sole_component_freq(scenario, grid, tracks)
+    diff = est.freq - sole_component_freq(scenario, grid)
     errors = diff[~np.isnan(diff)]
     if errors.size:
         report.rms_error_hz = float(np.sqrt(np.mean(errors**2)))
@@ -337,7 +334,7 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
     # both per-sample files start with the time axis: the first to be written
     # renders its text, and the second copies it
-    column = SharedColumn(times)
+    column = SharedColumn(est.times)
     return {"lut.csv": partial(lut_to_csv, lut),
             "ifm_trace.csv": partial(ifm_trace_to_csv, trace, times=column),
             "inst_freq.csv": partial(inst_freq_to_csv, est, times=column)}

@@ -198,15 +198,13 @@ def simulate_ifm(
     port: int = 2,
     band=DEFAULT_BAND,
     seed: int = 0,
-    tracks=None,
 ) -> IfmTrace:
     """Detected power of the bandstop-filtered MZI path.
 
     link_power through the port response times the bandstop transmission,
     through the detector, whose noise seed is seed. The normalization is
     the detected power of a unit-amplitude component at the band maximum of
-    the port response (bandstop excluded). tracks, when given, is
-    component_tracks(scenario, grid), shared by the caller's other stages.
+    the port response (bandstop excluded).
     """
     check_hop_sampling(scenario, grid)
 
@@ -216,9 +214,7 @@ def simulate_ifm(
             resp = resp * notch_response(models.notch, freqs)
         return resp
 
-    total = link_power(
-        models.modulator, response, component_powers(scenario, grid, tracks), grid.n_samples
-    )
+    total = link_power(models.modulator, response, component_powers(scenario, grid), grid.n_samples)
     total *= models.link_gain
 
     power = pd_detect(total, models.pd, grid, seed)
@@ -233,7 +229,6 @@ def extract_inst_freq(
     noise_floor: float = 0.05,
     upper_limit: float = 20e9,
     reference_trace: IfmTrace | None = None,
-    times=None,
 ) -> InstFreqEstimate:
     """Invert the lookup sample by sample.
 
@@ -241,8 +236,7 @@ def extract_inst_freq(
     noise_floor, outside the tabulated value range, or implies a frequency
     above upper_limit (frequencies beyond the table cannot be told apart
     from noise). For a ratio LUT, trace must be the port-1 record and
-    reference_trace the port-2 record. times, when given, is
-    trace.grid.times(), evaluated once by the caller.
+    reference_trace the port-2 record.
     """
     if not lut.band[0] <= upper_limit <= lut.band[1]:
         raise ValueError("upper_limit must lie within the LUT band")
@@ -264,8 +258,7 @@ def extract_inst_freq(
     ok = valid & in_range
     freq[ok] = lut.invert(metric[ok])
     freq[freq > upper_limit] = NOISE
-    times = trace.grid.times() if times is None else times
-    return InstFreqEstimate(times=times, freq=freq)
+    return InstFreqEstimate(times=trace.grid.times(), freq=freq)
 
 
 def estimate_static_frequency(trace: IfmTrace, lut: AcfLut, noise_floor: float = 0.05) -> float:

@@ -57,6 +57,13 @@ class TimeGrid:
         return self.t0 + np.arange(*block.indices(self.n_samples)) / self.sample_rate
 
 
+def _check_amplitude(amplitude: float):
+    """Refuse a negative amplitude, or one whose power amplitude**2 overflows
+    (a * a gives inf where a**2 raises)."""
+    if not (amplitude >= 0 and math.isfinite(amplitude * amplitude)):
+        raise ValueError(f"amplitude must be >= 0 with a finite square, got {amplitude!r}")
+
+
 @dataclass(frozen=True)
 class ToneSpec:
     """Always-on single tone."""
@@ -67,8 +74,7 @@ class ToneSpec:
     def __post_init__(self):
         if self.freq <= 0:
             raise ValueError("tone frequency must be > 0")
-        if self.amplitude < 0:
-            raise ValueError("tone amplitude must be >= 0")
+        _check_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -90,10 +96,13 @@ class ChirpSpec:
     def __post_init__(self):
         if self.span <= 0:
             raise ValueError("chirp span must be > 0")
+        if self.center - self.span / 2.0 <= 0:
+            raise ValueError("chirp low end center - span/2 must be > 0 Hz")
         if not (0 < self.pulse_width <= self.repeat_interval):
             raise ValueError("need 0 < pulse_width <= repeat_interval")
         if self.direction not in ("up", "down"):
             raise ValueError("direction must be 'up' or 'down'")
+        _check_amplitude(self.amplitude)
 
     def inst_freq(self, phase: np.ndarray) -> np.ndarray:
         """Instantaneous frequency for in-pulse phase offsets (0 <= phase < pulse_width)."""
@@ -125,6 +134,7 @@ class HopSpec:
             raise ValueError("hop frequencies must be > 0")
         if self.dwell <= 0:
             raise ValueError("dwell must be > 0")
+        _check_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -204,25 +214,24 @@ def sample_track(scenario: RfScenario, grid: TimeGrid) -> list:
     return [instantaneous_components(scenario, t) for t in grid.times()]
 
 
-def component_tracks(scenario: RfScenario, grid: TimeGrid, times=None) -> list:
-    """Vectorized per-emitter tracks over a grid.
+def component_tracks(scenario: RfScenario, grid: TimeGrid, block=slice(None)) -> list:
+    """Vectorized per-emitter tracks over the grid samples in the slice block.
 
     Returns a list of (freq, amplitude, active) triples, one per emitter,
-    equivalent to evaluating instantaneous_components at every grid time.
+    equivalent to evaluating instantaneous_components at every sample time.
     A tone is a scalar track (freq, amplitude, np.True_); chirps and hops
     give per-sample freq and active arrays beside their scalar amplitude.
     component_powers and sole_component_freq build on this form;
     sample_track is the scalar oracle. Note that unlike sample_track,
     coincident equal frequencies from different emitters are not merged
-    (the power sum is identical either way). times, when given, are the
-    times of the samples to evaluate: grid.times(), evaluated once by a
-    caller that also needs it, or one block of them (TimeGrid.block_times).
-    Every operation is elementwise, so a block's tracks equal the slices of
-    the whole grid's bit for bit.
+    (the power sum is identical either way). Every operation is
+    elementwise on TimeGrid.block_times, so a block's tracks equal the
+    slices of the whole grid's bit for bit.
     """
     tracks = [(tone.freq, tone.amplitude, np.True_) for tone in scenario.tones]
     # only chirps and hops change over time: a tone-only scan needs no time axis
-    t = grid.times() if times is None and (scenario.chirps or scenario.hops) else times
+    if scenario.chirps or scenario.hops:
+        t = grid.block_times(block)
     for chirp in scenario.chirps:
         phase = t - chirp.repeat_interval * np.floor(t / chirp.repeat_interval)
         active = phase < chirp.pulse_width
@@ -242,51 +251,31 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, times=None) -> list:
     return tracks
 
 
-def component_powers(scenario: RfScenario, grid: TimeGrid, tracks=None):
+def component_powers(scenario: RfScenario, grid: TimeGrid):
     """The components of link_power for a scenario: a function from a slice
     of sample indices to the (freq, power) pair of every emitter over those
-    samples.
+    samples, evaluated on that block alone.
 
     Tones give scalars; chirps and hops give arrays as long as the block,
     with zero power where the emitter is inactive (a**2 * on equals
-    np.where(on, a**2, 0.0) bit for bit, since a >= 0). tracks, when given,
-    is component_tracks(scenario, grid), evaluated once by the caller, and
-    a block reads their slices. Otherwise chirps and hops are evaluated on
-    each block's times, so no track is longer than a block, with the
-    values of one whole-grid pass.
+    np.where(on, a**2, 0.0) bit for bit, since a >= 0).
     """
-    if tracks is None and not (scenario.chirps or scenario.hops):
-        tracks = component_tracks(scenario, grid)  # scalars only: one set serves every block
-
-    def components(block):
-        if tracks is None:
-            block_tracks = component_tracks(scenario, grid, grid.block_times(block))
-        else:
-            block_tracks = [(_part(f, block), a, _part(on, block)) for f, a, on in tracks]
-        return [(f, a**2 * on) for f, a, on in block_tracks]
-
-    return components
+    return lambda block: [(f, a**2 * on) for f, a, on in component_tracks(scenario, grid, block)]
 
 
-def _part(track, block):
-    """The samples block of a per-sample track; a scalar track is every sample's."""
-    return track[block] if np.ndim(track) else track
-
-
-def sole_component_freq(scenario: RfScenario, grid: TimeGrid, tracks=None) -> np.ndarray:
+def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:
     """Per-sample frequency where exactly one distinct frequency is active.
 
     NaN elsewhere: no emitter active, or several distinct frequencies.
     Equal frequencies from different emitters count once, as in
     instantaneous_components, so this is the vectorised form of
     ``len(snapshot.components) == 1`` and ``snapshot.components[0][0]``
-    over the grid. tracks is as in component_powers.
+    over the grid.
     """
-    tracks = component_tracks(scenario, grid) if tracks is None else tracks
     # first: the frequency of the first active emitter in track order
     first = np.full(grid.n_samples, np.nan)
     sole = np.ones(grid.n_samples, dtype=bool)
-    for freq, _, active in tracks:
+    for freq, _, active in component_tracks(scenario, grid):
         np.copyto(first, freq, where=active & np.isnan(first))
         sole &= ~active | (freq == first)
     first[~sole] = np.nan

@@ -1,7 +1,7 @@
 """Byte-stability of run artifacts: SHA-256 digests pinned per file.
 
 Every artifact of three shipped presets, four tiny FTTM configs, a tiny
-classify sweep, a tiny ratio-mode dynamic run and a 40 us dynamic run is
+classify sweep, a tiny ratio-mode dynamic run and two 40 us dynamic runs is
 hashed, sub-run directories included; report.txt is hashed without its
 runtime_s line. A change to the numerics, the CSV formatting or the report
 layout fails here.
@@ -100,6 +100,26 @@ ifm.sample_rate_hz = 1e9
 ifm.duration_s = 40e-6
 """
 
+# fig5a's chirp beside fig6f's hops and bandstop, read through the ratio
+# lookup for 40 us: the two-port path with per-sample tracks over three blocks
+TINY_LONG_RATIO = """\
+mode = dynamic
+seed = 3
+scenario.chirp1.center_hz = 15e9
+scenario.chirp1.span_hz = 4e9
+scenario.chirp1.pulse_width_s = 1.6e-6
+scenario.chirp1.repeat_interval_s = 4e-6
+scenario.hop1.freqs_hz = 10e9,13e9,15e9,17e9
+scenario.hop1.dwell_s = 80e-9
+notch.enabled = true
+notch.centers_hz = 9.75e9,10e9,10.25e9
+notch.fwhm_each_hz = 300e6
+notch.rejection_db = 20
+ifm.sample_rate_hz = 1e9
+ifm.duration_s = 40e-6
+ifm.mode = ratio
+"""
+
 GOLDEN = {
     "fig3b": {
         "estimates.csv": "64e84fca58e70c355ee9796a349bdb8acb959131ee81187ad953830fcece53e9",
@@ -147,6 +167,12 @@ GOLDEN = {
         "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
         "report.txt": "918c06a8be7ce4eb9ba10925b530435ea05a34ce0c7e5b93f07db1074c6ec518",
     },
+    "tiny_long_ratio": {
+        "ifm_trace.csv": "99331d839d702d8bf68d0c936e465a9aca5d22e15cc94c1f157110fe914870bd",
+        "inst_freq.csv": "a6bb4227d31a3588ce54a122b5e4d779b7cb00d91e7fd9b661fc57599aee89ea",
+        "lut.csv": "123f2c8c80818bb4ae24a3ffc9e430ad7599c10a0186cf29b9e5757aefcc9053",
+        "report.txt": "490376616d8c54c15422284c89a673a7f4f3e86d5c64907b44561a38f997f104",
+    },
     "tiny_measure": {
         "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",
         "estimates.csv": "0098136da7abf25e955b5fb45d3ff093f939820da3fa03899e7fc796d695d366",
@@ -163,6 +189,7 @@ TINY = {
     "tiny_hop": TINY_HOP,
     "tiny_ratio": TINY_RATIO,
     "tiny_long_dynamic": TINY_LONG_DYNAMIC,
+    "tiny_long_ratio": TINY_LONG_RATIO,
 }
 
 

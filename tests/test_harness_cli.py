@@ -304,32 +304,47 @@ class TestRun:
         assert report.rms_error_hz < 10e6
         assert report.extras["n_noise_flagged"] == "0"
 
-    def test_dynamic_run_evaluates_its_tracks_once(self, tmp_path, monkeypatch):
-        # a ratio run simulates two ports, scores against the sole frequency
-        # and writes two time columns, all from one time axis and one set of
-        # emitter tracks
-        from mwfi import harness, rf_signals
-
-        calls = {"times": 0, "tracks": 0}
-
-        def counted(key, fn):
-            def wrapped(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        times = counted("times", rf_signals.TimeGrid.times)
-        monkeypatch.setattr(rf_signals.TimeGrid, "times", times)
-        tracks = counted("tracks", rf_signals.component_tracks)
-        monkeypatch.setattr(rf_signals, "component_tracks", tracks)
-        monkeypatch.setattr(harness, "component_tracks", tracks)
+    @settings(max_examples=25, deadline=None)
+    @given(at=st.floats(0.0, 1.0))
+    def test_ftpm_measure_noiseless_within_one_step_on_drawn_tones(self, tmp_path_factory, at):
+        # a unit tone anywhere in the 10-20 GHz lookup band, through the ftpm
+        # measure run: the mean power inverts to within one knot spacing
+        f = DEFAULT_BAND[0] + at * (DEFAULT_BAND[1] - DEFAULT_BAND[0])
         cfg = RunConfig.from_text(
-            "mode = dynamic\nifm.mode = ratio\nifm.duration_s = 400e-9\n"
+            f"mode = measure\nmeasure.method = ftpm\nmeasure.lo_hz = {f!r}\n"
+            f"measure.hi_hz = {f!r}\npd.noise_sigma = 0\n"
+        )
+        report = run(cfg, out_dir=tmp_path_factory.mktemp("ftpm"))
+        (error,) = report.per_tone_errors_hz
+        assert abs(error) <= build_plan(cfg).lut.step
+
+    def test_dynamic_run_evaluates_its_tracks_per_block(self, tmp_path, monkeypatch):
+        # a ratio run of 40,000 samples sums each port's power over three
+        # blocks, each from its own tracks, scores against the sole frequency
+        # over the whole grid, and writes two time columns from one time axis
+        from mwfi import rf_signals
+        from mwfi.photonic_link import BLOCK
+
+        n_times, spans = [], []
+        grid_times, component_tracks = rf_signals.TimeGrid.times, rf_signals.component_tracks
+
+        def times(grid):
+            n_times.append(grid.n_samples)
+            return grid_times(grid)
+
+        def tracks(scenario, grid, block=slice(None)):
+            spans.append(len(range(*block.indices(grid.n_samples))))
+            return component_tracks(scenario, grid, block)
+
+        monkeypatch.setattr(rf_signals.TimeGrid, "times", times)
+        monkeypatch.setattr(rf_signals, "component_tracks", tracks)
+        cfg = RunConfig.from_text(
+            "mode = dynamic\nifm.mode = ratio\nifm.duration_s = 40e-6\n"
             "scenario.hop1.freqs_hz = 10e9,13e9\nscenario.hop1.dwell_s = 80e-9\n"
         )
         run(cfg, out_dir=tmp_path)
-        assert calls == {"times": 1, "tracks": 1}
+        assert n_times == [40000]
+        assert sorted(spans) == sorted([BLOCK, BLOCK, 40000 - 2 * BLOCK] * 2 + [40000])
 
     def test_seed_override_changes_noise(self, tmp_path):
         cfg = RunConfig.from_file(preset_path("fig3a"))
@@ -514,6 +529,12 @@ class TestPresets:
     def test_unknown_preset_is_none(self):
         assert preset_path("fig99") is None
 
+
+# fig5a's chirp but for its center, which each case sets
+CHIRP_LINES = (
+    "scenario.chirp1.span_hz = 4e9\nscenario.chirp1.pulse_width_s = 1.6e-6\n"
+    "scenario.chirp1.repeat_interval_s = 4e-6"
+)
 
 HOP_AT_1E8 = (
     "ifm.sample_rate_hz = 1e8\nscenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 80e-9"
@@ -927,6 +948,15 @@ class TestCli:
             # a negative rejection amplifies; at -1e308 dB 10 ** (-dB / 10) overflows
             ("notch.enabled = true\nnotch.rejection_db = -20", "section 'notch'"),
             ("notch.enabled = true\nnotch.rejection_db = -1e308", "section 'notch'"),
+            ("scenario.hop1.freqs_hz = 10e9,13e9\nscenario.hop1.dwell_s = 80e-9\n"
+             "scenario.hop1.amplitude = -2", "section 'scenario.hop1'"),
+            (f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 15e9\nscenario.chirp1.amplitude = -1",
+             "section 'scenario.chirp1'"),
+            # the sweep would run from -1 GHz to 3 GHz
+            (f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 1e9", "section 'scenario.chirp1'"),
+            # amplitude**2 overflows a float
+            ("scenario.tone1.freq_hz = 15e9\nscenario.tone1.amplitude = 1e200",
+             "section 'scenario.tone1'"),
         ],
     )
     def test_invalid_value_exits_two(self, tmp_path, capsys, line, name):

@@ -493,14 +493,13 @@ class TestBlocking:
             assert not chirp_on[BLOCK - 1] and chirp_on[BLOCK]
             assert hop_freq[BLOCK - 1] != hop_freq[BLOCK]
         blocked, whole = self._components(n)
-        shared = component_powers(self.EDGES, grid, tracks)  # a dynamic run's slices
         for start in range(0, n, BLOCK):
             block = slice(start, start + BLOCK)
-            for pairs in (blocked(block), shared(block)):
-                assert len(pairs) == len(whole)
-                for got, want in zip(pairs, whole):
-                    for g, w in zip(got, want):
-                        assert np.array_equal(g, w[block] if np.ndim(w) else w)
+            pairs = blocked(block)
+            assert len(pairs) == len(whole)
+            for got, want in zip(pairs, whole):
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w[block] if np.ndim(w) else w)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_ring_sum_equals_whole_array(self, n):

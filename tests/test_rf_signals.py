@@ -221,6 +221,35 @@ def test_block_powers_match_scalar_path(
         assert [got[f] for f, _ in want] == pytest.approx([a * a for _, a in want], rel=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    hop=st.builds(
+        HopSpec,
+        freqs=st.lists(st.floats(9e9, 21e9), min_size=1, max_size=4).map(tuple),
+        dwell=st.floats(1e-8, 1e-6),
+        start=st.floats(0.0, 2e-5),
+        repeat=st.booleans(),
+    ),
+    rate=st.floats(1e8, 4e9),
+    t0=st.floats(0.0, 1e-5),
+    n=st.integers(1, 3 * BLOCK),
+    data=st.data(),
+)
+def test_block_tracks_equal_whole_grid_slices(hop, rate, t0, n, data):
+    # any slice of the grid, not only whole blocks: every track is elementwise
+    # in the sample times, so a slice's tracks are the whole grid's, sliced
+    chirp = ChirpSpec(15e9, 4e9, 1.6e-7, 4e-7, amplitude=1.3)
+    sc = RfScenario(tones=(ToneSpec(freq=11e9, amplitude=0.6),), chirps=(chirp,), hops=(hop,))
+    grid = TimeGrid(sample_rate=rate, n_samples=n, t0=t0)
+    whole = component_tracks(sc, grid)
+    block = data.draw(st.slices(n))
+    got = component_tracks(sc, grid, block)
+    assert len(got) == len(whole)
+    for track, want in zip(got, whole):
+        for g, w in zip(track, want):
+            assert np.array_equal(g, w[block] if np.ndim(w) else w)
+
+
 @pytest.mark.parametrize(
     "sc",
     [
@@ -282,6 +311,13 @@ def test_negative_time_rejected():
         lambda: HopSpec(freqs=(1e9,), dwell=0.0),
         lambda: TimeGrid(sample_rate=0.0, n_samples=4),
         lambda: TimeGrid(sample_rate=1e6, n_samples=0),
+        # the sweep's low end at 0 Hz
+        lambda: ChirpSpec(center=2e9, span=4e9, pulse_width=1e-6, repeat_interval=1e-6),
+        lambda: ChirpSpec(15e9, 4e9, 1e-6, 1e-6, amplitude=-1.0),
+        lambda: HopSpec(freqs=(1e9,), dwell=1e-6, amplitude=-2.0),
+        # amplitude**2 overflows a float
+        lambda: ToneSpec(freq=1e9, amplitude=1e200),
+        lambda: HopSpec(freqs=(1e9,), dwell=1e-6, amplitude=float("nan")),
     ],
 )
 def test_invalid_specs_rejected(bad):
