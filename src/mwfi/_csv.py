@@ -24,16 +24,11 @@ Byte 0 never occurs in the text, so a chunk's output is its non-zero bytes.
 A chunk whose tokens are all full width (no sign, NaN text or fallback
 text) has pad and sign bytes of 0 and no other 0 byte: its output is then
 the last 17 bytes of every token, taken without testing a byte.
-
-A column that several files write, such as a dynamic run's time axis, is
-rendered once: write_columns takes it as a SharedColumn, whose tokens the
-first file renders and every file copies into its rows as raw bytes. Its NaN
-slots are rewritten with each file's NaN text.
 """
 
 import numpy as np
 
-__all__ = ["SharedColumn", "render_rows", "write_columns"]
+__all__ = ["render_rows", "write_columns"]
 
 # rows rendered per chunk; larger chunks raise peak memory for no speed
 CHUNK_ROWS = 8192
@@ -135,76 +130,26 @@ def render_rows(columns, nan: str = "nan") -> bytes:
     NaN renders as the nan text (at most 18 characters); the default equals
     the f-string's own text.
     """
-    return _render_rows([(np.asarray(c, dtype=np.float64), None) for c in columns], nan)
-
-
-def _render_rows(parts, nan):
-    """render_rows over (values, rendered) pairs, where rendered is None or
-    the column's tokens (rows of 19 bytes) and full-width flag."""
-    n = parts[0][0].size
-    rows = np.empty(n, dtype=[(f"c{j}", _TOKEN) for j in range(len(parts))])
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    n = columns[0].size
+    rows = np.empty(n, dtype=[(f"c{j}", _TOKEN) for j in range(len(columns))])
     raw = rows.view(np.uint8).reshape(n, -1)
     nan_slot = _slot_text(nan.encode())
     full = True
-    for j, (v, rendered) in enumerate(parts):
+    for j, v in enumerate(columns):
         off = j * _TOKEN.itemsize
-        slot = raw[:, off : off + _SLOT]
-        if rendered is None:
-            full &= _render_column(v, rows[f"c{j}"], slot, nan_slot)
-        else:
-            tokens, whole = rendered
-            raw[:, off : off + _TOKEN.itemsize] = tokens
-            if not whole:
-                slot[np.isnan(v)] = nan_slot  # this file's NaN text
-            full &= whole
-        raw[:, off + _SLOT] = ord("\n") if j == len(parts) - 1 else ord(",")
+        full &= _render_column(v, rows[f"c{j}"], raw[:, off : off + _SLOT], nan_slot)
+        raw[:, off + _SLOT] = ord("\n") if j == len(columns) - 1 else ord(",")
     if full:
-        return raw.reshape(n, len(parts), _TOKEN.itemsize)[:, :, _FULL].tobytes()
+        return raw.reshape(n, len(columns), _TOKEN.itemsize)[:, :, _FULL].tobytes()
     flat = rows.view(np.uint8)
     return flat[flat != 0].tobytes()
 
 
-class SharedColumn:
-    """A float64 column that several files of a run write, rendered once.
-
-    write_columns takes it in place of an array. The first file to write it
-    renders its tokens, chunk by chunk on the boundaries write_columns uses,
-    and every file copies them into its own rows.
-    """
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.size = self.values.size
-        self._chunks = None  # per chunk: its tokens and full-width flag
-
-    def chunk(self, lo: int):
-        """The values of the chunk at row lo and their (tokens, full-width flag)."""
-        if self._chunks is None:
-            rows = range(0, self.size, CHUNK_ROWS)
-            self._chunks = [_tokens(self.values[i : i + CHUNK_ROWS]) for i in rows]
-        return self.values[lo : lo + CHUNK_ROWS], self._chunks[lo // CHUNK_ROWS]
-
-
-def _tokens(v):
-    """Column v's tokens, rows of 19 bytes whose separator each file writes,
-    and whether all are full width."""
-    tok = np.empty(v.size, _TOKEN)
-    raw = tok.view(np.uint8).reshape(v.size, _TOKEN.itemsize)
-    return raw, _render_column(v, tok, raw[:, :_SLOT], _slot_text(b"nan"))
-
-
 def write_columns(path, header: str, columns, nan: str = "nan"):
-    """Write header, then one CSV row per index of the equal-length columns.
-
-    A column is an array or a SharedColumn, whose text is rendered once for
-    every file that writes it.
-    """
-    cols = [c if isinstance(c, SharedColumn) else np.asarray(c, dtype=np.float64) for c in columns]
+    """Write header, then one CSV row per index of the equal-length columns."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for lo in range(0, cols[0].size, CHUNK_ROWS):
-            parts = [
-                c.chunk(lo) if isinstance(c, SharedColumn) else (c[lo : lo + CHUNK_ROWS], None)
-                for c in cols
-            ]
-            fh.write(_render_rows(parts, nan))
+        for lo in range(0, columns[0].size, CHUNK_ROWS):
+            fh.write(render_rows([c[lo : lo + CHUNK_ROWS] for c in columns], nan))

@@ -8,6 +8,7 @@ per-sample traces or its lookup table. Every run is deterministic given
 (config, seed); artifact CSVs are byte-stable.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csv import SharedColumn, write_columns
+from ._csv import write_columns
 from .rf_signals import RfScenario, TimeGrid, ToneSpec, sole_component_freq
 from .classifier import FILL_THRESHOLD, ClassLabel, classify, compute_features
 from .config import RunConfig
@@ -25,7 +26,6 @@ from .ifm_engine import (
     check_hop_sampling,
     estimate_static_frequency,
     extract_inst_freq,
-    ifm_trace_to_csv,
     inst_freq_to_csv,
     lut_to_csv,
     simulate_ifm,
@@ -173,7 +173,12 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     models = cfg.build_models()
     plan = dict(models=models)
     if mode in ("classify", "dynamic"):
-        plan["scenario"] = cfg.build_scenario()
+        scenario = plan["scenario"] = cfg.build_scenario()
+        # the most optical power the emitters can sum to, before any filter
+        amplitudes = [e.amplitude for e in (*scenario.tones, *scenario.chirps, *scenario.hops)]
+        power = sum(a * a for a in amplitudes) * models.link_gain
+        cfg.require(math.isfinite(power), "section 'scenario'",
+                    f"the emitters' amplitudes squared, summed, times link.gain give {power!r}")
     if mode == "measure":
         plan.update(tones=_tone_list(cfg, "measure"), method=cfg.get("measure.method"))
     if mode in ("calibrate", "classify") or plan.get("method") == "fttm":
@@ -319,30 +324,29 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
     # the k-th port the table reads draws its noise from (seed, STAGE_DYNAMIC, k)
     seeds = (derive_seed(seed, STAGE_DYNAMIC, k) for k in range(len(lut.ports)))
-    trace, *reference = [
+    traces = [
         simulate_ifm(scenario, plan.models, grid, port, lut.band, s)
         for s, port in zip(seeds, lut.ports)
     ]
-    est = extract_inst_freq(trace, lut, plan.noise_floor, plan.upper_limit, *reference)
+    est = extract_inst_freq(traces[0], lut, plan.noise_floor, plan.upper_limit, *traces[1:])
 
     # score samples that are not noise and where the scenario has one frequency
     diff = est.freq - sole_component_freq(scenario, grid)
     errors = diff[~np.isnan(diff)]
     if errors.size:
         report.rms_error_hz = float(np.sqrt(np.mean(errors**2)))
+    # the record's power columns hold these ports, in this order
+    report.extras["ifm_mode"] = lut.mode
+    report.extras["ifm_ports"] = ",".join(str(port) for port in lut.ports)
     report.extras["n_samples"] = str(est.freq.size)
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
-    # both per-sample files start with the time axis: the first to be written
-    # renders its text, and the second copies it
-    column = SharedColumn(est.times)
     return {"lut.csv": partial(lut_to_csv, lut),
-            "ifm_trace.csv": partial(ifm_trace_to_csv, trace, times=column),
-            "inst_freq.csv": partial(inst_freq_to_csv, est, times=column)}
+            "inst_freq.csv": partial(inst_freq_to_csv, est, traces=traces)}
 
 
-# what a sweep sub-run leaves out: the per-sample traces, which the target mode
+# what a sweep sub-run leaves out: the per-sample files, which the target mode
 # rebuilds byte for byte at the sub-run's seed, and lut.csv, which no seed changes
-_SWEEP_DROPS = frozenset({"scan_trace.csv", "ifm_trace.csv", "inst_freq.csv", "lut.csv"})
+_SWEEP_DROPS = frozenset({"scan_trace.csv", "inst_freq.csv", "lut.csv"})
 
 
 def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport) -> dict:

@@ -306,15 +306,21 @@ def lut_from_csv(path) -> AcfLut:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def ifm_trace_to_csv(trace: IfmTrace, path, times=None):
-    """times, when given, is trace.grid.times(), evaluated once by the caller:
-    an array, or a _csv.SharedColumn of it that other files of the run write."""
-    times = trace.grid.times() if times is None else times
-    write_columns(path, "time_s,power\n", (times, trace.power))
+def ifm_trace_to_csv(trace: IfmTrace, path):
+    """One trace as time_s,power; a dynamic run writes its traces into its
+    record (inst_freq_to_csv) instead."""
+    write_columns(path, "time_s,power\n", (trace.grid.times(), trace.power))
 
 
-def inst_freq_to_csv(est: InstFreqEstimate, path, times=None):
-    """times, when given, is est.times: an array, or a _csv.SharedColumn of it
-    that other files of the run write."""
-    times = est.times if times is None else times
-    write_columns(path, "time_s,freq_hz_or_NOISE\n", (times, est.freq), nan="NOISE")
+def inst_freq_to_csv(est: InstFreqEstimate, path, traces):
+    """A dynamic run's record: per sample its time, the power of each trace
+    and the frequency, NaN written as NOISE.
+
+    traces are the traces est was extracted from, in the order
+    extract_inst_freq reads them: one port's trace, whose column is power,
+    or for a ratio table port 1 (power) and port 2 (power_ref).
+    """
+    names = ("power", "power_ref")[: len(traces)]
+    header = ",".join(("time_s", *names, "freq_hz_or_NOISE")) + "\n"
+    columns = (est.times, *(t.power for t in traces), est.freq)
+    write_columns(path, header, columns, nan="NOISE")

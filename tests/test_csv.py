@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mwfi import _csv
-from mwfi._csv import CHUNK_ROWS, SharedColumn, render_rows
+from mwfi._csv import CHUNK_ROWS, render_rows
 from mwfi.config import RunConfig
 from mwfi.harness import run
 from mwfi.ifm_engine import (
@@ -88,13 +88,13 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
     pos_grid = TimeGrid(sample_rate=1e9, n_samples=n_pos)
     positive = rng.uniform(1.0, 10.0, n_pos) * 10.0 ** rng.integers(-12, 32, n_pos)
     positive[CHUNK_ROWS + np.array([3, 500, 4000])] = -0.0, np.nan, 1.5e-150
-    # one time column for both dynamic writers; its third chunk holds a
-    # negative value, a NaN (each file's own NaN text) and a fallback value
-    times = pos_grid.times()
-    times[2 * CHUNK_ROWS + np.array([7, 800, 5000])] = -2.5e-6, np.nan, 1.5e-150
-    shared = SharedColumn(times)
+    # a dynamic record over the same four chunks: the second mixes NOISE
+    # rows with full-width rows, and the third and fourth are all full width
     pos_freq = rng.uniform(10e9, 20e9, n_pos)
-    pos_freq[CHUNK_ROWS + 11] = np.nan
+    pos_freq[CHUNK_ROWS + np.array([11, 12, 6000])] = np.nan
+    record = InstFreqEstimate(times=pos_grid.times(), freq=pos_freq)
+    port1 = IfmTrace(grid=pos_grid, power=rng.uniform(1e-6, 1.0, n_pos), normalization=1.0)
+    port2 = IfmTrace(grid=pos_grid, power=rng.uniform(1e-6, 1.0, n_pos), normalization=1.0)
     # ratio-mode values are in dB; this band crosses 0 dB at quadrature
     lut = build_lut(MziModel(), band=(20e9, 50e9), mode="ratio", n_knots=n)
 
@@ -105,13 +105,16 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
          "time_s,power\n" + scalar_rows((grid.times(), power))),
         (ifm_trace_to_csv, IfmTrace(grid=pos_grid, power=positive, normalization=1.0),
          "time_s,power\n" + scalar_rows((pos_grid.times(), positive))),
-        (inst_freq_to_csv, InstFreqEstimate(times=grid.times(), freq=freq),
-         "time_s,freq_hz_or_NOISE\n" + scalar_rows((grid.times(), freq), nan="NOISE")),
-        (partial(ifm_trace_to_csv, times=shared),
-         IfmTrace(grid=pos_grid, power=positive, normalization=1.0),
-         "time_s,power\n" + scalar_rows((times, positive))),
-        (partial(inst_freq_to_csv, times=shared), InstFreqEstimate(times=times, freq=pos_freq),
-         "time_s,freq_hz_or_NOISE\n" + scalar_rows((times, pos_freq), nan="NOISE")),
+        (partial(inst_freq_to_csv, traces=[IfmTrace(grid=grid, power=power, normalization=1.0)]),
+         InstFreqEstimate(times=grid.times(), freq=freq),
+         "time_s,power,freq_hz_or_NOISE\n"
+         + scalar_rows((grid.times(), power, freq), nan="NOISE")),
+        (partial(inst_freq_to_csv, traces=[port1]), record,
+         "time_s,power,freq_hz_or_NOISE\n"
+         + scalar_rows((record.times, port1.power, pos_freq), nan="NOISE")),
+        (partial(inst_freq_to_csv, traces=[port1, port2]), record,
+         "time_s,power,power_ref,freq_hz_or_NOISE\n"
+         + scalar_rows((record.times, port1.power, port2.power, pos_freq), nan="NOISE")),
         (lut_to_csv, lut,
          f"# mode=ratio port=2 f_lo_hz={20e9:.10e} f_hi_hz={50e9:.10e}\n"
          + scalar_rows((lut.freqs, lut.values))),

@@ -126,16 +126,14 @@ GOLDEN = {
         "report.txt": "354571627a187aa1d736ccf63b0b31c373527b4c37fd6356cb45744910170971",
     },
     "fig6c": {
-        "ifm_trace.csv": "9014cc08e0e054b9c52782283d14fb1a478e6a1f29dfcda26254f8cccaeb1cdc",
-        "inst_freq.csv": "09104c8355bc7db1ed7e3da7e6fe4e229c9de78c67e2072d023e9b9f090815dc",
+        "inst_freq.csv": "128964ff399891c639be885de0aefdc0105091b7c8aca792f5fa017489de542d",
         "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
-        "report.txt": "3a6ead7363361b0562a51466900afb3bf20c677361ade416224eb9d3b7f699c9",
+        "report.txt": "fb18c08f4b487c657b4dd333a30f446c6205e5194473848601b4929fc73c0e5c",
     },
     "fig6f": {
-        "ifm_trace.csv": "02d2bbcb49400f67fd4e46d4f97e32e798ebbf31ef4bfbead9e7453f16b535a1",
-        "inst_freq.csv": "c20374c0cbcad64b9dce6bebb970891942129fffd0cd8f6788f0d3c7a80c6b99",
+        "inst_freq.csv": "4d11836f7e10c5dc4a3546ac6da2795731810f61746c30d944fec4347c1b836c",
         "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
-        "report.txt": "c82663330e15447d4e7a34492f6d16681e614a866dd5da7be0abe3f8558d2148",
+        "report.txt": "b022b5ec61ea3a533b04d89837558541c604428272be5fb51d10bd75031dd240",
     },
     "tiny_chirp": {
         "report.txt": "001bd2742be7ce23de1bbae73d5235fb8aa7559f126400b00116753fb588d070",
@@ -150,10 +148,9 @@ GOLDEN = {
         "scan_trace.csv": "2b8b25389ba366fe75e2f648112c181f2f0a2faa19ace17eae43c874c5082c40",
     },
     "tiny_ratio": {
-        "ifm_trace.csv": "e32546521a18f1282b3c0bc038d28468ef102addd416ab9de7ac8208dbf76a78",
-        "inst_freq.csv": "1ba63a19a1b48f0bc1252326c687b21e6ab2fcb485fe049f184981c0b4e5c51b",
+        "inst_freq.csv": "111ea9c02284a95801264abfbeccbf929500f1c7265d971553905bc9e397a884",
         "lut.csv": "123f2c8c80818bb4ae24a3ffc9e430ad7599c10a0186cf29b9e5757aefcc9053",
-        "report.txt": "abee6c32626d1acd8dd0b8d62d980b095aa12db02890b5323a98f6b99162bc42",
+        "report.txt": "ff8ab0c328ff8548dc09d14e43f81437576469d83a79433be97a2c5b74d4aea5",
     },
     "tiny_sweep": {
         "report.txt": "5ffb16462ad471c9f67196103d6acde29948477d8c11da69b2338c6c733d1e8e",
@@ -162,16 +159,14 @@ GOLDEN = {
         "sweep.csv": "54b541b17e50b3b2f3b5c6ef1357146cd0cabbd10c7048e741bd1b3dfcbf7ed4",
     },
     "tiny_long_dynamic": {
-        "ifm_trace.csv": "7032917c43f072c2bc2ba4e128bc7eb240bb1f7f9833747fe55aba7025c2d803",
-        "inst_freq.csv": "83516f2e6fa59198954147fb44216ad6f2cad4f7719bc9e2dda2453a69403590",
+        "inst_freq.csv": "7abf08b8910f739974ce9c2f8c6ca63633eec01fa964a57f1ad68c19490e1b2f",
         "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
-        "report.txt": "918c06a8be7ce4eb9ba10925b530435ea05a34ce0c7e5b93f07db1074c6ec518",
+        "report.txt": "95d3c13e787dda0ec0ad2a3a91dc289959ae5cc21d1e83686dfd95589ef2e002",
     },
     "tiny_long_ratio": {
-        "ifm_trace.csv": "99331d839d702d8bf68d0c936e465a9aca5d22e15cc94c1f157110fe914870bd",
-        "inst_freq.csv": "a6bb4227d31a3588ce54a122b5e4d779b7cb00d91e7fd9b661fc57599aee89ea",
+        "inst_freq.csv": "95fd4390d791acfcf9666d20351cc742184a256720ac165a4d6d53586ad7f591",
         "lut.csv": "123f2c8c80818bb4ae24a3ffc9e430ad7599c10a0186cf29b9e5757aefcc9053",
-        "report.txt": "490376616d8c54c15422284c89a673a7f4f3e86d5c64907b44561a38f997f104",
+        "report.txt": "703f4d631b3d6825ed2a71142bfeddb90f2392f759aeaafb67e44e0951118760",
     },
     "tiny_measure": {
         "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",

@@ -272,8 +272,9 @@ class TestRun:
     def test_dynamic_mode_writes_tracks(self, tmp_path):
         cfg = RunConfig.from_file(preset_path("fig6c"))
         report = run(cfg, out_dir=tmp_path)
-        assert (tmp_path / "inst_freq.csv").exists()
-        assert (tmp_path / "ifm_trace.csv").exists()
+        # one per-sample record, beside the lookup table it was read through
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["inst_freq.csv", "lut.csv", "report.txt"]
         assert report.rms_error_hz < 0.5e9
 
     def test_jam_removal_csv_contains_only_surviving_hops(self, tmp_path):
@@ -282,7 +283,7 @@ class TestRun:
         run(cfg, out_dir=tmp_path)
         values = []
         for line in (tmp_path / "inst_freq.csv").read_text().splitlines()[1:]:
-            field = line.split(",")[1]
+            field = line.split(",")[-1]  # the record's last field is the frequency
             if field != "NOISE":
                 values.append(float(field))
         assert values, "expected surviving hop samples"
@@ -304,6 +305,35 @@ class TestRun:
         assert report.rms_error_hz < 10e6
         assert report.extras["n_noise_flagged"] == "0"
 
+    def test_ratio_record_holds_both_ports(self, tmp_path):
+        # port 1's power, then port 2's, each drawn at its own port seed
+        cfg = RunConfig.from_text(
+            f"mode = dynamic\nseed = 4\nifm.mode = ratio\n{SWEEP_TARGETS['dynamic']}\n"
+        )
+        run(cfg, out_dir=tmp_path)
+        plan = build_plan(cfg)
+        rows = (tmp_path / "inst_freq.csv").read_text().splitlines()
+        assert rows[0] == "time_s,power,power_ref,freq_hz_or_NOISE"
+        fields = [row.split(",") for row in rows[1:]]
+        for k, port in enumerate((1, 2)):
+            s = derive_seed(4, STAGE_DYNAMIC, k)
+            trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, port, plan.lut.band, s)
+            assert [f[1 + k] for f in fields] == [f"{v:.10e}" for v in trace.power]
+
+    @pytest.mark.parametrize(
+        "line, mode, ports",
+        [("ifm.port = 1", "single_port", "1"), ("ifm.port = 2", "single_port", "2"),
+         ("ifm.mode = ratio", "ratio", "1,2")],
+    )
+    def test_dynamic_report_names_the_record_ports(self, tmp_path, line, mode, ports):
+        cfg = RunConfig.from_text(f"mode = dynamic\n{line}\n{SWEEP_TARGETS['dynamic']}\n")
+        run(cfg, out_dir=tmp_path)
+        report = _read_report(tmp_path / "report.txt")
+        assert (report["ifm_mode"], report["ifm_ports"]) == (mode, ports)
+        # a power column per port, in the report's order, between time and frequency
+        header = (tmp_path / "inst_freq.csv").read_text().splitlines()[0].split(",")
+        assert len(header[1:-1]) == len(ports.split(","))
+
     @settings(max_examples=25, deadline=None)
     @given(at=st.floats(0.0, 1.0))
     def test_ftpm_measure_noiseless_within_one_step_on_drawn_tones(self, tmp_path_factory, at):
@@ -321,7 +351,7 @@ class TestRun:
     def test_dynamic_run_evaluates_its_tracks_per_block(self, tmp_path, monkeypatch):
         # a ratio run of 40,000 samples sums each port's power over three
         # blocks, each from its own tracks, scores against the sole frequency
-        # over the whole grid, and writes two time columns from one time axis
+        # over the whole grid, and writes its record from one time axis
         from mwfi import rf_signals
         from mwfi.photonic_link import BLOCK
 
@@ -361,8 +391,11 @@ class TestRun:
         seed = derive_seed(7 if override is None else override, STAGE_DYNAMIC, 0)
         trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, 2, plan.lut.band, seed)
         ifm_trace_to_csv(trace, tmp_path / "want.csv")
-        got = (tmp_path / "run" / "ifm_trace.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
+        # the record's power column: each row, header too, is the trace's row
+        # followed by the frequency
+        record = (tmp_path / "run" / "inst_freq.csv").read_text().splitlines()
+        want = (tmp_path / "want.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[0] for row in record] == want
 
     def test_chirp_sweep_aggregates_span_errors(self, tmp_path):
         lines = preset_path("fig5a").read_text().replace("mode = classify", "mode = sweep")
@@ -1033,6 +1066,28 @@ class TestCli:
         err = capsys.readouterr().err
         where = f"key '{key}'" if "." in key else f"section '{key}'"
         assert f"config error: {bad}: {where}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["dynamic", "classify"])
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # each square is finite, their sum is not
+            "scenario.tone1.freq_hz = 12e9\nscenario.tone1.amplitude = 1.3e154\n"
+            "scenario.tone2.freq_hz = 15e9\nscenario.tone2.amplitude = 1.3e154",
+            # a finite square that link.gain scales past the largest float
+            "scenario.hop1.freqs_hz = 12e9,15e9\nscenario.hop1.dwell_s = 80e-9\n"
+            "scenario.hop1.amplitude = 1e154\nlink.gain = 10",
+        ],
+        ids=["two tones", "gain"],
+    )
+    def test_overflowing_power_sum_exits_two(self, tmp_path, capsys, mode, lines):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = {mode}\n{lines}\n")
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {bad}: section 'scenario': " in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -329,9 +329,9 @@ def test_inst_freq_csv_writes_noise_literal(tmp_path):
     trace = simulate_ifm(sc, models, grid)
     est = extract_inst_freq(trace, lut)
     path = tmp_path / "inst.csv"
-    inst_freq_to_csv(est, path)
+    inst_freq_to_csv(est, path, [trace])
     lines = path.read_text().splitlines()
-    assert lines[0] == "time_s,freq_hz_or_NOISE"
+    assert lines[0] == "time_s,power,freq_hz_or_NOISE"
     assert lines[1].endswith(",NOISE")
     assert "NOISE" not in lines[90]
 
