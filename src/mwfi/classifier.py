@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-# not scipy: it takes about a second to import, so _is_continuous imports its
-# one filter where it calls it, and importing mwfi does not load scipy
+# not scipy: the profile is smoothed by scan_engine.running_mean, so
+# classifying loads nothing beyond what the scan itself loads
 
-from .scan_engine import ScanTrace, _above_threshold_runs
+from .scan_engine import ScanTrace, _above_threshold_runs, running_mean
 
 __all__ = ["EnvelopeFeatures", "ClassLabel", "compute_features", "classify"]
 
@@ -49,10 +49,8 @@ def _is_continuous(trace: ScanTrace) -> bool:
     not read as gaps; only scan stretches with no nearby component leave a
     sub-half-level hole of one nominal pulse width or more.
     """
-    from scipy.ndimage import uniform_filter1d
-
     size = max(3, int(round(trace.pulse_width_hint * trace.grid.sample_rate)))
-    smooth = uniform_filter1d(trace.power, size=size, mode="nearest")
+    smooth = running_mean(trace.power, size)
     floor = trace.level.floor
     half = floor + 0.5 * (float(np.max(smooth)) - floor)
     starts, stops = _above_threshold_runs(smooth >= half)

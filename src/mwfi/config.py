@@ -220,15 +220,20 @@ class RunConfig:
         with self.blame(f"section {prefix!r}"):
             return model(**params, **given)
 
-    def build_scenario(self) -> RfScenario:
+    def emitter_sections(self) -> dict:
+        """{kind: its sections, e.g. ['scenario.tone1', 'scenario.tone2']}, in
+        the order build_scenario builds the emitters of that kind."""
         indices = {kind: set() for kind in _EMITTERS}
         for key in self.values:
             m = re.match(rf"scenario\.({'|'.join(_EMITTERS)})(\d+)\.", key)
             if m:
                 indices[m.group(1)].add(int(m.group(2)))
+        return {kind: [f"scenario.{kind}{i}" for i in sorted(indices[kind])] for kind in _EMITTERS}
+
+    def build_scenario(self) -> RfScenario:
         emitters = {
-            kind: tuple(self._build(kind, f"scenario.{kind}{i}") for i in sorted(indices[kind]))
-            for kind in _EMITTERS
+            kind: tuple(self._build(kind, section) for section in sections)
+            for kind, sections in self.emitter_sections().items()
         }
         return RfScenario(tones=emitters["tone"], chirps=emitters["chirp"], hops=emitters["hop"])
 

@@ -224,10 +224,22 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     else:
         # an FTPM estimate beyond the table clamps to its band edge
         reach, (lo, hi) = "the lookup band", plan["lut"].band
-    for section, key in (("calibration", "cal_tones"), ("measure", "tones")):
-        for f in plan.get(key, ()):
-            cfg.require(lo <= f <= hi, f"section '{section}'", f"tone {f / 1e9:.3f} GHz"
-                        f" lies outside {reach} {lo / 1e9:.3f}..{hi / 1e9:.3f} GHz")
+    # (section, what, lowest and highest frequency) of each tone and emitter
+    spans = [(section, "tone", f, f)
+             for section, key in (("calibration", "cal_tones"), ("measure", "tones"))
+             for f in plan.get(key, ())]
+    if mode == "classify":
+        sections = cfg.emitter_sections()
+        spans += [(name, "tone", t.freq, t.freq)
+                  for name, t in zip(sections["tone"], scenario.tones)]
+        spans += [(name, "chirp", c.center - c.span / 2, c.center + c.span / 2)
+                  for name, c in zip(sections["chirp"], scenario.chirps)]
+        spans += [(name, "hop", f, f)
+                  for name, h in zip(sections["hop"], scenario.hops) for f in h.freqs]
+    for section, what, f_lo, f_hi in spans:
+        freqs = f"{f_lo / 1e9:.3f}" + (f"..{f_hi / 1e9:.3f}" if f_hi > f_lo else "")
+        cfg.require(lo <= f_lo and f_hi <= hi, f"section '{section}'", f"{what} {freqs} GHz"
+                    f" lies outside {reach} {lo / 1e9:.3f}..{hi / 1e9:.3f} GHz")
     return RunPlan(mode, **plan)
 
 

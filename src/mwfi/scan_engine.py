@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-# not scipy: it takes about a second to import and only the scan estimators
-# use it, so each imports its function where it calls it; IFM runs never load it.
+# not scipy: it takes about a second to import, and of the scan path only the
+# heater lag (lfilter) and detect_pulses (find_peaks) use it, each importing its
+# function where it calls it; IFM runs never load it. The moving average is
+# running_mean, not scipy.ndimage.uniform_filter1d, which allocates about 3x its
+# output.
 # Nor concurrent.futures (about 7 ms, mostly logging): the scans that draw
 # their noise on a worker thread import it.
 
@@ -41,6 +44,7 @@ __all__ = [
     "CalibrationError",
     "simulate_scan",
     "scan_frequency",
+    "running_mean",
     "detect_pulses",
     "fit_calibration",
     "calibrate",
@@ -292,12 +296,13 @@ def simulate_scan(
     return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
 
 
-def _draw_ahead(pool, seed: int, grid: TimeGrid):
+def _draw_ahead(pool, seed: int, grid: TimeGrid, out=None):
     """A future of the grid's standard-normal draws of noise_stream(seed),
-    filled on the pool into a buffer this thread allocates. The fill
-    releases the GIL and runs no function of the program, so the scan
-    functions keep their thread."""
-    return pool.submit(noise_stream(seed).standard_normal, out=np.empty(grid.n_samples))
+    filled on the pool into out, a buffer the caller hands over and no longer
+    reads, or into one this thread allocates. The fill releases the GIL and
+    runs no function of the program, so the scan functions keep their thread."""
+    out = np.empty(grid.n_samples) if out is None else out
+    return pool.submit(noise_stream(seed).standard_normal, out=out)
 
 
 def _optical_power(
@@ -324,6 +329,37 @@ def _scan_timing(models: LinkModels, drive: SawtoothDrive):
     """(pulse_width_hint, settle_time) of a scan, as ScanTrace defines them."""
     lo, hi = mrr_resonance_offset(models.mrr, np.square((drive.v_min, drive.v_max)))
     return float(models.mrr.fwhm / ((hi - lo) / drive.period)), 10.0 * models.mrr.tau_thermal
+
+
+def running_mean(x, size: int, edge=None) -> np.ndarray:
+    """Mean of the size samples around each sample of x, as a new float64 array.
+
+    Window i is x[i - size // 2 : i - size // 2 + size]; samples beyond the
+    ends read as edge, or as the end sample when edge is None. The arithmetic
+    is scipy.ndimage.uniform_filter1d's (mode 'nearest', or 'constant' with
+    cval=edge), so the result equals it bit for bit: the first window summed
+    in order from +0.0, each later sum the one before plus the sample that
+    enters minus the one that leaves, each sum divided by size. It is
+    computed in the output, with no padded or float copy of x.
+    """
+    x = np.asarray(x)
+    n, h = x.size, size // 2
+    r = size - h - 1  # the window reaches h samples back and r ahead
+    left, right = (x[0], x[-1]) if edge is None else (edge, edge)
+    out = np.empty(n)
+    first = np.concatenate(
+        (np.full(h, left, dtype=float), x[: r + 1], np.full(max(r + 1 - n, 0), right, dtype=float))
+    )
+    out[0] = 0.0 + np.add.accumulate(first)[-1]  # + 0.0: a sum from +0.0 is never -0.0
+    # out[i] = x[i + r] - x[i - h - 1], in pieces where each lies inside x or beyond an end
+    cuts = sorted({1, n, *(c for c in (h + 1, n - r) if 1 < c < n)})
+    for lo, hi in zip(cuts, cuts[1:]):
+        ahead = x[lo + r : hi + r] if hi + r <= n else right
+        behind = x[lo - h - 1 : hi - h - 1] if lo > h else left
+        np.subtract(ahead, behind, out=out[lo:hi], dtype=np.float64)
+    np.add.accumulate(out, out=out)
+    out /= size
+    return out
 
 
 def _above_threshold_runs(above: np.ndarray):
@@ -367,7 +403,6 @@ def detect_pulses(trace: ScanTrace) -> list:
     profile shows several prominent peaks, which resolves closely spaced
     clean tones.
     """
-    from scipy.ndimage import uniform_filter1d
     from scipy.signal import find_peaks
 
     if trace.level is None:
@@ -390,7 +425,7 @@ def detect_pulses(trace: ScanTrace) -> list:
     events = []
     for start, stop in zip(starts[wide], stops[wide]):
         seg = power[start:stop]
-        smooth = uniform_filter1d(seg, size=min(gap, seg.size), mode="nearest")
+        smooth = running_mean(seg, min(gap, seg.size))
         coarse = smooth[::dec]
         # prominence scales with the smoothed profile: a filled envelope
         # averages well below the raw full scale
@@ -432,6 +467,11 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
     the time of a scan. So every scan function keeps its order and its
     thread, and the events and errors are a serial run's. The worker has
     ended when the call returns or raises.
+
+    A tone's draws become its trace's power. Once its pulses are found, the
+    events keep nothing of it, so that buffer takes the draws of the tone
+    after next: two draw buffers alternate for the whole loop, and the
+    loop allocates no trace-length buffer after the second tone.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -439,11 +479,11 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
     n, found = len(tone_freqs), []
     with ThreadPoolExecutor(1) as pool:
         ahead = _draw_ahead(pool, seeds[0], grid) if n else None
-        optical = None
+        optical = retired = None
         for i, f in enumerate(tone_freqs):
             draws = ahead
             if i + 1 < n:
-                ahead = _draw_ahead(pool, seeds[i + 1], grid)
+                ahead = _draw_ahead(pool, seeds[i + 1], grid, retired)
             tone = RfScenario(tones=(ToneSpec(freq=f),))
             if optical is None:
                 optical = _optical_power(tone, models, drive, grid)
@@ -451,6 +491,7 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
             if i + 1 == n or tone_freqs[i + 1] != f:
                 optical = None
             found.append(detect_pulses(trace))
+            retired = trace.power
     return found
 
 
@@ -542,10 +583,7 @@ def _occupancy_edges(above: np.ndarray, window: int):
     envelope's true edge, which makes the crossing an unbiased edge
     estimate regardless of linewidth or threshold choice.
     """
-    from scipy.ndimage import uniform_filter1d
-
-    # a float64 output over the boolean mask: the float copy's result bit for bit
-    occ = uniform_filter1d(above, size=window, output=np.float64, mode="constant", cval=0.0)
+    occ = running_mean(above, window, 0.0)
     # two-pass plateau estimate: max(occ) rides noise wiggles high, so take
     # the median over the central quarter of the first-pass support
     support = np.flatnonzero(occ >= 0.5 * float(np.max(occ)))

@@ -990,6 +990,14 @@ class TestCli:
             # amplitude**2 overflows a float
             ("scenario.tone1.freq_hz = 15e9\nscenario.tone1.amplitude = 1e200",
              "section 'scenario.tone1'"),
+            # emitters the scan never reaches (8 to 39.99 GHz); a 45 GHz tone
+            # exited 1, and beside a 15 GHz tone it was labelled single
+            ("scenario.tone1.freq_hz = 45e9", "section 'scenario.tone1'"),
+            ("scenario.tone1.freq_hz = 15e9\nscenario.tone2.freq_hz = 45e9",
+             "section 'scenario.tone2'"),
+            (f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 38e9", "section 'scenario.chirp1'"),
+            ("scenario.hop1.freqs_hz = 10e9,13e9,50e9\nscenario.hop1.dwell_s = 80e-9",
+             "section 'scenario.hop1'"),
         ],
     )
     def test_invalid_value_exits_two(self, tmp_path, capsys, line, name):

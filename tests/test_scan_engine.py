@@ -33,6 +33,7 @@ from mwfi.scan_engine import (
     estimate_hop_set,
     fit_calibration,
     measure_span,
+    running_mean,
     scan_frequency,
     scan_trace_from_csv,
     scan_trace_to_csv,
@@ -382,6 +383,21 @@ class TestCalibrate:
         t2 = calibrate(models, drive, CAL_TONES, grid_1ms, 17)
         assert t1.coeffs == t2.coeffs
 
+    def test_calibration_holds_about_three_trace_lengths(self, drive, grid_1ms):
+        # a retired trace's buffer takes the draws of the tone after next, so
+        # the loop holds the optical sum, two draw buffers and, while pulses
+        # are found, the level's sorted copy, but never all four at once;
+        # with a new buffer per tone it held 4.15 trace lengths here
+        models = LinkModels(pd=PdModel(noise_sigma=0.01))
+        scan_frequency(models, drive, grid_1ms)  # the cached axis belongs to the run
+        tracemalloc.start()
+        try:
+            calibrate(models, drive, CAL_TONES[::5], grid_1ms, 17)  # 10, 15 and 20 GHz
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * grid_1ms.n_samples * 8
+
 
 class TestToneScans:
     """tone_scans scans on the caller's thread while a worker draws the next
@@ -661,8 +677,7 @@ class TestMeasureSpan:
         above[n // 3 : n // 2] = rng.random(n // 2 - n // 3) < 0.6
         w = max(5, n // 400)
         copy = uniform_filter1d(above.astype(float), size=w, mode="constant", cval=0.0)
-        mask = uniform_filter1d(above, size=w, output=np.float64, mode="constant", cval=0.0)
-        assert np.array_equal(mask, copy)
+        assert running_mean(above, w, 0.0).tobytes() == copy.tobytes()
         assert _occupancy_edges(above, w) == _occupancy_edges(above.astype(float), w)
 
     def test_flat_trace_raises(self, drive, grid_1ms, table_1ms):
@@ -671,6 +686,44 @@ class TestMeasureSpan:
         flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples), drive=drive)
         with pytest.raises(ValueError, match="no envelope"):
             measure_span(flat, table_1ms)
+
+
+class TestRunningMean:
+    """running_mean is scipy.ndimage.uniform_filter1d's arithmetic without its
+    copies, so the two agree bit for bit, signed zeros included."""
+
+    VALUES = st.one_of(
+        st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_uniform_filter1d(self, data):
+        from scipy.ndimage import uniform_filter1d
+
+        # runs of one value, so blocks of exact zeros and of -0.0 occur
+        values = st.booleans() if data.draw(st.booleans()) else self.VALUES
+        runs = data.draw(st.lists(st.tuples(values, st.integers(1, 8)), min_size=1, max_size=12))
+        x = np.repeat([v for v, _ in runs], [k for _, k in runs])
+        size = data.draw(st.integers(1, 3 * x.size + 1))
+        edge = data.draw(st.none() | st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+        mode = dict(mode="nearest") if edge is None else dict(mode="constant", cval=edge)
+        with np.errstate(all="ignore"):  # inf - inf and overflowing sums
+            got = running_mean(x, size, edge)
+        want = uniform_filter1d(x, size, output=np.float64, **mode)
+        assert got.tobytes() == want.tobytes(), (x, size, edge, got, want)
+
+    def test_boolean_input_needs_no_float_copy(self):
+        above = np.random.default_rng(3).random(200_000) < 0.3
+        running_mean(above, 1_000, 0.0)
+        tracemalloc.start()
+        try:
+            running_mean(above, 1_000, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 output and buffers of a few thousand samples
+        assert peak <= 1.1 * above.size * 8
 
 
 class TestEstimateHopSet:
