@@ -212,6 +212,17 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         _require_samples(cfg, "ifm.sample_rate_hz", rate * duration, f"a {duration!r} s trace")
         with cfg.blame("key 'ifm.duration_s'"):
             plan["ifm_grid"] = replace(grid, n_samples=round(rate * duration))
+    if "scenario" in plan:
+        # the tracks count the repeats and dwells up to each sample time
+        duration = (plan.get("scan_grid") or plan["ifm_grid"]).duration
+        sections = cfg.emitter_sections()
+        periods = [(name, "repeat interval", c.repeat_interval, duration)
+                   for name, c in zip(sections["chirp"], scenario.chirps)]
+        periods += [(name, "dwell", h.dwell, max(duration - h.start, 0.0))
+                    for name, h in zip(sections["hop"], scenario.hops)]
+        for section, what, period, span in periods:
+            cfg.require(math.isfinite(span / period), f"section '{section}'",
+                        f"{what} {period!r} s is too short to count over {span!r} s")
     single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
     cfg.require(single, "key 'ifm.mode'", "ftpm measure needs single_port")
     if "scan_grid" in plan:
@@ -229,7 +240,6 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
              for section, key in (("calibration", "cal_tones"), ("measure", "tones"))
              for f in plan.get(key, ())]
     if mode == "classify":
-        sections = cfg.emitter_sections()
         spans += [(name, "tone", t.freq, t.freq)
                   for name, t in zip(sections["tone"], scenario.tones)]
         spans += [(name, "chirp", c.center - c.span / 2, c.center + c.span / 2)

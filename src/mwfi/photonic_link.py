@@ -6,7 +6,6 @@ are power ratios in [0, 1]; the photodetector output is the detected
 optical power, whose one scale is LinkModels.link_gain.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +14,8 @@ import numpy as np
 
 from .rf_signals import TimeGrid
 
-# samples per block of the power sum and of the detector noise: their
-# per-sample temporaries stay this long whatever the trace length
+# samples per block of the power sum: its per-sample temporaries stay this
+# long whatever the trace length
 BLOCK = 16384
 
 __all__ = [
@@ -174,15 +173,14 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
 
     response(freq, block) is the filter's power transmission at an RF
     offset (scalar or per sample) for the samples of block, which a
-    per-sample freq already covers; for +f and -f it must return a new
-    array, which is scaled in place. The sum runs over blocks of BLOCK
-    samples into one output, so its temporaries and the components stay
-    block-sized. Blocking cannot change a bit: every operation is
-    elementwise and runs in the same order as over the whole trace, the
-    components of a block must equal the slices of the whole trace's, and
-    a response that picks its path per block must give each sample the
-    same value on every path (each detuning path of mrr_drop_response
-    gives d - round(d / fsr) * fsr).
+    per-sample freq already covers; it is only read, so it may be a cached
+    array. The sum runs over blocks of BLOCK samples into one output, so its
+    temporaries and the components stay block-sized. Blocking cannot change
+    a bit: every operation is elementwise and runs in the same order as over
+    the whole trace, the components of a block must equal the slices of the
+    whole trace's, and a response that picks its path per block must give
+    each sample the same value on every path (mrr_drop_response skips the
+    wrap for a block within half an FSR, where it would not change a square).
     """
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
@@ -192,8 +190,8 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
         sideband_power = 0.0
         for f, p in components(block):
             w = modulator_sideband_weight(modulator, f)
-            out += _scaled(response(f, block), p * w)
-            out += _scaled(response(-f, block), imgs * p * w)
+            out += response(f, block) * (p * w)
+            out += response(-f, block) * (imgs * p * w)
             sideband_power = sideband_power + p
         out += cs * sideband_power * response(0.0, block)
     return total
@@ -204,37 +202,22 @@ def _blocks(n_samples: int):
     return (slice(i, i + BLOCK) for i in range(0, n_samples, BLOCK))
 
 
-def _scaled(values, factor):
-    """values * factor in the buffer of values, a new array of the caller's
-    (the product commutes, so this equals factor * values bit for bit)."""
-    values *= factor
-    return values
-
-
 def mrr_drop_response(model: MrrModel, detuning):
     """Lorentzian bandpass, periodic in the FSR.
 
-    T(d) = 1 / (1 + (2 d' / fwhm)^2) with d' the detuning wrapped to the
-    nearest resonance of the comb.
+    T(d) = 1 / (1 + (2 d' / fwhm)^2) with d' = d - round(d / fsr) * fsr, the
+    detuning wrapped to the nearest resonance of the comb. The wrap is only
+    computed when some detuning lies beyond half an FSR; within it d' is d.
     """
     d = np.asarray(detuning, dtype=float)
     half_fsr = model.fsr / 2.0
     # one new buffer for every shape; a 0-d one comes back as a scalar
     x = np.empty_like(d)
-    lo, hi = (float(d.min()), float(d.max())) if d.size else (0.0, 0.0)
-    if lo < -half_fsr or hi > half_fsr:
-        # round(d / fsr) is monotone in d: when both bounds round to one
-        # comb line n (Python's round halves to even, as np.round does),
-        # every sample does, and subtracting the scalar n * fsr is the same
-        # arithmetic; an infinite quotient has no nearest line
-        q_lo, q_hi = lo / model.fsr, hi / model.fsr
-        if math.isfinite(q_lo) and math.isfinite(q_hi) and round(q_lo) == round(q_hi):
-            np.subtract(d, round(q_lo) * model.fsr, out=x)
-        else:
-            np.divide(d, model.fsr, out=x)
-            np.round(x, out=x)
-            x *= model.fsr
-            np.subtract(d, x, out=x)
+    if d.size and (d.min() < -half_fsr or d.max() > half_fsr):
+        np.divide(d, model.fsr, out=x)
+        np.round(x, out=x)
+        x *= model.fsr
+        np.subtract(d, x, out=x)
         d = x
     # 2 d / fwhm: doubling is exact, so dividing by fwhm / 2 gives the same bits
     np.divide(d, model.fwhm / 2.0, out=x)
@@ -317,8 +300,7 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, draws=None) 
     transparent. Noise std is noise_sigma x max(power), so noise_sigma alone
     sets the SNR; output is clamped at zero. The noise comes from
     noise_stream(seed), so equal seeds give bit-identical output; it is
-    drawn in one fill, then scaled, added and clamped in blocks of BLOCK
-    samples, which gives the output of one whole-array pass.
+    drawn in one fill, then scaled, added and clamped in place.
 
     draws, when given, are the first power.size standard-normal draws of
     noise_stream(seed), drawn ahead by the caller; the output is written
@@ -341,13 +323,9 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, draws=None) 
         out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
     scale = model.noise_sigma * float(np.max(p, initial=0.0))
     if scale > 0:
-        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z, one
-        # block at a time over one buffer of draws
+        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z
         noisy = noise_stream(seed).standard_normal(out.shape) if draws is None else draws
-        for block in _blocks(out.size):
-            z = noisy[block]
-            z *= scale
-            z += out[block]
-            np.maximum(z, 0.0, out=z)
-        return noisy
+        noisy *= scale
+        noisy += out
+        return np.maximum(noisy, 0.0, out=noisy)
     return np.maximum(out, 0.0, out=draws)

@@ -240,13 +240,15 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, block=slice(None)) ->
     for hop in scenario.hops:
         rel = t - hop.start
         active = rel >= 0
-        idx = np.floor(np.where(active, rel, 0.0) / hop.dwell).astype(np.int64)
+        # the dwell count stays a float until it is an index: past 2**63 an
+        # int64 cast would overflow, and float floor, mod and clip are exact
+        idx = np.floor(np.where(active, rel, 0.0) / hop.dwell)
         if hop.repeat:
             idx = idx % len(hop.freqs)
         else:
             active = active & (idx < len(hop.freqs))
             idx = np.clip(idx, 0, len(hop.freqs) - 1)
-        freq = np.asarray(hop.freqs)[idx]
+        freq = np.asarray(hop.freqs)[idx.astype(np.int64)]
         tracks.append((freq, hop.amplitude, active))
     return tracks
 

@@ -266,12 +266,12 @@ def simulate_scan(
     Per sample: sawtooth voltage -> lagged V^2 -> scan frequency, then
     link_power through the ring response at each component's detuning
     from the scan frequency, through the detector, whose noise seed is seed.
-    draws, when given, are that noise's standard-normal draws, drawn ahead;
-    they become the trace's power (pd_detect). optical, when given, is the
-    scenario's noiseless detector input (_optical_power), which scans that
-    differ only in their noise share; it is only read.
+    optical, when given, is the scenario's noiseless detector input
+    (_optical_power), which scans that differ only in their noise share; it
+    is only read. draws, given with it, are that noise's standard-normal
+    draws, drawn ahead; they become the trace's power (pd_detect).
 
-    Given neither, the scan sums its optical power on this thread, one
+    Without optical, the scan sums its optical power on this thread, one
     block of emitter tracks at a time, while one worker thread draws its
     noise, as tone_scans does; the worker has ended when the call returns
     or raises, and the trace equals a serial run's bit for bit.
@@ -279,15 +279,13 @@ def simulate_scan(
     if abs(grid.duration - drive.period) > grid.dt:
         raise ValueError(f"grid duration {grid.duration:.6e} s != {drive.period} s drive period")
     f_s = scan_frequency(models, drive, grid)
-    if optical is None and draws is None:
+    if optical is None:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(1) as pool:
             drawn = _draw_ahead(pool, seed, grid)
             optical = _optical_power(scenario, models, drive, grid)
         draws = drawn.result()
-    elif optical is None:
-        optical = _optical_power(scenario, models, drive, grid)
     elif np.shape(optical) != f_s.shape:
         raise ValueError(f"optical has shape {np.shape(optical)}, the scan axis {f_s.shape}")
 

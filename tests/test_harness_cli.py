@@ -569,6 +569,13 @@ CHIRP_LINES = (
     "scenario.chirp1.repeat_interval_s = 4e-6"
 )
 
+HOP_3 = "scenario.hop1.freqs_hz = 10e9,13e9,18e9"
+
+CHIRP_5E_324 = (
+    "scenario.chirp1.center_hz = 15e9\nscenario.chirp1.span_hz = 4e9\n"
+    "scenario.chirp1.pulse_width_s = 5e-324\nscenario.chirp1.repeat_interval_s = 5e-324"
+)
+
 HOP_AT_1E8 = (
     "ifm.sample_rate_hz = 1e8\nscenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 80e-9"
 )
@@ -998,6 +1005,10 @@ class TestCli:
             (f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 38e9", "section 'scenario.chirp1'"),
             ("scenario.hop1.freqs_hz = 10e9,13e9,50e9\nscenario.hop1.dwell_s = 80e-9",
              "section 'scenario.hop1'"),
+            # the scan's duration over the period overflows to inf: the hop
+            # read as one tone and the chirp as unknown, both exiting 0
+            (f"{HOP_3}\nscenario.hop1.dwell_s = 5e-324", "section 'scenario.hop1'"),
+            (CHIRP_5E_324, "section 'scenario.chirp1'"),
         ],
     )
     def test_invalid_value_exits_two(self, tmp_path, capsys, line, name):
@@ -1097,6 +1108,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"config error: {bad}: section 'scenario': " in err
         assert not out.exists()
+
+    def test_uncountable_dynamic_chirp_exits_two(self, tmp_path, capsys):
+        # as in classify, the repeats of the run's duration overflow to inf
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"mode = dynamic\n{CHIRP_5E_324}\n")
+        out = tmp_path / "out"
+        assert main(["dynamic", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"config error: {bad}: section 'scenario.chirp1': " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hop_count_past_int64_still_hops(self, tmp_path):
+        # 0.02 s holds 2e20 dwells of 1e-22 s, past 2**63: an int64 dwell
+        # count overflowed to INT_MIN, and the scan read as one tone
+        cfg = tmp_path / "hop.cfg"
+        cfg.write_text(f"mode = classify\ndrive.period_s = 0.02\n{HOP_3}\n"
+                       "scenario.hop1.dwell_s = 1e-22\n")
+        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert _read_report(tmp_path / "out" / "report.txt")["classification"] == "hopping"
 
     @pytest.mark.parametrize(
         "line",

@@ -42,9 +42,9 @@ GAMMA_18DB = 0.9687966755163407
 
 
 def _per_sample_mrr_drop_response(model, detuning):
-    """mrr_drop_response as it was before the one-comb-line shortcut: every
-    sample divided, rounded and multiplied back, then doubled and divided by
-    fwhm. The reference the kernel must equal bit for bit."""
+    """The reference the ring kernel must equal bit for bit: every sample
+    divided, rounded and multiplied back when any lies beyond half an FSR,
+    then doubled and divided by fwhm."""
     d = np.asarray(detuning, dtype=float)
     half_fsr = model.fsr / 2.0
     x = np.empty_like(d)
@@ -521,6 +521,25 @@ class TestBlocking:
         )
         want = self._unblocked(mod, lambda f: mrr_drop_response(mrr, f - f_s), whole, n)
         assert np.array_equal(got, want)
+
+    def test_response_may_return_a_cached_read_only_array(self):
+        # the sum only reads a response, so a filter may hand out slices of
+        # one table per frequency; they give the bits of fresh arrays
+        n = 2 * BLOCK + 7
+        mrr = MrrModel()
+        f_s = np.linspace(-70e9, 70e9, n)
+        tones = (ToneSpec(freq=11e9, amplitude=0.6), ToneSpec(freq=17e9, amplitude=1.3))
+        table = {}
+        for f in (0.0, *(s * t.freq for t in tones for s in (1, -1))):
+            table[f] = mrr_drop_response(mrr, f - f_s)
+            table[f].setflags(write=False)
+        kept = {f: t.copy() for f, t in table.items()}
+        components = component_powers(RfScenario(tones=tones), TimeGrid(1e6, n))
+        mod = TestLinkPower.MODELS.modulator
+        cached = link_power(mod, lambda f, block: table[f][block], components, n)
+        fresh = link_power(mod, lambda f, block: table[f][block].copy(), components, n)
+        assert np.array_equal(cached, fresh)
+        assert all(np.array_equal(table[f], kept[f]) for f in table)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_mzi_bandstop_sum_equals_whole_array(self, n):

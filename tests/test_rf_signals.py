@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +251,52 @@ def test_block_tracks_equal_whole_grid_slices(hop, rate, t0, n, data):
     for track, want in zip(got, whole):
         for g, w in zip(track, want):
             assert np.array_equal(g, w[block] if np.ndim(w) else w)
+
+
+def _shortest_countable(duration):
+    """The shortest repeat interval or dwell that build_plan accepts over a
+    grid of that duration: duration / period must be a finite float."""
+    period = duration / sys.float_info.max
+    while not math.isfinite(duration / period):
+        period = float(np.nextafter(period, np.inf))
+    return period
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rate=st.floats(1e6, 1e10),
+    n=st.integers(2, 4096),
+    repeat_at=st.floats(0.0, 1.0),
+    dwell_at=st.floats(0.0, 1.0),
+    duty=st.floats(0.05, 1.0),
+    start_at=st.floats(0.0, 1.0),
+    freqs=st.lists(st.floats(9e9, 21e9), min_size=1, max_size=4).map(tuple),
+    repeat=st.booleans(),
+    data=st.data(),
+)
+def test_tracks_equal_the_oracle_down_to_the_shortest_period(
+    rate, n, repeat_at, dwell_at, duty, start_at, freqs, repeat, data
+):
+    # periods log-uniform from the refusal limit up to 1 ms: below about
+    # duration / 2**63 an int64 dwell count overflowed to INT_MIN
+    grid = TimeGrid(sample_rate=rate, n_samples=n)
+    shortest = _shortest_countable(grid.duration)
+
+    def log_uniform(at):
+        lo, hi = math.log(shortest), math.log(1e-3)
+        return min(max(math.exp(lo + at * (hi - lo)), shortest), 1e-3)
+
+    repeat_interval = log_uniform(repeat_at)
+    chirp = ChirpSpec(15e9, 4e9, duty * repeat_interval, repeat_interval)
+    hop = HopSpec(freqs, log_uniform(dwell_at), start=start_at * grid.duration, repeat=repeat)
+    sc = RfScenario(chirps=(chirp,), hops=(hop,))
+    tracks = component_tracks(sc, grid)
+    times = grid.times()
+    # the last sample has the largest count of repeats and dwells
+    for k in [n - 1] + data.draw(st.lists(st.integers(0, n - 2), max_size=8)):
+        got = sorted({float(freq[k]) for freq, _, active in tracks if active[k]})
+        want = [f for f, _ in instantaneous_components(sc, float(times[k])).components]
+        assert got == want
 
 
 @pytest.mark.parametrize(
