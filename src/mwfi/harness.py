@@ -226,6 +226,18 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
     cfg.require(single, "key 'ifm.mode'", "ftpm measure needs single_port")
     if "scan_grid" in plan:
+        # the ring's reach over the ramp bounds every detuning a scan takes
+        # (a tone within it or its image): twice it, in half linewidths,
+        # must square to a finite number in mrr_drop_response
+        mrr, v_max = models.mrr, plan["drive"].v_max
+        heat = v_max * v_max
+        cfg.require(math.isfinite(heat), "key 'drive.v_max_v'",
+                    f"{v_max!r} V squared is not finite")
+        reach = abs(mrr.f_offset0) + mrr.k_thermal * heat
+        x = 4.0 * reach / mrr.fwhm
+        cfg.require(math.isfinite(x * x), "section 'mrr'",
+                    f"a ramp to {v_max!r} V tunes the ring up to {reach!r} Hz,"
+                    f" {x / 4:.3g} linewidths, past what its Lorentzian can square")
         # last, since it loads scipy: the heater lag refuses too slow a rate,
         # and the run's scans share this axis
         with cfg.blame("key 'scan.sample_rate_hz'"):

@@ -611,7 +611,8 @@ PLAN_LINES = {
     "floor": (["ifm.noise_floor = 0.1"], ["ifm.noise_floor = -1"]),
     "limit": (["ifm.upper_limit_hz = 18e9"], ["ifm.upper_limit_hz = 25e9"]),
     # an ftpm measure of the default 10-20 GHz tones needs the band to hold them
-    "band": (["ifm.band_lo_hz = 9e9"], ["ifm.band_hi_hz = 90e9"]),
+    # an f_ref of 1e308 Hz leaves the band no finite fringe phase
+    "band": (["ifm.band_lo_hz = 9e9"], ["ifm.band_hi_hz = 90e9", "mzi.f_ref_hz = 1e308"]),
     "target": (["sweep.mode = classify", "sweep.mode = dynamic"], ["sweep.mode = sweep"]),
     "seeds": (["sweep.n_seeds = 2"], ["sweep.n_seeds = 0"]),
     "hop": (
@@ -621,8 +622,9 @@ PLAN_LINES = {
             "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0",
         ],
     ),
-    "ring": (["mrr.fwhm_hz = 500e6"], ["mrr.fwhm_hz = 0"]),
-    "drive": (["drive.v_min_v = 0"], ["drive.v_min_v = -1"]),
+    # a scan tuned 1e308 Hz/V^2 reaches past what the Lorentzian can square
+    "ring": (["mrr.fwhm_hz = 500e6"], ["mrr.fwhm_hz = 0", "mrr.k_thermal_hz_per_v2 = 1e308"]),
+    "drive": (["drive.v_min_v = 0"], ["drive.v_min_v = -1", "drive.v_max_v = 1e308"]),
 }
 
 
@@ -749,16 +751,18 @@ PLAN_READERS = {
     "target": "mode = sweep",
     "seeds": "mode = sweep\nsweep.mode = dynamic",
     "hop": "mode = dynamic",
-    "ring": "mode = dynamic",
+    "ring": "mode = calibrate",
     "drive": "mode = calibrate",
 }
 # what an invalid line is blamed on where it is not the line's own key
 PLAN_BLAME = {
     "calibration.hi_hz = 11e9": "section 'calibration'",  # 2 tones, the fit needs 3
     "ifm.band_hi_hz = 90e9": "section 'ifm'",  # wider than half the MZI FSR
+    "mzi.f_ref_hz = 1e308": "section 'ifm'",
     "scenario.hop1.dwell_s = 80e-9": "key 'scenario.hop1.freqs_hz'",
     "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0": "section 'scenario.hop1'",
     "mrr.fwhm_hz = 0": "section 'mrr'",
+    "mrr.k_thermal_hz_per_v2 = 1e308": "section 'mrr'",
     "calibration.lo_hz = 5e9": "section 'calibration'",  # below the scan's reach
     "measure.lo_hz = 5e9": "section 'measure'",
     "drive.v_min_v = -1": "section 'drive'",
