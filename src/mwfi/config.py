@@ -82,8 +82,6 @@ _RUN = {
     "ifm.mode": (str, "single_port", ("in", ("single_port", "ratio"))),
     "ifm.port": (int, 2, ("in", (1, 2))),
     "ifm.n_knots": (int, 4096, (">=", 2)),
-    "ifm.noise_floor": (float, 0.05, (">=", 0)),
-    "ifm.upper_limit_hz": (float, 20e9, None),
     "sweep.mode": (str, None, ("in", tuple(m for m in MODES if m != "sweep"))),
     "sweep.n_seeds": (int, 10, (">=", 1)),
 }

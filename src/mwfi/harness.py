@@ -121,7 +121,8 @@ def expected_label(scenario: RfScenario) -> ClassLabel:
 class RunPlan:
     """Every setting a run uses, read and checked before any stage starts.
 
-    Fields the mode does not use stay None.
+    Fields the mode does not use stay None. The IFM read-out's noise floor
+    (ifm_engine.NOISE_FLOOR) and range (the lookup band) are not settings.
     """
 
     mode: str
@@ -134,8 +135,6 @@ class RunPlan:
     cal_tones: np.ndarray | None = None
     ifm_grid: TimeGrid | None = None  # FTPM / IFM
     lut: AcfLut | None = None
-    noise_floor: float | None = None
-    upper_limit: float | None = None
     target: "RunPlan | None" = None  # sweep
     n_seeds: int | None = None
 
@@ -171,14 +170,9 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         return RunPlan(mode, scenario=scenario, target=build_plan(cfg, target), n_seeds=n_seeds)
 
     models = cfg.build_models()
-    plan = dict(models=models)
+    plan, scenario = dict(models=models), RfScenario()
     if mode in ("classify", "dynamic"):
         scenario = plan["scenario"] = cfg.build_scenario()
-        # the most optical power the emitters can sum to, before any filter
-        amplitudes = [e.amplitude for e in (*scenario.tones, *scenario.chirps, *scenario.hops)]
-        power = sum(a * a for a in amplitudes) * models.link_gain
-        cfg.require(math.isfinite(power), "section 'scenario'",
-                    f"the emitters' amplitudes squared, summed, times link.gain give {power!r}")
     if mode == "measure":
         plan.update(tones=_tone_list(cfg, "measure"), method=cfg.get("measure.method"))
     if mode in ("calibrate", "classify") or plan.get("method") == "fttm":
@@ -196,22 +190,26 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         lut_mode, port, n_knots = (cfg.get(f"ifm.{key}") for key in ("mode", "port", "n_knots"))
         _require_samples(cfg, "ifm.n_knots", n_knots, "the lookup table")
         with cfg.blame("section 'ifm'"):
-            lut = build_lut(models.mzi, band, lut_mode, port, n_knots, models.modulator)
-        upper_limit = cfg.get("ifm.upper_limit_hz")
-        cfg.require(
-            lut.band[0] <= upper_limit <= lut.band[1], "key 'ifm.upper_limit_hz'",
-            f"{upper_limit!r} lies outside the lookup band {lut.band[0]!r}..{lut.band[1]!r}",
-        )
-        plan.update(lut=lut, noise_floor=cfg.get("ifm.noise_floor"), upper_limit=upper_limit)
+            plan["lut"] = build_lut(models.mzi, band, lut_mode, port, n_knots, models.modulator)
     if mode == "dynamic" or plan.get("method") == "ftpm":
         rate, duration = cfg.get("ifm.sample_rate_hz"), cfg.get("ifm.duration_s")
         # the rate is checked on its own, so an empty grid is the duration's fault
         with cfg.blame("key 'ifm.sample_rate_hz'"):
             grid = TimeGrid(sample_rate=rate, n_samples=1)
-            check_hop_sampling(plan.get("scenario", RfScenario()), grid)
+            check_hop_sampling(scenario, grid)
         _require_samples(cfg, "ifm.sample_rate_hz", rate * duration, f"a {duration!r} s trace")
         with cfg.blame("key 'ifm.duration_s'"):
             plan["ifm_grid"] = replace(grid, n_samples=round(rate * duration))
+    # the most optical power a trace holds before any filter (the emitters'
+    # amplitudes squared and summed, or 1 for a calibration or measure tone,
+    # times link.gain); a scan's running means and the FTPM mean sum a trace
+    amplitudes = [e.amplitude for e in (*scenario.tones, *scenario.chirps, *scenario.hops)]
+    scene = sum(a * a for a in amplitudes) * models.link_gain
+    n = 1 if mode == "dynamic" else (plan.get("scan_grid") or plan["ifm_grid"]).n_samples
+    power = scene if mode == "dynamic" else max(scene, models.link_gain)
+    cfg.require(math.isfinite(power * n),
+                "section 'scenario'" if scene > models.link_gain else "key 'link.gain'",
+                f"{power!r} W, summed over {n} sample(s) of a trace, passes the largest float")
     if "scenario" in plan:
         # the tracks count the repeats and dwells up to each sample time
         duration = (plan.get("scan_grid") or plan["ifm_grid"]).duration
@@ -251,13 +249,26 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     spans = [(section, "tone", f, f)
              for section, key in (("calibration", "cal_tones"), ("measure", "tones"))
              for f in plan.get(key, ())]
-    if mode == "classify":
-        spans += [(name, "tone", t.freq, t.freq)
-                  for name, t in zip(sections["tone"], scenario.tones)]
-        spans += [(name, "chirp", c.center - c.span / 2, c.center + c.span / 2)
-                  for name, c in zip(sections["chirp"], scenario.chirps)]
-        spans += [(name, "hop", f, f)
-                  for name, h in zip(sections["hop"], scenario.hops) for f in h.freqs]
+    if "scenario" in plan:
+        emitters = [(name, "tone", t.freq, t.freq)
+                    for name, t in zip(sections["tone"], scenario.tones)]
+        emitters += [(name, "chirp", c.center - c.span / 2, c.center + c.span / 2)
+                     for name, c in zip(sections["chirp"], scenario.chirps)]
+        emitters += [(name, "hop", f, f)
+                     for name, h in zip(sections["hop"], scenario.hops) for f in h.freqs]
+        if mode == "classify":
+            spans += emitters
+        # a dynamic run squares each emitter's roll-off f / bw and notch detunings and
+        # takes its fringe phase at the sideband f, its image -f and the carrier 0: its
+        # highest f bounds them all
+        mod, mzi, notch = models.modulator, models.mzi, models.notch
+        centers = notch.centers if notch is not None else ()
+        for section, what, _, f in emitters if mode == "dynamic" else ():
+            ratios = [f / mod.bw_3db] + [2.0 * (f + abs(c)) / notch.fwhm_each for c in centers]
+            phase = 2.0 * math.pi * (f + abs(mzi.f_ref)) / mzi.fsr
+            ok = math.isfinite(phase) and all(math.isfinite(x * x) for x in ratios)
+            cfg.require(ok, f"section '{section}'",
+                        f"{what} up to {f!r} Hz overflows the IFM path's arithmetic")
     for section, what, f_lo, f_hi in spans:
         freqs = f"{f_lo / 1e9:.3f}" + (f"..{f_hi / 1e9:.3f}" if f_hi > f_lo else "")
         cfg.require(lo <= f_lo and f_hi <= hi, f"section '{section}'", f"{what} {freqs} GHz"
@@ -301,7 +312,7 @@ def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
             tone = RfScenario(tones=(ToneSpec(freq=f),))
             s = derive_seed(seed, STAGE_FTPM, i)
             trace = simulate_ifm(tone, plan.models, plan.ifm_grid, plan.lut.port, plan.lut.band, s)
-            ests[i] = estimate_static_frequency(trace, plan.lut, plan.noise_floor)
+            ests[i] = estimate_static_frequency(trace, plan.lut)
 
     report.score(ests, plan.tones)
     header = "truth_hz,estimate_hz,error_hz\n"
@@ -362,7 +373,7 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
         simulate_ifm(scenario, plan.models, grid, port, lut.band, s)
         for s, port in zip(seeds, lut.ports)
     ]
-    est = extract_inst_freq(traces[0], lut, plan.noise_floor, plan.upper_limit, *traces[1:])
+    est = extract_inst_freq(traces[0], lut, *traces[1:])
 
     # score samples that are not noise and where the scenario has one frequency
     diff = est.freq - sole_component_freq(scenario, grid)

@@ -116,6 +116,7 @@ class IfmTrace:
 
 
 NOISE = float("nan")
+NOISE_FLOOR = 0.05  # normalized power below which a sample, or a static mean, is noise
 
 
 @dataclass(frozen=True)
@@ -230,49 +231,38 @@ def simulate_ifm(
 
 
 def extract_inst_freq(
-    trace: IfmTrace,
-    lut: AcfLut,
-    noise_floor: float = 0.05,
-    upper_limit: float = 20e9,
-    reference_trace: IfmTrace | None = None,
+    trace: IfmTrace, lut: AcfLut, reference_trace: IfmTrace | None = None
 ) -> InstFreqEstimate:
     """Invert the lookup sample by sample.
 
     A sample is flagged as noise when its normalized power sits below
-    noise_floor, outside the tabulated value range, or implies a frequency
-    above upper_limit (frequencies beyond the table cannot be told apart
-    from noise). For a ratio LUT, trace must be the port-1 record and
-    reference_trace the port-2 record.
+    NOISE_FLOOR or its value lies outside the table's range, so the lookup
+    band is the read-out's range. For a ratio LUT, trace must be the port-1
+    record and reference_trace the port-2 record.
     """
-    if not lut.band[0] <= upper_limit <= lut.band[1]:
-        raise ValueError("upper_limit must lie within the LUT band")
-    if lut.mode == "ratio":
-        if reference_trace is None:
-            raise ValueError("ratio-mode extraction needs the complementary port trace")
-        with np.errstate(divide="ignore", invalid="ignore"):
+    if lut.mode == "ratio" and reference_trace is None:
+        raise ValueError("ratio-mode extraction needs the complementary port trace")
+    # a ratio of zeros is NaN and a sample far past full scale overflows to
+    # inf; neither lies inside the table's range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if lut.mode == "ratio":
             metric = 10.0 * np.log10(trace.power / reference_trace.power)
-        signal = (trace.power + reference_trace.power) / (2.0 * trace.normalization)
-        valid = np.isfinite(metric) & (signal >= noise_floor)
-    else:
-        metric = trace.power / trace.normalization
-        valid = metric >= noise_floor
-
-    v_lo = float(np.min(lut.values))
-    v_hi = float(np.max(lut.values))
-    in_range = (metric >= v_lo) & (metric <= v_hi)
+            signal = (trace.power + reference_trace.power) / (2.0 * trace.normalization)
+        else:
+            metric = signal = trace.power / trace.normalization
+    ok = (signal >= NOISE_FLOOR) & (metric >= lut.values.min()) & (metric <= lut.values.max())
     freq = np.full(trace.grid.n_samples, NOISE)
-    ok = valid & in_range
     freq[ok] = lut.invert(metric[ok])
-    freq[freq > upper_limit] = NOISE
     return InstFreqEstimate(times=trace.grid.times(), freq=freq)
 
 
-def estimate_static_frequency(trace: IfmTrace, lut: AcfLut, noise_floor: float = 0.05) -> float:
-    """Invert the trace's mean power; noise averages out for a static tone."""
+def estimate_static_frequency(trace: IfmTrace, lut: AcfLut) -> float:
+    """Invert the trace's mean power; noise averages out for a static tone.
+    A mean below NOISE_FLOOR is no signal."""
     if lut.mode != "single_port":
         raise ValueError("static estimation works on single-port traces")
     mean_p = float(np.mean(trace.power)) / trace.normalization
-    if mean_p < noise_floor:
+    if mean_p < NOISE_FLOOR:
         raise ValueError("no signal: mean power below the noise floor")
     return float(lut.invert(mean_p))
 

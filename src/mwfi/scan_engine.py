@@ -628,7 +628,8 @@ def measure_span(trace: ScanTrace, table: CalibrationTable) -> float:
 
 
 def estimate_hop_set(events, table: CalibrationTable) -> list:
-    """Frequencies of the discrete sub-envelopes of a hopping trace, ascending.
+    """Frequencies of the discrete sub-envelopes of a hopping trace inside
+    the table's delay range, ascending.
 
     events are detect_pulses of the trace. The scan is a statistical
     measurement: peak delays of the sub-envelopes give the hop set, but the
@@ -636,10 +637,7 @@ def estimate_hop_set(events, table: CalibrationTable) -> list:
     """
     if not events:
         raise ValueError("no sub-envelopes detected")
-    freqs = estimate_frequencies(events, table)
-    if not freqs:
-        raise ValueError("all sub-envelopes fall outside the calibrated range")
-    return sorted(freqs)
+    return sorted(estimate_frequencies(events, table))
 
 
 def scan_trace_to_csv(trace: ScanTrace, path):

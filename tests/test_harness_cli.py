@@ -21,7 +21,7 @@ from mwfi.harness import (
     rms_error, run,
 )
 from mwfi.ifm_engine import (
-    DEFAULT_BAND, build_lut, extract_inst_freq, ifm_trace_to_csv, simulate_ifm,
+    DEFAULT_BAND, build_lut, ifm_trace_to_csv, simulate_ifm,
 )
 from mwfi.photonic_link import LinkModels
 from mwfi.presets import list_presets, preset_path
@@ -608,8 +608,6 @@ PLAN_LINES = {
     "lut mode": (["ifm.mode = single_port"], ["ifm.mode = bogus"]),
     "port": (["ifm.port = 1", "ifm.port = 2"], ["ifm.port = 3", "ifm.port = 1.5"]),
     "knots": (["ifm.n_knots = 64"], ["ifm.n_knots = 1", "ifm.n_knots = 1e8"]),
-    "floor": (["ifm.noise_floor = 0.1"], ["ifm.noise_floor = -1"]),
-    "limit": (["ifm.upper_limit_hz = 18e9"], ["ifm.upper_limit_hz = 25e9"]),
     # an ftpm measure of the default 10-20 GHz tones needs the band to hold them
     # an f_ref of 1e308 Hz leaves the band no finite fringe phase
     "band": (["ifm.band_lo_hz = 9e9"], ["ifm.band_hi_hz = 90e9", "mzi.f_ref_hz = 1e308"]),
@@ -708,6 +706,70 @@ def test_drawn_plan_stays_within_caps_or_names_a_key(keys, data):
         _scan_axis.cache_clear()
 
 
+# emitter frequencies mostly where the presets put them, sometimes up to the
+# largest float; amplitudes up to 1e150; gains across the float range
+_FREQ = st.one_of(*[st.floats(9e9, 21e9)] * 3, st.floats(10.0, 308.0).map(lambda e: 10.0**e))
+_AMPLITUDE = st.one_of(st.just(1.0), st.floats(-3.0, 150.0).map(lambda e: 10.0**e))
+_GAIN = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+# tiny runs: a 200-sample IFM trace, or 1,000-sample scans after 3 calibration tones
+TINY_RUN = {
+    "dynamic": "ifm.duration_s = 2e-7",
+    "classify": "drive.period_s = 0.002\nscan.sample_rate_hz = 5e5\ncalibration.step_hz = 5e9",
+}
+# (pulse width, repeat interval) of a chirp on each mode's time scale
+CHIRP_TIMING = {"dynamic": (4e-8, 1e-7), "classify": (1.6e-6, 4e-6)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(sorted(TINY_RUN)), data=st.data())
+def test_drawn_scenario_runs_finite_or_names_what_it_holds(tmp_path_factory, mode, data):
+    draw = data.draw
+    values = {"link.gain": draw(_GAIN)}
+    for i in range(1, draw(st.integers(0, 2)) + 1):
+        values[f"scenario.tone{i}.freq_hz"] = draw(_FREQ)
+        values[f"scenario.tone{i}.amplitude"] = draw(_AMPLITUDE)
+    if draw(st.booleans()):
+        width, interval = CHIRP_TIMING[mode]
+        values.update({
+            "scenario.chirp1.center_hz": draw(_FREQ),
+            "scenario.chirp1.span_hz": draw(st.floats(0.1e9, 8e9)),
+            "scenario.chirp1.pulse_width_s": width,
+            "scenario.chirp1.repeat_interval_s": interval,
+            "scenario.chirp1.amplitude": draw(_AMPLITUDE),
+        })
+    if draw(st.booleans()):
+        freqs = draw(st.lists(_FREQ, min_size=1, max_size=3))
+        values["scenario.hop1.freqs_hz"] = ",".join(repr(f) for f in freqs)
+        values["scenario.hop1.dwell_s"] = draw(st.sampled_from([2e-8, 8e-8]))
+        values["scenario.hop1.amplitude"] = draw(_AMPLITUDE)
+    if draw(st.booleans()):
+        values["notch.enabled"] = "true"
+    if mode == "dynamic" and draw(st.booleans()):
+        lo = values["ifm.band_lo_hz"] = draw(_FREQ)
+        values["ifm.band_hi_hz"] = lo + draw(st.floats(0.5e9, 80e9))
+    lines = [f"mode = {mode}", TINY_RUN[mode]]
+    lines += [f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
+              for key, value in values.items()]
+    cfg = RunConfig.from_text("\n".join(lines) + "\n", source="drawn.cfg")
+    try:
+        report = run(cfg, out_dir=tmp_path_factory.mktemp("drawn"))
+    except ConfigError as exc:
+        m = re.match(r"drawn\.cfg: (key|section) '([a-z0-9_.]+)': ", str(exc))
+        assert m, str(exc)
+        kind, name = m.groups()
+        held = {key.rsplit(".", n)[0]
+                for key in cfg.values for n in range(1, key.count(".") + 1)}
+        assert name in (cfg.values if kind == "key" else held), str(exc)
+        return
+    for line in report.lines():
+        for token in line.split(" = ", 1)[1].split(","):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert np.isfinite(value), line
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lo=st.floats(1e9, 30e9),
@@ -745,8 +807,6 @@ PLAN_READERS = {
     "lut mode": "mode = dynamic",
     "port": "mode = dynamic",
     "knots": "mode = dynamic",
-    "floor": "mode = dynamic",
-    "limit": "mode = dynamic",
     "band": "mode = dynamic",
     "target": "mode = sweep",
     "seeds": "mode = sweep\nsweep.mode = dynamic",
@@ -798,14 +858,11 @@ def test_checked_run_keys_are_drawn():
 def test_run_defaults_match_the_engine_defaults():
     # an unset run key behaves as the engine function called without it
     lut = inspect.signature(build_lut).parameters
-    extract = inspect.signature(extract_inst_freq).parameters
     default = {key: row[1] for key, row in _RUN.items()}
     assert (default["ifm.band_lo_hz"], default["ifm.band_hi_hz"]) == lut["band"].default
     assert lut["band"].default == DEFAULT_BAND
     for key in ("mode", "port", "n_knots"):
         assert default[f"ifm.{key}"] == lut[key].default, key
-    assert default["ifm.noise_floor"] == extract["noise_floor"].default
-    assert default["ifm.upper_limit_hz"] == extract["upper_limit"].default
 
 
 # run key -> (reader of the plan field it sets, default, valid values other
@@ -830,8 +887,6 @@ RUN_TRIP = {
     "ifm.mode": (lambda p: p["dynamic"].lut.mode, "single_port", ["ratio"]),
     "ifm.port": (lambda p: p["dynamic"].lut.port, 2, [1]),
     "ifm.n_knots": (lambda p: p["dynamic"].lut.freqs.size, 4096, [64]),
-    "ifm.noise_floor": (lambda p: p["dynamic"].noise_floor, 0.05, [0.1]),
-    "ifm.upper_limit_hz": (lambda p: p["dynamic"].upper_limit, 20e9, [18e9]),
     "sweep.n_seeds": (lambda p: p["sweep"].n_seeds, 10, [2]),
     "sweep.mode": (lambda p: p["sweep"].target.mode, None, ["calibrate", "dynamic", "measure"]),
 }
@@ -936,6 +991,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+    # the bar pyproject.toml sets for the suite itself
+    "PYTHONWARNINGS": "error::RuntimeWarning",
 }
 
 
@@ -1043,10 +1100,7 @@ class TestCli:
             ("calibrate", "calibration.lo_hz = -1e9", "calibration.lo_hz"),
             ("classify", "calibration.hi_hz = 5e9", "calibration.hi_hz"),
             ("measure", "calibration.lo_hz = 20e9", "calibration"),
-            ("dynamic", "ifm.upper_limit_hz = 25e9", "ifm.upper_limit_hz"),
-            ("dynamic", "ifm.noise_floor = -1", "ifm.noise_floor"),
             ("measure", "measure.method = ftpm\nifm.mode = ratio", "ifm.mode"),
-            ("measure", "measure.method = ftpm\nifm.noise_floor = -1", "ifm.noise_floor"),
             ("sweep", "sweep.mode = measure\nsweep.n_seeds = 0", "sweep.n_seeds"),
             # calibrate must write neither file until the FTTM table and the
             # lookup settings are both accepted
@@ -1079,6 +1133,23 @@ class TestCli:
             ("calibrate", "scan.sample_rate_hz = 1e308\ndrive.period_s = 1e10",
              "scan.sample_rate_hz"),
             ("dynamic", "ifm.duration_s = 1e300", "ifm.sample_rate_hz"),
+            # emitters whose roll-off (f / bw)^2, fringe phase or notch detuning
+            # squared overflows; each run warned of the overflow and exited 0
+            ("dynamic", "scenario.tone1.freq_hz = 1e308", "section 'scenario.tone1'"),
+            ("dynamic", f"{HOP_3},1e300\nscenario.hop1.dwell_s = 80e-9",
+             "section 'scenario.hop1'"),
+            ("dynamic", f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 1e308",
+             "section 'scenario.chirp1'"),
+            ("dynamic", "notch.enabled = true\nnotch.fwhm_each_hz = 1e-300\n"
+             "scenario.tone1.freq_hz = 15e9", "section 'scenario.tone1'"),
+            # a trace whose samples sum past the largest float in a running mean
+            # or the FTPM mean; each overflowed with a RuntimeWarning (the first
+            # was found by test_drawn_scenario_runs_finite_or_names_what_it_holds)
+            ("classify", f"{TINY_RUN['classify']}\nlink.gain = 1e261\n"
+             "scenario.tone1.freq_hz = 9e9\nscenario.tone1.amplitude = 1e23", "scenario"),
+            ("calibrate", "link.gain = 1e307", "link.gain"),
+            ("measure", "link.gain = 1e307", "link.gain"),
+            ("measure", "measure.method = ftpm\nlink.gain = 1e307", "link.gain"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):
@@ -1087,7 +1158,8 @@ class TestCli:
         out = tmp_path / "out"
         assert main([mode, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        where = f"key '{key}'" if "." in key else f"section '{key}'"
+        # an emitter's section is given whole, as it holds a dot too
+        where = key if " " in key else f"key '{key}'" if "." in key else f"section '{key}'"
         assert f"config error: {bad}: {where}" in err
         assert not out.exists()
 
@@ -1148,6 +1220,9 @@ class TestCli:
             # a trace holds one scan period
             "drive.n_periods = 1",
             "drive.n_periods = 2",
+            # the IFM read-out's floor is ifm_engine.NOISE_FLOOR, its range the lookup band
+            "ifm.noise_floor = 0.05",
+            "ifm.upper_limit_hz = 20e9",
         ],
     )
     def test_removed_keys_exit_two(self, tmp_path, capsys, line):
@@ -1157,6 +1232,59 @@ class TestCli:
         assert main(["classify", "--config", str(bad), "--out", str(out)]) == 2
         assert f"unknown key {line.split(' = ')[0]!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, lines",
+        [
+            ("calibrate", ""),
+            ("measure", "measure.method = ftpm\nmeasure.lo_hz = 22e9\nmeasure.hi_hz = 28e9\n"
+             "measure.step_hz = 2e9\n"),
+            ("dynamic", ""),
+        ],
+    )
+    def test_band_alone_sets_the_read_out_range(self, tmp_path, mode, lines):
+        # each exited 2 on the former ifm.upper_limit_hz, whose 20 GHz
+        # default lay outside the band, also where the mode never read it
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text(f"mode = {mode}\nifm.band_lo_hz = 21e9\nifm.band_hi_hz = 30e9\n{lines}")
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_tone_inside_a_raised_band_reads_out(self, tmp_path):
+        # 392 of the 400 samples read NOISE while the former ifm.upper_limit_hz
+        # stayed at 20 GHz below the band's top
+        cfg = tmp_path / "band.cfg"
+        cfg.write_text("mode = dynamic\nseed = 1\nifm.band_hi_hz = 21e9\n"
+                       "scenario.tone1.freq_hz = 20.5e9\n")
+        assert main(["dynamic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = _read_report(tmp_path / "out" / "report.txt")
+        assert report["n_samples"] == "400"
+        assert int(report["n_noise_flagged"]) < 40
+
+    def test_hop_set_outside_the_calibration_is_empty(self, tmp_path):
+        # found by test_drawn_scenario_runs_finite_or_names_what_it_holds:
+        # emitters at 8.1-9.9 GHz, inside the scan's reach but below the
+        # 10-20 GHz calibration, read as hopping and exited 1
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text(
+            f"mode = classify\n{TINY_RUN['classify']}\nscenario.tone1.freq_hz = 9e9\n"
+            "scenario.tone2.freq_hz = 9e9\nscenario.chirp1.center_hz = 9e9\n"
+            "scenario.chirp1.span_hz = 1724895126.0\nscenario.chirp1.pulse_width_s = 1.6e-6\n"
+            "scenario.chirp1.repeat_interval_s = 4e-6\n"
+        )
+        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = _read_report(tmp_path / "out" / "report.txt")
+        assert report["classification"] == "hopping"
+        assert report["estimated_hop_set_hz"] == ""
+
+    def test_power_far_past_full_scale_reads_noise(self, tmp_path):
+        # a 60 GHz tone near the largest float over a table that peaks at
+        # 20 GHz overflowed power / normalization with a RuntimeWarning
+        cfg = tmp_path / "bright.cfg"
+        cfg.write_text("mode = dynamic\nscenario.tone1.freq_hz = 60e9\n"
+                       "scenario.tone1.amplitude = 1.3e154\n")
+        assert main(["dynamic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = _read_report(tmp_path / "out" / "report.txt")
+        assert report["n_noise_flagged"] == report["n_samples"] == "400"
 
     @pytest.mark.parametrize(
         "line, flags", [("seed = -1", []), ("", ["--seed", "-3"])], ids=["config", "flag"]

@@ -237,11 +237,11 @@ class TestExtractInstFreq:
                 assert not np.isnan(seg).any()
                 assert np.median(seg) == pytest.approx(truth, abs=0.3e9)
 
-    def test_above_upper_limit_is_noise(self):
+    def test_tone_above_the_band_is_noise(self):
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=50)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=21e9),)), NOISELESS, grid)
-        est = extract_inst_freq(trace, lut, upper_limit=20e9)
+        est = extract_inst_freq(trace, lut)
         assert est.is_noise.all()
 
     def test_silence_is_noise(self):
@@ -281,13 +281,6 @@ class TestExtractInstFreq:
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=13e9),)), NOISELESS, grid)
         with pytest.raises(ValueError, match="complementary"):
             extract_inst_freq(trace, lut)
-
-    def test_upper_limit_outside_band_rejected(self):
-        lut = build_lut(MziModel())
-        grid = TimeGrid(sample_rate=1e9, n_samples=8)
-        trace = simulate_ifm(RfScenario(), NOISELESS, grid)
-        with pytest.raises(ValueError, match="band"):
-            extract_inst_freq(trace, lut, upper_limit=25e9)
 
 
 class TestEstimateStaticFrequency:
