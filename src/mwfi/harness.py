@@ -53,6 +53,9 @@ __all__ = ["MetricsReport", "RunPlan", "build_plan", "run", "rms_error", "expect
 # tones and 679,570 samples
 MAX_TONES = 1_000
 MAX_SAMPLES = 10_000_000
+# a detector noise draw past 40 standard deviations has a chance below 1e-340,
+# so the plan bounds a trace's noise by 40 times its std
+NOISE_DRAW_MAX = 40.0
 
 
 def rms_error(estimates, truths) -> float:
@@ -210,6 +213,11 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     cfg.require(math.isfinite(power * n),
                 "section 'scenario'" if scene > models.link_gain else "key 'link.gain'",
                 f"{power!r} W, summed over {n} sample(s) of a trace, passes the largest float")
+    # the detector noise std is pd.noise_sigma times the trace's peak power
+    sigma = models.pd.noise_sigma
+    cfg.require(math.isfinite(sigma * power * NOISE_DRAW_MAX * n), "key 'pd.noise_sigma'",
+                f"noise of std {sigma!r} x {power!r} W, at {NOISE_DRAW_MAX:g} sigma over {n}"
+                " sample(s) of a trace, passes the largest float")
     if "scenario" in plan:
         # the tracks count the repeats and dwells up to each sample time
         duration = (plan.get("scan_grid") or plan["ifm_grid"]).duration

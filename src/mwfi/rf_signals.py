@@ -28,11 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: times are t0 + k/sample_rate for k in [0, n_samples)."""
+    """Uniform sampling grid: times are k/sample_rate for k in [0, n_samples)."""
 
     sample_rate: float  # samples/s
     n_samples: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -54,7 +53,7 @@ class TimeGrid:
     def block_times(self, block: slice) -> np.ndarray:
         """Times of the grid samples in the slice block: elementwise equal to
         times()[block], without building the whole axis."""
-        return self.t0 + np.arange(*block.indices(self.n_samples)) / self.sample_rate
+        return np.arange(*block.indices(self.n_samples)) / self.sample_rate
 
 
 def _check_amplitude(amplitude: float):

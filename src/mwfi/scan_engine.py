@@ -71,11 +71,8 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SawtoothDrive:
-    """Heater drive: one v_min -> v_max ramp over period, a scan's length.
-
-    voltage folds time into the period, so a grid one sample longer than the
-    period starts its last sample back at v_min.
-    """
+    """Heater drive: one v_min -> v_max ramp over period, a scan's length,
+    starting at t = 0."""
 
     v_min: float = 0.0
     v_max: float = 4.0
@@ -89,9 +86,7 @@ class SawtoothDrive:
             raise ValueError("period must be > 0")
 
     def voltage(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        phase = t / self.period - np.floor(t / self.period)
-        return self.v_min + (self.v_max - self.v_min) * phase
+        return self.v_min + (self.v_max - self.v_min) * (np.asarray(t, dtype=float) / self.period)
 
 
 class TraceLevel(NamedTuple):
@@ -116,7 +111,6 @@ class ScanTrace:
 
     grid: TimeGrid
     power: np.ndarray
-    drive: SawtoothDrive
     pulse_width_hint: float | None = None
     settle_time: float | None = None
 
@@ -180,9 +174,9 @@ class ScanTrace:
 
 @dataclass(frozen=True)
 class PulseEvent:
-    """One detected pulse or envelope, times folded into the scan period."""
+    """One detected pulse or envelope of a scan."""
 
-    peak_time: float  # s, delay from sawtooth start
+    peak_time: float  # s, delay from the ramp start
     peak_power: float
     fill_randomness: float  # fraction of half-max-interior samples below half max
 
@@ -291,7 +285,7 @@ def simulate_scan(
 
     power = pd_detect(optical, models.pd, grid, seed, draws)
     hint, settle = _scan_timing(models, drive)
-    return ScanTrace(grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle)
+    return ScanTrace(grid=grid, power=power, pulse_width_hint=hint, settle_time=settle)
 
 
 def _draw_ahead(pool, seed: int, grid: TimeGrid, out=None):
@@ -437,11 +431,10 @@ def detect_pulses(trace: ScanTrace) -> list:
             peak_idx = int(np.argmax(sub))  # argmax takes the earliest tie
             if sub[peak_idx] <= threshold:
                 continue
-            # the grid's time of sample k, as TimeGrid.times() computes it
-            peak_time = grid.t0 + (start + s0 + peak_idx) / grid.sample_rate
             events.append(
                 PulseEvent(
-                    peak_time=float(peak_time % trace.drive.period),
+                    # the grid's time of sample k, as TimeGrid.times() computes it
+                    peak_time=float((start + s0 + peak_idx) / grid.sample_rate),
                     peak_power=float(sub[peak_idx]),
                     fill_randomness=_fill_randomness(sub),
                 )
@@ -621,8 +614,7 @@ def measure_span(trace: ScanTrace, table: CalibrationTable) -> float:
     w = max(5, int(round(0.6 * trace.pulse_width_hint * trace.grid.sample_rate)))
     i_lo, i_hi = _occupancy_edges(above, w)
 
-    times = trace.grid.t0 + np.array([i_lo, i_hi]) * trace.grid.dt
-    times = times % trace.drive.period
+    times = np.array([i_lo, i_hi]) * trace.grid.dt
     f_lo, f_hi = table.freq_at(times[0]), table.freq_at(times[1])
     return float(f_hi - f_lo)
 
@@ -647,24 +639,29 @@ def scan_trace_to_csv(trace: ScanTrace, path):
 def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanTrace:
     """Reload a trace written by scan_trace_to_csv.
 
-    The file holds only times and power; the pulse width hint and settle
-    time come from the models and drive that produced it, as in
-    simulate_scan, so the reloaded trace detects the same events. A file with
-    fewer than 2 rows, time stamps that do not increase, or a power sample
-    that detected power cannot take (negative or not finite), is refused.
+    The file holds only times and power, and its first row is the start of
+    the ramp; the pulse width hint and settle time come from the models and
+    drive that produced it, as in simulate_scan, so the reloaded trace
+    detects the same events. A malformed file raises a ValueError that names
+    path: a field that is not a number, a row of another length, fewer than
+    2 rows, a power sample that detected power cannot take (negative or not
+    finite), time stamps that do not increase, or rows that do not span one
+    drive period, as simulate_scan refuses such a grid.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if len(data) < 2:
-        raise ValueError(f"{path}: need at least 2 samples, got {len(data)}")
-    power = data[:, 1]
-    if not np.all((power >= 0) & (power < np.inf)):
-        raise ValueError(f"{path}: power samples must be finite and >= 0")
-    t, dt = data[:, 0], np.diff(data[:, 0])
-    if not np.all(dt > 0):
-        raise ValueError(f"{path}: time stamps must increase row by row")
-    rate = 1.0 / float(np.median(dt))
-    grid = TimeGrid(sample_rate=rate, n_samples=len(t), t0=float(t[0]))
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if len(data) < 2:
+            raise ValueError(f"need at least 2 samples, got {len(data)}")
+        power = data[:, 1]
+        if not np.all((power >= 0) & (power < np.inf)):
+            raise ValueError("power samples must be finite and >= 0")
+        dt = np.diff(data[:, 0])
+        if not np.all(dt > 0):
+            raise ValueError("time stamps must increase row by row")
+        grid = TimeGrid(sample_rate=1.0 / float(np.median(dt)), n_samples=len(data))
+        if abs(grid.duration - drive.period) > grid.dt:
+            raise ValueError(f"rows span {grid.duration:.6e} s, not one {drive.period} s period")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     hint, settle = _scan_timing(models, drive)
-    return ScanTrace(
-        grid=grid, power=power, drive=drive, pulse_width_hint=hint, settle_time=settle
-    )
+    return ScanTrace(grid=grid, power=power, pulse_width_hint=hint, settle_time=settle)

@@ -19,7 +19,7 @@ from mwfi.ifm_engine import (
     lut_to_csv,
 )
 from mwfi.rf_signals import TimeGrid
-from mwfi.scan_engine import SawtoothDrive, ScanTrace, scan_trace_to_csv
+from mwfi.scan_engine import ScanTrace, scan_trace_to_csv
 
 
 def scalar_rows(columns, nan=None):
@@ -99,7 +99,7 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
     lut = build_lut(MziModel(), band=(20e9, 50e9), mode="ratio", n_knots=n)
 
     cases = [
-        (scan_trace_to_csv, ScanTrace(grid=grid, power=power, drive=SawtoothDrive()),
+        (scan_trace_to_csv, ScanTrace(grid=grid, power=power),
          "time_s,power\n" + scalar_rows((grid.times(), power))),
         (ifm_trace_to_csv, IfmTrace(grid=grid, power=power, normalization=1.0),
          "time_s,power\n" + scalar_rows((grid.times(), power))),

@@ -1150,6 +1150,11 @@ class TestCli:
             ("calibrate", "link.gain = 1e307", "link.gain"),
             ("measure", "link.gain = 1e307", "link.gain"),
             ("measure", "measure.method = ftpm\nlink.gain = 1e307", "link.gain"),
+            # detector noise past the largest float: the dynamic run wrote inf
+            # rows and exited 0, the calibration overflowed a running mean
+            ("dynamic", "scenario.tone1.freq_hz = 30e9\nscenario.tone1.amplitude = 1.3e154\n"
+             "pd.noise_sigma = 10", "pd.noise_sigma"),
+            ("calibrate", "pd.noise_sigma = 1e306", "pd.noise_sigma"),
         ],
     )
     def test_invalid_run_setting_exits_two(self, tmp_path, capsys, mode, line, key):

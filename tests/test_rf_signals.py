@@ -163,9 +163,15 @@ def test_component_tracks_matches_scalar_path():
                     repeat_interval=2e-6,
                 ),
             ),
-            hops=(HopSpec(freqs=tuple(rng.uniform(9e9, 21e9, 3)), dwell=rng.uniform(5e-8, 2e-7)),),
+            hops=(
+                HopSpec(
+                    freqs=tuple(rng.uniform(9e9, 21e9, 3)),
+                    dwell=rng.uniform(5e-8, 2e-7),
+                    start=rng.uniform(0, 1e-5),
+                ),
+            ),
         )
-        grid = TimeGrid(sample_rate=rng.uniform(5e6, 5e7), n_samples=64, t0=rng.uniform(0, 1e-5))
+        grid = TimeGrid(sample_rate=rng.uniform(5e6, 5e7), n_samples=64)
         # a tone's track and every amplitude are scalars: widen them to the grid
         n = grid.n_samples
         tracks = [
@@ -197,19 +203,16 @@ def test_component_tracks_matches_scalar_path():
         repeat=st.booleans(),
     ),
     rate=st.floats(1e8, 4e9),
-    t0=st.floats(0.0, 1e-5),
     n=st.integers(BLOCK + 1, 3 * BLOCK),
     data=st.data(),
 )
-def test_block_powers_match_scalar_path(
-    center, span, duty, repeat, direction, hop, rate, t0, n, data
-):
+def test_block_powers_match_scalar_path(center, span, duty, repeat, direction, hop, rate, n, data):
     # the components the power sum reads, one block at a time, against
     # instantaneous_components at drawn samples of the whole grid; most
     # samples lie past the first block
     chirp = ChirpSpec(center, span, duty * repeat, repeat, amplitude=1.3, direction=direction)
     sc = RfScenario(tones=(ToneSpec(freq=11e9, amplitude=0.6),), chirps=(chirp,), hops=(hop,))
-    grid = TimeGrid(sample_rate=rate, n_samples=n, t0=t0)
+    grid = TimeGrid(sample_rate=rate, n_samples=n)
     components = component_powers(sc, grid)
     times = grid.times()
     for k in data.draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=8)):
@@ -234,16 +237,15 @@ def test_block_powers_match_scalar_path(
         repeat=st.booleans(),
     ),
     rate=st.floats(1e8, 4e9),
-    t0=st.floats(0.0, 1e-5),
     n=st.integers(1, 3 * BLOCK),
     data=st.data(),
 )
-def test_block_tracks_equal_whole_grid_slices(hop, rate, t0, n, data):
+def test_block_tracks_equal_whole_grid_slices(hop, rate, n, data):
     # any slice of the grid, not only whole blocks: every track is elementwise
     # in the sample times, so a slice's tracks are the whole grid's, sliced
     chirp = ChirpSpec(15e9, 4e9, 1.6e-7, 4e-7, amplitude=1.3)
     sc = RfScenario(tones=(ToneSpec(freq=11e9, amplitude=0.6),), chirps=(chirp,), hops=(hop,))
-    grid = TimeGrid(sample_rate=rate, n_samples=n, t0=t0)
+    grid = TimeGrid(sample_rate=rate, n_samples=n)
     whole = component_tracks(sc, grid)
     block = data.draw(st.slices(n))
     got = component_tracks(sc, grid, block)

@@ -141,19 +141,19 @@ class TestDetectPulses:
         trace = simulate_scan(tone_scenario(10e9, 10.4e9), noiseless_models, drive, grid_1ms)
         assert len(detect_pulses(trace)) == 1
 
-    def test_flat_trace_no_events(self, drive, grid_1ms):
+    def test_flat_trace_no_events(self, grid_1ms):
         from mwfi.scan_engine import ScanTrace
 
-        flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples), drive=drive)
+        flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples))
         assert detect_pulses(flat) == []
 
-    def test_pure_noise_no_events(self, drive):
+    def test_pure_noise_no_events(self):
         from mwfi.scan_engine import ScanTrace
 
         grid = TimeGrid(sample_rate=1e6, n_samples=250000)
         rng = np.random.default_rng(3)
         noise = np.maximum(rng.normal(0.5, 0.01, grid.n_samples), 0)
-        trace = ScanTrace(grid=grid, power=noise, drive=SawtoothDrive(), pulse_width_hint=6.8e-3)
+        trace = ScanTrace(grid=grid, power=noise, pulse_width_hint=6.8e-3)
         assert detect_pulses(trace) == []
 
     def test_static_pulse_fill_near_zero(self, noiseless_models, drive, grid_1ms):
@@ -205,7 +205,7 @@ def test_pure_noise_reads_as_no_signal(seed, noise_sigma):
     grid = TimeGrid(sample_rate=1e6, n_samples=5000)
     pd = PdModel(noise_sigma=noise_sigma)
     power = pd_detect(np.full(grid.n_samples, 0.5), pd, grid, seed)
-    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=5e-3))
+    trace = ScanTrace(grid=grid, power=power)
     assert trace.level is None
     events = detect_pulses(trace)
     assert events == []
@@ -269,7 +269,7 @@ def test_level_equals_two_medians(n, values, jitter, n_spikes, seed):
         power = np.maximum(power + jitter * rng.uniform(-1.0, 1.0, size=n), 0.0)
     power[rng.integers(0, n, size=n_spikes)] = 1e3
     grid = TimeGrid(sample_rate=1e6, n_samples=n)
-    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=grid.duration))
+    trace = ScanTrace(grid=grid, power=power)
     assert trace.level == level_oracle(power)
 
 
@@ -279,7 +279,7 @@ def test_non_finite_sample(bad):
     grid = TimeGrid(sample_rate=1e6, n_samples=5000)
     power = np.exp(-(((grid.times() - 2e-3) / 20e-6) ** 2))
     power[100] = bad
-    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=5e-3))
+    trace = ScanTrace(grid=grid, power=power)
     if bad < 0:
         # -inf sorts first: the floor and the pulse stand
         assert trace.level == level_oracle(power)
@@ -288,7 +288,7 @@ def test_non_finite_sample(bad):
         assert events[0].peak_time == pytest.approx(2e-3, abs=grid.dt)
         # -inf on half the samples is the floor: no level either
         power[: grid.n_samples // 2] = bad
-        assert ScanTrace(grid=grid, power=power, drive=trace.drive).level is None
+        assert ScanTrace(grid=grid, power=power).level is None
         return
     # NaN and +inf: no level, so no pulse and no span
     assert trace.level is None
@@ -314,7 +314,7 @@ def test_a_level_puts_the_peak_above_the_threshold(power):
     # without checking: rounding never lifts floor + THRESHOLD_FRAC x full
     # scale to the peak, floor + full scale
     grid = TimeGrid(sample_rate=1e6, n_samples=power.size)
-    trace = ScanTrace(grid=grid, power=power, drive=SawtoothDrive(period=grid.duration))
+    trace = ScanTrace(grid=grid, power=power)
     if trace.level is not None:
         floor, fullscale, _ = trace.level
         assert np.max(power) > floor + THRESHOLD_FRAC * fullscale
@@ -663,7 +663,7 @@ class TestMeasureSpan:
         trace = simulate_scan(RfScenario(chirps=(CHIRP_4G,)), models, drive, grid_fast, 0)
         floor, fullscale, _ = trace.level
         hit = np.flatnonzero(trace.power > floor + THRESHOLD_FRAC * fullscale)
-        times = (trace.grid.t0 + hit[[0, -1]] * trace.grid.dt) % drive.period
+        times = hit[[0, -1]] * trace.grid.dt
         raw = float(table_fast.freq_at(times[1]) - table_fast.freq_at(times[0]))
         assert raw - 4e9 > 1e9
 
@@ -680,10 +680,10 @@ class TestMeasureSpan:
         assert running_mean(above, w, 0.0).tobytes() == copy.tobytes()
         assert _occupancy_edges(above, w) == _occupancy_edges(above.astype(float), w)
 
-    def test_flat_trace_raises(self, drive, grid_1ms, table_1ms):
+    def test_flat_trace_raises(self, grid_1ms, table_1ms):
         from mwfi.scan_engine import ScanTrace
 
-        flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples), drive=drive)
+        flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples))
         with pytest.raises(ValueError, match="no envelope"):
             measure_span(flat, table_1ms)
 
@@ -750,10 +750,10 @@ class TestEstimateHopSet:
         assert len(est) == 1
         assert est[0] == pytest.approx(14e9, abs=50e6)
 
-    def test_empty_trace_raises(self, drive, grid_1ms, table_1ms):
+    def test_empty_trace_raises(self, grid_1ms, table_1ms):
         from mwfi.scan_engine import ScanTrace
 
-        flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples), drive=drive)
+        flat = ScanTrace(grid=grid_1ms, power=np.zeros(grid_1ms.n_samples))
         with pytest.raises(ValueError):
             estimate_hop_set(detect_pulses(flat), table_1ms)
 
@@ -812,7 +812,7 @@ class TestPersistence:
         power = np.ones(grid.n_samples)
         power[50] = bad
         path = tmp_path / "trace.csv"
-        scan_trace_to_csv(ScanTrace(grid=grid, power=power, drive=drive), path)
+        scan_trace_to_csv(ScanTrace(grid=grid, power=power), path)
         error = re.escape(f"{path}: power samples must be finite")
         with pytest.raises(ValueError, match=error):
             scan_trace_from_csv(path, noiseless_models, drive)
@@ -823,7 +823,7 @@ class TestPersistence:
         grid = TimeGrid(sample_rate=1e6, n_samples=5000)
         power = -10.0 + 5.0 * np.exp(-(((grid.times() - 2e-3) / 20e-6) ** 2))
         path = tmp_path / "trace.csv"
-        scan_trace_to_csv(ScanTrace(grid=grid, power=power, drive=drive), path)
+        scan_trace_to_csv(ScanTrace(grid=grid, power=power), path)
         error = re.escape(f"{path}: power samples must be finite and >= 0")
         with pytest.raises(ValueError, match=error):
             scan_trace_from_csv(path, noiseless_models, drive)
@@ -841,3 +841,19 @@ class TestPersistence:
         error = re.escape(f"{path}: time stamps must increase")
         with pytest.raises(ValueError, match=error):
             scan_trace_from_csv(path, noiseless_models, drive)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ("0.0,1.0\n1e-6,abc\n", "could not convert string 'abc'"),
+            ("0.0,1.0,2.0\n1e-6,1.0\n", "the number of columns changed"),
+            # two 5 ms ramps at 1 MS/s, which a fold by the period once read as one
+            ("".join(f"{k / 1e6!r},1.0\n" for k in range(10_000)), "rows span 1.000000e-02 s"),
+        ],
+        ids=["non-numeric", "ragged", "two ramps"],
+    )
+    def test_trace_csv_names_its_path(self, noiseless_models, tmp_path, rows, error):
+        path = tmp_path / "trace.csv"
+        path.write_text("time_s,power\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+            scan_trace_from_csv(path, noiseless_models, SawtoothDrive(period=5e-3))
