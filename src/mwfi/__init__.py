@@ -11,11 +11,9 @@ from .rf_signals import (
     ChirpSpec,
     HopSpec,
     RfScenario,
-    SpectralSnapshot,
     TimeGrid,
     ToneSpec,
     instantaneous_components,
-    sample_track,
 )
 from .photonic_link import (
     LinkModels,

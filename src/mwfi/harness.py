@@ -144,14 +144,15 @@ class RunPlan:
 
 def _tone_list(cfg: RunConfig, section: str) -> np.ndarray:
     """Tones lo, lo + step, ... up to hi (Hz) from a section's lo_hz, hi_hz
-    and step_hz keys."""
+    and step_hz keys; rounding can put the last tone past hi, so it is
+    clamped to hi."""
     lo, hi, step = (cfg.get(f"{section}.{key}") for key in ("lo_hz", "hi_hz", "step_hz"))
     cfg.require(hi >= lo, f"key '{section}.hi_hz'", f"{hi!r} is below {section}.lo_hz = {lo!r}")
     # the length of the np.arange below, before it allocates
     count = np.ceil((hi + step / 2 - lo) / step)
     cfg.require(count <= MAX_TONES, f"key '{section}.step_hz'",
                 f"{count:.0f} tones from {lo!r} to {hi!r}, more than {MAX_TONES}")
-    return np.arange(lo, hi + step / 2, step)
+    return np.minimum(np.arange(lo, hi + step / 2, step), hi)
 
 
 def _require_samples(cfg: RunConfig, key: str, count: float, what: str):

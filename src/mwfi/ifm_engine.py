@@ -277,8 +277,9 @@ def lut_to_csv(lut: AcfLut, path):
 
 
 def lut_from_csv(path) -> AcfLut:
-    """Reload a table written by lut_to_csv; a malformed file raises a
-    ValueError that names path."""
+    """Reload a table written by lut_to_csv; a malformed file (a band edge
+    or knot that is not finite, among others) raises a ValueError that
+    names path."""
     with open(path) as fh:
         header = fh.readline().strip()
     try:
@@ -291,10 +292,13 @@ def lut_from_csv(path) -> AcfLut:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1))
         if len(data) < 2:
             raise ValueError(f"need at least 2 knots, got {len(data)}")
+        band = (float(meta["f_lo_hz"]), float(meta["f_hi_hz"]))
+        if not (np.all(np.isfinite(band)) and np.all(np.isfinite(data))):
+            raise ValueError("band edges and knots must be finite")
         return AcfLut(
             mode=meta["mode"],
             port=int(meta["port"]),
-            band=(float(meta["f_lo_hz"]), float(meta["f_hi_hz"])),
+            band=band,
             freqs=data[:, 0],
             values=data[:, 1],
         )

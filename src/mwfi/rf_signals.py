@@ -1,12 +1,13 @@
 """Microwave emitter scenarios and their instantaneous spectral content.
 
 Signals are represented quasi-statically: at any instant a scenario reduces
-to a finite set of (frequency, amplitude) components. Detected power in the
-rest of the toolkit depends only on the detuning between these component
-frequencies and the filter frequencies, so RF carriers are never sampled.
+to a list of (frequency, amplitude) components, one per active emitter,
+coincident frequencies included. Detected power in the rest of the toolkit
+depends only on the detuning between these component frequencies and the
+filter frequencies, so RF carriers are never sampled.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -17,9 +18,7 @@ __all__ = [
     "ChirpSpec",
     "HopSpec",
     "RfScenario",
-    "SpectralSnapshot",
     "instantaneous_components",
-    "sample_track",
     "component_tracks",
     "component_powers",
     "sole_component_freq",
@@ -149,42 +148,18 @@ class RfScenario:
         object.__setattr__(self, "chirps", tuple(self.chirps))
         object.__setattr__(self, "hops", tuple(self.hops))
 
-    @property
-    def n_emitters(self) -> int:
-        return len(self.tones) + len(self.chirps) + len(self.hops)
 
-
-@dataclass(frozen=True)
-class SpectralSnapshot:
-    """Active (frequency, amplitude) pairs at one instant, identical freqs merged."""
-
-    components: tuple  # of (freq_hz, amplitude)
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-
-
-def _merge_components(pairs):
-    """Merge equal frequencies; amplitudes combine on a power basis."""
-    merged = {}
-    for f, a in pairs:
-        if f in merged:
-            merged[f] = math.hypot(merged[f], a)
-        else:
-            merged[f] = a
-    return tuple(sorted(merged.items()))
-
-
-def instantaneous_components(scenario: RfScenario, t: float) -> SpectralSnapshot:
-    """Spectral content of a scenario at time t.
+def instantaneous_components(scenario: RfScenario, t: float) -> tuple:
+    """(freq, amplitude) of every emitter active at time t, one pair per
+    emitter in emitter order: tones, then chirps, then hops.
 
     Tones are always on. A chirp contributes its ramp frequency while
     t mod repeat_interval < pulse_width. A hop contributes the frequency of
     the dwell containing t.
 
-    This is the scalar oracle API: the engines and the harness use the
-    vectorised component_tracks and sole_component_freq, and the tests
-    check those against this function sample by sample.
+    This is the scalar oracle: at a grid sample's time its pairs are the
+    active entries of component_tracks there, bit for bit, and the tests
+    check the vectorised paths against it sample by sample.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -201,31 +176,19 @@ def instantaneous_components(scenario: RfScenario, t: float) -> SpectralSnapshot
                 pairs.append((hop.freqs[idx % len(hop.freqs)], hop.amplitude))
             elif idx < len(hop.freqs):
                 pairs.append((hop.freqs[idx], hop.amplitude))
-    return SpectralSnapshot(_merge_components(pairs))
-
-
-def sample_track(scenario: RfScenario, grid: TimeGrid) -> list:
-    """One snapshot per grid sample.
-
-    Part of the scalar oracle API with instantaneous_components; nothing on
-    the simulation or artifact path calls it.
-    """
-    return [instantaneous_components(scenario, t) for t in grid.times()]
+    return tuple(pairs)
 
 
 def component_tracks(scenario: RfScenario, grid: TimeGrid, block=slice(None)) -> list:
     """Vectorized per-emitter tracks over the grid samples in the slice block.
 
     Returns a list of (freq, amplitude, active) triples, one per emitter,
-    equivalent to evaluating instantaneous_components at every sample time.
-    A tone is a scalar track (freq, amplitude, np.True_); chirps and hops
-    give per-sample freq and active arrays beside their scalar amplitude.
-    component_powers and sole_component_freq build on this form;
-    sample_track is the scalar oracle. Note that unlike sample_track,
-    coincident equal frequencies from different emitters are not merged
-    (the power sum is identical either way). Every operation is
-    elementwise on TimeGrid.block_times, so a block's tracks equal the
-    slices of the whole grid's bit for bit.
+    whose active entries at a sample are instantaneous_components at its
+    time. A tone is a scalar track (freq, amplitude, np.True_); chirps and
+    hops give per-sample freq and active arrays beside their scalar
+    amplitude. component_powers and sole_component_freq build on this form.
+    Every operation is elementwise on TimeGrid.block_times, so a block's
+    tracks equal the slices of the whole grid's bit for bit.
     """
     tracks = [(tone.freq, tone.amplitude, np.True_) for tone in scenario.tones]
     # only chirps and hops change over time: a tone-only scan needs no time axis
@@ -234,7 +197,9 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, block=slice(None)) ->
     for chirp in scenario.chirps:
         phase = t - chirp.repeat_interval * np.floor(t / chirp.repeat_interval)
         active = phase < chirp.pulse_width
-        freq = np.where(active, chirp.inst_freq(phase), chirp.center)
+        # ramp on-pulse phases only: an off phase, up to the repeat interval,
+        # overflows the ramp of a short enough pulse
+        freq = np.where(active, chirp.inst_freq(np.where(active, phase, 0.0)), chirp.center)
         tracks.append((freq, chirp.amplitude, active))
     for hop in scenario.hops:
         rel = t - hop.start
@@ -268,10 +233,7 @@ def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:
     """Per-sample frequency where exactly one distinct frequency is active.
 
     NaN elsewhere: no emitter active, or several distinct frequencies.
-    Equal frequencies from different emitters count once, as in
-    instantaneous_components, so this is the vectorised form of
-    ``len(snapshot.components) == 1`` and ``snapshot.components[0][0]``
-    over the grid.
+    Equal frequencies from different emitters count once.
     """
     # first: the frequency of the first active emitter in track order
     first = np.full(grid.n_samples, np.nan)

@@ -208,7 +208,8 @@ class CalibrationTable:
 
     @classmethod
     def load(cls, path):
-        """Reload a table written by save; a malformed file raises a
+        """Reload a table written by save; a malformed file (a number that
+        is not finite, a valid range whose ends are reversed) raises a
         ValueError that names path."""
         with open(path) as fh:
             lines = [ln.split() for ln in fh if ln.strip()]
@@ -216,6 +217,10 @@ class CalibrationTable:
             raise ValueError(f"{path}: expected 3 lines, got {len(lines)}")
         try:
             (a, b, c), (t0, t1), (rms,) = ([float(x) for x in ln] for ln in lines)
+            if not np.all(np.isfinite((a, b, c, t0, t1, rms))):
+                raise ValueError("every number must be finite")
+            if t0 > t1:
+                raise ValueError(f"valid range {t0!r}..{t1!r} is reversed")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return cls((a, b, c), (t0, t1), rms)
@@ -393,7 +398,7 @@ def detect_pulses(trace: ScanTrace) -> list:
     one nominal pulse width merge into one envelope, so randomly-filled
     envelopes hold together. A merged group is split where its smoothed
     profile shows several prominent peaks, which resolves closely spaced
-    clean tones.
+    clean tones. Events are found, and returned, in increasing peak time.
     """
     from scipy.signal import find_peaks
 
@@ -441,7 +446,6 @@ def detect_pulses(trace: ScanTrace) -> list:
             )
     if trace.settle_time is not None:
         events = [ev for ev in events if ev.peak_time >= trace.settle_time]
-    events.sort(key=lambda ev: ev.peak_time)
     return events
 
 
@@ -645,8 +649,8 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
     detects the same events. A malformed file raises a ValueError that names
     path: a field that is not a number, a row of another length, fewer than
     2 rows, a power sample that detected power cannot take (negative or not
-    finite), time stamps that do not increase, or rows that do not span one
-    drive period, as simulate_scan refuses such a grid.
+    finite), time stamps that are not finite or do not increase, or rows
+    that do not span one drive period, as simulate_scan refuses such a grid.
     """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -655,6 +659,8 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
         power = data[:, 1]
         if not np.all((power >= 0) & (power < np.inf)):
             raise ValueError("power samples must be finite and >= 0")
+        if not np.all(np.isfinite(data[:, 0])):
+            raise ValueError("time stamps must be finite")
         dt = np.diff(data[:, 0])
         if not np.all(dt > 0):
             raise ValueError("time stamps must increase row by row")

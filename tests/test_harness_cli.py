@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
@@ -716,8 +716,9 @@ TINY_RUN = {
     "dynamic": "ifm.duration_s = 2e-7",
     "classify": "drive.period_s = 0.002\nscan.sample_rate_hz = 5e5\ncalibration.step_hz = 5e9",
 }
-# (pulse width, repeat interval) of a chirp on each mode's time scale
-CHIRP_TIMING = {"dynamic": (4e-8, 1e-7), "classify": (1.6e-6, 4e-6)}
+# the repeat interval of a chirp on each mode's time scale; its pulse width
+# is a drawn fraction of it
+CHIRP_TIMING = {"dynamic": 1e-7, "classify": 4e-6}
 
 
 @settings(max_examples=60, deadline=None)
@@ -729,7 +730,8 @@ def test_drawn_scenario_runs_finite_or_names_what_it_holds(tmp_path_factory, mod
         values[f"scenario.tone{i}.freq_hz"] = draw(_FREQ)
         values[f"scenario.tone{i}.amplitude"] = draw(_AMPLITUDE)
     if draw(st.booleans()):
-        width, interval = CHIRP_TIMING[mode]
+        interval = CHIRP_TIMING[mode]
+        width = interval * draw(st.floats(0.0, 1.0, exclude_min=True))
         values.update({
             "scenario.chirp1.center_hz": draw(_FREQ),
             "scenario.chirp1.span_hz": draw(st.floats(0.1e9, 8e9)),
@@ -771,6 +773,7 @@ def test_drawn_scenario_runs_finite_or_names_what_it_holds(tmp_path_factory, mod
 
 
 @settings(max_examples=60, deadline=None)
+@example(lo=10e9, span=10e9, n=30, nudge=1.0)  # 10-20 GHz in thirds: the last tone overshot
 @given(
     lo=st.floats(1e9, 30e9),
     span=st.floats(0.0, 20e9),
@@ -791,7 +794,8 @@ def test_tone_cap_counts_as_arange_does(lo, span, n, nudge):
         with pytest.raises(ConfigError, match="key 'measure.step_hz'"):
             _tone_list(cfg, "measure")
     else:
-        assert _tone_list(cfg, "measure").size == count
+        tones = _tone_list(cfg, "measure")
+        assert tones.size == count and np.all(tones <= hi)
 
 
 # a mode that reads each setting of PLAN_LINES, with the lines it needs
@@ -1253,6 +1257,14 @@ class TestCli:
         cfg = tmp_path / "band.cfg"
         cfg.write_text(f"mode = {mode}\nifm.band_lo_hz = 21e9\nifm.band_hi_hz = 30e9\n{lines}")
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_ftpm_sweep_in_thirds_exits_zero(self, tmp_path):
+        # 10-20 GHz in thirds: np.arange put the last tone at
+        # 20000000000.00002 Hz, outside the lookup band, and the run exited 2
+        cfg = tmp_path / "thirds.cfg"
+        cfg.write_text("mode = measure\nmeasure.method = ftpm\n"
+                       "measure.step_hz = 333333333.3333333\n")
+        assert main(["measure", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_tone_inside_a_raised_band_reads_out(self, tmp_path):
         # 392 of the 400 samples read NOISE while the former ifm.upper_limit_hz

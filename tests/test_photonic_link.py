@@ -409,7 +409,7 @@ class TestLinkPower:
         out = np.empty(grid.n_samples)
         for k, t in enumerate(grid.times()):
             total = sideband = 0.0
-            for f, amp in instantaneous_components(self.SCENARIO, t).components:
+            for f, amp in instantaneous_components(self.SCENARIO, t):
                 p = amp * amp
                 w = 1.0 / (1.0 + (f / mod.bw_3db) ** 2)
                 total += p * w * (response(k, f) + imgs * response(k, -f))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwfi.classifier import EnvelopeFeatures, compute_features
+from mwfi.ifm_engine import lut_from_csv
 from mwfi.photonic_link import LinkModels, MrrModel, PdModel, pd_detect, thermal_lag
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi import scan_engine
@@ -857,3 +858,35 @@ class TestPersistence:
         path.write_text("time_s,power\n" + rows)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
             scan_trace_from_csv(path, noiseless_models, SawtoothDrive(period=5e-3))
+
+    # a 1,000-row trace at 1 MS/s spans a 1 ms drive period
+    TRACE = "time_s,power\n" + "".join(f"{k / 1e6!r},1.0\n" for k in range(999))
+    LUT = "# mode=single_port port=1 f_lo_hz={} f_hi_hz=2e10\n1e10,0.9\n{},0.1\n"
+
+    @pytest.mark.parametrize(
+        "loader, text, error",
+        [
+            ("calibration", "nan 1 2\n0 1\n0\n", "every number must be finite"),
+            ("calibration", "1 2 3\n0 1\ninf\n", "every number must be finite"),
+            ("calibration", "1 2 3\n5 1\n0\n", "valid range 5.0..1.0 is reversed"),
+            ("lut", LUT.format("nan", "2e10"), "band edges and knots must be finite"),
+            ("lut", LUT.format("1e10", "nan"), "band edges and knots must be finite"),
+            ("lut", LUT.format("1e10", "inf"), "band edges and knots must be finite"),
+            ("trace", TRACE + "inf,1.0\n", "time stamps must be finite"),
+        ],
+        ids=["nan coeff", "inf residual", "reversed range", "nan band edge", "nan knot",
+             "inf knot", "inf time stamp"],
+    )
+    def test_loaders_refuse_non_finite_numbers(self, noiseless_models, tmp_path, loader, text,
+                                               error):
+        load = {
+            "calibration": CalibrationTable.load,
+            "lut": lut_from_csv,
+            "trace": lambda path: scan_trace_from_csv(
+                path, noiseless_models, SawtoothDrive(period=1e-3)
+            ),
+        }[loader]
+        path = tmp_path / "saved"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
+            load(path)
