@@ -29,11 +29,6 @@ class ClassLabel(Enum):
     FREQUENCY_HOPPING = "hopping"
     UNKNOWN = "unknown"
 
-    @property
-    def token(self) -> str:
-        """Serialized form used in reports."""
-        return self.value
-
 
 @dataclass(frozen=True)
 class EnvelopeFeatures:

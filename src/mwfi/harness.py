@@ -144,15 +144,16 @@ class RunPlan:
 
 def _tone_list(cfg: RunConfig, section: str) -> np.ndarray:
     """Tones lo, lo + step, ... up to hi (Hz) from a section's lo_hz, hi_hz
-    and step_hz keys; rounding can put the last tone past hi, so it is
-    clamped to hi."""
+    and step_hz keys, lo alone where hi + step / 2 rounds to hi = lo; rounding
+    can also put the last tone past hi, so it is clamped to hi."""
     lo, hi, step = (cfg.get(f"{section}.{key}") for key in ("lo_hz", "hi_hz", "step_hz"))
     cfg.require(hi >= lo, f"key '{section}.hi_hz'", f"{hi!r} is below {section}.lo_hz = {lo!r}")
     # the length of the np.arange below, before it allocates
     count = np.ceil((hi + step / 2 - lo) / step)
     cfg.require(count <= MAX_TONES, f"key '{section}.step_hz'",
                 f"{count:.0f} tones from {lo!r} to {hi!r}, more than {MAX_TONES}")
-    return np.minimum(np.arange(lo, hi + step / 2, step), hi)
+    tones = np.arange(lo, hi + step / 2, step)
+    return np.minimum(tones, hi) if tones.size else np.array([lo])
 
 
 def _require_samples(cfg: RunConfig, key: str, count: float, what: str):
@@ -164,17 +165,17 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     """Read and check every setting that mode (by default the config's) uses.
 
     A bad setting raises ConfigError naming its key, or its section where
-    several keys meet. FTTM plans compute the run's scan axis, which run
-    clears when the run ends.
+    several keys meet. A sweep's plan is its target's plan and a seed count,
+    so it reads what its target reads. FTTM plans compute the run's scan
+    axis, which run clears when the run ends.
     """
     mode = cfg.get("mode") if mode is None else mode
     if mode == "sweep":
         target, n_seeds = cfg.get("sweep.mode"), cfg.get("sweep.n_seeds")
-        scenario = cfg.build_scenario()
-        return RunPlan(mode, scenario=scenario, target=build_plan(cfg, target), n_seeds=n_seeds)
+        return RunPlan(mode, target=build_plan(cfg, target), n_seeds=n_seeds)
 
     models = cfg.build_models()
-    plan, scenario = dict(models=models), RfScenario()
+    plan, scenario, sections = dict(models=models), RfScenario(), cfg.emitter_sections()
     if mode in ("classify", "dynamic"):
         scenario = plan["scenario"] = cfg.build_scenario()
     if mode == "measure":
@@ -187,8 +188,8 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         n = rate * drive.period
         _require_samples(cfg, "scan.sample_rate_hz", n, "a scan")
         with cfg.blame("key 'scan.sample_rate_hz'"):
-            grid = TimeGrid(sample_rate=rate, n_samples=round(n))
-        plan.update(drive=drive, scan_grid=grid, cal_tones=tones)
+            plan["scan_grid"] = TimeGrid(sample_rate=rate, n_samples=round(n))
+        plan.update(drive=drive, cal_tones=tones)
     if mode in ("calibrate", "dynamic") or plan.get("method") == "ftpm":
         band = (cfg.get("ifm.band_lo_hz"), cfg.get("ifm.band_hi_hz"))
         lut_mode, port, n_knots = (cfg.get(f"ifm.{key}") for key in ("mode", "port", "n_knots"))
@@ -199,17 +200,19 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         rate, duration = cfg.get("ifm.sample_rate_hz"), cfg.get("ifm.duration_s")
         # the rate is checked on its own, so an empty grid is the duration's fault
         with cfg.blame("key 'ifm.sample_rate_hz'"):
-            grid = TimeGrid(sample_rate=rate, n_samples=1)
-            check_hop_sampling(scenario, grid)
+            probe = TimeGrid(sample_rate=rate, n_samples=1)
+            check_hop_sampling(scenario, probe)
         _require_samples(cfg, "ifm.sample_rate_hz", rate * duration, f"a {duration!r} s trace")
         with cfg.blame("key 'ifm.duration_s'"):
-            plan["ifm_grid"] = replace(grid, n_samples=round(rate * duration))
+            plan["ifm_grid"] = replace(probe, n_samples=round(rate * duration))
+    # the run's trace: its scans, or its IFM trace
+    grid = plan.get("scan_grid") or plan["ifm_grid"]
     # the most optical power a trace holds before any filter (the emitters'
     # amplitudes squared and summed, or 1 for a calibration or measure tone,
     # times link.gain); a scan's running means and the FTPM mean sum a trace
     amplitudes = [e.amplitude for e in (*scenario.tones, *scenario.chirps, *scenario.hops)]
     scene = sum(a * a for a in amplitudes) * models.link_gain
-    n = 1 if mode == "dynamic" else (plan.get("scan_grid") or plan["ifm_grid"]).n_samples
+    n = 1 if mode == "dynamic" else grid.n_samples
     power = scene if mode == "dynamic" else max(scene, models.link_gain)
     cfg.require(math.isfinite(power * n),
                 "section 'scenario'" if scene > models.link_gain else "key 'link.gain'",
@@ -219,17 +222,14 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     cfg.require(math.isfinite(sigma * power * NOISE_DRAW_MAX * n), "key 'pd.noise_sigma'",
                 f"noise of std {sigma!r} x {power!r} W, at {NOISE_DRAW_MAX:g} sigma over {n}"
                 " sample(s) of a trace, passes the largest float")
-    if "scenario" in plan:
-        # the tracks count the repeats and dwells up to each sample time
-        duration = (plan.get("scan_grid") or plan["ifm_grid"]).duration
-        sections = cfg.emitter_sections()
-        periods = [(name, "repeat interval", c.repeat_interval, duration)
-                   for name, c in zip(sections["chirp"], scenario.chirps)]
-        periods += [(name, "dwell", h.dwell, max(duration - h.start, 0.0))
-                    for name, h in zip(sections["hop"], scenario.hops)]
-        for section, what, period, span in periods:
-            cfg.require(math.isfinite(span / period), f"section '{section}'",
-                        f"{what} {period!r} s is too short to count over {span!r} s")
+    # the tracks count the repeats and dwells up to each sample time
+    periods = [(name, "repeat interval", c.repeat_interval, grid.duration)
+               for name, c in zip(sections["chirp"], scenario.chirps)]
+    periods += [(name, "dwell", h.dwell, max(grid.duration - h.start, 0.0))
+                for name, h in zip(sections["hop"], scenario.hops)]
+    for section, what, period, span in periods:
+        cfg.require(math.isfinite(span / period), f"section '{section}'",
+                    f"{what} {period!r} s is too short to count over {span!r} s")
     single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
     cfg.require(single, "key 'ifm.mode'", "ftpm measure needs single_port")
     if "scan_grid" in plan:
@@ -258,26 +258,25 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     spans = [(section, "tone", f, f)
              for section, key in (("calibration", "cal_tones"), ("measure", "tones"))
              for f in plan.get(key, ())]
-    if "scenario" in plan:
-        emitters = [(name, "tone", t.freq, t.freq)
-                    for name, t in zip(sections["tone"], scenario.tones)]
-        emitters += [(name, "chirp", c.center - c.span / 2, c.center + c.span / 2)
-                     for name, c in zip(sections["chirp"], scenario.chirps)]
-        emitters += [(name, "hop", f, f)
-                     for name, h in zip(sections["hop"], scenario.hops) for f in h.freqs]
-        if mode == "classify":
-            spans += emitters
-        # a dynamic run squares each emitter's roll-off f / bw and notch detunings and
-        # takes its fringe phase at the sideband f, its image -f and the carrier 0: its
-        # highest f bounds them all
-        mod, mzi, notch = models.modulator, models.mzi, models.notch
-        centers = notch.centers if notch is not None else ()
-        for section, what, _, f in emitters if mode == "dynamic" else ():
-            ratios = [f / mod.bw_3db] + [2.0 * (f + abs(c)) / notch.fwhm_each for c in centers]
-            phase = 2.0 * math.pi * (f + abs(mzi.f_ref)) / mzi.fsr
-            ok = math.isfinite(phase) and all(math.isfinite(x * x) for x in ratios)
-            cfg.require(ok, f"section '{section}'",
-                        f"{what} up to {f!r} Hz overflows the IFM path's arithmetic")
+    emitters = [(name, "tone", t.freq, t.freq)
+                for name, t in zip(sections["tone"], scenario.tones)]
+    emitters += [(name, "chirp", c.center - c.span / 2, c.center + c.span / 2)
+                 for name, c in zip(sections["chirp"], scenario.chirps)]
+    emitters += [(name, "hop", f, f)
+                 for name, h in zip(sections["hop"], scenario.hops) for f in h.freqs]
+    if mode == "classify":
+        spans += emitters
+    # a dynamic run squares each emitter's roll-off f / bw and notch detunings and
+    # takes its fringe phase at the sideband f, its image -f and the carrier 0: its
+    # highest f bounds them all
+    mod, mzi, notch = models.modulator, models.mzi, models.notch
+    centers = notch.centers if notch is not None else ()
+    for section, what, _, f in emitters if mode == "dynamic" else ():
+        ratios = [f / mod.bw_3db] + [2.0 * (f + abs(c)) / notch.fwhm_each for c in centers]
+        phase = 2.0 * math.pi * (f + abs(mzi.f_ref)) / mzi.fsr
+        ok = math.isfinite(phase) and all(math.isfinite(x * x) for x in ratios)
+        cfg.require(ok, f"section '{section}'",
+                    f"{what} up to {f!r} Hz overflows the IFM path's arithmetic")
     for section, what, f_lo, f_hi in spans:
         freqs = f"{f_lo / 1e9:.3f}" + (f"..{f_hi / 1e9:.3f}" if f_hi > f_lo else "")
         cfg.require(lo <= f_lo and f_hi <= hi, f"section '{section}'", f"{what} {freqs} GHz"
@@ -338,11 +337,11 @@ def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     features = compute_features(events, trace)
     label = classify(features)
     # the decision's inputs, so a run without its trace can be diagnosed
-    report.classification = label.token
+    report.classification = label.value
     report.extras.update(_fit_quality(plan, table))
     if trace.level is not None:
-        # the detection threshold is the floor plus THRESHOLD_FRAC of full
-        # scale, and the trace holds a signal because full scale > 8 sigma
+        # the detection threshold is TraceLevel.threshold, and the trace
+        # holds a signal because full scale > 8 sigma
         floor, fullscale, sigma = trace.level
         report.extras["detect_floor_w"] = f"{floor:.6e}"
         report.extras["detect_full_scale_w"] = f"{fullscale:.6e}"
@@ -419,7 +418,7 @@ def _run_sweep(plan: RunPlan, seed: int, out: Path, report: MetricsReport) -> di
         report.extras["span_error_frac_max"] = f"{max(span_values):.6e}"
     labels = [r.classification for r in rows if r.classification is not None]
     if labels:
-        want = expected_label(plan.scenario).token
+        want = expected_label(plan.target.scenario).value
         correct = sum(1 for lab in labels if lab == want)
         report.classification = want
         report.extras["classification_accuracy"] = f"{correct / len(labels):.4f}"

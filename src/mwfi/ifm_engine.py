@@ -107,7 +107,7 @@ class IfmTrace:
 
     grid: TimeGrid
     power: np.ndarray
-    normalization: float  # power of a unit-amplitude component at the band maximum
+    normalization: float  # unit-amplitude power, the largest of 2048 across the band
 
     def __post_init__(self):
         object.__setattr__(self, "power", np.asarray(self.power, dtype=float))
@@ -210,8 +210,9 @@ def simulate_ifm(
 
     link_power through the port response times the bandstop transmission,
     through the detector, whose noise seed is seed. The normalization is
-    the detected power of a unit-amplitude component at the band maximum of
-    the port response (bandstop excluded).
+    the largest detected power of a unit-amplitude component at 2048 evenly
+    spaced frequencies across the band, the bandstop excluded: a sampled
+    peak, which can sit below the response's true maximum in the band.
     """
     check_hop_sampling(scenario, grid)
 

@@ -185,7 +185,8 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
     cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
     imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
     total = np.zeros(n_samples)
-    for block in _blocks(n_samples):
+    for start in range(0, n_samples, BLOCK):
+        block = slice(start, start + BLOCK)
         out = total[block]
         sideband_power = 0.0
         for f, p in components(block):
@@ -195,11 +196,6 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
             sideband_power = sideband_power + p
         out += cs * sideband_power * response(0.0, block)
     return total
-
-
-def _blocks(n_samples: int):
-    """Slices of BLOCK consecutive samples covering 0..n_samples."""
-    return (slice(i, i + BLOCK) for i in range(0, n_samples, BLOCK))
 
 
 def mrr_drop_response(model: MrrModel, detuning):

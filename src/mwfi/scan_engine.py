@@ -96,6 +96,11 @@ class TraceLevel(NamedTuple):
     full_scale: float
     noise_sigma: float
 
+    @property
+    def threshold(self) -> float:
+        """The detection threshold: THRESHOLD_FRAC of full scale above the floor."""
+        return self.floor + THRESHOLD_FRAC * self.full_scale
+
 
 @dataclass(frozen=True)
 class ScanTrace:
@@ -393,8 +398,8 @@ def _fill_randomness(seg: np.ndarray) -> float:
 def detect_pulses(trace: ScanTrace) -> list:
     """Find pulses/envelopes in a scan trace.
 
-    The threshold sits THRESHOLD_FRAC of the trace's full scale above its
-    floor (ScanTrace.level, the median). Above-threshold runs closer than
+    The threshold is the trace's TraceLevel.threshold, THRESHOLD_FRAC of its
+    full scale above its floor (the median). Above-threshold runs closer than
     one nominal pulse width merge into one envelope, so randomly-filled
     envelopes hold together. A merged group is split where its smoothed
     profile shows several prominent peaks, which resolves closely spaced
@@ -404,9 +409,7 @@ def detect_pulses(trace: ScanTrace) -> list:
 
     if trace.level is None:
         return []
-    floor, fullscale, _ = trace.level
-    power = trace.power
-    threshold = floor + THRESHOLD_FRAC * fullscale
+    floor, threshold, power = trace.level.floor, trace.level.threshold, trace.power
     # full scale is above the threshold, so there is at least one run
     starts, stops = _above_threshold_runs(power > threshold)
 
@@ -603,17 +606,16 @@ def _occupancy_edges(above: np.ndarray, window: int):
 def measure_span(trace: ScanTrace, table: CalibrationTable) -> float:
     """Frequency span of the envelope above the detection threshold.
 
-    The threshold is the one detect_pulses uses: THRESHOLD_FRAC of the
-    trace's full scale above its floor. Each edge sits where the fraction
-    of above-threshold samples in a window of 0.6 pulse widths crosses half
-    its plateau. The Lorentzian tails would push the literal first and last
-    above-threshold samples outward by several linewidths.
+    The threshold is the one detect_pulses uses, TraceLevel.threshold. Each
+    edge sits where the fraction of above-threshold samples in a window of
+    0.6 pulse widths crosses half its plateau. The Lorentzian tails would
+    push the literal first and last above-threshold samples outward by
+    several linewidths.
     """
     if trace.level is None:
         raise ValueError("no envelope: trace is flat or noise-limited")
-    floor, fullscale, _ = trace.level
     # full scale > 0 puts the peak above the threshold, so some sample is above it
-    above = trace.power > floor + THRESHOLD_FRAC * fullscale
+    above = trace.power > trace.level.threshold
 
     w = max(5, int(round(0.6 * trace.pulse_width_hint * trace.grid.sample_rate)))
     i_lo, i_hi = _occupancy_edges(above, w)

@@ -27,11 +27,12 @@ class TestClassify:
             assert isinstance(label, ClassLabel)
 
     def test_tokens(self):
-        assert ClassLabel.SINGLE_FREQUENCY.token == "single"
-        assert ClassLabel.MULTIPLE_FREQUENCY.token == "multiple"
-        assert ClassLabel.CHIRPED.token == "chirped"
-        assert ClassLabel.FREQUENCY_HOPPING.token == "hopping"
-        assert ClassLabel.UNKNOWN.token == "unknown"
+        # a label's value is its text in report.txt and sweep.csv
+        assert ClassLabel.SINGLE_FREQUENCY.value == "single"
+        assert ClassLabel.MULTIPLE_FREQUENCY.value == "multiple"
+        assert ClassLabel.CHIRPED.value == "chirped"
+        assert ClassLabel.FREQUENCY_HOPPING.value == "hopping"
+        assert ClassLabel.UNKNOWN.value == "unknown"
 
 
 SCENARIOS = {
@@ -47,7 +48,7 @@ SCENARIOS = {
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("want", list(SCENARIOS), ids=lambda lab: lab.token)
+    @pytest.mark.parametrize("want", list(SCENARIOS), ids=lambda lab: lab.value)
     def test_canonical_scenarios(self, want, drive, grid_fast):
         scenario = SCENARIOS[want]
         for seed in range(3):

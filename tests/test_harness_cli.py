@@ -789,13 +789,33 @@ def test_tone_cap_counts_as_arange_does(lo, span, n, nudge):
     lo, hi = cfg.get("measure.lo_hz"), cfg.get("measure.hi_hz")
     # a subnormal span over n tones can round the step to 0, which the
     # step's own check refuses by the same key
-    count = np.arange(lo, hi + step / 2, step).size if step > 0 else np.inf
+    count = max(np.arange(lo, hi + step / 2, step).size, 1) if step > 0 else np.inf
     if count > MAX_TONES:
         with pytest.raises(ConfigError, match="key 'measure.step_hz'"):
             _tone_list(cfg, "measure")
     else:
         tones = _tone_list(cfg, "measure")
         assert tones.size == count and np.all(tones <= hi)
+
+
+# lo = hi with a step below hi's last digit: hi + step / 2 rounds to hi, and
+# np.arange(lo, hi) holds no tone
+ONE_TONE = "measure.lo_hz = 15e9\nmeasure.hi_hz = 15e9\nmeasure.step_hz = 1e-6\n"
+
+
+@pytest.mark.parametrize("method", ["fttm", "ftpm"])
+def test_equal_bounds_give_one_tone(method):
+    cfg = RunConfig.from_text(f"mode = measure\nmeasure.method = {method}\n{ONE_TONE}")
+    assert build_plan(cfg).tones.tolist() == [15e9]
+
+
+def test_ftpm_measure_of_one_tone_scores_it(tmp_path):
+    # the empty list wrote a header-only estimates.csv and a report with no
+    # score, exiting 0
+    cfg = RunConfig.from_text(f"mode = measure\nmeasure.method = ftpm\n{ONE_TONE}")
+    report = run(cfg, out_dir=tmp_path)
+    assert len((tmp_path / "estimates.csv").read_text().splitlines()) == 2
+    assert report.rms_error_hz is not None and len(report.per_tone_errors_hz) == 1
 
 
 # a mode that reads each setting of PLAN_LINES, with the lines it needs
@@ -1036,6 +1056,26 @@ class TestCli:
         assert main([mode, "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {bad}: key '{key}'" in err
+
+    def test_sweep_reads_what_its_target_reads(self, tmp_path, capsys):
+        # measure ignores the scenario, so a measure sweep does too: the
+        # sweep built the scenario itself and exited 2
+        lines = ("measure.method = ftpm\nmeasure.lo_hz = 15e9\nmeasure.hi_hz = 15e9\n"
+                 "scenario.tone1.freq_hz = -1\n")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"mode = sweep\nsweep.mode = measure\nsweep.n_seeds = 1\n{lines}")
+        sweep, single = tmp_path / "sweep", tmp_path / "single"
+        assert main(["sweep", "--config", str(cfg), "--out", str(sweep)]) == 0
+        cfg.write_text(f"mode = measure\n{lines}")
+        assert main(["measure", "--config", str(cfg), "--out", str(single)]) == 0
+        kept = sweep / "seed_1" / "estimates.csv"
+        assert kept.read_bytes() == (single / "estimates.csv").read_bytes()
+        # a classify sweep reads the scenario, as classify does
+        cfg.write_text(f"mode = sweep\nsweep.mode = classify\n{lines}")
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+        assert f"config error: {cfg}: section 'scenario.tone1'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize(
         "line, name",
