@@ -109,15 +109,12 @@ class ScanTrace:
     pulse_width_hint is the nominal time-domain width of a static-tone
     crossing pulse (MRR linewidth / mean scan rate), 1% of the trace
     duration when not given; detectors use it to scale gap tolerances and
-    smoothing windows. settle_time is a window at the start of the ramp,
-    ten heater time constants long, in which detect_pulses drops every
-    crossing; it follows no reset, since a trace holds one ramp.
+    smoothing windows.
     """
 
     grid: TimeGrid
     power: np.ndarray
     pulse_width_hint: float | None = None
-    settle_time: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "power", np.asarray(self.power, dtype=float))
@@ -294,8 +291,7 @@ def simulate_scan(
         raise ValueError(f"optical has shape {np.shape(optical)}, the scan axis {f_s.shape}")
 
     power = pd_detect(optical, models.pd, grid, seed, draws)
-    hint, settle = _scan_timing(models, drive)
-    return ScanTrace(grid=grid, power=power, pulse_width_hint=hint, settle_time=settle)
+    return ScanTrace(grid, power, _pulse_width_hint(models, drive))
 
 
 def _draw_ahead(pool, seed: int, grid: TimeGrid, out=None):
@@ -327,10 +323,10 @@ def _optical_power(
     return total
 
 
-def _scan_timing(models: LinkModels, drive: SawtoothDrive):
-    """(pulse_width_hint, settle_time) of a scan, as ScanTrace defines them."""
+def _pulse_width_hint(models: LinkModels, drive: SawtoothDrive) -> float:
+    """A scan's pulse_width_hint, as ScanTrace defines it."""
     lo, hi = mrr_resonance_offset(models.mrr, np.square((drive.v_min, drive.v_max)))
-    return float(models.mrr.fwhm / ((hi - lo) / drive.period)), 10.0 * models.mrr.tau_thermal
+    return float(models.mrr.fwhm / ((hi - lo) / drive.period))
 
 
 def running_mean(x, size: int, edge=None) -> np.ndarray:
@@ -447,8 +443,6 @@ def detect_pulses(trace: ScanTrace) -> list:
                     fill_randomness=_fill_randomness(sub),
                 )
             )
-    if trace.settle_time is not None:
-        events = [ev for ev in events if ev.peak_time >= trace.settle_time]
     return events
 
 
@@ -646,13 +640,13 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
     """Reload a trace written by scan_trace_to_csv.
 
     The file holds only times and power, and its first row is the start of
-    the ramp; the pulse width hint and settle time come from the models and
-    drive that produced it, as in simulate_scan, so the reloaded trace
-    detects the same events. A malformed file raises a ValueError that names
-    path: a field that is not a number, a row of another length, fewer than
-    2 rows, a power sample that detected power cannot take (negative or not
-    finite), time stamps that are not finite or do not increase, or rows
-    that do not span one drive period, as simulate_scan refuses such a grid.
+    the ramp; the pulse width hint comes from the models and drive that
+    produced it, as in simulate_scan, so the reloaded trace detects the same
+    events. A malformed file raises a ValueError that names path: a field
+    that is not a number, a row of another length, fewer than 2 rows, a
+    power sample that detected power cannot take (negative or not finite),
+    time stamps that are not finite or do not increase, or rows that do not
+    span one drive period, as simulate_scan refuses such a grid.
     """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -671,5 +665,4 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
             raise ValueError(f"rows span {grid.duration:.6e} s, not one {drive.period} s period")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    hint, settle = _scan_timing(models, drive)
-    return ScanTrace(grid=grid, power=power, pulse_width_hint=hint, settle_time=settle)
+    return ScanTrace(grid, power, _pulse_width_hint(models, drive))

@@ -4,12 +4,13 @@ Every artifact of three shipped presets, four tiny FTTM configs, a tiny
 classify sweep, a tiny ratio-mode dynamic run and two 40 us dynamic runs is
 hashed, sub-run directories included; report.txt is hashed without its
 runtime_s line. A change to the numerics, the CSV formatting or the report
-layout fails here.
+layout fails here, as does a report key that README.md does not name.
 Update a digest only for a deliberate change of output, and record why in
 CHANGES.md.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -153,7 +154,7 @@ GOLDEN = {
         "report.txt": "ff8ab0c328ff8548dc09d14e43f81437576469d83a79433be97a2c5b74d4aea5",
     },
     "tiny_sweep": {
-        "report.txt": "5ffb16462ad471c9f67196103d6acde29948477d8c11da69b2338c6c733d1e8e",
+        "report.txt": "d4a33e31248d4003b88fce4c45e760acf889fd6dc1c72124f9eb205f8fca1bc7",
         "seed_1/report.txt": "8faa401e601d15c9d3ca0014a670dcbe57abb9b0e1b845cb250e8a8ce1149ffa",
         "seed_2/report.txt": "f10b39e1b5068a557b3500fafeb53f31dee87a4021294b629383f322537bee83",
         "sweep.csv": "54b541b17e50b3b2f3b5c6ef1357146cd0cabbd10c7048e741bd1b3dfcbf7ed4",
@@ -206,7 +207,32 @@ def artifact_digests(out_dir) -> dict:
     return digests
 
 
+@pytest.fixture(scope="module")
+def golden_out(tmp_path_factory):
+    """The output directory of a golden run, run once on first use."""
+    outs = {}
+
+    def out(name):
+        if name not in outs:
+            outs[name] = tmp_path_factory.mktemp(name)
+            run(_config(name), out_dir=outs[name])
+        return outs[name]
+
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifacts_byte_stable(name, tmp_path):
-    run(_config(name), out_dir=tmp_path)
-    assert artifact_digests(tmp_path) == GOLDEN[name]
+def test_artifacts_byte_stable(name, golden_out):
+    assert artifact_digests(golden_out(name)) == GOLDEN[name]
+
+
+def test_readme_documents_every_report_key(golden_out):
+    # a key a report starts writing cannot stay undocumented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = {
+        line.split(" = ", 1)[0]
+        for name in sorted(GOLDEN)
+        for path in golden_out(name).rglob("report.txt")
+        for line in path.read_text().splitlines()
+    }
+    assert [key for key in sorted(keys) if f"`{key}`" not in readme] == []

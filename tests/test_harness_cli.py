@@ -206,7 +206,7 @@ class TestExpectedLabel:
         [
             (1, 0, ClassLabel.CHIRPED),
             (0, 1, ClassLabel.FREQUENCY_HOPPING),
-            (1, 1, ClassLabel.UNKNOWN),  # a mix is outside the decision table
+            (1, 1, None),  # the decision table names no mix
         ],
         ids=["chirped", "hopping", "mixed"],
     )
@@ -403,7 +403,7 @@ class TestRun:
             lines + "sweep.mode = classify\nsweep.n_seeds = 2\ncalibration.step_hz = 5e9\n"
         )
         report = run(cfg, out_dir=tmp_path)
-        assert report.classification == "chirped"
+        assert report.extras["expected_label"] == "chirped"
         assert report.extras["classification_accuracy"] == "1.0000"
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         spans = [float(row.split(",")[2]) for row in rows]
@@ -421,12 +421,27 @@ class TestRun:
             "scenario.tone1.freq_hz = 15e9\n"
         )
         report = run(cfg, out_dir=tmp_path)
+        assert report.extras["expected_label"] == "single"
         assert report.extras["classification_accuracy"] == "1.0000"
         assert (tmp_path / "sweep.csv").exists()
         for seed in (1, 2):
             sub = _read_report(tmp_path / f"seed_{seed}" / "report.txt")
             assert float(sub["runtime_s"]) > 0  # each sub-run times itself
             assert not (tmp_path / f"seed_{seed}" / "scan_trace.csv").exists()
+
+    def test_mixed_sweep_scores_no_label(self, tmp_path):
+        # tones and a hop: the decision table names no mix, so the sweep keeps
+        # what the classifier said and writes no expected label or accuracy
+        cfg = RunConfig.from_text(
+            "mode = sweep\nsweep.mode = classify\nsweep.n_seeds = 1\n"
+            "calibration.step_hz = 5e9\n"
+            "scenario.tone1.freq_hz = 12e9\nscenario.tone2.freq_hz = 16e9\n"
+            "scenario.hop1.freqs_hz = 10e9,13e9,18e9\nscenario.hop1.dwell_s = 80e-9\n"
+        )
+        run(cfg, out_dir=tmp_path)
+        keys = _read_report(tmp_path / "report.txt")
+        assert not {"expected_label", "classification", "classification_accuracy"} & set(keys)
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1].endswith(",hopping")
 
     def test_dynamic_sweep_keeps_no_traces(self, tmp_path):
         cfg = RunConfig.from_text(
@@ -1393,10 +1408,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "mode, lines, error",
         [
-            # at this noise level and seed, calibration tones 12 and 13 GHz
+            # at this noise level and seed, calibration tones 18 and 19 GHz
             # each give 2 pulses (TestToneScans.test_error_surfaces_at_its_tone)
-            ("calibrate", "pd.noise_sigma = 0.03\nseed = 14\n",
-             "calibration tone 12.000 GHz produced 2 pulses (need 1)"),
+            ("calibrate", "pd.noise_sigma = 0.03\nseed = 13\n",
+             "calibration tone 18.000 GHz produced 2 pulses (need 1)"),
             # the calibration ends at 20 GHz: 24, 28, 32 and 36 GHz lie beyond it
             ("measure", "measure.lo_hz = 12e9\nmeasure.hi_hz = 36e9\nmeasure.step_hz = 4e9\n",
              "tone 24.000 GHz gave 0 in-band pulses"),
