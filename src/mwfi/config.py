@@ -46,7 +46,6 @@ _SECTIONS = {
         "centers_hz": "centers", "fwhm_each_hz": "fwhm_each", "rejection_db": "rejection",
     }),
     "pd": (PdModel, {"bw_3db_hz": "bw_3db", "noise_sigma": "noise_sigma"}),
-    "link": (LinkModels, {"gain": "link_gain"}),
     "tone": (ToneSpec, {"freq_hz": "freq", "amplitude": "amplitude"}),
     "chirp": (ChirpSpec, {
         "center_hz": "center", "span_hz": "span", "pulse_width_s": "pulse_width",
@@ -198,11 +197,10 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.source}: {where}: {exc}") from None
 
-    def _build(self, section, prefix=None, **given):
+    def _build(self, section, prefix=None):
         """The section's model from its keys under prefix (default the
-        section); an unset key keeps the model's default, and given fields
-        are passed as they are. The model's own ValueError is reported as a
-        config error of the section."""
+        section); an unset key keeps the model's default. The model's own
+        ValueError is reported as a config error of the section."""
         prefix = prefix or section
         model, keys = _SECTIONS[section]
         spec = {f.name: f for f in fields(model)}
@@ -216,7 +214,7 @@ class RunConfig:
                 emitter = prefix.rsplit(".", 1)[-1]
                 self.require(not unset, f"key '{full}'", f"unset ({emitter} needs {key})")
         with self.blame(f"section {prefix!r}"):
-            return model(**params, **given)
+            return model(**params)
 
     def emitter_sections(self) -> dict:
         """{kind: its sections, e.g. ['scenario.tone1', 'scenario.tone2']}, in
@@ -237,8 +235,7 @@ class RunConfig:
 
     def build_models(self) -> LinkModels:
         notch = self._build("notch") if self.get("notch.enabled") else None
-        return self._build(
-            "link",
+        return LinkModels(
             modulator=self._build("modulator"),
             mrr=self._build("mrr"),
             mzi=self._build("mzi"),

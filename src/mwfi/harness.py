@@ -210,13 +210,13 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     grid = plan.get("scan_grid") or plan["ifm_grid"]
     # the most optical power a trace holds before any filter (the emitters'
     # amplitudes squared and summed, or 1 for a calibration or measure tone,
-    # times link.gain); a scan's running means and the FTPM mean sum a trace
+    # so only the scenario can overflow); a scan's running means and the FTPM
+    # mean sum a trace
     amplitudes = [e.amplitude for e in (*scenario.tones, *scenario.chirps, *scenario.hops)]
-    scene = sum(a * a for a in amplitudes) * models.link_gain
+    scene = sum(a * a for a in amplitudes)
     n = 1 if mode == "dynamic" else grid.n_samples
-    power = scene if mode == "dynamic" else max(scene, models.link_gain)
-    cfg.require(math.isfinite(power * n),
-                "section 'scenario'" if scene > models.link_gain else "key 'link.gain'",
+    power = scene if mode == "dynamic" else max(scene, 1.0)
+    cfg.require(math.isfinite(power * n), "section 'scenario'",
                 f"{power!r} W, summed over {n} sample(s) of a trace, passes the largest float")
     # the detector noise std is pd.noise_sigma times the trace's peak power
     sigma = models.pd.noise_sigma
@@ -464,14 +464,18 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     """Execute a configured run; returns the metrics and writes artifacts.
 
     seed and out_dir override the config's values (CLI flags map here).
-    The seed and the plan are read first, so a ConfigError leaves out_dir untouched.
+    The seed, the plan and out_dir are checked first, so a ConfigError leaves out_dir untouched.
     """
-    # the override is checked as the config's own seed is, under its own source
+    # an override is checked as the config's own key is, under its own source
     seed_cfg = cfg if seed is None else RunConfig({"seed": str(seed)}, source="seed override")
+    out_cfg = cfg if out_dir is None else RunConfig({"out_dir": str(out_dir)}, "out override")
     seed = seed_cfg.get("seed")
     try:
         plan = build_plan(cfg)
-        out = Path(out_dir if out_dir is not None else cfg.get("out_dir"))
+        out = Path(out_cfg.get("out_dir"))
+        # out, or else its nearest ancestor that exists, must be a directory
+        found = next(p for p in (out, *out.parents) if p.exists())
+        out_cfg.require(found.is_dir(), "key 'out_dir'", f"{str(found)!r} is not a directory")
         try:
             return _run_mode(plan, seed, out)
         except Exception as exc:

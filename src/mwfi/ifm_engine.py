@@ -223,12 +223,10 @@ def simulate_ifm(
         return resp
 
     total = link_power(models.modulator, response, component_powers(scenario, grid), grid.n_samples)
-    total *= models.link_gain
-
     power = pd_detect(total, models.pd, grid, seed)
     ref = np.linspace(band[0], band[1], 2048)
     peak = float(np.max(_single_tone_power(models.modulator, models.mzi, port, ref)))
-    return IfmTrace(grid=grid, power=power, normalization=models.link_gain * peak)
+    return IfmTrace(grid=grid, power=power, normalization=peak)
 
 
 def extract_inst_freq(

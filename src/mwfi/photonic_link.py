@@ -3,7 +3,7 @@
 All frequencies are RF offsets from the optical carrier: the carrier sits at
 0, the signal sideband of an RF tone at +f, its image at -f. Transmissions
 are power ratios in [0, 1]; the photodetector output is the detected
-optical power, whose one scale is LinkModels.link_gain.
+optical power, in W, whose scale the emitters' amplitudes set.
 """
 
 from dataclasses import dataclass, field
@@ -140,19 +140,13 @@ class PdModel:
 
 @dataclass(frozen=True)
 class LinkModels:
-    """Parameter bundle for a full link simulation; link_gain is the lumped
-    EDFA/loss gain factor, the one scale of the optical path."""
+    """Parameter bundle for a full link simulation."""
 
     modulator: ModulatorModel = field(default_factory=ModulatorModel)
     mrr: MrrModel = field(default_factory=MrrModel)
     mzi: MziModel = field(default_factory=MziModel)
     notch: NotchFilterModel | None = None
     pd: PdModel = field(default_factory=PdModel)
-    link_gain: float = 1.0
-
-    def __post_init__(self):
-        if self.link_gain <= 0:
-            raise ValueError("link_gain must be > 0")
 
 
 def modulator_sideband_weight(model: ModulatorModel, f):

@@ -307,7 +307,7 @@ def _optical_power(
     scenario: RfScenario, models: LinkModels, drive: SawtoothDrive, grid: TimeGrid
 ) -> np.ndarray:
     """Noiseless detector input of a scan: link_power through the ring at
-    each component's detuning from the scan frequency, times link_gain."""
+    each component's detuning from the scan frequency."""
     f_s, carrier = _scan_axis(models.mrr, drive, grid)
 
     def response(f, block):
@@ -316,11 +316,9 @@ def _optical_power(
             return carrier[block]
         return mrr_drop_response(models.mrr, f - f_s[block])
 
-    total = link_power(
+    return link_power(
         models.modulator, response, component_powers(scenario, grid), grid.n_samples
     )
-    total *= models.link_gain
-    return total
 
 
 def _pulse_width_hint(models: LinkModels, drive: SawtoothDrive) -> float:

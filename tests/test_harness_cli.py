@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -722,10 +723,12 @@ def test_drawn_plan_stays_within_caps_or_names_a_key(keys, data):
 
 
 # emitter frequencies mostly where the presets put them, sometimes up to the
-# largest float; amplitudes up to 1e150; gains across the float range
+# largest float; amplitudes from 1e-160, whose square is subnormal, to 1.3e154,
+# whose square is finite while two such squares sum past the largest float
 _FREQ = st.one_of(*[st.floats(9e9, 21e9)] * 3, st.floats(10.0, 308.0).map(lambda e: 10.0**e))
-_AMPLITUDE = st.one_of(st.just(1.0), st.floats(-3.0, 150.0).map(lambda e: 10.0**e))
-_GAIN = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_AMPLITUDE = st.one_of(
+    st.just(1.0), st.floats(-160.0, math.log10(1.3e154)).map(lambda e: 10.0**e)
+)
 # tiny runs: a 200-sample IFM trace, or 1,000-sample scans after 3 calibration tones
 TINY_RUN = {
     "dynamic": "ifm.duration_s = 2e-7",
@@ -740,7 +743,7 @@ CHIRP_TIMING = {"dynamic": 1e-7, "classify": 4e-6}
 @given(mode=st.sampled_from(sorted(TINY_RUN)), data=st.data())
 def test_drawn_scenario_runs_finite_or_names_what_it_holds(tmp_path_factory, mode, data):
     draw = data.draw
-    values = {"link.gain": draw(_GAIN)}
+    values = {}
     for i in range(1, draw(st.integers(0, 2)) + 1):
         values[f"scenario.tone{i}.freq_hz"] = draw(_FREQ)
         values[f"scenario.tone{i}.amplitude"] = draw(_AMPLITUDE)
@@ -973,7 +976,6 @@ ROUND_TRIP = {
     "notch.rejection_db": ("rejection", [10.0, 30.0]),
     "pd.bw_3db_hz": ("bw_3db", [25e9, 40e9]),
     "pd.noise_sigma": ("noise_sigma", [0.0, 0.05]),
-    "link.gain": ("link_gain", [0.5, 2.0]),
     "scenario.tone1.freq_hz": ("freq", [11e9, 16e9]),
     "scenario.tone1.amplitude": ("amplitude", [0.5, 2.0]),
     "scenario.chirp1.center_hz": ("center", [14e9, 16e9]),
@@ -1014,7 +1016,7 @@ def test_config_round_trips_to_model_fields(data):
     models, scenario = cfg.build_models(), cfg.build_scenario()
     built = {
         "drive": cfg.build_drive(), "modulator": models.modulator, "mrr": models.mrr,
-        "mzi": models.mzi, "notch": models.notch, "pd": models.pd, "link": models,
+        "mzi": models.mzi, "notch": models.notch, "pd": models.pd,
         "tone1": scenario.tones[0], "chirp1": scenario.chirps[0], "hop1": scenario.hops[0],
     }
     for key, (name, _) in ROUND_TRIP.items():
@@ -1099,8 +1101,6 @@ class TestCli:
             ("mrr.fwhm_hz = nan", "mrr.fwhm_hz"),
             ("drive.v_max_v = 0", "section 'drive'"),
             ("pd.noise_sigma = nan", "pd.noise_sigma"),
-            ("link.gain = inf", "link.gain"),
-            ("link.gain = 0", "section 'link'"),
             ("notch.enabled = true\nnotch.centers_hz = 10e9,-inf", "notch.centers_hz"),
             ("scenario.tone1.freq_hz = -1e9", "section 'scenario.tone1'"),
             # 10 ** (dB / 10) would overflow a float
@@ -1204,11 +1204,8 @@ class TestCli:
             # a trace whose samples sum past the largest float in a running mean
             # or the FTPM mean; each overflowed with a RuntimeWarning (the first
             # was found by test_drawn_scenario_runs_finite_or_names_what_it_holds)
-            ("classify", f"{TINY_RUN['classify']}\nlink.gain = 1e261\n"
-             "scenario.tone1.freq_hz = 9e9\nscenario.tone1.amplitude = 1e23", "scenario"),
-            ("calibrate", "link.gain = 1e307", "link.gain"),
-            ("measure", "link.gain = 1e307", "link.gain"),
-            ("measure", "measure.method = ftpm\nlink.gain = 1e307", "link.gain"),
+            ("classify", f"{TINY_RUN['classify']}\n"
+             "scenario.tone1.freq_hz = 9e9\nscenario.tone1.amplitude = 1e153", "scenario"),
             # detector noise past the largest float: the dynamic run wrote inf
             # rows and exited 0, the calibration overflowed a running mean
             ("dynamic", "scenario.tone1.freq_hz = 30e9\nscenario.tone1.amplitude = 1.3e154\n"
@@ -1234,11 +1231,8 @@ class TestCli:
             # each square is finite, their sum is not
             "scenario.tone1.freq_hz = 12e9\nscenario.tone1.amplitude = 1.3e154\n"
             "scenario.tone2.freq_hz = 15e9\nscenario.tone2.amplitude = 1.3e154",
-            # a finite square that link.gain scales past the largest float
-            "scenario.hop1.freqs_hz = 12e9,15e9\nscenario.hop1.dwell_s = 80e-9\n"
-            "scenario.hop1.amplitude = 1e154\nlink.gain = 10",
         ],
-        ids=["two tones", "gain"],
+        ids=["two tones"],
     )
     def test_overflowing_power_sum_exits_two(self, tmp_path, capsys, mode, lines):
         bad = tmp_path / "bad.cfg"
@@ -1281,6 +1275,8 @@ class TestCli:
             "mrr.peak_transmission = 0.5",
             "mzi.insertion_loss_db = 3",
             "pd.responsivity = 4",
+            # the emitters' amplitudes set the power scale
+            "link.gain = 1.0",
             # a trace holds one scan period
             "drive.n_periods = 1",
             "drive.n_periods = 2",
@@ -1374,6 +1370,23 @@ class TestCli:
         else:
             assert f"config error: {bad}: key 'seed'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    @pytest.mark.parametrize("below", ["", "sub/dir"], ids=["the file", "below it"])
+    def test_out_dir_through_a_file_exits_two(self, tmp_path, capsys, flag, below):
+        # it ran the whole run, then exited 1 on mkdir ("File exists", "Not a
+        # directory")
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = dynamic\n" + ("" if flag else f"out_dir = {out}\n"))
+        args = ["dynamic", "--config", str(cfg)] + (["--out", str(out)] if flag else [])
+        assert main(args) == 2
+        source = "out override" if flag else str(cfg)
+        assert f"config error: {source}: key 'out_dir': " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "other", ["scenario.tone1.freq_hz = 10e9\n", ""], ids=["beside tone1", "alone"]

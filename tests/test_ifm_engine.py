@@ -275,6 +275,37 @@ class TestExtractInstFreq:
         assert not est.is_noise.any()
         np.testing.assert_allclose(est.freq, 13.5e9, atol=lut.step)
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["tones", "hops", "chirps"]),
+        freq=st.floats(10.5e9, 19.5e9),
+        amplitude=st.floats(0.5, 1e3),
+        sigma=st.sampled_from([0.0, 0.01]),
+    )
+    def test_ratio_read_out_does_not_depend_on_amplitude(self, kind, freq, amplitude, sigma):
+        # the ratio divides the ports' powers, and each port's noise std is a
+        # fraction of its own peak, so the amplitude cancels but for rounding;
+        # a brighter emitter may only clear the noise floor more often
+        lut = build_lut(MziModel(), mode="ratio")
+        grid = TimeGrid(sample_rate=1e9, n_samples=2000)
+        models = LinkModels(pd=PdModel(noise_sigma=sigma))
+        emitter = {
+            "tones": lambda amp: ToneSpec(freq=freq, amplitude=amp),
+            "hops": lambda amp: HopSpec((freq, 29e9 - freq, 15e9), dwell=80e-9, amplitude=amp),
+            "chirps": lambda amp: ChirpSpec(freq, 1e9, 160e-9, 200e-9, amplitude=amp),
+        }[kind]
+
+        def read(amp):
+            scenario = RfScenario(**{kind: (emitter(amp),)})
+            port1 = simulate_ifm(scenario, models, grid, port=1, seed=5)
+            port2 = simulate_ifm(scenario, models, grid, port=2, seed=6)
+            return extract_inst_freq(port1, lut, reference_trace=port2).freq
+
+        unit, scaled = read(1.0), read(amplitude)
+        both = ~np.isnan(unit) & ~np.isnan(scaled)
+        assert both.any()
+        np.testing.assert_allclose(scaled[both], unit[both], rtol=0, atol=1e-3)
+
     def test_ratio_mode_needs_reference(self):
         lut = build_lut(MziModel(), mode="ratio")
         grid = TimeGrid(sample_rate=1e9, n_samples=8)

@@ -398,7 +398,6 @@ class TestLinkPower:
         modulator=ModulatorModel(carrier_suppression=20.0, image_sideband_suppression=15.0),
         notch=NotchFilterModel(centers=(10e9, 10.2e9)),
         pd=PdModel(noise_sigma=0.0),
-        link_gain=1.7,
     )
 
     def _oracle(self, grid, response):
@@ -415,7 +414,7 @@ class TestLinkPower:
                 total += p * w * (response(k, f) + imgs * response(k, -f))
                 sideband += p
             out[k] = total + cs * sideband * response(k, 0.0)
-        return out * self.MODELS.link_gain
+        return out
 
     def test_scan_matches_component_sum(self):
         drive = SawtoothDrive(period=2e-3)
