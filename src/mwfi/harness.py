@@ -231,8 +231,6 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
     for section, what, period, span in periods:
         cfg.require(math.isfinite(span / period), f"section '{section}'",
                     f"{what} {period!r} s is too short to count over {span!r} s")
-    single = plan.get("method") != "ftpm" or plan["lut"].mode == "single_port"
-    cfg.require(single, "key 'ifm.mode'", "ftpm measure needs single_port")
     if "scan_grid" in plan:
         # the ring's reach over the ramp bounds every detuning a scan takes
         # (a tone within it or its image): twice it, in half linewidths,
@@ -282,6 +280,12 @@ def build_plan(cfg: RunConfig, mode: str | None = None) -> RunPlan:
         freqs = f"{f_lo / 1e9:.3f}" + (f"..{f_hi / 1e9:.3f}" if f_hi > f_lo else "")
         cfg.require(lo <= f_lo and f_hi <= hi, f"section '{section}'", f"{what} {freqs} GHz"
                     f" lies outside {reach} {lo / 1e9:.3f}..{hi / 1e9:.3f} GHz")
+    if "cal_tones" in plan:
+        # the ramp starts at rest, where the scan rate is zero and no fitted lookup
+        # is monotone: calibration tones keep half a linewidth above the reach's low end
+        low, first = lo + models.mrr.fwhm / 2, float(plan["cal_tones"].min())
+        cfg.require(first >= low, "section 'calibration'", f"tone {first / 1e9:.4f} GHz lies"
+                    f" below {low / 1e9:.4f} GHz, half a linewidth above the low end of {reach}")
     return RunPlan(mode, **plan)
 
 
@@ -304,6 +308,14 @@ def _run_calibrate(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     return {"calibration.txt": table.save, "lut.csv": partial(lut_to_csv, plan.lut)}
 
 
+def _port_traces(plan: RunPlan, scenario: RfScenario, seeds) -> list:
+    """scenario's IFM traces at the ports plan's table reads, in the order of
+    AcfLut.ports; the k-th port draws its detector noise from the k-th seed,
+    and seeds past the last port go unused."""
+    return [simulate_ifm(scenario, plan.models, plan.ifm_grid, port, plan.lut.band, s)
+            for port, s in zip(plan.lut.ports, seeds)]
+
+
 def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     ests, writes = np.empty(plan.tones.size), {}
     if plan.method == "fttm":
@@ -319,9 +331,10 @@ def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     else:
         for i, f in enumerate(plan.tones):
             tone = RfScenario(tones=(ToneSpec(freq=f),))
-            s = derive_seed(seed, STAGE_FTPM, i)
-            trace = simulate_ifm(tone, plan.models, plan.ifm_grid, plan.lut.port, plan.lut.band, s)
-            ests[i] = estimate_static_frequency(trace, plan.lut)
+            # the first port keeps the tone's seed, a ratio table's port 2 appends 1
+            seeds = (derive_seed(seed, STAGE_FTPM, i), derive_seed(seed, STAGE_FTPM, i, 1))
+            traces = _port_traces(plan, tone, seeds)
+            ests[i] = estimate_static_frequency(traces[0], plan.lut, *traces[1:])
 
     report.score(ests, plan.tones)
     header = "truth_hz,estimate_hz,error_hz\n"
@@ -378,10 +391,7 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     scenario, grid, lut = plan.scenario, plan.ifm_grid, plan.lut
     # the k-th port the table reads draws its noise from (seed, STAGE_DYNAMIC, k)
     seeds = (derive_seed(seed, STAGE_DYNAMIC, k) for k in range(len(lut.ports)))
-    traces = [
-        simulate_ifm(scenario, plan.models, grid, port, lut.band, s)
-        for s, port in zip(seeds, lut.ports)
-    ]
+    traces = _port_traces(plan, scenario, seeds)
     est = extract_inst_freq(traces[0], lut, *traces[1:])
 
     # score samples that are not noise and where the scenario has one frequency
@@ -473,8 +483,8 @@ def run(cfg: RunConfig, seed: int | None = None, out_dir=None) -> MetricsReport:
     try:
         plan = build_plan(cfg)
         out = Path(out_cfg.get("out_dir"))
-        # out, or else its nearest ancestor that exists, must be a directory
-        found = next(p for p in (out, *out.parents) if p.exists())
+        # out, or else its nearest ancestor that exists (a dangling link does), must be a directory
+        found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
         out_cfg.require(found.is_dir(), "key 'out_dir'", f"{str(found)!r} is not a directory")
         try:
             return _run_mode(plan, seed, out)

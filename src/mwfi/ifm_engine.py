@@ -229,6 +229,22 @@ def simulate_ifm(
     return IfmTrace(grid=grid, power=power, normalization=peak)
 
 
+def _read_out(lut: AcfLut, normalization: float, power, reference_power=None):
+    """(table value, normalized signal level) of the port powers lut reads:
+    power / normalization for both, or for a ratio table 10 log10 of port 1
+    over port 2 and the ports' mean over normalization. A ratio of zeros is
+    NaN and a power far past full scale inf, neither with a warning."""
+    if lut.mode == "ratio" and reference_power is None:
+        raise ValueError("a ratio table reads the complementary port trace too")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if lut.mode == "ratio":
+            value = 10.0 * np.log10(power / reference_power)
+            level = (power + reference_power) / (2.0 * normalization)
+        else:
+            value = level = power / normalization
+    return value, level
+
+
 def extract_inst_freq(
     trace: IfmTrace, lut: AcfLut, reference_trace: IfmTrace | None = None
 ) -> InstFreqEstimate:
@@ -239,31 +255,25 @@ def extract_inst_freq(
     band is the read-out's range. For a ratio LUT, trace must be the port-1
     record and reference_trace the port-2 record.
     """
-    if lut.mode == "ratio" and reference_trace is None:
-        raise ValueError("ratio-mode extraction needs the complementary port trace")
-    # a ratio of zeros is NaN and a sample far past full scale overflows to
-    # inf; neither lies inside the table's range
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if lut.mode == "ratio":
-            metric = 10.0 * np.log10(trace.power / reference_trace.power)
-            signal = (trace.power + reference_trace.power) / (2.0 * trace.normalization)
-        else:
-            metric = signal = trace.power / trace.normalization
-    ok = (signal >= NOISE_FLOOR) & (metric >= lut.values.min()) & (metric <= lut.values.max())
+    ref = None if reference_trace is None else reference_trace.power
+    value, level = _read_out(lut, trace.normalization, trace.power, ref)
+    ok = (level >= NOISE_FLOOR) & (value >= lut.values.min()) & (value <= lut.values.max())
     freq = np.full(trace.grid.n_samples, NOISE)
-    freq[ok] = lut.invert(metric[ok])
+    freq[ok] = lut.invert(value[ok])
     return InstFreqEstimate(times=trace.grid.times(), freq=freq)
 
 
-def estimate_static_frequency(trace: IfmTrace, lut: AcfLut) -> float:
-    """Invert the trace's mean power; noise averages out for a static tone.
-    A mean below NOISE_FLOOR is no signal."""
-    if lut.mode != "single_port":
-        raise ValueError("static estimation works on single-port traces")
-    mean_p = float(np.mean(trace.power)) / trace.normalization
-    if mean_p < NOISE_FLOOR:
+def estimate_static_frequency(
+    trace: IfmTrace, lut: AcfLut, reference_trace: IfmTrace | None = None
+) -> float:
+    """Invert the read-out of the traces' mean powers, read as by
+    extract_inst_freq; noise averages out for a static tone. A mean level
+    below NOISE_FLOOR is no signal."""
+    ref = None if reference_trace is None else np.mean(reference_trace.power)
+    value, level = _read_out(lut, trace.normalization, np.mean(trace.power), ref)
+    if level < NOISE_FLOOR:
         raise ValueError("no signal: mean power below the noise floor")
-    return float(lut.invert(mean_p))
+    return float(lut.invert(value))
 
 
 def lut_to_csv(lut: AcfLut, path):

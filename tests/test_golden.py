@@ -1,9 +1,9 @@
 """Byte-stability of run artifacts: SHA-256 digests pinned per file.
 
 Every artifact of three shipped presets, four tiny FTTM configs, a tiny
-classify sweep, a tiny ratio-mode dynamic run and two 40 us dynamic runs is
-hashed, sub-run directories included; report.txt is hashed without its
-runtime_s line. A change to the numerics, the CSV formatting or the report
+classify sweep, a tiny ratio-mode dynamic run, a tiny ratio-mode FTPM
+measure and two 40 us dynamic runs is hashed, sub-run directories
+included; report.txt is hashed without its runtime_s line. A change to the numerics, the CSV formatting or the report
 layout fails here, as does a report key that README.md does not name.
 Update a digest only for a deliberate change of output, and record why in
 CHANGES.md.
@@ -86,6 +86,18 @@ ifm.duration_s = 2e-6
 ifm.mode = ratio
 """
 
+# three tones off the band edges read by FTPM through the ratio lookup: two
+# 2,000-sample port traces per tone
+TINY_FTPM_RATIO = """\
+mode = measure
+measure.method = ftpm
+measure.lo_hz = 11e9
+measure.hi_hz = 18e9
+measure.step_hz = 3.5e9
+ifm.duration_s = 2e-6
+ifm.mode = ratio
+"""
+
 # fig6f for 40 us: 40,000 samples, so the power sum and the detector noise
 # cross two block boundaries (photonic_link.BLOCK)
 TINY_LONG_DYNAMIC = """\
@@ -153,6 +165,10 @@ GOLDEN = {
         "lut.csv": "123f2c8c80818bb4ae24a3ffc9e430ad7599c10a0186cf29b9e5757aefcc9053",
         "report.txt": "ff8ab0c328ff8548dc09d14e43f81437576469d83a79433be97a2c5b74d4aea5",
     },
+    "tiny_ftpm_ratio": {
+        "estimates.csv": "e3e6a54caac02737f3b928a647eecb1611262c6d847d3d8eff1c02ef00186258",
+        "report.txt": "59c5d4faef7ee4ce2be0e7264e208bdecf6a0d199893ccf6dc0e081ceac32345",
+    },
     "tiny_sweep": {
         "report.txt": "d4a33e31248d4003b88fce4c45e760acf889fd6dc1c72124f9eb205f8fca1bc7",
         "seed_1/report.txt": "8faa401e601d15c9d3ca0014a670dcbe57abb9b0e1b845cb250e8a8ce1149ffa",
@@ -184,6 +200,7 @@ TINY = {
     "tiny_chirp": TINY_CHIRP,
     "tiny_hop": TINY_HOP,
     "tiny_ratio": TINY_RATIO,
+    "tiny_ftpm_ratio": TINY_FTPM_RATIO,
     "tiny_long_dynamic": TINY_LONG_DYNAMIC,
     "tiny_long_ratio": TINY_LONG_RATIO,
 }

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
@@ -336,14 +336,17 @@ class TestRun:
         assert len(header[1:-1]) == len(ports.split(","))
 
     @settings(max_examples=25, deadline=None)
-    @given(at=st.floats(0.0, 1.0))
-    def test_ftpm_measure_noiseless_within_one_step_on_drawn_tones(self, tmp_path_factory, at):
+    @given(at=st.floats(0.0, 1.0), table=st.sampled_from(["single_port", "ratio"]))
+    def test_ftpm_measure_noiseless_within_one_step_on_drawn_tones(
+        self, tmp_path_factory, at, table
+    ):
         # a unit tone anywhere in the 10-20 GHz lookup band, through the ftpm
-        # measure run: the mean power inverts to within one knot spacing
+        # measure run: the read-out of the mean powers inverts to within one
+        # knot spacing, on either table
         f = DEFAULT_BAND[0] + at * (DEFAULT_BAND[1] - DEFAULT_BAND[0])
         cfg = RunConfig.from_text(
             f"mode = measure\nmeasure.method = ftpm\nmeasure.lo_hz = {f!r}\n"
-            f"measure.hi_hz = {f!r}\npd.noise_sigma = 0\n"
+            f"measure.hi_hz = {f!r}\npd.noise_sigma = 0\nifm.mode = {table}\n"
         )
         report = run(cfg, out_dir=tmp_path_factory.mktemp("ftpm"))
         (error,) = report.per_tone_errors_hz
@@ -603,8 +606,12 @@ PLAN_LINES = {
     "cal step": (
         ["calibration.step_hz = 5e9"], ["calibration.step_hz = 0", "calibration.step_hz = 1"]
     ),
-    # the scan runs from 8 GHz, exactly mrr.f_offset0_hz, to 39.99 GHz
-    "cal lo": (["calibration.lo_hz = 8e9"], ["calibration.lo_hz = 0", "calibration.lo_hz = 5e9"]),
+    # the scan runs from 8 GHz, exactly mrr.f_offset0_hz, to 39.99 GHz; calibration
+    # keeps half a linewidth, 0.4375 GHz, above its low end
+    "cal lo": (
+        ["calibration.lo_hz = 8.5e9"],
+        ["calibration.lo_hz = 0", "calibration.lo_hz = 5e9", "calibration.lo_hz = 8e9"],
+    ),
     "cal band": (["calibration.hi_hz = 18e9"], ["calibration.hi_hz = 11e9"]),
     "tones": (
         ["measure.hi_hz = 16e9", "measure.step_hz = 2e9"],
@@ -621,7 +628,7 @@ PLAN_LINES = {
         ["ifm.sample_rate_hz = 0", "ifm.sample_rate_hz = 1e8", "ifm.sample_rate_hz = 1e15"],
     ),
     "duration": (["ifm.duration_s = 200e-9"], ["ifm.duration_s = 1e-12"]),
-    "lut mode": (["ifm.mode = single_port"], ["ifm.mode = bogus"]),
+    "lut mode": (["ifm.mode = single_port", "ifm.mode = ratio"], ["ifm.mode = bogus"]),
     "port": (["ifm.port = 1", "ifm.port = 2"], ["ifm.port = 3", "ifm.port = 1.5"]),
     "knots": (["ifm.n_knots = 64"], ["ifm.n_knots = 1", "ifm.n_knots = 1e8"]),
     # an ftpm measure of the default 10-20 GHz tones needs the band to hold them
@@ -827,6 +834,27 @@ def test_equal_bounds_give_one_tone(method):
     assert build_plan(cfg).tones.tolist() == [15e9]
 
 
+@settings(max_examples=5, deadline=None)
+@given(step=st.floats(0.5e9, 6e9), n_tones=st.integers(3, 5))
+def test_lowest_admitted_calibration_tone_calibrates(tmp_path_factory, step, n_tones):
+    # half a linewidth above the scan's low end, the first tone the plan
+    # admits, a noiseless calibration fits a monotone lookup
+    base = "mode = calibrate\npd.noise_sigma = 0\n"
+    try:
+        plan = build_plan(RunConfig.from_text(base))
+        f_s = _scan_axis(plan.models.mrr, plan.drive, plan.scan_grid)[0]
+    finally:
+        _scan_axis.cache_clear()
+    lo = float(f_s.min()) + plan.models.mrr.fwhm / 2
+    cfg = RunConfig.from_text(
+        f"{base}calibration.lo_hz = {lo!r}\ncalibration.step_hz = {step!r}\n"
+        f"calibration.hi_hz = {lo + (n_tones - 1) * step!r}\n"
+    )
+    out = tmp_path_factory.mktemp("low")
+    run(cfg, out_dir=out)
+    assert (out / "calibration.txt").exists()
+
+
 def test_ftpm_measure_of_one_tone_scores_it(tmp_path):
     # the empty list wrote a header-only estimates.csv and a report with no
     # score, exiting 0
@@ -866,6 +894,7 @@ PLAN_BLAME = {
     "mrr.fwhm_hz = 0": "section 'mrr'",
     "mrr.k_thermal_hz_per_v2 = 1e308": "section 'mrr'",
     "calibration.lo_hz = 5e9": "section 'calibration'",  # below the scan's reach
+    "calibration.lo_hz = 8e9": "section 'calibration'",  # at its low end
     "measure.lo_hz = 5e9": "section 'measure'",
     "drive.v_min_v = -1": "section 'drive'",
 }
@@ -940,8 +969,6 @@ def test_run_keys_round_trip_to_plan_fields(data):
     keys = data.draw(st.sets(st.sampled_from(sorted(RUN_TRIP))))
     keys |= {key for key, (_, default, _) in RUN_TRIP.items() if default is None}
     drawn = {key: data.draw(st.sampled_from(RUN_TRIP[key][2])) for key in sorted(keys)}
-    # an ftpm measure refuses the ratio lookup, as the plan test shows
-    assume(not (drawn.get("measure.method") == "ftpm" and drawn.get("ifm.mode") == "ratio"))
     lines = ["mode = sweep"] + [f"{key} = {value}" for key, value in drawn.items()]
     cfg = RunConfig.from_text("\n".join(lines) + "\n", source="drawn.cfg")
     try:
@@ -1159,7 +1186,6 @@ class TestCli:
             ("calibrate", "calibration.lo_hz = -1e9", "calibration.lo_hz"),
             ("classify", "calibration.hi_hz = 5e9", "calibration.hi_hz"),
             ("measure", "calibration.lo_hz = 20e9", "calibration"),
-            ("measure", "measure.method = ftpm\nifm.mode = ratio", "ifm.mode"),
             ("sweep", "sweep.mode = measure\nsweep.n_seeds = 0", "sweep.n_seeds"),
             # calibrate must write neither file until the FTTM table and the
             # lookup settings are both accepted
@@ -1174,6 +1200,10 @@ class TestCli:
             ("calibrate", "drive.v_min_v = -1", "drive"),
             # tones the scan never reaches: it runs from 8 to 39.99 GHz
             ("calibrate", "calibration.lo_hz = 5e9\ncalibration.step_hz = 5e9", "calibration"),
+            # the ramp starts at rest, where the scan rate is zero: a tone at
+            # the scan's low end exited 1, "fitted lookup is not monotone"
+            ("calibrate", "calibration.lo_hz = 8e9\ncalibration.step_hz = 5e9\npd.noise_sigma = 0",
+             "calibration"),
             ("calibrate", "calibration.lo_hz = 30e9\ncalibration.hi_hz = 50e9", "calibration"),
             ("measure", "measure.lo_hz = 5e9", "measure"),
             ("sweep", "sweep.mode = measure\nmeasure.hi_hz = 45e9", "measure"),
@@ -1372,12 +1402,20 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
-    @pytest.mark.parametrize("below", ["", "sub/dir"], ids=["the file", "below it"])
-    def test_out_dir_through_a_file_exits_two(self, tmp_path, capsys, flag, below):
+    @pytest.mark.parametrize(
+        "link, below",
+        [(False, ""), (False, "sub/dir"), (True, ""), (True, "sub/dir")],
+        ids=["the file", "below it", "a dangling link", "below the link"],
+    )
+    def test_out_dir_through_a_file_exits_two(self, tmp_path, capsys, flag, link, below):
         # it ran the whole run, then exited 1 on mkdir ("File exists", "Not a
-        # directory")
+        # directory"); the walk to an existing ancestor stepped over a
+        # dangling link, as exists() follows it
         blocker = tmp_path / "taken"
-        blocker.write_text("kept\n")
+        if link:
+            blocker.symlink_to(tmp_path / "nowhere")
+        else:
+            blocker.write_text("kept\n")
         out = blocker / below if below else blocker
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode = dynamic\n" + ("" if flag else f"out_dir = {out}\n"))
@@ -1386,7 +1424,10 @@ class TestCli:
         source = "out override" if flag else str(cfg)
         assert f"config error: {source}: key 'out_dir': " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
-        assert blocker.read_text() == "kept\n"
+        if link:
+            assert os.readlink(blocker) == str(tmp_path / "nowhere")
+        else:
+            assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "other", ["scenario.tone1.freq_hz = 10e9\n", ""], ids=["beside tone1", "alone"]

@@ -299,12 +299,16 @@ class TestExtractInstFreq:
             scenario = RfScenario(**{kind: (emitter(amp),)})
             port1 = simulate_ifm(scenario, models, grid, port=1, seed=5)
             port2 = simulate_ifm(scenario, models, grid, port=2, seed=6)
-            return extract_inst_freq(port1, lut, reference_trace=port2).freq
+            track = extract_inst_freq(port1, lut, reference_trace=port2).freq
+            # a tone's static estimate reads the same ratio, of the mean powers
+            static = estimate_static_frequency(port1, lut, port2) if kind == "tones" else 0.0
+            return track, static
 
-        unit, scaled = read(1.0), read(amplitude)
+        (unit, unit_static), (scaled, scaled_static) = read(1.0), read(amplitude)
         both = ~np.isnan(unit) & ~np.isnan(scaled)
         assert both.any()
         np.testing.assert_allclose(scaled[both], unit[both], rtol=0, atol=1e-3)
+        assert scaled_static == pytest.approx(unit_static, rel=0, abs=1e-3)
 
     def test_ratio_mode_needs_reference(self):
         lut = build_lut(MziModel(), mode="ratio")
@@ -342,6 +346,21 @@ class TestEstimateStaticFrequency:
         grid = TimeGrid(sample_rate=1e9, n_samples=100)
         trace = simulate_ifm(RfScenario(), NOISELESS, grid)
         with pytest.raises(ValueError, match="no signal"):
+            estimate_static_frequency(trace, lut)
+
+    def test_ratio_no_signal_raises(self):
+        # the ratio of the dark ports' zero means is NaN, without a warning
+        lut = build_lut(MziModel(), mode="ratio")
+        grid = TimeGrid(sample_rate=1e9, n_samples=100)
+        port1, port2 = (simulate_ifm(RfScenario(), NOISELESS, grid, port=k) for k in (1, 2))
+        with pytest.raises(ValueError, match="no signal"):
+            estimate_static_frequency(port1, lut, port2)
+
+    def test_ratio_needs_reference(self):
+        lut = build_lut(MziModel(), mode="ratio")
+        grid = TimeGrid(sample_rate=1e9, n_samples=8)
+        trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=13e9),)), NOISELESS, grid, port=1)
+        with pytest.raises(ValueError, match="complementary"):
             estimate_static_frequency(trace, lut)
 
 
