@@ -8,11 +8,12 @@ noise floor and are flagged as noise rather than frequency.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._csv import write_columns
-from .rf_signals import RfScenario, TimeGrid, component_powers
+from .rf_signals import RfScenario, TimeGrid, component_tracks
 from .photonic_link import (
     LinkModels,
     ModulatorModel,
@@ -143,7 +144,8 @@ def _single_tone_power(mod: ModulatorModel, mzi: MziModel, port: int, f: np.ndar
     calibration measures (bandstop filter off).
     """
     return link_power(
-        mod, lambda x, _: mzi_port_response(mzi, x, port), lambda knots: [(f[knots], 1.0)], f.size
+        mod, lambda x, _: mzi_port_response(mzi, x, port),
+        lambda knots: [(f[knots], 1.0, True)], f.size
     )
 
 
@@ -222,7 +224,8 @@ def simulate_ifm(
             resp = resp * notch_response(models.notch, freqs)
         return resp
 
-    total = link_power(models.modulator, response, component_powers(scenario, grid), grid.n_samples)
+    tracks = partial(component_tracks, scenario, grid)
+    total = link_power(models.modulator, response, tracks, grid.n_samples)
     power = pd_detect(total, models.pd, grid, seed)
     ref = np.linspace(band[0], band[1], 2048)
     peak = float(np.max(_single_tone_power(models.modulator, models.mzi, port, ref)))
@@ -287,8 +290,8 @@ def lut_to_csv(lut: AcfLut, path):
 
 def lut_from_csv(path) -> AcfLut:
     """Reload a table written by lut_to_csv; a malformed file (a band edge
-    or knot that is not finite, among others) raises a ValueError that
-    names path."""
+    or knot that is not finite, a row of other than 2 fields, among others)
+    raises a ValueError that names path."""
     with open(path) as fh:
         header = fh.readline().strip()
     try:
@@ -298,9 +301,11 @@ def lut_from_csv(path) -> AcfLut:
         missing = [key for key in ("mode", "port", "f_lo_hz", "f_hi_hz") if key not in meta]
         if missing:
             raise ValueError(f"LUT header has no {', '.join(missing)}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1))
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if len(data) < 2:
             raise ValueError(f"need at least 2 knots, got {len(data)}")
+        if data.shape[1] != 2:
+            raise ValueError(f"rows must have 2 fields, not {data.shape[1]}")
         band = (float(meta["f_lo_hz"]), float(meta["f_hi_hz"]))
         if not (np.all(np.isfinite(band)) and np.all(np.isfinite(data))):
             raise ValueError("band edges and knots must be finite")

@@ -158,12 +158,13 @@ def modulator_sideband_weight(model: ModulatorModel, f):
 def link_power(modulator: ModulatorModel, response, components, n_samples: int) -> np.ndarray:
     """Optical power reaching the detector through one filter.
 
-    components(block) gives the (freq, power) pairs of the samples of the
-    slice block: scalars for always-on tones, arrays as long as the block
-    for dynamic emitters (zero power where inactive); component_powers
-    gives it for a scenario. Each pair contributes its sideband at +f and
-    the suppressed image at -f, both weighted by the modulator roll-off at
-    f; the residual carrier at 0 scales with the summed sideband power.
+    components(block) gives the (freq, amplitude, active) triples of the
+    samples of the slice block, the form of rf_signals.component_tracks:
+    scalars for always-on tones, freq and active arrays as long as the
+    block for dynamic emitters. Each triple has power a**2 * active (zero
+    where inactive) and contributes its sideband at +f and the suppressed
+    image at -f, both weighted by the modulator roll-off at f; the residual
+    carrier at 0 scales with the summed sideband power.
 
     response(freq, block) is the filter's power transmission at an RF
     offset (scalar or per sample) for the samples of block, which a
@@ -183,7 +184,8 @@ def link_power(modulator: ModulatorModel, response, components, n_samples: int) 
         block = slice(start, start + BLOCK)
         out = total[block]
         sideband_power = 0.0
-        for f, p in components(block):
+        for f, a, on in components(block):
+            p = a**2 * on
             w = modulator_sideband_weight(modulator, f)
             out += response(f, block) * (p * w)
             out += response(-f, block) * (imgs * p * w)

@@ -20,7 +20,6 @@ __all__ = [
     "RfScenario",
     "instantaneous_components",
     "component_tracks",
-    "component_powers",
     "sole_component_freq",
 ]
 
@@ -186,7 +185,8 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, block=slice(None)) ->
     whose active entries at a sample are instantaneous_components at its
     time. A tone is a scalar track (freq, amplitude, np.True_); chirps and
     hops give per-sample freq and active arrays beside their scalar
-    amplitude. component_powers and sole_component_freq build on this form.
+    amplitude. photonic_link.link_power sums this form per block, and
+    sole_component_freq reads it over the whole grid.
     Every operation is elementwise on TimeGrid.block_times, so a block's
     tracks equal the slices of the whole grid's bit for bit.
     """
@@ -215,18 +215,6 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, block=slice(None)) ->
         freq = np.asarray(hop.freqs)[idx.astype(np.int64)]
         tracks.append((freq, hop.amplitude, active))
     return tracks
-
-
-def component_powers(scenario: RfScenario, grid: TimeGrid):
-    """The components of link_power for a scenario: a function from a slice
-    of sample indices to the (freq, power) pair of every emitter over those
-    samples, evaluated on that block alone.
-
-    Tones give scalars; chirps and hops give arrays as long as the block,
-    with zero power where the emitter is inactive (a**2 * on equals
-    np.where(on, a**2, 0.0) bit for bit, since a >= 0).
-    """
-    return lambda block: [(f, a**2 * on) for f, a, on in component_tracks(scenario, grid, block)]
 
 
 def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 # their noise on a worker thread import it.
 
 from ._csv import write_columns
-from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_powers
+from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_tracks
 from .photonic_link import (
     LinkModels,
     MrrModel,
@@ -316,9 +316,8 @@ def _optical_power(
             return carrier[block]
         return mrr_drop_response(models.mrr, f - f_s[block])
 
-    return link_power(
-        models.modulator, response, component_powers(scenario, grid), grid.n_samples
-    )
+    tracks = functools.partial(component_tracks, scenario, grid)
+    return link_power(models.modulator, response, tracks, grid.n_samples)
 
 
 def _pulse_width_hint(models: LinkModels, drive: SawtoothDrive) -> float:
@@ -630,8 +629,11 @@ def estimate_hop_set(events, table: CalibrationTable) -> list:
     return sorted(estimate_frequencies(events, table))
 
 
+_TRACE_HEADER = "time_s,power"
+
+
 def scan_trace_to_csv(trace: ScanTrace, path):
-    write_columns(path, "time_s,power\n", (trace.grid.times(), trace.power))
+    write_columns(path, _TRACE_HEADER + "\n", (trace.grid.times(), trace.power))
 
 
 def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanTrace:
@@ -641,15 +643,21 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
     the ramp; the pulse width hint comes from the models and drive that
     produced it, as in simulate_scan, so the reloaded trace detects the same
     events. A malformed file raises a ValueError that names path: a field
-    that is not a number, a row of another length, fewer than 2 rows, a
-    power sample that detected power cannot take (negative or not finite),
-    time stamps that are not finite or do not increase, or rows that do not
-    span one drive period, as simulate_scan refuses such a grid.
+    that is not a number, a row of another length, fewer than 2 rows, rows
+    of other than 2 fields, a power sample that detected power cannot take
+    (negative or not finite), time stamps that are not finite or do not
+    increase, rows that do not span one drive period, as simulate_scan
+    refuses such a grid, a time step more than half a sample off the median
+    step (a dropped row), or a first line other than the header.
     """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if len(data) < 2:
             raise ValueError(f"need at least 2 samples, got {len(data)}")
+        if data.shape[1] != 2:
+            raise ValueError(f"rows must have 2 fields, not {data.shape[1]}")
         power = data[:, 1]
         if not np.all((power >= 0) & (power < np.inf)):
             raise ValueError("power samples must be finite and >= 0")
@@ -658,9 +666,17 @@ def scan_trace_from_csv(path, models: LinkModels, drive: SawtoothDrive) -> ScanT
         dt = np.diff(data[:, 0])
         if not np.all(dt > 0):
             raise ValueError("time stamps must increase row by row")
-        grid = TimeGrid(sample_rate=1.0 / float(np.median(dt)), n_samples=len(data))
+        step = float(np.median(dt))
+        grid = TimeGrid(sample_rate=1.0 / step, n_samples=len(data))
         if abs(grid.duration - drive.period) > grid.dt:
             raise ValueError(f"rows span {grid.duration:.6e} s, not one {drive.period} s period")
+        off = np.flatnonzero(np.abs(dt - step) > step / 2)
+        if off.size:
+            raise ValueError(f"time step {dt[off[0]]:.6e} s after row {off[0] + 1} is over half "
+                             f"a sample off the median step {step:.6e} s")
+        # last, so a file that an earlier check refuses keeps that message
+        if header != _TRACE_HEADER:
+            raise ValueError(f"first line is {header!r}, not the header {_TRACE_HEADER!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return ScanTrace(grid, power, _pulse_width_hint(models, drive))

@@ -1,12 +1,12 @@
 """Byte-stability of run artifacts: SHA-256 digests pinned per file.
 
-Every artifact of three shipped presets, four tiny FTTM configs, a tiny
-classify sweep, a tiny ratio-mode dynamic run, a tiny ratio-mode FTPM
-measure and two 40 us dynamic runs is hashed, sub-run directories
-included; report.txt is hashed without its runtime_s line. A change to the numerics, the CSV formatting or the report
-layout fails here, as does a report key that README.md does not name.
-Update a digest only for a deliberate change of output, and record why in
-CHANGES.md.
+Every artifact of three shipped presets, a tiny calibration, four tiny
+FTTM configs, a tiny classify sweep, a tiny ratio-mode dynamic run, a tiny
+ratio-mode FTPM measure and two 40 us dynamic runs is hashed, sub-run
+directories included; report.txt is hashed without its runtime_s line. A
+change to the numerics, the CSV formatting or the report layout fails
+here, as does a report key that README.md does not name. Update a digest
+only for a deliberate change of output, and record why in CHANGES.md.
 """
 
 import hashlib
@@ -24,6 +24,14 @@ mode = measure
 measure.method = fttm
 measure.lo_hz = 15e9
 measure.hi_hz = 15e9
+calibration.lo_hz = 10e9
+calibration.hi_hz = 20e9
+calibration.step_hz = 5e9
+"""
+
+# the 3 calibration tones alone: 3 scans at 1 MS/s, and the FTPM table
+TINY_CALIBRATE = """\
+mode = calibrate
 calibration.lo_hz = 10e9
 calibration.hi_hz = 20e9
 calibration.step_hz = 5e9
@@ -148,6 +156,11 @@ GOLDEN = {
         "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
         "report.txt": "b022b5ec61ea3a533b04d89837558541c604428272be5fb51d10bd75031dd240",
     },
+    "tiny_calibrate": {
+        "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",
+        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "report.txt": "4eae2ae19d1d7ecb7f675b79322b0a4f3f89a2dc79a83237e0334eda91e4c4e2",
+    },
     "tiny_chirp": {
         "report.txt": "001bd2742be7ce23de1bbae73d5235fb8aa7559f126400b00116753fb588d070",
         "scan_trace.csv": "dadfc575aaa5d11ba8e94058c4869b5253051faa15a0725d662b62a83aadfaf1",
@@ -195,6 +208,7 @@ GOLDEN = {
 
 TINY = {
     "tiny_measure": TINY_MEASURE,
+    "tiny_calibrate": TINY_CALIBRATE,
     "tiny_sweep": TINY_SWEEP,
     "tiny_classify": TINY_CLASSIFY,
     "tiny_chirp": TINY_CHIRP,

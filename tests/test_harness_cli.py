@@ -355,8 +355,10 @@ class TestRun:
     def test_dynamic_run_evaluates_its_tracks_per_block(self, tmp_path, monkeypatch):
         # a ratio run of 40,000 samples sums each port's power over three
         # blocks, each from its own tracks, scores against the sole frequency
-        # over the whole grid, and writes its record from one time axis
-        from mwfi import rf_signals
+        # over the whole grid, and writes its record from one time axis; the
+        # sums read ifm_engine's binding of component_tracks, the scoring
+        # pass rf_signals' own
+        from mwfi import ifm_engine, rf_signals
         from mwfi.photonic_link import BLOCK
 
         n_times, spans = [], []
@@ -372,6 +374,7 @@ class TestRun:
 
         monkeypatch.setattr(rf_signals.TimeGrid, "times", times)
         monkeypatch.setattr(rf_signals, "component_tracks", tracks)
+        monkeypatch.setattr(ifm_engine, "component_tracks", tracks)
         cfg = RunConfig.from_text(
             "mode = dynamic\nifm.mode = ratio\nifm.duration_s = 40e-6\n"
             "scenario.hop1.freqs_hz = 10e9,13e9\nscenario.hop1.dwell_s = 80e-9\n"
@@ -669,6 +672,23 @@ def test_plan_builds_or_names_its_key(mode, picks, data):
         assert re.match(r"drawn\.cfg: (key|section) '[a-z0-9_.]+': ", str(exc)), str(exc)
     finally:
         _scan_axis.cache_clear()
+
+
+@pytest.mark.parametrize("lut_mode", ["single_port", "ratio"])
+@pytest.mark.parametrize("method", ["fttm", "ftpm"])
+def test_every_measure_pair_builds_a_plan(method, lut_mode):
+    # the fuzz above reaches one all-valid (method, table) pair about once in
+    # 2,500 examples; here each pair builds beside every other valid line
+    lines = ["mode = measure", f"measure.method = {method}", f"ifm.mode = {lut_mode}"]
+    lines += [valid[0] for name, (valid, _) in PLAN_LINES.items()
+              if name not in ("method", "lut mode")]
+    try:
+        plan = build_plan(RunConfig.from_text("\n".join(lines) + "\n"))
+    finally:
+        _scan_axis.cache_clear()
+    assert plan.method == method
+    if method == "ftpm":
+        assert plan.lut.mode == lut_mode
 
 
 def _key_tokens(kind, default, check=None):

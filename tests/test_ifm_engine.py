@@ -147,8 +147,14 @@ class TestBuildLut:
             (lambda head, rows: [head[0].replace("port=2", "port=3")] + rows, "port must be 1 or 2"),
             (lambda head, rows: head + ["1e10,x\n"] + rows, "could not convert"),
             (lambda head, rows: rows, "missing LUT header line"),
+            # a third field was once dropped unread, alone or on every row
+            (lambda head, rows: head + [rows[0].replace("\n", ",0.5\n")] + rows[1:],
+             "the number of columns changed"),
+            (lambda head, rows: head + [r.replace("\n", ",0.5\n") for r in rows],
+             "rows must have 2 fields, not 3"),
         ],
-        ids=["one knot", "no port", "unknown mode", "port 3", "not a number", "no header"],
+        ids=["one knot", "no port", "unknown mode", "port 3", "not a number", "no header",
+             "extra field", "three fields"],
     )
     def test_csv_refuses_a_malformed_file(self, tmp_path, edit, error):
         path = tmp_path / "lut.csv"

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mwfi.rf_signals import (
     RfScenario,
     TimeGrid,
     ToneSpec,
-    component_powers,
     component_tracks,
     instantaneous_components,
 )
@@ -448,12 +448,14 @@ class TestBlocking:
 
     @staticmethod
     def _unblocked(modulator, response, components, n_samples):
-        """The whole-array sum; response(freq) covers every sample."""
+        """The whole-array sum of (freq, amplitude, active) triples;
+        response(freq) covers every sample."""
         cs = 10.0 ** (-modulator.carrier_suppression / 10.0)
         imgs = 10.0 ** (-modulator.image_sideband_suppression / 10.0)
         total = np.zeros(n_samples)
         sideband_power = 0.0
-        for f, p in components:
+        for f, a, on in components:
+            p = a**2 * on
             w = modulator_sideband_weight(modulator, f)
             resp = response(f)
             resp *= p * w
@@ -477,11 +479,10 @@ class TestBlocking:
 
     @classmethod
     def _components(cls, n_samples):
-        """(blocked, whole): component_powers of EDGES, a tone, a chirp and a
-        hop, and its (freq, power) pairs from one whole-grid evaluation."""
+        """(blocked, whole): the per-block component_tracks of EDGES, a tone,
+        a chirp and a hop, and its triples from one whole-grid evaluation."""
         grid = TimeGrid(sample_rate=cls.RATE, n_samples=n_samples)
-        whole = [(f, a**2 * on) for f, a, on in component_tracks(cls.EDGES, grid)]
-        return component_powers(cls.EDGES, grid), whole
+        return partial(component_tracks, cls.EDGES, grid), component_tracks(cls.EDGES, grid)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_block_tracks_equal_whole_grid(self, n):
@@ -494,9 +495,9 @@ class TestBlocking:
         blocked, whole = self._components(n)
         for start in range(0, n, BLOCK):
             block = slice(start, start + BLOCK)
-            pairs = blocked(block)
-            assert len(pairs) == len(whole)
-            for got, want in zip(pairs, whole):
+            triples = blocked(block)
+            assert len(triples) == len(whole)
+            for got, want in zip(triples, whole):
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w[block] if np.ndim(w) else w)
 
@@ -533,7 +534,7 @@ class TestBlocking:
             table[f] = mrr_drop_response(mrr, f - f_s)
             table[f].setflags(write=False)
         kept = {f: t.copy() for f, t in table.items()}
-        components = component_powers(RfScenario(tones=tones), TimeGrid(1e6, n))
+        components = partial(component_tracks, RfScenario(tones=tones), TimeGrid(1e6, n))
         mod = TestLinkPower.MODELS.modulator
         cached = link_power(mod, lambda f, block: table[f][block], components, n)
         fresh = link_power(mod, lambda f, block: table[f][block].copy(), components, n)

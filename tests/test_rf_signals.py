@@ -12,7 +12,6 @@ from mwfi.rf_signals import (
     RfScenario,
     TimeGrid,
     ToneSpec,
-    component_powers,
     component_tracks,
     instantaneous_components,
     sole_component_freq,
@@ -205,19 +204,18 @@ def test_component_tracks_matches_scalar_path():
     data=st.data(),
 )
 def test_block_powers_match_scalar_path(center, span, duty, repeat, direction, hop, rate, n, data):
-    # the components the power sum reads, one block at a time, against
-    # instantaneous_components at drawn samples of the whole grid; most
-    # samples lie past the first block
+    # the tracks the power sum reads, one block at a time, with the power
+    # a**2 * on it gives each, against instantaneous_components at drawn
+    # samples of the whole grid; most samples lie past the first block
     chirp = ChirpSpec(center, span, duty * repeat, repeat, amplitude=1.3, direction=direction)
     sc = RfScenario(tones=(ToneSpec(freq=11e9, amplitude=0.6),), chirps=(chirp,), hops=(hop,))
     grid = TimeGrid(sample_rate=rate, n_samples=n)
-    components = component_powers(sc, grid)
     times = grid.times()
     for k in data.draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=8)):
         start = k - k % BLOCK
         got = {}
-        for f, p in components(slice(start, start + BLOCK)):
-            f, p = (float(v[k - start]) if np.ndim(v) else float(v) for v in (f, p))
+        for f, a, on in component_tracks(sc, grid, slice(start, start + BLOCK)):
+            f, p = (float(v[k - start]) if np.ndim(v) else float(v) for v in (f, a**2 * on))
             if p > 0:
                 got[f] = got.get(f, 0.0) + p
         want = {}

@@ -845,19 +845,36 @@ class TestPersistence:
         with pytest.raises(ValueError, match=error):
             scan_trace_from_csv(path, noiseless_models, drive)
 
+    # one 5 ms ramp at 1 MS/s as scan_trace_to_csv writes it, header first
+    RAMP = ["time_s,power\n"] + [f"{k / 1e6:.10e},1.0000000000e+00\n" for k in range(5000)]
+
     @pytest.mark.parametrize(
-        "rows, error",
+        "text, error",
         [
-            ("0.0,1.0\n1e-6,abc\n", "could not convert string 'abc'"),
-            ("0.0,1.0,2.0\n1e-6,1.0\n", "the number of columns changed"),
+            ("time_s,power\n0.0,1.0\n1e-6,abc\n", "could not convert string 'abc'"),
+            ("time_s,power\n0.0,1.0,2.0\n1e-6,1.0\n", "the number of columns changed"),
             # two 5 ms ramps at 1 MS/s, which a fold by the period once read as one
-            ("".join(f"{k / 1e6!r},1.0\n" for k in range(10_000)), "rows span 1.000000e-02 s"),
+            ("time_s,power\n" + "".join(f"{k / 1e6!r},1.0\n" for k in range(10_000)),
+             "rows span 1.000000e-02 s"),
+            # the first row once went as the header, and the ramp started a sample late
+            ("".join(RAMP[1:]), "first line is '0.0000000000e+00,1.0000000000e+00', not the "
+                                "header 'time_s,power'"),
+            ("freq_hz,value\n" + "".join(RAMP[1:]), "first line is 'freq_hz,value'"),
+            ("time_s,power\n" + "".join(r.replace("\n", ",0.0\n") for r in RAMP[1:]),
+             "rows must have 2 fields, not 3"),
+            ("time_s,power\n" + "".join(r.split(",")[0] + "\n" for r in RAMP[1:]),
+             "rows must have 2 fields, not 1"),
+            # every sample after the gap was once re-timed one sample early
+            ("".join(RAMP[:2500] + RAMP[2501:]),
+             "time step 2.000000e-06 s after row 2499 is over half a sample off the median "
+             "step 1.000000e-06 s"),
         ],
-        ids=["non-numeric", "ragged", "two ramps"],
+        ids=["non-numeric", "ragged", "two ramps", "no header", "wrong header", "three columns",
+             "one column", "dropped row"],
     )
-    def test_trace_csv_names_its_path(self, noiseless_models, tmp_path, rows, error):
+    def test_trace_csv_names_its_path(self, noiseless_models, tmp_path, text, error):
         path = tmp_path / "trace.csv"
-        path.write_text("time_s,power\n" + rows)
+        path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {error}")):
             scan_trace_from_csv(path, noiseless_models, SawtoothDrive(period=5e-3))
 
