@@ -333,8 +333,7 @@ def _run_measure(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
             tone = RfScenario(tones=(ToneSpec(freq=f),))
             # the first port keeps the tone's seed, a ratio table's port 2 appends 1
             seeds = (derive_seed(seed, STAGE_FTPM, i), derive_seed(seed, STAGE_FTPM, i, 1))
-            traces = _port_traces(plan, tone, seeds)
-            ests[i] = estimate_static_frequency(traces[0], plan.lut, *traces[1:])
+            ests[i] = estimate_static_frequency(_port_traces(plan, tone, seeds), plan.lut)
 
     report.score(ests, plan.tones)
     header = "truth_hz,estimate_hz,error_hz\n"
@@ -392,7 +391,7 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     # the k-th port the table reads draws its noise from (seed, STAGE_DYNAMIC, k)
     seeds = (derive_seed(seed, STAGE_DYNAMIC, k) for k in range(len(lut.ports)))
     traces = _port_traces(plan, scenario, seeds)
-    est = extract_inst_freq(traces[0], lut, *traces[1:])
+    est = extract_inst_freq(traces, lut)
 
     # score samples that are not noise and where the scenario has one frequency
     truth = sole_component_freq(scenario, grid)

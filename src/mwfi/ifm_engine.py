@@ -68,6 +68,12 @@ class AcfLut:
         d = np.diff(self.values)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("LUT values must be strictly monotone over the band")
+        if self.freqs.shape != self.values.shape:
+            raise ValueError(f"LUT has {self.freqs.size} knots but {self.values.size} values")
+        if not np.all(np.diff(self.freqs) > 0):
+            raise ValueError("LUT knots must strictly increase")
+        if self.freqs.size < 2 or (self.freqs[0], self.freqs[-1]) != tuple(self.band):
+            raise ValueError("LUT end knots must be the band edges")
 
     @property
     def ports(self) -> tuple:
@@ -122,13 +128,11 @@ NOISE_FLOOR = 0.05  # normalized power below which a sample, or a static mean, i
 
 @dataclass(frozen=True)
 class InstFreqEstimate:
-    """Per-sample frequency track; NaN marks samples classified as noise."""
+    """Per-sample frequency track on its traces' grid; NaN marks noise."""
 
-    times: np.ndarray
     freq: np.ndarray  # Hz, NaN where flagged
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "freq", np.asarray(self.freq, dtype=float))
 
     @property
@@ -232,48 +236,45 @@ def simulate_ifm(
     return IfmTrace(grid=grid, power=power, normalization=peak)
 
 
-def _read_out(lut: AcfLut, normalization: float, power, reference_power=None):
-    """(table value, normalized signal level) of the port powers lut reads:
-    power / normalization for both, or for a ratio table 10 log10 of port 1
-    over port 2 and the ports' mean over normalization. A ratio of zeros is
-    NaN and a power far past full scale inf, neither with a warning."""
-    if lut.mode == "ratio" and reference_power is None:
-        raise ValueError("a ratio table reads the complementary port trace too")
+def _read_out(lut: AcfLut, normalization: float, powers):
+    """(table value, normalized signal level) of the powers of the ports lut
+    reads, in AcfLut.ports order: power / normalization for both, or for a
+    ratio table 10 log10 of port 1 over port 2 and the ports' mean over
+    normalization. A ratio of zeros is NaN and a power far past full scale
+    inf, neither with a warning."""
+    if len(powers) != len(lut.ports):
+        raise ValueError(f"a {lut.mode} table reads {len(lut.ports)} port trace(s), "
+                         f"got {len(powers)}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if lut.mode == "ratio":
-            value = 10.0 * np.log10(power / reference_power)
-            level = (power + reference_power) / (2.0 * normalization)
+            p1, p2 = powers
+            value = 10.0 * np.log10(p1 / p2)
+            level = (p1 + p2) / (2.0 * normalization)
         else:
-            value = level = power / normalization
+            value = level = powers[0] / normalization
     return value, level
 
 
-def extract_inst_freq(
-    trace: IfmTrace, lut: AcfLut, reference_trace: IfmTrace | None = None
-) -> InstFreqEstimate:
+def extract_inst_freq(traces, lut: AcfLut) -> InstFreqEstimate:
     """Invert the lookup sample by sample.
 
-    A sample is flagged as noise when its normalized power sits below
+    traces are the records of the ports lut reads, in AcfLut.ports order. A
+    sample is flagged as noise when its normalized power sits below
     NOISE_FLOOR or its value lies outside the table's range, so the lookup
-    band is the read-out's range. For a ratio LUT, trace must be the port-1
-    record and reference_trace the port-2 record.
+    band is the read-out's range.
     """
-    ref = None if reference_trace is None else reference_trace.power
-    value, level = _read_out(lut, trace.normalization, trace.power, ref)
+    value, level = _read_out(lut, traces[0].normalization, [t.power for t in traces])
     ok = (level >= NOISE_FLOOR) & (value >= lut.values.min()) & (value <= lut.values.max())
-    freq = np.full(trace.grid.n_samples, NOISE)
+    freq = np.full(traces[0].grid.n_samples, NOISE)
     freq[ok] = lut.invert(value[ok])
-    return InstFreqEstimate(times=trace.grid.times(), freq=freq)
+    return InstFreqEstimate(freq=freq)
 
 
-def estimate_static_frequency(
-    trace: IfmTrace, lut: AcfLut, reference_trace: IfmTrace | None = None
-) -> float:
+def estimate_static_frequency(traces, lut: AcfLut) -> float:
     """Invert the read-out of the traces' mean powers, read as by
     extract_inst_freq; noise averages out for a static tone. A mean level
     below NOISE_FLOOR is no signal."""
-    ref = None if reference_trace is None else np.mean(reference_trace.power)
-    value, level = _read_out(lut, trace.normalization, np.mean(trace.power), ref)
+    value, level = _read_out(lut, traces[0].normalization, [np.mean(t.power) for t in traces])
     if level < NOISE_FLOOR:
         raise ValueError("no signal: mean power below the noise floor")
     return float(lut.invert(value))
@@ -330,11 +331,11 @@ def inst_freq_to_csv(est: InstFreqEstimate, path, traces):
     """A dynamic run's record: per sample its time, the power of each trace
     and the frequency, NaN written as NOISE.
 
-    traces are the traces est was extracted from, in the order
-    extract_inst_freq reads them: one port's trace, whose column is power,
-    or for a ratio table port 1 (power) and port 2 (power_ref).
+    traces are the traces est was extracted from, in AcfLut.ports order: one
+    port's trace, whose column is power, or for a ratio table port 1 (power)
+    and port 2 (power_ref). The time column is their grid's.
     """
     names = ("power", "power_ref")[: len(traces)]
     header = ",".join(("time_s", *names, "freq_hz_or_NOISE")) + "\n"
-    columns = (est.times, *(t.power for t in traces), est.freq)
+    columns = (traces[0].grid.times(), *(t.power for t in traces), est.freq)
     write_columns(path, header, columns, nan="NOISE")

@@ -200,6 +200,11 @@ class CalibrationTable:
         a, b, _ = self.coeffs
         return 2.0 * a * np.asarray(t, dtype=float) + b
 
+    @property
+    def monotone(self) -> bool:
+        """df/dt > 0 at both ends of the valid range, so the lookup inverts."""
+        return min(self.slope_at(self.valid_range[0]), self.slope_at(self.valid_range[1])) > 0
+
     def save(self, path):
         a, b, c = self.coeffs
         t0, t1 = self.valid_range
@@ -211,8 +216,8 @@ class CalibrationTable:
     @classmethod
     def load(cls, path):
         """Reload a table written by save; a malformed file (a number that
-        is not finite, a valid range whose ends are reversed) raises a
-        ValueError that names path."""
+        is not finite, a valid range whose ends are reversed, a lookup that
+        is not monotone) raises a ValueError that names path."""
         with open(path) as fh:
             lines = [ln.split() for ln in fh if ln.strip()]
         if len(lines) != 3:
@@ -223,9 +228,12 @@ class CalibrationTable:
                 raise ValueError("every number must be finite")
             if t0 > t1:
                 raise ValueError(f"valid range {t0!r}..{t1!r} is reversed")
+            table = cls((a, b, c), (t0, t1), rms)
+            if not table.monotone:
+                raise ValueError("lookup is not monotone over its valid range")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return cls((a, b, c), (t0, t1), rms)
+        return table
 
 
 @functools.lru_cache(maxsize=1)
@@ -512,8 +520,7 @@ def fit_calibration(tone_freqs, scans) -> CalibrationTable:
         valid_range=(float(t.min()), float(t.max())),
         fit_residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
-    # the lookup must be invertible: df/dt > 0 across the fitted range
-    if min(table.slope_at(table.valid_range[0]), table.slope_at(table.valid_range[1])) <= 0:
+    if not table.monotone:
         raise CalibrationError("fitted lookup is not monotone over the observed delays")
     return table
 

@@ -133,9 +133,9 @@ def test_criterion_06_dynamic_chirp_reconstruction():
     def errors(noise_sigma, seed):
         models = LinkModels(pd=PdModel(noise_sigma=noise_sigma))
         trace = simulate_ifm(sc, models, grid, seed=seed)
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         on = ~est.is_noise
-        phase = est.times[on] % chirp.repeat_interval
+        phase = grid.times()[on] % chirp.repeat_interval
         truth = 12e9 + 6e9 * phase / chirp.pulse_width
         return est.freq[on] - truth
 
@@ -157,7 +157,7 @@ def test_criterion_07_dynamic_hop_jam_filtering():
     grid = TimeGrid(sample_rate=1e9, n_samples=640)
     sc = RfScenario(hops=(HopSpec(freqs=(10e9, 13e9, 15e9, 17e9), dwell=80e-9),))
     trace = simulate_ifm(sc, models, grid, seed=77)
-    est = extract_inst_freq(trace, lut)
+    est = extract_inst_freq([trace], lut)
 
     jam_flagged = all(est.is_noise[c * 320 : c * 320 + 80].all() for c in range(2))
     worst = 0.0

@@ -92,7 +92,7 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
     # rows with full-width rows, and the third and fourth are all full width
     pos_freq = rng.uniform(10e9, 20e9, n_pos)
     pos_freq[CHUNK_ROWS + np.array([11, 12, 6000])] = np.nan
-    record = InstFreqEstimate(times=pos_grid.times(), freq=pos_freq)
+    record = InstFreqEstimate(freq=pos_freq)
     port1 = IfmTrace(grid=pos_grid, power=rng.uniform(1e-6, 1.0, n_pos), normalization=1.0)
     port2 = IfmTrace(grid=pos_grid, power=rng.uniform(1e-6, 1.0, n_pos), normalization=1.0)
     # ratio-mode values are in dB; this band crosses 0 dB at quadrature
@@ -106,15 +106,15 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
         (ifm_trace_to_csv, IfmTrace(grid=pos_grid, power=positive, normalization=1.0),
          "time_s,power\n" + scalar_rows((pos_grid.times(), positive))),
         (partial(inst_freq_to_csv, traces=[IfmTrace(grid=grid, power=power, normalization=1.0)]),
-         InstFreqEstimate(times=grid.times(), freq=freq),
+         InstFreqEstimate(freq=freq),
          "time_s,power,freq_hz_or_NOISE\n"
          + scalar_rows((grid.times(), power, freq), nan="NOISE")),
         (partial(inst_freq_to_csv, traces=[port1]), record,
          "time_s,power,freq_hz_or_NOISE\n"
-         + scalar_rows((record.times, port1.power, pos_freq), nan="NOISE")),
+         + scalar_rows((pos_grid.times(), port1.power, pos_freq), nan="NOISE")),
         (partial(inst_freq_to_csv, traces=[port1, port2]), record,
          "time_s,power,power_ref,freq_hz_or_NOISE\n"
-         + scalar_rows((record.times, port1.power, port2.power, pos_freq), nan="NOISE")),
+         + scalar_rows((pos_grid.times(), port1.power, port2.power, pos_freq), nan="NOISE")),
         (lut_to_csv, lut,
          f"# mode=ratio port=2 f_lo_hz={20e9:.10e} f_hi_hz={50e9:.10e}\n"
          + scalar_rows((lut.freqs, lut.values))),

@@ -22,7 +22,8 @@ from mwfi.harness import (
     rms_error, run,
 )
 from mwfi.ifm_engine import (
-    DEFAULT_BAND, build_lut, ifm_trace_to_csv, simulate_ifm,
+    DEFAULT_BAND, IfmTrace, build_lut, extract_inst_freq, ifm_trace_to_csv, lut_from_csv,
+    simulate_ifm,
 )
 from mwfi.photonic_link import LinkModels
 from mwfi.presets import list_presets, preset_path
@@ -195,7 +196,8 @@ class TestScenarioBuilding:
 
 class TestExpectedLabel:
     def test_pure_scenarios(self):
-        assert expected_label(RfScenario(tones=(ToneSpec(freq=1e9),))) is ClassLabel.SINGLE_FREQUENCY
+        tone = RfScenario(tones=(ToneSpec(freq=1e9),))
+        assert expected_label(tone) is ClassLabel.SINGLE_FREQUENCY
         assert (
             expected_label(RfScenario(tones=(ToneSpec(freq=1e9), ToneSpec(freq=2e9))))
             is ClassLabel.MULTIPLE_FREQUENCY
@@ -321,6 +323,25 @@ class TestRun:
             trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, port, plan.lut.band, s)
             assert [f[1 + k] for f in fields] == [f"{v:.10e}" for v in trace.power]
 
+    def test_ratio_record_recomputes_from_its_artifacts(self, tmp_path):
+        # the record's two power columns and lut.csv give back its frequencies;
+        # only the read-out's full scale comes from the models, not the files
+        text = preset_path("fig6f").read_text() + "ifm.mode = ratio\n"
+        cfg = RunConfig.from_text(text)
+        run(cfg, seed=3, out_dir=tmp_path)
+        plan = build_plan(cfg)
+        lut = lut_from_csv(tmp_path / "lut.csv")
+        rows = [r.split(",") for r in (tmp_path / "inst_freq.csv").read_text().splitlines()[1:]]
+        recorded = np.array([np.nan if r[3] == "NOISE" else float(r[3]) for r in rows])
+        scale = simulate_ifm(RfScenario(), plan.models, plan.ifm_grid, 1, lut.band).normalization
+        traces = [IfmTrace(plan.ifm_grid, np.array([float(r[k]) for r in rows]), scale)
+                  for k in (1, 2)]
+        est = extract_inst_freq(traces, lut)
+        np.testing.assert_array_equal(est.is_noise, np.isnan(recorded))
+        assert 0 < est.is_noise.sum() < len(rows)
+        # each number was written to 11 significant digits, about 1 Hz at 20 GHz
+        np.testing.assert_allclose(est.freq, recorded, rtol=0, atol=2.0)
+
     @pytest.mark.parametrize(
         "line, mode, ports",
         [("ifm.port = 1", "single_port", "1"), ("ifm.port = 2", "single_port", "2"),
@@ -382,6 +403,25 @@ class TestRun:
         run(cfg, out_dir=tmp_path)
         assert n_times == [40000]
         assert sorted(spans) == sorted([BLOCK, BLOCK, 40000 - 2 * BLOCK] * 2 + [40000])
+
+    def test_dynamic_sweep_builds_no_ifm_time_axis(self, tmp_path, monkeypatch):
+        # only the record reads the time axis, and a sweep sub-run drops it
+        from mwfi import rf_signals
+
+        grids, grid_times = [], rf_signals.TimeGrid.times
+
+        def times(grid):
+            grids.append(grid)
+            return grid_times(grid)
+
+        monkeypatch.setattr(rf_signals.TimeGrid, "times", times)
+        cfg = RunConfig.from_text(
+            "mode = sweep\nsweep.mode = dynamic\nsweep.n_seeds = 2\nifm.mode = ratio\n"
+            f"{SWEEP_TARGETS['dynamic']}\n"
+        )
+        run(cfg, out_dir=tmp_path)
+        assert (tmp_path / "seed_1" / "report.txt").exists()
+        assert build_plan(cfg).target.ifm_grid not in grids
 
     def test_seed_override_changes_noise(self, tmp_path):
         cfg = RunConfig.from_file(preset_path("fig3a"))
@@ -466,7 +506,8 @@ class TestRun:
 
     def test_calibrate_sweep_keeps_no_lut(self, tmp_path):
         # the lookup table does not depend on the seed; a single run writes it
-        text = "mode = sweep\nsweep.mode = calibrate\nsweep.n_seeds = 2\ncalibration.step_hz = 5e9\n"
+        text = ("mode = sweep\nsweep.mode = calibrate\nsweep.n_seeds = 2\n"
+                "calibration.step_hz = 5e9\n")
         run(RunConfig.from_text(text), out_dir=tmp_path / "sweep")
         for seed in (1, 2):
             sub = tmp_path / "sweep" / f"seed_{seed}"

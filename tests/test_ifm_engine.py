@@ -144,7 +144,8 @@ class TestBuildLut:
             (lambda head, rows: head + rows[:1], "need at least 2 knots, got 1"),
             (lambda head, rows: [head[0].replace(" port=2", "")] + rows, "header has no port"),
             (lambda head, rows: [head[0].replace("single_port", "bogus")] + rows, "LUT mode"),
-            (lambda head, rows: [head[0].replace("port=2", "port=3")] + rows, "port must be 1 or 2"),
+            (lambda head, rows: [head[0].replace("port=2", "port=3")] + rows,
+             "port must be 1 or 2"),
             (lambda head, rows: head + ["1e10,x\n"] + rows, "could not convert"),
             (lambda head, rows: rows, "missing LUT header line"),
             # a third field was once dropped unread, alone or on every row
@@ -152,9 +153,13 @@ class TestBuildLut:
              "the number of columns changed"),
             (lambda head, rows: head + [r.replace("\n", ",0.5\n") for r in rows],
              "rows must have 2 fields, not 3"),
+            # knots that fall, or that end off the band, once loaded and inverted
+            (lambda head, rows: head + rows[::-1], "knots must strictly increase"),
+            (lambda head, rows: [head[0].replace("f_hi_hz=2.0", "f_hi_hz=3.0")] + rows,
+             "end knots must be the band edges"),
         ],
         ids=["one knot", "no port", "unknown mode", "port 3", "not a number", "no header",
-             "extra field", "three fields"],
+             "extra field", "three fields", "falling knots", "knots off the band"],
     )
     def test_csv_refuses_a_malformed_file(self, tmp_path, edit, error):
         path = tmp_path / "lut.csv"
@@ -163,6 +168,12 @@ class TestBuildLut:
         path.write_text("".join(edit([head], rows)))
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + error):
             lut_from_csv(path)
+
+    def test_refuses_a_knot_count_other_than_the_value_count(self):
+        # once built, then failed inside np.interp naming nothing
+        with pytest.raises(ValueError, match="3 knots but 2 values"):
+            AcfLut(mode="single_port", port=2, band=(10e9, 20e9),
+                   freqs=[10e9, 15e9, 20e9], values=[0.1, 0.9])
 
 
 class TestSimulateIfm:
@@ -197,7 +208,7 @@ class TestExtractInstFreq:
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=100)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=15e9),)), NOISELESS, grid)
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         assert not est.is_noise.any()
         np.testing.assert_allclose(est.freq, 15e9, atol=lut.step)
 
@@ -207,7 +218,7 @@ class TestExtractInstFreq:
         chirp = ChirpSpec(center=15e9, span=6e9, pulse_width=160e-9, repeat_interval=200e-9)
         sc = RfScenario(chirps=(chirp,))
         trace = simulate_ifm(sc, NOISELESS, grid)
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         t = grid.times()
         on = ~est.is_noise
         assert on.sum() == 320  # 160 of each 200 ns cycle
@@ -224,7 +235,7 @@ class TestExtractInstFreq:
         grid = TimeGrid(sample_rate=1e9, n_samples=320)
         sc = RfScenario(hops=(HopSpec(freqs=(13e9, 17e9, 15e9, 11e9), dwell=80e-9),))
         trace = simulate_ifm(sc, NOISELESS, grid)
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         recovered = [float(np.median(est.freq[k : k + 80])) for k in range(0, 320, 80)]
         assert recovered == pytest.approx([13e9, 17e9, 15e9, 11e9], abs=lut.step)
 
@@ -234,7 +245,7 @@ class TestExtractInstFreq:
         grid = TimeGrid(sample_rate=1e9, n_samples=640)
         sc = RfScenario(hops=(HopSpec(freqs=HOP_SET, dwell=80e-9),))
         trace = simulate_ifm(sc, models, grid, seed=6)
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         for cycle in range(2):
             base = cycle * 320
             assert est.is_noise[base : base + 80].all()  # 10 GHz jam removed
@@ -247,14 +258,14 @@ class TestExtractInstFreq:
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=50)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=21e9),)), NOISELESS, grid)
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         assert est.is_noise.all()
 
     def test_silence_is_noise(self):
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=50)
         trace = simulate_ifm(RfScenario(), NOISELESS, grid)
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         assert est.is_noise.all()
 
     def test_two_simultaneous_tones_power_sums(self):
@@ -268,7 +279,7 @@ class TestExtractInstFreq:
         single14 = simulate_ifm(RfScenario(tones=(ToneSpec(freq=14e9),)), NOISELESS, grid)
         assert trace.power[0] > single12.power[0]
         assert trace.power[0] > single14.power[0]
-        est = extract_inst_freq(trace, lut)
+        est = extract_inst_freq([trace], lut)
         assert est.is_noise[0] or est.freq[0] > 14e9
 
     def test_ratio_mode_round_trip(self):
@@ -277,7 +288,7 @@ class TestExtractInstFreq:
         sc = RfScenario(tones=(ToneSpec(freq=13.5e9),))
         tr1 = simulate_ifm(sc, NOISELESS, grid, port=1)
         tr2 = simulate_ifm(sc, NOISELESS, grid, port=2)
-        est = extract_inst_freq(tr1, lut, reference_trace=tr2)
+        est = extract_inst_freq([tr1, tr2], lut)
         assert not est.is_noise.any()
         np.testing.assert_allclose(est.freq, 13.5e9, atol=lut.step)
 
@@ -305,9 +316,9 @@ class TestExtractInstFreq:
             scenario = RfScenario(**{kind: (emitter(amp),)})
             port1 = simulate_ifm(scenario, models, grid, port=1, seed=5)
             port2 = simulate_ifm(scenario, models, grid, port=2, seed=6)
-            track = extract_inst_freq(port1, lut, reference_trace=port2).freq
+            track = extract_inst_freq([port1, port2], lut).freq
             # a tone's static estimate reads the same ratio, of the mean powers
-            static = estimate_static_frequency(port1, lut, port2) if kind == "tones" else 0.0
+            static = estimate_static_frequency([port1, port2], lut) if kind == "tones" else 0.0
             return track, static
 
         (unit, unit_static), (scaled, scaled_static) = read(1.0), read(amplitude)
@@ -317,11 +328,15 @@ class TestExtractInstFreq:
         assert scaled_static == pytest.approx(unit_static, rel=0, abs=1e-3)
 
     def test_ratio_mode_needs_reference(self):
-        lut = build_lut(MziModel(), mode="ratio")
+        # a table reads exactly its ports: a ratio table refuses one trace or
+        # three, and a single_port table a second, once ignored without a word
         grid = TimeGrid(sample_rate=1e9, n_samples=8)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=13e9),)), NOISELESS, grid)
-        with pytest.raises(ValueError, match="complementary"):
-            extract_inst_freq(trace, lut)
+        for mode, n_traces in [("ratio", 1), ("ratio", 3), ("single_port", 2)]:
+            lut = build_lut(MziModel(), mode=mode)
+            with pytest.raises(ValueError, match=f"{mode} table reads {len(lut.ports)} .*got "
+                                                 f"{n_traces}"):
+                extract_inst_freq([trace] * n_traces, lut)
 
 
 class TestEstimateStaticFrequency:
@@ -329,7 +344,7 @@ class TestEstimateStaticFrequency:
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=500)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=14e9),)), NOISELESS, grid)
-        assert estimate_static_frequency(trace, lut) == pytest.approx(14e9, abs=lut.step)
+        assert estimate_static_frequency([trace], lut) == pytest.approx(14e9, abs=lut.step)
 
     @settings(max_examples=20, deadline=None)
     @given(at=st.floats(0.0, 1.0), n_knots=st.sampled_from([64, 512, 4096]))
@@ -338,21 +353,21 @@ class TestEstimateStaticFrequency:
         f = lut.band[0] + at * (lut.band[1] - lut.band[0])
         grid = TimeGrid(sample_rate=1e9, n_samples=64)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=f, amplitude=1.0),)), NOISELESS, grid)
-        assert abs(estimate_static_frequency(trace, lut) - f) <= lut.step
+        assert abs(estimate_static_frequency([trace], lut) - f) <= lut.step
 
     def test_noisy_within_one_gigahertz(self):
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=2000)
         models = LinkModels(pd=PdModel(noise_sigma=0.01))
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=14e9),)), models, grid, seed=8)
-        assert estimate_static_frequency(trace, lut) == pytest.approx(14e9, abs=1e9)
+        assert estimate_static_frequency([trace], lut) == pytest.approx(14e9, abs=1e9)
 
     def test_no_signal_raises(self):
         lut = build_lut(MziModel())
         grid = TimeGrid(sample_rate=1e9, n_samples=100)
         trace = simulate_ifm(RfScenario(), NOISELESS, grid)
         with pytest.raises(ValueError, match="no signal"):
-            estimate_static_frequency(trace, lut)
+            estimate_static_frequency([trace], lut)
 
     def test_ratio_no_signal_raises(self):
         # the ratio of the dark ports' zero means is NaN, without a warning
@@ -360,14 +375,17 @@ class TestEstimateStaticFrequency:
         grid = TimeGrid(sample_rate=1e9, n_samples=100)
         port1, port2 = (simulate_ifm(RfScenario(), NOISELESS, grid, port=k) for k in (1, 2))
         with pytest.raises(ValueError, match="no signal"):
-            estimate_static_frequency(port1, lut, port2)
+            estimate_static_frequency([port1, port2], lut)
 
     def test_ratio_needs_reference(self):
-        lut = build_lut(MziModel(), mode="ratio")
+        # as extract_inst_freq: only a list of len(lut.ports) traces is read
         grid = TimeGrid(sample_rate=1e9, n_samples=8)
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=13e9),)), NOISELESS, grid, port=1)
-        with pytest.raises(ValueError, match="complementary"):
-            estimate_static_frequency(trace, lut)
+        for mode, n_traces in [("ratio", 1), ("ratio", 3), ("single_port", 2)]:
+            lut = build_lut(MziModel(), mode=mode)
+            with pytest.raises(ValueError, match=f"{mode} table reads {len(lut.ports)} .*got "
+                                                 f"{n_traces}"):
+                estimate_static_frequency([trace] * n_traces, lut)
 
 
 def test_inst_freq_csv_writes_noise_literal(tmp_path):
@@ -376,7 +394,7 @@ def test_inst_freq_csv_writes_noise_literal(tmp_path):
     models = LinkModels(pd=PdModel(noise_sigma=0.0), notch=JAM_NOTCH)
     sc = RfScenario(hops=(HopSpec(freqs=(10e9, 15e9), dwell=80e-9),))
     trace = simulate_ifm(sc, models, grid)
-    est = extract_inst_freq(trace, lut)
+    est = extract_inst_freq([trace], lut)
     path = tmp_path / "inst.csv"
     inst_freq_to_csv(est, path, [trace])
     lines = path.read_text().splitlines()

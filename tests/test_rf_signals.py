@@ -365,7 +365,8 @@ def test_negative_time_rejected():
         lambda: ToneSpec(freq=1e9, amplitude=-0.1),
         lambda: ChirpSpec(center=1e9, span=0.0, pulse_width=1e-6, repeat_interval=1e-6),
         lambda: ChirpSpec(center=1e9, span=1e9, pulse_width=2e-6, repeat_interval=1e-6),
-        lambda: ChirpSpec(center=1e9, span=1e9, pulse_width=1e-6, repeat_interval=1e-6, direction="sideways"),
+        lambda: ChirpSpec(center=1e9, span=1e9, pulse_width=1e-6, repeat_interval=1e-6,
+                          direction="sideways"),
         lambda: HopSpec(freqs=(), dwell=1e-6),
         lambda: HopSpec(freqs=(1e9,), dwell=0.0),
         lambda: TimeGrid(sample_rate=0.0, n_samples=4),

@@ -787,6 +787,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert")):
             CalibrationTable.load(path)
 
+    def test_calibration_table_refuses_a_lookup_that_is_not_monotone(self, tmp_path):
+        # slope -2e19 Hz/s at 0.1 s: once loaded, mapping 0.08 s to -6.4e17 Hz
+        path = tmp_path / "cal.txt"
+        path.write_text("-1e20 1e10 1.5e10\n0 0.1\n0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: lookup is not monotone")):
+            CalibrationTable.load(path)
+
     def test_trace_csv_round_trip(self, tmp_path):
         # a noisy scan: the reload carries the same hint and detects the same
         # events, here the pulse and a noise event 0.104 ms into the ramp
