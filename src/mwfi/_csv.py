@@ -142,8 +142,7 @@ def render_rows(columns, nan: str = "nan") -> bytes:
         raw[:, off + _SLOT] = ord("\n") if j == len(columns) - 1 else ord(",")
     if full:
         return raw.reshape(n, len(columns), _TOKEN.itemsize)[:, :, _FULL].tobytes()
-    flat = rows.view(np.uint8)
-    return flat[flat != 0].tobytes()
+    return rows.tobytes().translate(None, b"\0")
 
 
 def write_columns(path, header: str, columns, nan: str = "nan"):

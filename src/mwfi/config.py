@@ -85,6 +85,28 @@ _RUN = {
     "sweep.n_seeds": (int, 10, (">=", 1)),
 }
 
+# key (an emitter's by kind) -> closed range (lo, hi) of each of its values;
+# with harness.MAX_SAMPLES and MAX_TONES they keep every sum of a run finite,
+# and the ends of a pair held to lo < hi lie apart (README, "Ranges")
+_FREQ, _WIDTH, _TIME = (-1e13, 1e13), (1.0, 1e13), (1e-15, 1e3)
+_DB, _AMPLITUDE, _EMITTED = (0.0, 100.0), (0.0, 1e6), (1.0, 1e13)
+_RANGES = {
+    "drive.v_min_v": (0.0, 1e3), "drive.v_max_v": (0.1, 1e4), "drive.period_s": _TIME,
+    "modulator.bw_3db_hz": _WIDTH, "modulator.carrier_suppression_db": _DB,
+    "modulator.image_suppression_db": _DB,
+    "mrr.fsr_hz": (2.0, 1e13), "mrr.fwhm_hz": (1.0, 1e12), "mrr.f_offset0_hz": _FREQ,
+    "mrr.k_thermal_hz_per_v2": (1.0, 1e13), "mrr.tau_thermal_s": _TIME,
+    "mzi.fsr_hz": _WIDTH, "mzi.extinction_ratio_db": (0.1, 100.0), "mzi.f_ref_hz": _FREQ,
+    "notch.centers_hz": _FREQ, "notch.fwhm_each_hz": _WIDTH, "notch.rejection_db": _DB,
+    "pd.bw_3db_hz": _WIDTH, "pd.noise_sigma": (0.0, 1.0),
+    "tone.freq_hz": _EMITTED, "tone.amplitude": _AMPLITUDE,
+    "chirp.center_hz": _EMITTED, "chirp.span_hz": _WIDTH, "chirp.pulse_width_s": _TIME,
+    "chirp.repeat_interval_s": _TIME, "chirp.amplitude": _AMPLITUDE,
+    "hop.freqs_hz": _EMITTED, "hop.dwell_s": _TIME, "hop.amplitude": _AMPLITUDE,
+    "hop.start_s": (0.0, 1e3),
+    "ifm.duration_s": _TIME, "ifm.band_lo_hz": (0.0, 9e12), "ifm.band_hi_hz": (1.0, 1e13),
+}
+
 # every key the parser accepts: the run keys, and the model keys, whose
 # emitters repeat by an index without leading zeros (tone1, tone2, ...)
 _KEY_RE = re.compile("|".join([re.escape(key) for key in _RUN] + [
@@ -163,6 +185,8 @@ class RunConfig:
             raise ConfigError(f"{self.source}: key {key!r}: not a number: {token!r}")
         if not math.isfinite(value):
             raise ConfigError(f"{self.source}: key {key!r}: not a finite number: {token!r}")
+        lo, hi = _RANGES.get(re.sub(r"^scenario\.(\D+)\d+", r"\1", key), (-math.inf, math.inf))
+        self.require(lo <= value <= hi, f"key {key!r}", f"{value!r} lies outside {lo:g}..{hi:g}")
         return value
 
     def _value(self, key, kind):

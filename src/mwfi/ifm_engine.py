@@ -115,6 +115,7 @@ class IfmTrace:
     grid: TimeGrid
     power: np.ndarray
     normalization: float  # unit-amplitude power, the largest of 2048 across the band
+    port: int  # the MZI output port it was detected at
 
     def __post_init__(self):
         object.__setattr__(self, "power", np.asarray(self.power, dtype=float))
@@ -233,18 +234,19 @@ def simulate_ifm(
     power = pd_detect(total, models.pd, grid, seed)
     ref = np.linspace(band[0], band[1], 2048)
     peak = float(np.max(_single_tone_power(models.modulator, models.mzi, port, ref)))
-    return IfmTrace(grid=grid, power=power, normalization=peak)
+    return IfmTrace(grid=grid, power=power, normalization=peak, port=port)
 
 
-def _read_out(lut: AcfLut, normalization: float, powers):
-    """(table value, normalized signal level) of the powers of the ports lut
-    reads, in AcfLut.ports order: power / normalization for both, or for a
-    ratio table 10 log10 of port 1 over port 2 and the ports' mean over
-    normalization. A ratio of zeros is NaN and a power far past full scale
-    inf, neither with a warning."""
-    if len(powers) != len(lut.ports):
-        raise ValueError(f"a {lut.mode} table reads {len(lut.ports)} port trace(s), "
-                         f"got {len(powers)}")
+def _read_out(lut: AcfLut, traces, powers):
+    """(table value, normalized signal level) of powers, one per trace of the
+    ports lut reads, in AcfLut.ports order: power / normalization for both,
+    or for a ratio table 10 log10 of port 1 over port 2 and the ports' mean
+    over normalization. A ratio of zeros is NaN and a power far past full
+    scale inf, neither with a warning."""
+    ports = tuple(t.port for t in traces)
+    if ports != lut.ports:
+        raise ValueError(f"a {lut.mode} table reads ports {lut.ports}, got traces of {ports}")
+    normalization = traces[0].normalization
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if lut.mode == "ratio":
             p1, p2 = powers
@@ -263,7 +265,7 @@ def extract_inst_freq(traces, lut: AcfLut) -> InstFreqEstimate:
     NOISE_FLOOR or its value lies outside the table's range, so the lookup
     band is the read-out's range.
     """
-    value, level = _read_out(lut, traces[0].normalization, [t.power for t in traces])
+    value, level = _read_out(lut, traces, [t.power for t in traces])
     ok = (level >= NOISE_FLOOR) & (value >= lut.values.min()) & (value <= lut.values.max())
     freq = np.full(traces[0].grid.n_samples, NOISE)
     freq[ok] = lut.invert(value[ok])
@@ -274,7 +276,7 @@ def estimate_static_frequency(traces, lut: AcfLut) -> float:
     """Invert the read-out of the traces' mean powers, read as by
     extract_inst_freq; noise averages out for a static tone. A mean level
     below NOISE_FLOOR is no signal."""
-    value, level = _read_out(lut, traces[0].normalization, [np.mean(t.power) for t in traces])
+    value, level = _read_out(lut, traces, [np.mean(t.power) for t in traces])
     if level < NOISE_FLOOR:
         raise ValueError("no signal: mean power below the noise floor")
     return float(lut.invert(value))

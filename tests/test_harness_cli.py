@@ -16,10 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from mwfi.classifier import ClassLabel
 from mwfi.cli import main
-from mwfi.config import _EMITTERS, _RUN, _SECTIONS, MODES, ConfigError, RunConfig
+from mwfi.config import _EMITTERS, _RANGES, _RUN, _SECTIONS, MODES, ConfigError, RunConfig
 from mwfi.harness import (
-    _SWEEP_DROPS, MAX_SAMPLES, MAX_TONES, MetricsReport, _tone_list, build_plan, expected_label,
-    rms_error, run,
+    _SWEEP_DROPS, MAX_SAMPLES, MAX_TONES, MetricsReport, _run_mode, _tone_list, build_plan,
+    expected_label, rms_error, run,
 )
 from mwfi.ifm_engine import (
     DEFAULT_BAND, IfmTrace, build_lut, extract_inst_freq, ifm_trace_to_csv, lut_from_csv,
@@ -334,7 +334,7 @@ class TestRun:
         rows = [r.split(",") for r in (tmp_path / "inst_freq.csv").read_text().splitlines()[1:]]
         recorded = np.array([np.nan if r[3] == "NOISE" else float(r[3]) for r in rows])
         scale = simulate_ifm(RfScenario(), plan.models, plan.ifm_grid, 1, lut.band).normalization
-        traces = [IfmTrace(plan.ifm_grid, np.array([float(r[k]) for r in rows]), scale)
+        traces = [IfmTrace(plan.ifm_grid, np.array([float(r[k]) for r in rows]), scale, k)
                   for k in (1, 2)]
         est = extract_inst_freq(traces, lut)
         np.testing.assert_array_equal(est.is_noise, np.isnan(recorded))
@@ -675,8 +675,8 @@ PLAN_LINES = {
     "lut mode": (["ifm.mode = single_port", "ifm.mode = ratio"], ["ifm.mode = bogus"]),
     "port": (["ifm.port = 1", "ifm.port = 2"], ["ifm.port = 3", "ifm.port = 1.5"]),
     "knots": (["ifm.n_knots = 64"], ["ifm.n_knots = 1", "ifm.n_knots = 1e8"]),
-    # an ftpm measure of the default 10-20 GHz tones needs the band to hold them
-    # an f_ref of 1e308 Hz leaves the band no finite fringe phase
+    # an ftpm measure of the default 10-20 GHz tones needs the band to hold them;
+    # an f_ref of 1e308 Hz lies outside its key's range
     "band": (["ifm.band_lo_hz = 9e9"], ["ifm.band_hi_hz = 90e9", "mzi.f_ref_hz = 1e308"]),
     "target": (["sweep.mode = classify", "sweep.mode = dynamic"], ["sweep.mode = sweep"]),
     "seeds": (["sweep.n_seeds = 2"], ["sweep.n_seeds = 0"]),
@@ -687,7 +687,7 @@ PLAN_LINES = {
             "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0",
         ],
     ),
-    # a scan tuned 1e308 Hz/V^2 reaches past what the Lorentzian can square
+    # a fwhm of 0, a tuning of 1e308 Hz/V^2 and 1e308 V lie outside their keys' ranges
     "ring": (["mrr.fwhm_hz = 500e6"], ["mrr.fwhm_hz = 0", "mrr.k_thermal_hz_per_v2 = 1e308"]),
     "drive": (["drive.v_min_v = 0"], ["drive.v_min_v = -1", "drive.v_max_v = 1e308"]),
 }
@@ -790,13 +790,11 @@ def test_drawn_plan_stays_within_caps_or_names_a_key(keys, data):
         _scan_axis.cache_clear()
 
 
-# emitter frequencies mostly where the presets put them, sometimes up to the
-# largest float; amplitudes from 1e-160, whose square is subnormal, to 1.3e154,
-# whose square is finite while two such squares sum past the largest float
-_FREQ = st.one_of(*[st.floats(9e9, 21e9)] * 3, st.floats(10.0, 308.0).map(lambda e: 10.0**e))
-_AMPLITUDE = st.one_of(
-    st.just(1.0), st.floats(-160.0, math.log10(1.3e154)).map(lambda e: 10.0**e)
-)
+# emitter frequencies mostly where the presets put them, sometimes from 10x
+# below to 10x above their key's range, 1 Hz to 1e13 Hz; amplitudes from
+# 1e-160, whose square is subnormal, to 10x above their range's top, 1e6
+_FREQ = st.one_of(*[st.floats(9e9, 21e9)] * 3, st.floats(-1.0, 14.0).map(lambda e: 10.0**e))
+_AMPLITUDE = st.one_of(st.just(1.0), st.floats(-160.0, 7.0).map(lambda e: 10.0**e))
 # tiny runs: a 200-sample IFM trace, or 1,000-sample scans after 3 calibration tones
 TINY_RUN = {
     "dynamic": "ifm.duration_s = 2e-7",
@@ -949,15 +947,11 @@ PLAN_READERS = {
 PLAN_BLAME = {
     "calibration.hi_hz = 11e9": "section 'calibration'",  # 2 tones, the fit needs 3
     "ifm.band_hi_hz = 90e9": "section 'ifm'",  # wider than half the MZI FSR
-    "mzi.f_ref_hz = 1e308": "section 'ifm'",
     "scenario.hop1.dwell_s = 80e-9": "key 'scenario.hop1.freqs_hz'",
-    "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0": "section 'scenario.hop1'",
-    "mrr.fwhm_hz = 0": "section 'mrr'",
-    "mrr.k_thermal_hz_per_v2 = 1e308": "section 'mrr'",
+    "scenario.hop1.freqs_hz = 12e9\nscenario.hop1.dwell_s = 0": "key 'scenario.hop1.dwell_s'",
     "calibration.lo_hz = 5e9": "section 'calibration'",  # below the scan's reach
     "calibration.lo_hz = 8e9": "section 'calibration'",  # at its low end
     "measure.lo_hz = 5e9": "section 'measure'",
-    "drive.v_min_v = -1": "section 'drive'",
 }
 
 
@@ -985,6 +979,102 @@ def test_checked_run_keys_are_drawn():
     }
     checked = {key for key, (_, _, check) in _RUN.items() if check is not None}
     assert checked - {"mode", "seed"} <= drawn
+
+
+# the keys an emitter needs beside a ranged key of its kind
+RANGE_EMITTERS = {
+    "tone": {"freq_hz": "15e9"},
+    "chirp": {"center_hz": "15e9", "span_hz": "4e9", "pulse_width_s": "1e-7",
+              "repeat_interval_s": "2e-7"},
+    "hop": {"freqs_hz": "12e9", "dwell_s": "8e-8"},
+}
+_CAL_TONES = "calibration.lo_hz = {}\ncalibration.hi_hz = {}\ncalibration.step_hz = {}"
+# ranged key -> (the lines beside its low end, beside its high end) where the
+# defaults refuse that end: a partner held to lo < hi, tones moved into the
+# scan's reach, a grid that resolves the time, a table that stays monotone
+RANGE_BASES = {
+    "drive.v_min_v": ("", "drive.v_max_v = 1e4\n" + _CAL_TONES.format(3e15, 5e15, 1e15)),
+    "drive.v_max_v": ("mrr.k_thermal_hz_per_v2 = 1e13", ""),
+    "drive.period_s": ("scan.sample_rate_hz = 1e19\nmrr.tau_thermal_s = 1e-15\n"
+                       + _CAL_TONES.format(10e9, 12e9, 1e9),
+                       "scan.sample_rate_hz = 10\nmrr.tau_thermal_s = 1"),
+    "mrr.fsr_hz": ("mrr.fwhm_hz = 1", ""),
+    "mrr.fwhm_hz": ("", "mrr.fsr_hz = 1e13\nmrr.k_thermal_hz_per_v2 = 1e11\n"
+                        + _CAL_TONES.format(6e11, 8e11, 1e11)),
+    "mrr.f_offset0_hz": ("mrr.k_thermal_hz_per_v2 = 1e13",
+                         _CAL_TONES.format(1.001e13, 1.003e13, 1e10)),
+    "mrr.k_thermal_hz_per_v2": (
+        "drive.v_max_v = 1e4\nmrr.fwhm_hz = 1e6\n" + _CAL_TONES.format(8.01e9, 8.05e9, 2e7), ""
+    ),
+    "mrr.tau_thermal_s": ("scan.sample_rate_hz = 1e16\ndrive.period_s = 1e-12",
+                          "scan.sample_rate_hz = 1\ndrive.period_s = 1e3\n"
+                          + _CAL_TONES.format(10e9, 12e9, 1e9)),
+    "modulator.bw_3db_hz": ("modulator.carrier_suppression_db = 100\n"
+                            "modulator.image_suppression_db = 100\nifm.mode = ratio\n"
+                            "ifm.band_lo_hz = 0\nifm.band_hi_hz = 1e3\nmzi.fsr_hz = 4e3\n"
+                            "mzi.f_ref_hz = -1e3", ""),
+    "mzi.fsr_hz": ("ifm.band_lo_hz = 1e10\nifm.band_hi_hz = 10000000000.5\nmzi.f_ref_hz = 1e10\n"
+                   "modulator.image_suppression_db = 100", ""),
+    "chirp.center_hz": ("scenario.chirp1.span_hz = 1", ""),
+    "chirp.span_hz": ("", "scenario.chirp1.center_hz = 1e13"),
+    "chirp.pulse_width_s": ("", "scenario.chirp1.repeat_interval_s = 1e3"),
+    "chirp.repeat_interval_s": ("scenario.chirp1.pulse_width_s = 1e-15", ""),
+    "hop.dwell_s": ("ifm.sample_rate_hz = 1e16\nifm.duration_s = 1e-12", ""),
+    "ifm.duration_s": ("ifm.sample_rate_hz = 1e15", "ifm.sample_rate_hz = 1e3"),
+    "ifm.band_lo_hz": ("", "ifm.band_hi_hz = 9.05e12"),
+    "ifm.band_hi_hz": ("ifm.band_lo_hz = 0\nmzi.fsr_hz = 4\nmzi.f_ref_hz = -1",
+                       "ifm.band_lo_hz = 9e12\nmzi.fsr_hz = 2e12\nmzi.f_ref_hz = 1e13"),
+}
+
+
+def _range_config(key, end, value):
+    """(mode, config key, text) of a config whose mode reads ranged key at
+    value, with the lines RANGE_BASES gives for its low (end 0) or high end."""
+    kind, field = key.split(".", 1)
+    name = f"scenario.{kind}1.{field}" if kind in _EMITTERS else key
+    values = {"mode": "calibrate" if kind in ("drive", "mrr") else "dynamic"}
+    if kind == "notch":
+        values["notch.enabled"] = "true"
+    values.update({f"scenario.{kind}1.{k}": v for k, v in RANGE_EMITTERS.get(kind, {}).items()})
+    values.update(line.split(" = ") for line in RANGE_BASES.get(key, ("", ""))[end].splitlines())
+    values[name] = repr(value)
+    return values["mode"], name, "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@pytest.mark.parametrize("key", sorted(_RANGES))
+def test_ranged_key_admits_its_ends_and_refuses_past_them(tmp_path, capsys, key):
+    lo, hi = _RANGES[key]
+    for end, past in enumerate((math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))):
+        try:
+            build_plan(RunConfig.from_text(_range_config(key, end, (lo, hi)[end])[2]))
+        finally:
+            _scan_axis.cache_clear()
+        mode, name, text = _range_config(key, end, past)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main([mode, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {bad}: key '{name}': " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_every_numeric_model_key_has_a_range():
+    # every number a model section or emitter reads, and the run keys that
+    # bound a trace or a band
+    numeric = {f"{section}.{key}" for section, (model, keys) in _SECTIONS.items()
+               for key, name in keys.items()
+               if {f.name: f.type for f in dataclasses.fields(model)}[name] in (float, tuple)}
+    assert set(_RANGES) == numeric | {"ifm.duration_s", "ifm.band_lo_hz", "ifm.band_hi_hz"}
+    assert all(lo < hi for lo, hi in _RANGES.values())
+
+
+def test_readme_range_table_matches_the_config():
+    # a range cannot change in config._RANGES or in README's table alone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-zN0-9_.]+)` \| (\S+) to (\S+) \|", readme, re.MULTILINE)
+    documented = {re.sub(r"^scenario\.([a-z]+)N\.", r"\1.", key): (float(lo), float(hi))
+                  for key, lo, hi in rows}
+    assert len(documented) == len(rows)
+    assert documented == _RANGES
 
 
 def test_run_defaults_match_the_engine_defaults():
@@ -1179,32 +1269,32 @@ class TestCli:
         cfg.write_text(f"mode = sweep\nsweep.mode = classify\n{lines}")
         capsys.readouterr()
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
-        assert f"config error: {cfg}: section 'scenario.tone1'" in capsys.readouterr().err
+        assert f"config error: {cfg}: key 'scenario.tone1.freq_hz'" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize(
         "line, name",
         [
-            ("mrr.fwhm_hz = 0", "section 'mrr'"),
+            ("mrr.fwhm_hz = 0", "key 'mrr.fwhm_hz'"),
             ("mrr.fwhm_hz = nan", "mrr.fwhm_hz"),
-            ("drive.v_max_v = 0", "section 'drive'"),
+            ("drive.v_max_v = 0", "key 'drive.v_max_v'"),
             ("pd.noise_sigma = nan", "pd.noise_sigma"),
             ("notch.enabled = true\nnotch.centers_hz = 10e9,-inf", "notch.centers_hz"),
-            ("scenario.tone1.freq_hz = -1e9", "section 'scenario.tone1'"),
+            ("scenario.tone1.freq_hz = -1e9", "key 'scenario.tone1.freq_hz'"),
             # 10 ** (dB / 10) would overflow a float
-            ("mzi.extinction_ratio_db = 1e12", "section 'mzi'"),
+            ("mzi.extinction_ratio_db = 1e12", "key 'mzi.extinction_ratio_db'"),
             # a negative rejection amplifies; at -1e308 dB 10 ** (-dB / 10) overflows
-            ("notch.enabled = true\nnotch.rejection_db = -20", "section 'notch'"),
-            ("notch.enabled = true\nnotch.rejection_db = -1e308", "section 'notch'"),
+            ("notch.enabled = true\nnotch.rejection_db = -20", "key 'notch.rejection_db'"),
+            ("notch.enabled = true\nnotch.rejection_db = -1e308", "key 'notch.rejection_db'"),
             ("scenario.hop1.freqs_hz = 10e9,13e9\nscenario.hop1.dwell_s = 80e-9\n"
-             "scenario.hop1.amplitude = -2", "section 'scenario.hop1'"),
+             "scenario.hop1.amplitude = -2", "key 'scenario.hop1.amplitude'"),
             (f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 15e9\nscenario.chirp1.amplitude = -1",
-             "section 'scenario.chirp1'"),
+             "key 'scenario.chirp1.amplitude'"),
             # the sweep would run from -1 GHz to 3 GHz
             (f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 1e9", "section 'scenario.chirp1'"),
             # amplitude**2 overflows a float
             ("scenario.tone1.freq_hz = 15e9\nscenario.tone1.amplitude = 1e200",
-             "section 'scenario.tone1'"),
+             "key 'scenario.tone1.amplitude'"),
             # emitters the scan never reaches (8 to 39.99 GHz); a 45 GHz tone
             # exited 1, and beside a 15 GHz tone it was labelled single
             ("scenario.tone1.freq_hz = 45e9", "section 'scenario.tone1'"),
@@ -1215,8 +1305,8 @@ class TestCli:
              "section 'scenario.hop1'"),
             # the scan's duration over the period overflows to inf: the hop
             # read as one tone and the chirp as unknown, both exiting 0
-            (f"{HOP_3}\nscenario.hop1.dwell_s = 5e-324", "section 'scenario.hop1'"),
-            (CHIRP_5E_324, "section 'scenario.chirp1'"),
+            (f"{HOP_3}\nscenario.hop1.dwell_s = 5e-324", "key 'scenario.hop1.dwell_s'"),
+            (CHIRP_5E_324, "key 'scenario.chirp1.pulse_width_s'"),
         ],
     )
     def test_invalid_value_exits_two(self, tmp_path, capsys, line, name):
@@ -1258,7 +1348,7 @@ class TestCli:
             ("sweep", "sweep.mode = dynamic\n" + HOP_AT_1E8, "ifm.sample_rate_hz"),
             ("dynamic", "ifm.mode = bogus", "ifm.mode"),
             # a ramp through 0 V turns the scan back
-            ("calibrate", "drive.v_min_v = -1", "drive"),
+            ("calibrate", "drive.v_min_v = -1", "drive.v_min_v"),
             # tones the scan never reaches: it runs from 8 to 39.99 GHz
             ("calibrate", "calibration.lo_hz = 5e9\ncalibration.step_hz = 5e9", "calibration"),
             # the ramp starts at rest, where the scan rate is zero: a tone at
@@ -1279,24 +1369,25 @@ class TestCli:
             ("measure", "measure.method = ftpm\nmeasure.step_hz = 1e3", "measure.step_hz"),
             ("classify", "scan.sample_rate_hz = 1e12", "scan.sample_rate_hz"),
             ("dynamic", "ifm.n_knots = 1e8", "ifm.n_knots"),
-            # counts that overflow to inf; a trace's count is named on its rate key
+            # counts that overflowed to inf, now outside their keys' ranges
             ("calibrate", "scan.sample_rate_hz = 1e308\ndrive.period_s = 1e10",
-             "scan.sample_rate_hz"),
-            ("dynamic", "ifm.duration_s = 1e300", "ifm.sample_rate_hz"),
+             "drive.period_s"),
+            ("dynamic", "ifm.duration_s = 1e300", "ifm.duration_s"),
             # emitters whose roll-off (f / bw)^2, fringe phase or notch detuning
-            # squared overflows; each run warned of the overflow and exited 0
-            ("dynamic", "scenario.tone1.freq_hz = 1e308", "section 'scenario.tone1'"),
+            # squared overflowed; each run warned of the overflow and exited 0
+            ("dynamic", "scenario.tone1.freq_hz = 1e308", "scenario.tone1.freq_hz"),
             ("dynamic", f"{HOP_3},1e300\nscenario.hop1.dwell_s = 80e-9",
-             "section 'scenario.hop1'"),
+             "scenario.hop1.freqs_hz"),
             ("dynamic", f"{CHIRP_LINES}\nscenario.chirp1.center_hz = 1e308",
-             "section 'scenario.chirp1'"),
+             "scenario.chirp1.center_hz"),
             ("dynamic", "notch.enabled = true\nnotch.fwhm_each_hz = 1e-300\n"
-             "scenario.tone1.freq_hz = 15e9", "section 'scenario.tone1'"),
-            # a trace whose samples sum past the largest float in a running mean
-            # or the FTPM mean; each overflowed with a RuntimeWarning (the first
-            # was found by test_drawn_scenario_runs_finite_or_names_what_it_holds)
+             "scenario.tone1.freq_hz = 15e9", "notch.fwhm_each_hz"),
+            # a trace whose samples summed past the largest float in a running
+            # mean or the FTPM mean; each overflowed with a RuntimeWarning (the
+            # first was found by test_drawn_scenario_runs_finite_or_names_what_it_holds)
             ("classify", f"{TINY_RUN['classify']}\n"
-             "scenario.tone1.freq_hz = 9e9\nscenario.tone1.amplitude = 1e153", "scenario"),
+             "scenario.tone1.freq_hz = 9e9\nscenario.tone1.amplitude = 1e153",
+             "scenario.tone1.amplitude"),
             # detector noise past the largest float: the dynamic run wrote inf
             # rows and exited 0, the calibration overflowed a running mean
             ("dynamic", "scenario.tone1.freq_hz = 30e9\nscenario.tone1.amplitude = 1.3e154\n"
@@ -1319,7 +1410,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "lines",
         [
-            # each square is finite, their sum is not
+            # each square is finite, their sum is not; both lie outside the
+            # amplitude's range
             "scenario.tone1.freq_hz = 12e9\nscenario.tone1.amplitude = 1.3e154\n"
             "scenario.tone2.freq_hz = 15e9\nscenario.tone2.amplitude = 1.3e154",
         ],
@@ -1331,26 +1423,33 @@ class TestCli:
         out = tmp_path / "out"
         assert main([mode, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {bad}: section 'scenario': " in err
+        assert f"config error: {bad}: key 'scenario.tone1.amplitude': " in err
         assert not out.exists()
 
     def test_uncountable_dynamic_chirp_exits_two(self, tmp_path, capsys):
-        # as in classify, the repeats of the run's duration overflow to inf
+        # as in classify, the repeats of the run's duration overflowed to inf;
+        # a pulse width of 5e-324 s lies outside its key's range
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"mode = dynamic\n{CHIRP_5E_324}\n")
         out = tmp_path / "out"
         assert main(["dynamic", "--config", str(bad), "--out", str(out)]) == 2
-        assert f"config error: {bad}: section 'scenario.chirp1': " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {bad}: key 'scenario.chirp1.pulse_width_s': " in err
         assert not out.exists()
 
     def test_hop_count_past_int64_still_hops(self, tmp_path):
         # 0.02 s holds 2e20 dwells of 1e-22 s, past 2**63: an int64 dwell
-        # count overflowed to INT_MIN, and the scan read as one tone
-        cfg = tmp_path / "hop.cfg"
-        cfg.write_text(f"mode = classify\ndrive.period_s = 0.02\n{HOP_3}\n"
-                       "scenario.hop1.dwell_s = 1e-22\n")
-        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert _read_report(tmp_path / "out" / "report.txt")["classification"] == "hopping"
+        # count overflowed to INT_MIN, and the scan read as one tone. A config
+        # refuses a dwell under 1e-15 s, so the hop is given to the plan
+        cfg = RunConfig.from_text(f"mode = classify\ndrive.period_s = 0.02\n{HOP_3}\n"
+                                  "scenario.hop1.dwell_s = 1e-15\n")
+        try:
+            plan = build_plan(cfg)
+            hop = dataclasses.replace(plan.scenario.hops[0], dwell=1e-22)
+            plan = dataclasses.replace(plan, scenario=RfScenario(hops=(hop,)))
+            assert _run_mode(plan, 1, tmp_path).classification == "hopping"
+        finally:
+            _scan_axis.cache_clear()
 
     @pytest.mark.parametrize(
         "line",
@@ -1436,11 +1535,12 @@ class TestCli:
         assert report["estimated_hop_set_hz"] == ""
 
     def test_power_far_past_full_scale_reads_noise(self, tmp_path):
-        # a 60 GHz tone near the largest float over a table that peaks at
-        # 20 GHz overflowed power / normalization with a RuntimeWarning
+        # a 60 GHz tone at the largest amplitude in range, over a table that
+        # peaks at 20 GHz (near the largest float, power / normalization
+        # overflowed with a RuntimeWarning)
         cfg = tmp_path / "bright.cfg"
         cfg.write_text("mode = dynamic\nscenario.tone1.freq_hz = 60e9\n"
-                       "scenario.tone1.amplitude = 1.3e154\n")
+                       "scenario.tone1.amplitude = 1e6\n")
         assert main(["dynamic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         report = _read_report(tmp_path / "out" / "report.txt")
         assert report["n_noise_flagged"] == report["n_samples"] == "400"

@@ -334,9 +334,21 @@ class TestExtractInstFreq:
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=13e9),)), NOISELESS, grid)
         for mode, n_traces in [("ratio", 1), ("ratio", 3), ("single_port", 2)]:
             lut = build_lut(MziModel(), mode=mode)
-            with pytest.raises(ValueError, match=f"{mode} table reads {len(lut.ports)} .*got "
-                                                 f"{n_traces}"):
+            error = f"a {mode} table reads ports {lut.ports}, got traces of {(2,) * n_traces}"
+            with pytest.raises(ValueError, match=re.escape(error)):
                 extract_inst_freq([trace] * n_traces, lut)
+
+    def test_ratio_pair_in_the_wrong_port_order_is_refused(self):
+        # a trace carries its port: [port 2, port 1] flagged all 50 samples
+        # of a 13 GHz tone NOISE without a word
+        lut = build_lut(MziModel(), mode="ratio")
+        grid = TimeGrid(sample_rate=1e9, n_samples=50)
+        tone = RfScenario(tones=(ToneSpec(freq=13e9),))
+        p1, p2 = (simulate_ifm(tone, NOISELESS, grid, port=k, band=lut.band) for k in (1, 2))
+        assert not extract_inst_freq([p1, p2], lut).is_noise.any()
+        error = "a ratio table reads ports (1, 2), got traces of (2, 1)"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            extract_inst_freq([p2, p1], lut)
 
 
 class TestEstimateStaticFrequency:
@@ -383,9 +395,20 @@ class TestEstimateStaticFrequency:
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=13e9),)), NOISELESS, grid, port=1)
         for mode, n_traces in [("ratio", 1), ("ratio", 3), ("single_port", 2)]:
             lut = build_lut(MziModel(), mode=mode)
-            with pytest.raises(ValueError, match=f"{mode} table reads {len(lut.ports)} .*got "
-                                                 f"{n_traces}"):
+            error = f"a {mode} table reads ports {lut.ports}, got traces of {(1,) * n_traces}"
+            with pytest.raises(ValueError, match=re.escape(error)):
                 estimate_static_frequency([trace] * n_traces, lut)
+
+    def test_ratio_pair_in_the_wrong_port_order_is_refused(self):
+        # [port 2, port 1] of a 13 GHz tone read 20 GHz, the band edge, without a word
+        lut = build_lut(MziModel(), mode="ratio")
+        grid = TimeGrid(sample_rate=1e9, n_samples=50)
+        tone = RfScenario(tones=(ToneSpec(freq=13e9),))
+        p1, p2 = (simulate_ifm(tone, NOISELESS, grid, port=k, band=lut.band) for k in (1, 2))
+        assert estimate_static_frequency([p1, p2], lut) == pytest.approx(13e9, abs=lut.step)
+        error = "a ratio table reads ports (1, 2), got traces of (2, 1)"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            estimate_static_frequency([p2, p1], lut)
 
 
 def test_inst_freq_csv_writes_noise_literal(tmp_path):
