@@ -260,7 +260,7 @@ def _port_traces(plan: RunPlan, scenario: RfScenario, seeds) -> list:
     """scenario's IFM traces at the ports plan's table reads, in the order of
     AcfLut.ports; the k-th port draws its detector noise from the k-th seed,
     and seeds past the last port go unused."""
-    return [simulate_ifm(scenario, plan.models, plan.ifm_grid, port, plan.lut.band, s)
+    return [simulate_ifm(scenario, plan.models, plan.ifm_grid, port, s)
             for port, s in zip(plan.lut.ports, seeds)]
 
 
@@ -348,7 +348,7 @@ def _run_dynamic(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
         report.rms_error_hz = rms_error(est.freq[ok], truth[ok])
     # the record's power columns hold these ports, in this order
     report.extras["ifm_mode"] = lut.mode
-    report.extras["ifm_ports"] = ",".join(str(port) for port in lut.ports)
+    report.extras["ifm_ports"] = ",".join(str(t.port) for t in traces)
     report.extras["n_samples"] = str(est.freq.size)
     report.extras["n_noise_flagged"] = str(int(est.is_noise.sum()))
     return {"lut.csv": partial(lut_to_csv, lut),

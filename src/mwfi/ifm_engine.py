@@ -50,6 +50,8 @@ class AcfLut:
     output including the modulator roll-off (the curve an end-to-end power
     calibration would see), scaled so the band maximum is 1. ratio mode
     stores the two-port power ratio in dB, where the roll-off cancels.
+    full_scale is the read-out's scale: a unit tone's largest power at the
+    knots through ports[0], which a single_port table's values divide.
     """
 
     mode: str  # "single_port" or "ratio"
@@ -57,12 +59,16 @@ class AcfLut:
     band: tuple  # (f_lo, f_hi) Hz
     freqs: np.ndarray
     values: np.ndarray
+    full_scale: float  # W
 
     def __post_init__(self):
         if self.mode not in ("single_port", "ratio"):
             raise ValueError(f"unknown LUT mode {self.mode!r}")
         if self.port not in (1, 2):
             raise ValueError(f"port must be 1 or 2, got {self.port!r}")
+        object.__setattr__(self, "full_scale", float(self.full_scale))
+        if not 0 < self.full_scale < math.inf:
+            raise ValueError(f"full scale must be finite and > 0 W, got {self.full_scale!r}")
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         d = np.diff(self.values)
@@ -110,11 +116,10 @@ class AcfLut:
 
 @dataclass(frozen=True)
 class IfmTrace:
-    """Detected single-port power record with its full-scale reference."""
+    """Detected power record of one MZI output port."""
 
     grid: TimeGrid
     power: np.ndarray
-    normalization: float  # unit-amplitude power, the largest of 2048 across the band
     port: int  # the MZI output port it was detected at
 
     def __post_init__(self):
@@ -139,19 +144,6 @@ class InstFreqEstimate:
     @property
     def is_noise(self) -> np.ndarray:
         return np.isnan(self.freq)
-
-
-def _single_tone_power(mod: ModulatorModel, mzi: MziModel, port: int, f: np.ndarray) -> np.ndarray:
-    """Detected power of a unit-amplitude tone at each f through the MZI path.
-
-    Includes the modulator roll-off and the residual-carrier and
-    image-sideband leakage, i.e. exactly the curve an end-to-end power
-    calibration measures (bandstop filter off).
-    """
-    return link_power(
-        mod, lambda x, _: mzi_port_response(mzi, x, port),
-        lambda knots: [(f[knots], 1.0, True)], f.size
-    )
 
 
 def build_lut(
@@ -184,15 +176,22 @@ def build_lut(
     if n_knots < 2:
         raise ValueError("need at least 2 knots")
     freqs = np.linspace(f_lo, f_hi, n_knots)
-    if mode == "single_port":
-        values = _single_tone_power(modulator, mzi, port, freqs)
-        values = values / float(np.max(values))
-    else:  # ratio; AcfLut refuses any other mode
-        values = 10.0 * np.log10(
-            _single_tone_power(modulator, mzi, 1, freqs)
-            / _single_tone_power(modulator, mzi, 2, freqs)
-        )
-    return AcfLut(mode=mode, port=port, band=(f_lo, f_hi), freqs=freqs, values=values)
+
+    def unit_tone_power(p):
+        # a unit tone at each knot through port p, roll-off and leakage included
+        # and the bandstop off: the curve an end-to-end power calibration sees
+        return link_power(modulator, lambda f, _: mzi_port_response(mzi, f, p),
+                          lambda knots: [(freqs[knots], 1.0, True)], n_knots)
+
+    # the first port the table reads; AcfLut refuses a mode other than these two
+    first = unit_tone_power(1 if mode == "ratio" else port)
+    full_scale = float(np.max(first))
+    if mode == "ratio":
+        values = 10.0 * np.log10(first / unit_tone_power(2))
+    else:
+        values = first / full_scale
+    return AcfLut(mode=mode, port=port, band=(f_lo, f_hi), freqs=freqs, values=values,
+                  full_scale=full_scale)
 
 
 def check_hop_sampling(scenario: RfScenario, grid: TimeGrid):
@@ -210,16 +209,13 @@ def simulate_ifm(
     models: LinkModels,
     grid: TimeGrid,
     port: int = 2,
-    band=DEFAULT_BAND,
     seed: int = 0,
 ) -> IfmTrace:
     """Detected power of the bandstop-filtered MZI path.
 
     link_power through the port response times the bandstop transmission,
-    through the detector, whose noise seed is seed. The normalization is
-    the largest detected power of a unit-amplitude component at 2048 evenly
-    spaced frequencies across the band, the bandstop excluded: a sampled
-    peak, which can sit below the response's true maximum in the band.
+    through the detector, whose noise seed is seed; read-outs scale it by
+    AcfLut.full_scale.
     """
     check_hop_sampling(scenario, grid)
 
@@ -232,28 +228,25 @@ def simulate_ifm(
     tracks = partial(component_tracks, scenario, grid)
     total = link_power(models.modulator, response, tracks, grid.n_samples)
     power = pd_detect(total, models.pd, grid, seed)
-    ref = np.linspace(band[0], band[1], 2048)
-    peak = float(np.max(_single_tone_power(models.modulator, models.mzi, port, ref)))
-    return IfmTrace(grid=grid, power=power, normalization=peak, port=port)
+    return IfmTrace(grid=grid, power=power, port=port)
 
 
 def _read_out(lut: AcfLut, traces, powers):
     """(table value, normalized signal level) of powers, one per trace of the
-    ports lut reads, in AcfLut.ports order: power / normalization for both,
+    ports lut reads, in AcfLut.ports order: power / lut.full_scale for both,
     or for a ratio table 10 log10 of port 1 over port 2 and the ports' mean
-    over normalization. A ratio of zeros is NaN and a power far past full
+    over lut.full_scale. A ratio of zeros is NaN and a power far past full
     scale inf, neither with a warning."""
     ports = tuple(t.port for t in traces)
     if ports != lut.ports:
         raise ValueError(f"a {lut.mode} table reads ports {lut.ports}, got traces of {ports}")
-    normalization = traces[0].normalization
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if lut.mode == "ratio":
             p1, p2 = powers
             value = 10.0 * np.log10(p1 / p2)
-            level = (p1 + p2) / (2.0 * normalization)
+            level = (p1 + p2) / (2.0 * lut.full_scale)
         else:
-            value = level = powers[0] / normalization
+            value = level = powers[0] / lut.full_scale
     return value, level
 
 
@@ -283,25 +276,27 @@ def estimate_static_frequency(traces, lut: AcfLut) -> float:
 
 
 def lut_to_csv(lut: AcfLut, path):
-    """Two-column knot table under a single header naming mode/port/band."""
+    """Two-column knot table under a single header naming mode/port/band and
+    the full scale, written by repr so it reloads bit for bit."""
     header = (
-        f"# mode={lut.mode} port={lut.port} "
-        f"f_lo_hz={lut.band[0]:.10e} f_hi_hz={lut.band[1]:.10e}\n"
+        f"# mode={lut.mode} port={lut.port} f_lo_hz={lut.band[0]:.10e} "
+        f"f_hi_hz={lut.band[1]:.10e} full_scale_w={lut.full_scale!r}\n"
     )
     write_columns(path, header, (lut.freqs, lut.values))
 
 
 def lut_from_csv(path) -> AcfLut:
-    """Reload a table written by lut_to_csv; a malformed file (a band edge
-    or knot that is not finite, a row of other than 2 fields, among others)
-    raises a ValueError that names path."""
+    """Reload a table written by lut_to_csv; a malformed file (a band edge,
+    knot or full scale that is not finite, a row of other than 2 fields,
+    among others) raises a ValueError that names path."""
     with open(path) as fh:
         header = fh.readline().strip()
     try:
         if not header.startswith("#"):
             raise ValueError("missing LUT header line")
         meta = dict(item.split("=", 1) for item in header[1:].split() if "=" in item)
-        missing = [key for key in ("mode", "port", "f_lo_hz", "f_hi_hz") if key not in meta]
+        keys = ("mode", "port", "f_lo_hz", "f_hi_hz", "full_scale_w")
+        missing = [key for key in keys if key not in meta]
         if missing:
             raise ValueError(f"LUT header has no {', '.join(missing)}")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -318,6 +313,7 @@ def lut_from_csv(path) -> AcfLut:
             band=band,
             freqs=data[:, 0],
             values=data[:, 1],
+            full_scale=float(meta["full_scale_w"]),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

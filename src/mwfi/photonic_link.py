@@ -12,11 +12,7 @@ import numpy as np
 # not scipy.signal: it takes about a second to import and only the scan path
 # filters, so thermal_lag and pd_detect import it where they call it
 
-from .rf_signals import TimeGrid
-
-# samples per block of the power sum: its per-sample temporaries stay this
-# long whatever the trace length
-BLOCK = 16384
+from .rf_signals import BLOCK, TimeGrid
 
 __all__ = [
     "ModulatorModel",

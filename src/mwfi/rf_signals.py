@@ -12,6 +12,10 @@ import math
 
 import numpy as np
 
+# samples per block of tracks: the power sum and the scoring pass evaluate one
+# block at a time, so their per-sample temporaries stay this long
+BLOCK = 16384
+
 __all__ = [
     "TimeGrid",
     "ToneSpec",
@@ -185,8 +189,8 @@ def component_tracks(scenario: RfScenario, grid: TimeGrid, block=slice(None)) ->
     whose active entries at a sample are instantaneous_components at its
     time. A tone is a scalar track (freq, amplitude, np.True_); chirps and
     hops give per-sample freq and active arrays beside their scalar
-    amplitude. photonic_link.link_power sums this form per block, and
-    sole_component_freq reads it over the whole grid.
+    amplitude. photonic_link.link_power and sole_component_freq read this
+    form one BLOCK of samples at a time.
     Every operation is elementwise on TimeGrid.block_times, so a block's
     tracks equal the slices of the whole grid's bit for bit.
     """
@@ -226,8 +230,11 @@ def sole_component_freq(scenario: RfScenario, grid: TimeGrid) -> np.ndarray:
     # first: the frequency of the first active emitter in track order
     first = np.full(grid.n_samples, np.nan)
     sole = np.ones(grid.n_samples, dtype=bool)
-    for freq, _, active in component_tracks(scenario, grid):
-        np.copyto(first, freq, where=active & np.isnan(first))
-        sole &= ~active | (freq == first)
+    for start in range(0, grid.n_samples, BLOCK):
+        block = slice(start, start + BLOCK)
+        out, ok = first[block], sole[block]
+        for freq, _, active in component_tracks(scenario, grid, block):
+            np.copyto(out, freq, where=active & np.isnan(out))
+            ok &= ~active | (freq == out)
     first[~sole] = np.nan
     return first

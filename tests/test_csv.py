@@ -93,20 +93,20 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
     pos_freq = rng.uniform(10e9, 20e9, n_pos)
     pos_freq[CHUNK_ROWS + np.array([11, 12, 6000])] = np.nan
     record = InstFreqEstimate(freq=pos_freq)
-    port1, port2 = (IfmTrace(grid=pos_grid, power=rng.uniform(1e-6, 1.0, n_pos),
-                             normalization=1.0, port=k) for k in (1, 2))
+    port1, port2 = (IfmTrace(grid=pos_grid, power=rng.uniform(1e-6, 1.0, n_pos), port=k)
+                    for k in (1, 2))
     # ratio-mode values are in dB; this band crosses 0 dB at quadrature
     lut = build_lut(MziModel(), band=(20e9, 50e9), mode="ratio", n_knots=n)
 
     cases = [
         (scan_trace_to_csv, ScanTrace(grid=grid, power=power),
          "time_s,power\n" + scalar_rows((grid.times(), power))),
-        (ifm_trace_to_csv, IfmTrace(grid=grid, power=power, normalization=1.0, port=2),
+        (ifm_trace_to_csv, IfmTrace(grid=grid, power=power, port=2),
          "time_s,power\n" + scalar_rows((grid.times(), power))),
-        (ifm_trace_to_csv, IfmTrace(grid=pos_grid, power=positive, normalization=1.0, port=2),
+        (ifm_trace_to_csv, IfmTrace(grid=pos_grid, power=positive, port=2),
          "time_s,power\n" + scalar_rows((pos_grid.times(), positive))),
         (partial(inst_freq_to_csv,
-                 traces=[IfmTrace(grid=grid, power=power, normalization=1.0, port=2)]),
+                 traces=[IfmTrace(grid=grid, power=power, port=2)]),
          InstFreqEstimate(freq=freq),
          "time_s,power,freq_hz_or_NOISE\n"
          + scalar_rows((grid.times(), power, freq), nan="NOISE")),
@@ -117,7 +117,8 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
          "time_s,power,power_ref,freq_hz_or_NOISE\n"
          + scalar_rows((pos_grid.times(), port1.power, port2.power, pos_freq), nan="NOISE")),
         (lut_to_csv, lut,
-         f"# mode=ratio port=2 f_lo_hz={20e9:.10e} f_hi_hz={50e9:.10e}\n"
+         f"# mode=ratio port=2 f_lo_hz={20e9:.10e} f_hi_hz={50e9:.10e}"
+         f" full_scale_w={lut.full_scale!r}\n"
          + scalar_rows((lut.freqs, lut.values))),
     ]
     assert lut.values.min() < 0 < lut.values.max()

@@ -107,7 +107,7 @@ ifm.mode = ratio
 """
 
 # fig6f for 40 us: 40,000 samples, so the power sum and the detector noise
-# cross two block boundaries (photonic_link.BLOCK)
+# cross two block boundaries (rf_signals.BLOCK)
 TINY_LONG_DYNAMIC = """\
 mode = dynamic
 seed = 1
@@ -148,17 +148,17 @@ GOLDEN = {
     },
     "fig6c": {
         "inst_freq.csv": "128964ff399891c639be885de0aefdc0105091b7c8aca792f5fa017489de542d",
-        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "lut.csv": "6ae1c9bf3d475ac27d12160ac483fb7a6aefcb4fb573ac5faebdf7af4ddae733",
         "report.txt": "fb18c08f4b487c657b4dd333a30f446c6205e5194473848601b4929fc73c0e5c",
     },
     "fig6f": {
         "inst_freq.csv": "4d11836f7e10c5dc4a3546ac6da2795731810f61746c30d944fec4347c1b836c",
-        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "lut.csv": "6ae1c9bf3d475ac27d12160ac483fb7a6aefcb4fb573ac5faebdf7af4ddae733",
         "report.txt": "b022b5ec61ea3a533b04d89837558541c604428272be5fb51d10bd75031dd240",
     },
     "tiny_calibrate": {
         "calibration.txt": "cf7d13997ea6f360defbdcf50e956534f794fc8a917e2ff584491a1f7717c1fc",
-        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "lut.csv": "6ae1c9bf3d475ac27d12160ac483fb7a6aefcb4fb573ac5faebdf7af4ddae733",
         "report.txt": "4eae2ae19d1d7ecb7f675b79322b0a4f3f89a2dc79a83237e0334eda91e4c4e2",
     },
     "tiny_chirp": {
@@ -175,7 +175,7 @@ GOLDEN = {
     },
     "tiny_ratio": {
         "inst_freq.csv": "111ea9c02284a95801264abfbeccbf929500f1c7265d971553905bc9e397a884",
-        "lut.csv": "123f2c8c80818bb4ae24a3ffc9e430ad7599c10a0186cf29b9e5757aefcc9053",
+        "lut.csv": "e33e65a278584bd77e43a599afd8f2572eaf83c4bd61bb5c1620a0828aa3a0f0",
         "report.txt": "ff8ab0c328ff8548dc09d14e43f81437576469d83a79433be97a2c5b74d4aea5",
     },
     "tiny_ftpm_ratio": {
@@ -190,12 +190,12 @@ GOLDEN = {
     },
     "tiny_long_dynamic": {
         "inst_freq.csv": "7abf08b8910f739974ce9c2f8c6ca63633eec01fa964a57f1ad68c19490e1b2f",
-        "lut.csv": "6675836f4f0e1b496ee82821144e2fbe4d72c50ddc72a714aeac4ac876240162",
+        "lut.csv": "6ae1c9bf3d475ac27d12160ac483fb7a6aefcb4fb573ac5faebdf7af4ddae733",
         "report.txt": "95d3c13e787dda0ec0ad2a3a91dc289959ae5cc21d1e83686dfd95589ef2e002",
     },
     "tiny_long_ratio": {
         "inst_freq.csv": "95fd4390d791acfcf9666d20351cc742184a256720ac165a4d6d53586ad7f591",
-        "lut.csv": "123f2c8c80818bb4ae24a3ffc9e430ad7599c10a0186cf29b9e5757aefcc9053",
+        "lut.csv": "e33e65a278584bd77e43a599afd8f2572eaf83c4bd61bb5c1620a0828aa3a0f0",
         "report.txt": "703f4d631b3d6825ed2a71142bfeddb90f2392f759aeaafb67e44e0951118760",
     },
     "tiny_measure": {

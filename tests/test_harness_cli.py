@@ -27,7 +27,7 @@ from mwfi.ifm_engine import (
 )
 from mwfi.photonic_link import LinkModels
 from mwfi.presets import list_presets, preset_path
-from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
+from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi.scan_engine import SawtoothDrive, _scan_axis
 from mwfi.seeding import STAGE_DYNAMIC, derive_seed
 
@@ -320,22 +320,22 @@ class TestRun:
         fields = [row.split(",") for row in rows[1:]]
         for k, port in enumerate((1, 2)):
             s = derive_seed(4, STAGE_DYNAMIC, k)
-            trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, port, plan.lut.band, s)
+            trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, port, s)
             assert [f[1 + k] for f in fields] == [f"{v:.10e}" for v in trace.power]
 
-    def test_ratio_record_recomputes_from_its_artifacts(self, tmp_path):
-        # the record's two power columns and lut.csv give back its frequencies;
-        # only the read-out's full scale comes from the models, not the files
-        text = preset_path("fig6f").read_text() + "ifm.mode = ratio\n"
-        cfg = RunConfig.from_text(text)
-        run(cfg, seed=3, out_dir=tmp_path)
-        plan = build_plan(cfg)
+    @pytest.mark.parametrize("table", ["single_port", "ratio"])
+    def test_record_recomputes_from_its_artifacts(self, tmp_path, table):
+        # the record's power columns and lut.csv, which holds the read-out's
+        # full scale, give back its frequencies with no model call
+        text = preset_path("fig6f").read_text() + f"ifm.mode = {table}\n"
+        run(RunConfig.from_text(text), seed=3, out_dir=tmp_path)
         lut = lut_from_csv(tmp_path / "lut.csv")
         rows = [r.split(",") for r in (tmp_path / "inst_freq.csv").read_text().splitlines()[1:]]
-        recorded = np.array([np.nan if r[3] == "NOISE" else float(r[3]) for r in rows])
-        scale = simulate_ifm(RfScenario(), plan.models, plan.ifm_grid, 1, lut.band).normalization
-        traces = [IfmTrace(plan.ifm_grid, np.array([float(r[k]) for r in rows]), scale, k)
-                  for k in (1, 2)]
+        recorded = np.array([np.nan if r[-1] == "NOISE" else float(r[-1]) for r in rows])
+        # the time column starts at 0, so its second row is the sample step
+        grid = TimeGrid(sample_rate=1.0 / float(rows[1][0]), n_samples=len(rows))
+        traces = [IfmTrace(grid, np.array([float(r[1 + k]) for r in rows]), port)
+                  for k, port in enumerate(lut.ports)]
         est = extract_inst_freq(traces, lut)
         np.testing.assert_array_equal(est.is_noise, np.isnan(recorded))
         assert 0 < est.is_noise.sum() < len(rows)
@@ -374,11 +374,11 @@ class TestRun:
         assert abs(error) <= build_plan(cfg).lut.step
 
     def test_dynamic_run_evaluates_its_tracks_per_block(self, tmp_path, monkeypatch):
-        # a ratio run of 40,000 samples sums each port's power over three
-        # blocks, each from its own tracks, scores against the sole frequency
-        # over the whole grid, and writes its record from one time axis; the
-        # sums read ifm_engine's binding of component_tracks, the scoring
-        # pass rf_signals' own
+        # a ratio run of 40,000 samples sums each port's power and scores
+        # against the sole frequency over three blocks, each from its own
+        # tracks, and writes its record from one time axis; the sums read
+        # ifm_engine's binding of component_tracks, the scoring pass
+        # rf_signals' own
         from mwfi import ifm_engine, rf_signals
         from mwfi.photonic_link import BLOCK
 
@@ -402,7 +402,7 @@ class TestRun:
         )
         run(cfg, out_dir=tmp_path)
         assert n_times == [40000]
-        assert sorted(spans) == sorted([BLOCK, BLOCK, 40000 - 2 * BLOCK] * 2 + [40000])
+        assert sorted(spans) == sorted([BLOCK, BLOCK, 40000 - 2 * BLOCK] * 3)
 
     def test_dynamic_sweep_builds_no_ifm_time_axis(self, tmp_path, monkeypatch):
         # only the record reads the time axis, and a sweep sub-run drops it
@@ -436,7 +436,7 @@ class TestRun:
         run(cfg, seed=override, out_dir=tmp_path / "run")
         plan = build_plan(cfg)
         seed = derive_seed(7 if override is None else override, STAGE_DYNAMIC, 0)
-        trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, 2, plan.lut.band, seed)
+        trace = simulate_ifm(plan.scenario, plan.models, plan.ifm_grid, 2, seed)
         ifm_trace_to_csv(trace, tmp_path / "want.csv")
         # the record's power column: each row, header too, is the trace's row
         # followed by the frequency
@@ -1536,7 +1536,7 @@ class TestCli:
 
     def test_power_far_past_full_scale_reads_noise(self, tmp_path):
         # a 60 GHz tone at the largest amplitude in range, over a table that
-        # peaks at 20 GHz (near the largest float, power / normalization
+        # peaks at 20 GHz (near the largest float, power / full scale
         # overflowed with a RuntimeWarning)
         cfg = tmp_path / "bright.cfg"
         cfg.write_text("mode = dynamic\nscenario.tone1.freq_hz = 60e9\n"

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -45,6 +46,15 @@ def unit_tone_power_oracle(f, port=2):
         + imgs * w * mzi_port_response(mzi, -f, port)
         + cs * mzi_port_response(mzi, 0.0, port)
     )
+
+
+def with_full_scale(value):
+    """A lookup-table file edit that writes value as the header's full_scale_w."""
+
+    def edit(head, rows):
+        return [re.sub(r"full_scale_w=\S+", f"full_scale_w={value}", head[0])] + rows
+
+    return edit
 
 
 class TestBuildLut:
@@ -115,7 +125,8 @@ class TestBuildLut:
         xp = np.sort(knots)
         freqs = np.linspace(10e9, 20e9, xp.size)
         values = xp if rising else xp[::-1]
-        lut = AcfLut(mode="single_port", port=2, band=(10e9, 20e9), freqs=freqs, values=values)
+        lut = AcfLut(mode="single_port", port=2, band=(10e9, 20e9), freqs=freqs, values=values,
+                     full_scale=1.0)
         fp = freqs if rising else freqs[::-1]  # the table read with its values ascending
         # exact knots, values past both ends and NaN, repeated and in any order
         query = st.one_of(
@@ -139,6 +150,32 @@ class TestBuildLut:
         np.testing.assert_allclose(loaded.values, lut.values, rtol=1e-9)
 
     @pytest.mark.parametrize(
+        "mode, port, band",
+        # port 1 peaks inside the ratio band, near 128 GHz
+        [("single_port", 1, (3e9, 13e9)), ("single_port", 2, (10e9, 20e9)),
+         ("ratio", 2, (75e9, 140e9))],
+    )
+    def test_full_scale_round_trips_bit_for_bit(self, tmp_path, mode, port, band):
+        lut = build_lut(MziModel(), band=band, mode=mode, port=port, n_knots=512)
+        lut_to_csv(lut, tmp_path / "lut.csv")
+        assert lut_from_csv(tmp_path / "lut.csv").full_scale.hex() == lut.full_scale.hex()
+
+    def test_full_scale_is_band_maximum(self):
+        # a unit tone's largest power at the knots, through the first port
+        # read: on the default band port 2 peaks at 20 GHz, port 1 at 10 GHz
+        assert build_lut(MziModel()).full_scale == pytest.approx(
+            unit_tone_power_oracle(20e9), rel=1e-12
+        )
+        assert build_lut(MziModel(), mode="ratio").full_scale == pytest.approx(
+            unit_tone_power_oracle(10e9, port=1), rel=1e-12
+        )
+        # where the tone peaks inside the band, the largest power at a knot
+        lut = build_lut(MziModel(), band=(75e9, 140e9), mode="ratio", n_knots=512)
+        powers = [unit_tone_power_oracle(f, port=1) for f in lut.freqs]
+        assert lut.full_scale == pytest.approx(max(powers), rel=1e-12)
+        assert lut.full_scale > max(powers[0], powers[-1])
+
+    @pytest.mark.parametrize(
         "edit, error",
         [
             (lambda head, rows: head + rows[:1], "need at least 2 knots, got 1"),
@@ -157,9 +194,16 @@ class TestBuildLut:
             (lambda head, rows: head + rows[::-1], "knots must strictly increase"),
             (lambda head, rows: [head[0].replace("f_hi_hz=2.0", "f_hi_hz=3.0")] + rows,
              "end knots must be the band edges"),
+            # the read-out's scale: absent, or no finite power above zero
+            (lambda head, rows: [re.sub(r" full_scale_w=\S+", "", head[0])] + rows,
+             "header has no full_scale_w"),
+            (with_full_scale("nan"), "full scale must be finite and > 0 W, got nan"),
+            (with_full_scale("inf"), "full scale must be finite and > 0 W, got inf"),
+            (with_full_scale("0"), "full scale must be finite and > 0 W, got 0.0"),
         ],
         ids=["one knot", "no port", "unknown mode", "port 3", "not a number", "no header",
-             "extra field", "three fields", "falling knots", "knots off the band"],
+             "extra field", "three fields", "falling knots", "knots off the band",
+             "no full scale", "nan full scale", "inf full scale", "zero full scale"],
     )
     def test_csv_refuses_a_malformed_file(self, tmp_path, edit, error):
         path = tmp_path / "lut.csv"
@@ -173,7 +217,14 @@ class TestBuildLut:
         # once built, then failed inside np.interp naming nothing
         with pytest.raises(ValueError, match="3 knots but 2 values"):
             AcfLut(mode="single_port", port=2, band=(10e9, 20e9),
-                   freqs=[10e9, 15e9, 20e9], values=[0.1, 0.9])
+                   freqs=[10e9, 15e9, 20e9], values=[0.1, 0.9], full_scale=1.0)
+
+    @pytest.mark.parametrize("full_scale", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_a_full_scale_that_is_not_a_power(self, full_scale):
+        # the read-out divides by it: 0 reads every sample as signal, nan as noise
+        with pytest.raises(ValueError, match=re.escape(f"got {full_scale!r}")):
+            AcfLut(mode="single_port", port=2, band=(10e9, 20e9),
+                   freqs=[10e9, 20e9], values=[0.1, 0.9], full_scale=full_scale)
 
 
 class TestSimulateIfm:
@@ -182,11 +233,6 @@ class TestSimulateIfm:
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=15e9),)), NOISELESS, grid)
         expected = unit_tone_power_oracle(15e9)
         np.testing.assert_allclose(trace.power, expected, rtol=1e-12)
-
-    def test_normalization_is_band_maximum(self):
-        grid = TimeGrid(sample_rate=1e9, n_samples=10)
-        trace = simulate_ifm(RfScenario(), NOISELESS, grid)
-        assert trace.normalization == pytest.approx(unit_tone_power_oracle(20e9), rel=1e-6)
 
     def test_undersampled_hop_dwell_rejected(self):
         grid = TimeGrid(sample_rate=1e7, n_samples=100)  # 0.8 samples per dwell
@@ -199,7 +245,7 @@ class TestSimulateIfm:
         grid = TimeGrid(sample_rate=1e9, n_samples=320)
         sc = RfScenario(hops=(HopSpec(freqs=HOP_SET, dwell=80e-9),))
         trace = simulate_ifm(sc, models, grid)
-        jam = trace.power[:80] / trace.normalization
+        jam = trace.power[:80] / build_lut(MziModel()).full_scale
         assert np.all(jam < 0.05)
 
 
@@ -344,7 +390,7 @@ class TestExtractInstFreq:
         lut = build_lut(MziModel(), mode="ratio")
         grid = TimeGrid(sample_rate=1e9, n_samples=50)
         tone = RfScenario(tones=(ToneSpec(freq=13e9),))
-        p1, p2 = (simulate_ifm(tone, NOISELESS, grid, port=k, band=lut.band) for k in (1, 2))
+        p1, p2 = (simulate_ifm(tone, NOISELESS, grid, port=k) for k in (1, 2))
         assert not extract_inst_freq([p1, p2], lut).is_noise.any()
         error = "a ratio table reads ports (1, 2), got traces of (2, 1)"
         with pytest.raises(ValueError, match=re.escape(error)):
@@ -404,7 +450,7 @@ class TestEstimateStaticFrequency:
         lut = build_lut(MziModel(), mode="ratio")
         grid = TimeGrid(sample_rate=1e9, n_samples=50)
         tone = RfScenario(tones=(ToneSpec(freq=13e9),))
-        p1, p2 = (simulate_ifm(tone, NOISELESS, grid, port=k, band=lut.band) for k in (1, 2))
+        p1, p2 = (simulate_ifm(tone, NOISELESS, grid, port=k) for k in (1, 2))
         assert estimate_static_frequency([p1, p2], lut) == pytest.approx(13e9, abs=lut.step)
         error = "a ratio table reads ports (1, 2), got traces of (2, 1)"
         with pytest.raises(ValueError, match=re.escape(error)):

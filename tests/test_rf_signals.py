@@ -344,6 +344,22 @@ def test_sole_component_freq_matches_scalar_path(sc):
         assert 0 < np.count_nonzero(np.isnan(got)) < grid.n_samples
 
 
+def test_sole_component_freq_across_blocks():
+    # three blocks of tracks, each boundary inside a dwell where the hops
+    # disagree (13 against 12 GHz) between dwells where they agree on 11 GHz
+    sc = RfScenario(hops=(HopSpec(freqs=(11e9, 13e9), dwell=100e-9),
+                          HopSpec(freqs=(11e9, 12e9), dwell=100e-9)))
+    grid = TimeGrid(sample_rate=1e9, n_samples=2 * BLOCK + 7)
+    got, times = sole_component_freq(sc, grid), grid.times()
+    near = np.r_[BLOCK - 150 : BLOCK + 150, 2 * BLOCK - 150 : 2 * BLOCK + 7]
+    expected = []
+    for t in times[near]:
+        freqs = {f for f, _ in instantaneous_components(sc, float(t))}
+        expected.append(freqs.pop() if len(freqs) == 1 else np.nan)
+    np.testing.assert_array_equal(got[near], expected)
+    assert np.isnan(got[BLOCK]) and got[BLOCK - 150] == got[BLOCK + 100] == 11e9
+
+
 def test_short_pulse_tracks_stay_finite():
     # found by test_drawn_scenario_runs_finite_or_names_what_it_holds: the
     # ramp of the off samples' phases overflowed for this pulse width

@@ -887,7 +887,7 @@ class TestPersistence:
 
     # a 1,000-row trace at 1 MS/s spans a 1 ms drive period
     TRACE = "time_s,power\n" + "".join(f"{k / 1e6!r},1.0\n" for k in range(999))
-    LUT = "# mode=single_port port=1 f_lo_hz={} f_hi_hz=2e10\n1e10,0.9\n{},0.1\n"
+    LUT = "# mode=single_port port=1 f_lo_hz={} f_hi_hz=2e10 full_scale_w=1.0\n1e10,0.9\n{},0.1\n"
 
     @pytest.mark.parametrize(
         "loader, text, error",
