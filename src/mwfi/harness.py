@@ -101,7 +101,7 @@ class MetricsReport:
 
 
 def expected_label(scenario: RfScenario) -> ClassLabel | None:
-    """Ground-truth label of a scenario (used by sweep aggregation)."""
+    """Ground-truth label of a scenario; None for a mix of emitter kinds."""
     kinds = (len(scenario.tones) > 0) + (len(scenario.chirps) > 0) + (len(scenario.hops) > 0)
     if kinds != 1:
         # no emitter gives no envelope; the decision table names no mix
@@ -316,20 +316,23 @@ def _run_classify(plan: RunPlan, seed: int, report: MetricsReport) -> dict:
     if features.continuous is not None:
         report.extras["continuous"] = str(features.continuous).lower()
 
+    # a mix of emitter kinds has no one truth to score the estimates against
+    scored = expected_label(plan.scenario) is not None
     if label in (ClassLabel.SINGLE_FREQUENCY, ClassLabel.MULTIPLE_FREQUENCY):
         ests = sorted(estimate_frequencies(events, table))
         report.extras["estimated_freqs_hz"] = ",".join(f"{e:.6e}" for e in ests)
-        report.score(ests, sorted(t.freq for t in plan.scenario.tones))
+        if scored:
+            report.score(ests, sorted(t.freq for t in plan.scenario.tones))
     elif label is ClassLabel.CHIRPED:
         span = measure_span(trace, table)
         report.extras["measured_span_hz"] = f"{span:.6e}"
-        if len(plan.scenario.chirps) == 1:
+        if scored and len(plan.scenario.chirps) == 1:
             truth = plan.scenario.chirps[0].span
             report.span_error_frac = abs(span - truth) / truth
     elif label is ClassLabel.FREQUENCY_HOPPING:
         hops = estimate_hop_set(events, table)
         report.extras["estimated_hop_set_hz"] = ",".join(f"{h:.6e}" for h in hops)
-        if len(plan.scenario.hops) == 1:
+        if scored and len(plan.scenario.hops) == 1:
             report.score(hops, sorted(plan.scenario.hops[0].freqs))
     return {"scan_trace.csv": partial(scan_trace_to_csv, trace)}
 

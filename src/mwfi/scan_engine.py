@@ -292,7 +292,7 @@ def simulate_scan(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(1) as pool:
-            drawn = _draw_ahead(pool, seed, grid)
+            drawn = pool.submit(noise_stream(seed).standard_normal, out=np.empty(grid.n_samples))
             optical = _optical_power(scenario, models, drive, grid)
         draws = drawn.result()
     elif np.shape(optical) != f_s.shape:
@@ -300,15 +300,6 @@ def simulate_scan(
 
     power = pd_detect(optical, models.pd, grid, seed, draws)
     return ScanTrace(grid, power, _pulse_width_hint(models, drive))
-
-
-def _draw_ahead(pool, seed: int, grid: TimeGrid, out=None):
-    """A future of the grid's standard-normal draws of noise_stream(seed),
-    filled on the pool into out, a buffer the caller hands over and no longer
-    reads, or into one this thread allocates. The fill releases the GIL and
-    runs no function of the program, so the scan functions keep their thread."""
-    out = np.empty(grid.n_samples) if out is None else out
-    return pool.submit(noise_stream(seed).standard_normal, out=out)
 
 
 def _optical_power(
@@ -460,27 +451,29 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
     before the pulses of its last scan are found.
 
     The scans run on this thread, one after another, while one worker
-    thread draws the next tone's detector noise (_draw_ahead), about half
-    the time of a scan. So every scan function keeps its order and its
-    thread, and the events and errors are a serial run's. The worker has
-    ended when the call returns or raises.
+    thread draws the next tone's detector noise, about half the time of a
+    scan; the fill releases the GIL and runs no function of the program. So
+    every scan function keeps its order and its thread, and the events and
+    errors are a serial run's. The worker has ended when the call returns
+    or raises.
 
-    A tone's draws become its trace's power. Once its pulses are found, the
-    events keep nothing of it, so that buffer takes the draws of the tone
-    after next: two draw buffers alternate for the whole loop, and the
-    loop allocates no trace-length buffer after the second tone.
+    Two draw buffers, allocated before the loop, serve every tone: tone i's
+    draws fill bufs[i % 2] and become its trace's power. Once its pulses are
+    found, the events keep nothing of it, so the buffer takes the draws of
+    the tone after next.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     tone_freqs, seeds = list(tone_freqs), list(seeds)
     n, found = len(tone_freqs), []
+    bufs = [np.empty(grid.n_samples) for _ in range(min(n, 2))]
     with ThreadPoolExecutor(1) as pool:
-        ahead = _draw_ahead(pool, seeds[0], grid) if n else None
-        optical = retired = None
+        # futures of the tones' draws, each submitted as the tone before it starts
+        drawn = (pool.submit(noise_stream(s).standard_normal, out=bufs[i % 2])
+                 for i, s in enumerate(seeds[:n]))
+        ahead, optical = next(drawn, None), None
         for i, f in enumerate(tone_freqs):
-            draws = ahead
-            if i + 1 < n:
-                ahead = _draw_ahead(pool, seeds[i + 1], grid, retired)
+            draws, ahead = ahead, next(drawn, None)
             tone = RfScenario(tones=(ToneSpec(freq=f),))
             if optical is None:
                 optical = _optical_power(tone, models, drive, grid)
@@ -488,7 +481,6 @@ def tone_scans(models: LinkModels, drive: SawtoothDrive, grid: TimeGrid, tone_fr
             if i + 1 == n or tone_freqs[i + 1] != f:
                 optical = None
             found.append(detect_pulses(trace))
-            retired = trace.power
     return found
 
 
@@ -498,7 +490,7 @@ def fit_calibration(tone_freqs, scans) -> CalibrationTable:
     scans holds detect_pulses of each tone's scan, in the order of
     tone_freqs. It is read tone by tone, and the first tone without exactly
     one pulse raises CalibrationError. The pulse delays and frequencies feed
-    an ordinary least-squares quadratic fit.
+    an ordinary least-squares quadratic fit, which needs 3 distinct delays.
     """
     tone_freqs = [float(f) for f in tone_freqs]
     if len(tone_freqs) < 3:
@@ -510,6 +502,8 @@ def fit_calibration(tone_freqs, scans) -> CalibrationTable:
                 f"calibration tone {f / 1e9:.3f} GHz produced {len(events)} pulses (need 1)"
             )
         delays.append(events[0].peak_time)
+    if len(set(delays)) < 3:
+        raise CalibrationError(f"calibration pulses fall at {len(set(delays))} delays (need 3)")
 
     t = np.asarray(delays)
     f = np.asarray(tone_freqs)

@@ -478,7 +478,8 @@ class TestRun:
 
     def test_mixed_sweep_scores_no_label(self, tmp_path):
         # tones and a hop: the decision table names no mix, so the sweep keeps
-        # what the classifier said and writes no expected label or accuracy
+        # what the classifier said and writes no expected label or accuracy,
+        # and no sub-run scores its estimates against one kind's truth
         cfg = RunConfig.from_text(
             "mode = sweep\nsweep.mode = classify\nsweep.n_seeds = 1\n"
             "calibration.step_hz = 5e9\n"
@@ -488,6 +489,10 @@ class TestRun:
         run(cfg, out_dir=tmp_path)
         keys = _read_report(tmp_path / "report.txt")
         assert not {"expected_label", "classification", "classification_accuracy"} & set(keys)
+        scores = {"per_tone_errors_hz", "rms_error_hz", "span_error_frac"}
+        assert not scores & set(keys)
+        sub = _read_report(tmp_path / "seed_1" / "report.txt")
+        assert "estimated_hop_set_hz" in sub and not scores & set(sub)
         assert (tmp_path / "sweep.csv").read_text().splitlines()[1].endswith(",hopping")
 
     def test_dynamic_sweep_keeps_no_traces(self, tmp_path):
@@ -603,6 +608,24 @@ def test_classify_scores_nothing_without_truths(tmp_path):
     assert report.classification == "single"
     assert report.extras["estimated_freqs_hz"] == ""
     assert report.per_tone_errors_hz == [] and report.rms_error_hz is None
+
+
+def test_classify_scores_no_mixed_scene(tmp_path):
+    # a tone beside a chirp reads as one chirped envelope: its span is
+    # measured, but neither emitter's truth is what the scan saw, so it is not
+    # scored against the chirp's span alone
+    cfg = RunConfig.from_text(
+        "mode = classify\nscan.sample_rate_hz = 2718281\n"
+        "calibration.lo_hz = 10e9\ncalibration.hi_hz = 20e9\ncalibration.step_hz = 5e9\n"
+        "scenario.tone1.freq_hz = 12e9\n"
+        "scenario.chirp1.center_hz = 15e9\nscenario.chirp1.span_hz = 2e9\n"
+        "scenario.chirp1.pulse_width_s = 1.6e-6\nscenario.chirp1.repeat_interval_s = 4e-6\n"
+    )
+    report = run(cfg, out_dir=tmp_path)
+    assert report.classification == "chirped"
+    keys = _read_report(tmp_path / "report.txt")
+    assert "measured_span_hz" in keys
+    assert not {"per_tone_errors_hz", "rms_error_hz", "span_error_frac"} & set(keys)
 
 
 def test_report_lines_round_trip():

@@ -378,6 +378,13 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="3"):
             calibrate(noiseless_models, drive, [10e9, 20e9], grid_1ms)
 
+    @pytest.mark.parametrize("tones", [[12e9] * 3, [12e9, 12e9, 18e9]], ids=["one", "two"])
+    def test_coincident_delays_rejected(self, noiseless_models, drive, grid_1ms, tones):
+        # a quadratic through fewer than 3 delays is rank-deficient: it is
+        # refused before np.polyfit, whose RankWarning the suite turns into an error
+        with pytest.raises(CalibrationError, match="delays"):
+            calibrate(noiseless_models, drive, tones, grid_1ms)
+
     def test_out_of_band_tone_aliases_through_image(self, noiseless_models, drive, grid_1ms):
         # a 50 GHz tone's image sideband wraps into the scan at 30 GHz, so
         # calibration sees a pulse at the wrong delay and the fit degenerates
@@ -391,10 +398,10 @@ class TestCalibrate:
         assert t1.coeffs == t2.coeffs
 
     def test_calibration_holds_about_three_trace_lengths(self, drive, grid_1ms):
-        # a retired trace's buffer takes the draws of the tone after next, so
-        # the loop holds the optical sum, two draw buffers and, while pulses
-        # are found, the level's sorted copy, but never all four at once;
-        # with a new buffer per tone it held 4.15 trace lengths here
+        # the loop owns two draw buffers, one per tone parity, so it holds
+        # the optical sum, those two and, while pulses are found, the level's
+        # sorted copy, but never all four at once; with a new buffer per tone
+        # it held 4.15 trace lengths here
         models = LinkModels(pd=PdModel(noise_sigma=0.01))
         scan_frequency(models, drive, grid_1ms)  # the cached axis belongs to the run
         tracemalloc.start()
