@@ -21,9 +21,6 @@ exponent with its ``e`` and sign is one 4-byte word from a table of the
 exponents -99..99 (vectorised values need only -12..33). A NaN or fallback
 text, at most 18 bytes, fills the slot before the separator from its start.
 Byte 0 never occurs in the text, so a chunk's output is its non-zero bytes.
-A chunk whose tokens are all full width (no sign, NaN text or fallback
-text) has pad and sign bytes of 0 and no other 0 byte: its output is then
-the last 17 bytes of every token, taken without testing a byte.
 """
 
 import numpy as np
@@ -64,8 +61,6 @@ _TOKEN = np.dtype(
         "itemsize": _SLOT + 1,
     }
 )
-# a full-width token's text and separator: all bytes after its sign
-_FULL = slice(2, _TOKEN.itemsize)
 
 
 def _slot_text(text: bytes) -> np.ndarray:
@@ -73,11 +68,8 @@ def _slot_text(text: bytes) -> np.ndarray:
     return np.frombuffer(text.ljust(_SLOT, b"\0"), dtype=np.uint8)
 
 
-def _render_column(v, tok, raw, nan_slot) -> bool:
-    """Fill the token fields tok (raw: the same slot bytes) for column v.
-
-    Returns whether every token is full width: no sign, NaN or fallback text.
-    """
+def _render_column(v, tok, raw, nan_slot):
+    """Fill the token fields tok (raw: the same slot bytes) for column v."""
     a = np.abs(v)
     finite = np.isfinite(v)
     zero = a == 0.0
@@ -103,9 +95,8 @@ def _render_column(v, tok, raw, nan_slot) -> bool:
     lo = m - hi * 1e6
     lead = np.floor(hi / 1e4)
     mid = np.floor(lo / 100)
-    neg = np.signbit(v)
     tok["pad"] = 0
-    tok["sign"] = np.where(neg, ord("-"), 0)
+    tok["sign"] = np.where(np.signbit(v), ord("-"), 0)
     tok["lead"] = lead + ord("0")
     tok["dot"] = ord(".")
     tok["g1"] = _DIGITS4.take((hi - lead * 1e4).astype(np.intp))
@@ -115,13 +106,11 @@ def _render_column(v, tok, raw, nan_slot) -> bool:
     tok["exp"] = _EXP4.take(e + _EXP_MAX, mode="clip")
 
     short = ~ok
-    if not short.any():
-        return not neg.any()
-    isnan = np.isnan(v)
-    raw[isnan] = nan_slot
-    for i in np.flatnonzero(short & ~isnan):
-        raw[i] = _slot_text(f"{v[i]:.10e}".encode())
-    return False
+    if short.any():
+        isnan = np.isnan(v)
+        raw[isnan] = nan_slot
+        for i in np.flatnonzero(short & ~isnan):
+            raw[i] = _slot_text(f"{v[i]:.10e}".encode())
 
 
 def render_rows(columns, nan: str = "nan") -> bytes:
@@ -135,13 +124,10 @@ def render_rows(columns, nan: str = "nan") -> bytes:
     rows = np.empty(n, dtype=[(f"c{j}", _TOKEN) for j in range(len(columns))])
     raw = rows.view(np.uint8).reshape(n, -1)
     nan_slot = _slot_text(nan.encode())
-    full = True
     for j, v in enumerate(columns):
         off = j * _TOKEN.itemsize
-        full &= _render_column(v, rows[f"c{j}"], raw[:, off : off + _SLOT], nan_slot)
+        _render_column(v, rows[f"c{j}"], raw[:, off : off + _SLOT], nan_slot)
         raw[:, off + _SLOT] = ord("\n") if j == len(columns) - 1 else ord(",")
-    if full:
-        return raw.reshape(n, len(columns), _TOKEN.itemsize)[:, :, _FULL].tobytes()
     return rows.tobytes().translate(None, b"\0")
 
 

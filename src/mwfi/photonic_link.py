@@ -130,8 +130,8 @@ class PdModel:
     def __post_init__(self):
         if self.bw_3db <= 0:
             raise ValueError("PD bandwidth must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -293,11 +293,13 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, draws=None) 
     draws, when given, are the first power.size standard-normal draws of
     noise_stream(seed), drawn ahead by the caller; the output is written
     over them and returned. Otherwise a new array is returned. Either way
-    power is only read.
+    power is only read; a sample that is negative or not finite is refused.
     """
     p = np.asarray(power, dtype=float)
-    if p.min(initial=0.0) < 0:
-        raise ValueError("power samples must be >= 0")
+    # a NaN sample is the min and the max, and fails the first test
+    lo, hi = p.min(initial=0.0), p.max(initial=0.0)
+    if not (lo >= 0 and hi < np.inf):
+        raise ValueError("power samples must be finite and >= 0")
     out = p
     nyquist = grid.sample_rate / 2.0
     if nyquist >= model.bw_3db:
@@ -309,11 +311,9 @@ def pd_detect(power, model: PdModel, grid: TimeGrid, seed: int = 0, draws=None) 
         b = [k / (1.0 + k), k / (1.0 + k)]
         a = [1.0, (k - 1.0) / (1.0 + k)]
         out = lfilter(b, a, out, zi=lfilter_zi(b, a) * out[0])[0]
-    scale = model.noise_sigma * float(np.max(p, initial=0.0))
-    if scale > 0:
-        # out + rng.normal(0.0, scale), which draws 0.0 + scale * z
-        noisy = noise_stream(seed).standard_normal(out.shape) if draws is None else draws
-        noisy *= scale
-        noisy += out
-        return np.maximum(noisy, 0.0, out=noisy)
-    return np.maximum(out, 0.0, out=draws)
+    # out + rng.normal(0.0, scale), which draws 0.0 + scale * z; a zero scale
+    # adds signed zeros, so the clamp gives np.maximum(out, 0.0) bit for bit
+    noisy = noise_stream(seed).standard_normal(out.shape) if draws is None else draws
+    noisy *= model.noise_sigma * float(hi)
+    noisy += out
+    return np.maximum(noisy, 0.0, out=noisy)

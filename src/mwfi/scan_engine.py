@@ -278,7 +278,8 @@ def simulate_scan(
     optical, when given, is the scenario's noiseless detector input
     (_optical_power), which scans that differ only in their noise share; it
     is only read. draws, given with it, are that noise's standard-normal
-    draws, drawn ahead; they become the trace's power (pd_detect).
+    draws, drawn ahead; they become the trace's power (pd_detect). draws
+    without optical are refused.
 
     Without optical, the scan sums its optical power on this thread, one
     block of emitter tracks at a time, while one worker thread draws its
@@ -289,6 +290,8 @@ def simulate_scan(
         raise ValueError(f"grid duration {grid.duration:.6e} s != {drive.period} s drive period")
     f_s = scan_frequency(models, drive, grid)
     if optical is None:
+        if draws is not None:
+            raise ValueError("draws are only taken with the optical power they add to")
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(1) as pool:

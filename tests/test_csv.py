@@ -56,8 +56,8 @@ floats = st.one_of(
 )
 
 
-# positive normal floats of the vectorised domain: rows of these alone take
-# the fixed-width route of render_rows
+# positive normal floats of the vectorised domain: rows of these alone skip
+# the NaN and fallback pass of _render_column
 positive = st.floats(min_value=1e-12, max_value=1e33, exclude_max=True)
 
 
@@ -82,14 +82,14 @@ def test_writers_match_scalar_loops_across_chunks(tmp_path):
     power = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 3, n)
     freq = rng.uniform(10e9, 20e9, n)
     freq[rng.random(n) < 0.4] = np.nan
-    # non-negative chunks take the fixed-width route; the second of four
+    # vectorised chunks skip the NaN and fallback pass; the second of four
     # (the last one short) holds -0.0, a NaN and a 3-digit exponent
     n_pos = 3 * CHUNK_ROWS + 5
     pos_grid = TimeGrid(sample_rate=1e9, n_samples=n_pos)
     positive = rng.uniform(1.0, 10.0, n_pos) * 10.0 ** rng.integers(-12, 32, n_pos)
     positive[CHUNK_ROWS + np.array([3, 500, 4000])] = -0.0, np.nan, 1.5e-150
     # a dynamic record over the same four chunks: the second mixes NOISE
-    # rows with full-width rows, and the third and fourth are all full width
+    # rows with vectorised rows, and the third and fourth are all vectorised
     pos_freq = rng.uniform(10e9, 20e9, n_pos)
     pos_freq[CHUNK_ROWS + np.array([11, 12, 6000])] = np.nan
     record = InstFreqEstimate(freq=pos_freq)

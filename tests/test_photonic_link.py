@@ -346,6 +346,20 @@ class TestPd:
         with pytest.raises(ValueError):
             pd_detect(np.array([0.1, -0.1, 0.2, 0.3]), PdModel(), grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_power_rejected(self, bad):
+        # a NaN sample makes the noise scale NaN; an inf one makes every noisy
+        # sample inf and itself NaN
+        grid = TimeGrid(sample_rate=1e6, n_samples=6)
+        x = np.array([0.5, 0.5, bad, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="power samples must be finite and >= 0"):
+            pd_detect(x, PdModel(noise_sigma=0.1), grid, seed=3)
+
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            PdModel(noise_sigma=sigma)
+
     @pytest.mark.parametrize("rate", [1e6, 100e9])  # transparent, low-pass
     def test_noise_equals_one_normal_draw(self, rate):
         grid = TimeGrid(sample_rate=rate, n_samples=4096)
@@ -365,9 +379,13 @@ class TestPd:
         assert np.array_equal(got, want)
         assert np.any(got == 0.0)  # the clamp acted
         assert np.array_equal(x, before)
-        quiet = pd_detect(x, replace(model, noise_sigma=0.0), grid, seed=77)
-        assert np.array_equal(quiet, np.maximum(out, 0.0))
+        quiet = replace(model, noise_sigma=0.0)
+        assert np.array_equal(pd_detect(x, quiet, grid, seed=77), np.maximum(out, 0.0))
         assert np.array_equal(x, before)
+        # signed zeros come out as +0.0, as np.maximum(out, 0.0) gives them
+        zeros = np.array([-0.0, 0.0] * 2048)
+        got = pd_detect(zeros, quiet, grid, seed=77)
+        assert np.array_equal(got, zeros) and not np.signbit(got).any()
 
 
 def test_all_transmissions_bounded():

@@ -623,6 +623,13 @@ class TestCalibratedScans:
         with pytest.raises(ValueError, match="optical has shape"):
             simulate_scan(tone, self.MODELS, self.DRIVE, self.GRID, 0, None, np.zeros(5))
 
+    def test_refuses_draws_without_an_optical_sum(self):
+        # draws without an optical sum would be dropped for the seed's own noise
+        draws = np.zeros(self.GRID.n_samples)
+        with pytest.raises(ValueError, match="draws are only taken with the optical power"):
+            simulate_scan(tone_scenario(15e9), self.MODELS, self.DRIVE, self.GRID, 3, draws)
+        assert not draws.any()
+
 
 class TestEstimateFrequencies:
     def test_round_trip_within_quantization(self, noiseless_models, drive, grid_1ms, table_1ms):
