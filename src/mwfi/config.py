@@ -11,7 +11,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
-from .rf_signals import ChirpSpec, HopSpec, RfScenario, ToneSpec
+from .rf_signals import TIME, ChirpSpec, HopSpec, RfScenario, ToneSpec
 from .photonic_link import (
     LinkModels,
     ModulatorModel,
@@ -85,27 +85,9 @@ _RUN = {
     "sweep.n_seeds": (int, 10, (">=", 1)),
 }
 
-# key (an emitter's by kind) -> closed range (lo, hi) of each of its values;
-# with harness.MAX_SAMPLES and MAX_TONES they keep every sum of a run finite,
-# and the ends of a pair held to lo < hi lie apart (README, "Ranges")
-_FREQ, _WIDTH, _TIME = (-1e13, 1e13), (1.0, 1e13), (1e-15, 1e3)
-_DB, _AMPLITUDE, _EMITTED = (0.0, 100.0), (0.0, 1e6), (1.0, 1e13)
-_RANGES = {
-    "drive.v_min_v": (0.0, 1e3), "drive.v_max_v": (0.1, 1e4), "drive.period_s": _TIME,
-    "modulator.bw_3db_hz": _WIDTH, "modulator.carrier_suppression_db": _DB,
-    "modulator.image_suppression_db": _DB,
-    "mrr.fsr_hz": (2.0, 1e13), "mrr.fwhm_hz": (1.0, 1e12), "mrr.f_offset0_hz": _FREQ,
-    "mrr.k_thermal_hz_per_v2": (1.0, 1e13), "mrr.tau_thermal_s": _TIME,
-    "mzi.fsr_hz": _WIDTH, "mzi.extinction_ratio_db": (0.1, 100.0), "mzi.f_ref_hz": _FREQ,
-    "notch.centers_hz": _FREQ, "notch.fwhm_each_hz": _WIDTH, "notch.rejection_db": _DB,
-    "pd.bw_3db_hz": _WIDTH, "pd.noise_sigma": (0.0, 1.0),
-    "tone.freq_hz": _EMITTED, "tone.amplitude": _AMPLITUDE,
-    "chirp.center_hz": _EMITTED, "chirp.span_hz": _WIDTH, "chirp.pulse_width_s": _TIME,
-    "chirp.repeat_interval_s": _TIME, "chirp.amplitude": _AMPLITUDE,
-    "hop.freqs_hz": _EMITTED, "hop.dwell_s": _TIME, "hop.amplitude": _AMPLITUDE,
-    "hop.start_s": (0.0, 1e3),
-    "ifm.duration_s": _TIME, "ifm.band_lo_hz": (0.0, 9e12), "ifm.band_hi_hz": (1.0, 1e13),
-}
+# run key that bounds a trace or a band -> its closed range (lo, hi); each
+# model key's range is its field's (rf_signals.ranged, README "Ranges")
+_RANGES = {"ifm.duration_s": TIME, "ifm.band_lo_hz": (0.0, 9e12), "ifm.band_hi_hz": (1.0, 1e13)}
 
 # every key the parser accepts: the run keys, and the model keys, whose
 # emitters repeat by an index without leading zeros (tone1, tone2, ...)
@@ -167,7 +149,7 @@ class RunConfig:
         if key not in self.values:
             self.require(default is not None, f"key {key!r}", "missing required key")
             return default
-        value = self._value(key, kind)
+        value = self._value(key, kind, _RANGES.get(key))
         if check is not None:
             op, bound = check
             ok = _CHECKS[op](value, bound)
@@ -178,19 +160,20 @@ class RunConfig:
     def mode(self) -> str:
         return self.get("mode")
 
-    def _number(self, key, token):
+    def _number(self, key, token, bounds):
         try:
             value = float(token)
         except ValueError:
             raise ConfigError(f"{self.source}: key {key!r}: not a number: {token!r}")
         if not math.isfinite(value):
             raise ConfigError(f"{self.source}: key {key!r}: not a finite number: {token!r}")
-        lo, hi = _RANGES.get(re.sub(r"^scenario\.(\D+)\d+", r"\1", key), (-math.inf, math.inf))
+        lo, hi = bounds or (-math.inf, math.inf)
         self.require(lo <= value <= hi, f"key {key!r}", f"{value!r} lies outside {lo:g}..{hi:g}")
         return value
 
-    def _value(self, key, kind):
-        """The value of a set key, parsed as kind, a model field's or run key's type."""
+    def _value(self, key, kind, bounds):
+        """The value of a set key, parsed as kind, a model field's or run key's
+        type, each number of it within the closed range bounds (None: any)."""
         token = self.values[key]
         if kind is str:
             return token
@@ -198,8 +181,8 @@ class RunConfig:
             self.require(token.lower() in _BOOLS, f"key {key!r}", f"not a boolean: {token!r}")
             return _BOOLS[token.lower()]
         if kind is tuple:
-            return tuple(self._number(key, tok) for tok in token.split(",") if tok.strip())
-        value = self._number(key, token)
+            return tuple(self._number(key, tok, bounds) for tok in token.split(",") if tok.strip())
+        value = self._number(key, token, bounds)
         if kind is float:
             return value
         self.require(value.is_integer(), f"key {key!r}", f"not an integer: {token!r}")
@@ -232,7 +215,7 @@ class RunConfig:
         for key, name in keys.items():
             full = f"{prefix}.{key}"
             if full in self.values:
-                params[name] = self._value(full, spec[name].type)
+                params[name] = self._value(full, spec[name].type, spec[name].metadata.get("range"))
             else:
                 unset = spec[name].default is MISSING and spec[name].default_factory is MISSING
                 emitter = prefix.rsplit(".", 1)[-1]

@@ -168,11 +168,6 @@ def build_lut(
             f"band width {(f_hi - f_lo) / 1e9:.1f} GHz exceeds half the MZI FSR "
             f"({mzi.fsr / 2e9:.1f} GHz); response would not be invertible"
         )
-    # the fringe phase 2 pi (f - f_ref) / fsr, at the knot farthest from f_ref
-    phase = 2.0 * math.pi * max(abs(f_lo - mzi.f_ref), abs(f_hi - mzi.f_ref)) / mzi.fsr
-    if not math.isfinite(phase):
-        raise ValueError(f"band {f_lo!r}..{f_hi!r} Hz lies too far from the MZI's f_ref "
-                         f"{mzi.f_ref!r} Hz for a finite fringe phase")
     if n_knots < 2:
         raise ValueError("need at least 2 knots")
     freqs = np.linspace(f_lo, f_hi, n_knots)

@@ -12,7 +12,7 @@ import numpy as np
 # not scipy.signal: it takes about a second to import and only the scan path
 # filters, so thermal_lag and pd_detect import it where they call it
 
-from .rf_signals import BLOCK, TimeGrid
+from .rf_signals import BLOCK, DB, FREQ, TIME, WIDTH, TimeGrid, check_ranges, ranged
 
 __all__ = [
     "ModulatorModel",
@@ -44,15 +44,12 @@ class ModulatorModel:
     fixed level.
     """
 
-    bw_3db: float = 22e9  # Hz
-    carrier_suppression: float = 25.0  # dB
-    image_sideband_suppression: float = 25.0  # dB
+    bw_3db: float = ranged(WIDTH, 22e9)  # Hz
+    carrier_suppression: float = ranged(DB, 25.0)  # dB
+    image_sideband_suppression: float = ranged(DB, 25.0)  # dB
 
     def __post_init__(self):
-        if self.bw_3db <= 0:
-            raise ValueError("modulator bandwidth must be > 0")
-        if self.carrier_suppression < 0 or self.image_sideband_suppression < 0:
-            raise ValueError("suppressions must be >= 0 dB")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -64,32 +61,28 @@ class MrrModel:
     responds with a first-order lag of time constant tau_thermal.
     """
 
-    fsr: float = 80e9  # Hz
-    fwhm: float = 875e6  # Hz, 3 dB width of the power transmission
-    f_offset0: float = 8e9  # Hz above carrier at 0 V
-    k_thermal: float = 2.0e9  # Hz / V^2
-    tau_thermal: float = 37.3e-6  # s
+    fsr: float = ranged((2.0, 1e13), 80e9)  # Hz
+    fwhm: float = ranged((1.0, 1e12), 875e6)  # Hz, 3 dB width of the power transmission
+    f_offset0: float = ranged(FREQ, 8e9)  # Hz above carrier at 0 V
+    k_thermal: float = ranged((1.0, 1e13), 2.0e9)  # Hz / V^2
+    tau_thermal: float = ranged(TIME, 37.3e-6)  # s
 
     def __post_init__(self):
-        if not (0 < self.fwhm < self.fsr):
+        check_ranges(self)
+        if not self.fwhm < self.fsr:
             raise ValueError("need 0 < fwhm < fsr")
-        if self.k_thermal <= 0 or self.tau_thermal <= 0:
-            raise ValueError("thermal coefficients must be > 0")
 
 
 @dataclass(frozen=True)
 class MziModel:
     """Asymmetric MZI with complementary sinusoidal output ports."""
 
-    fsr: float = 144e9  # Hz
-    extinction_ratio: float = 18.0  # dB
-    f_ref: float = 0.0  # Hz, frequency of the port-1 maximum
+    fsr: float = ranged(WIDTH, 144e9)  # Hz
+    extinction_ratio: float = ranged((0.1, 100.0), 18.0)  # dB
+    f_ref: float = ranged(FREQ, 0.0)  # Hz, frequency of the port-1 maximum
 
     def __post_init__(self):
-        if self.fsr <= 0:
-            raise ValueError("fsr must be > 0")
-        if not 0 < self.extinction_ratio <= 3000:  # 10 ** (dB / 10) overflows past 3082 dB
-            raise ValueError("extinction ratio must be > 0 and <= 3000 dB")
+        check_ranges(self)
 
     @property
     def fringe_contrast(self) -> float:
@@ -102,18 +95,15 @@ class MziModel:
 class NotchFilterModel:
     """Cascaded ring notches; staggering the centers broadens the stopband."""
 
-    centers: tuple = (10e9,)  # Hz, 1-3 entries
-    fwhm_each: float = 300e6  # Hz
-    rejection: float = 20.0  # dB per ring
+    centers: tuple = ranged(FREQ, (10e9,))  # Hz, 1-3 entries
+    fwhm_each: float = ranged(WIDTH, 300e6)  # Hz
+    rejection: float = ranged(DB, 20.0)  # dB per ring; a negative one would amplify
 
     def __post_init__(self):
         object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
+        check_ranges(self)
         if not 1 <= len(self.centers) <= 3:
             raise ValueError("need 1-3 notch centers")
-        if self.fwhm_each <= 0:
-            raise ValueError("fwhm_each must be > 0")
-        if self.rejection < 0:  # a negative rejection would amplify
-            raise ValueError("rejection must be >= 0 dB")
 
 
 @dataclass(frozen=True)
@@ -124,14 +114,11 @@ class PdModel:
     detected power; the noise seed belongs to each pd_detect call.
     """
 
-    bw_3db: float = 33e9  # Hz
-    noise_sigma: float = 0.01
+    bw_3db: float = ranged(WIDTH, 33e9)  # Hz
+    noise_sigma: float = ranged((0.0, 1.0), 0.01)
 
     def __post_init__(self):
-        if self.bw_3db <= 0:
-            raise ValueError("PD bandwidth must be > 0")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)

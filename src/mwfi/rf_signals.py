@@ -7,7 +7,7 @@ depends only on the detuning between these component frequencies and the
 filter frequencies, so RF carriers are never sampled.
 """
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 import math
 
 import numpy as np
@@ -15,6 +15,12 @@ import numpy as np
 # samples per block of tracks: the power sum and the scoring pass evaluate one
 # block at a time, so their per-sample temporaries stay this long
 BLOCK = 16384
+
+# closed ranges (lo, hi) of the model and emitter fields, each declared on its
+# field; with harness.MAX_SAMPLES and MAX_TONES they keep every sum of a run
+# finite, and the ends of a pair held to lo < hi lie apart (README, "Ranges")
+FREQ, WIDTH, TIME = (-1e13, 1e13), (1.0, 1e13), (1e-15, 1e3)
+DB, AMPLITUDE, EMITTED = (0.0, 100.0), (0.0, 1e6), (1.0, 1e13)
 
 __all__ = [
     "TimeGrid",
@@ -36,7 +42,7 @@ class TimeGrid:
     n_samples: int
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValueError("sample_rate must be > 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
@@ -58,24 +64,34 @@ class TimeGrid:
         return np.arange(*block.indices(self.n_samples)) / self.sample_rate
 
 
-def _check_amplitude(amplitude: float):
-    """Refuse a negative amplitude, or one whose power amplitude**2 overflows
-    (a * a gives inf where a**2 raises)."""
-    if not (amplitude >= 0 and math.isfinite(amplitude * amplitude)):
-        raise ValueError(f"amplitude must be >= 0 with a finite square, got {amplitude!r}")
+def ranged(bounds, default=MISSING):
+    """A dataclass field whose value, or each value of a tuple, must lie in
+    the closed range bounds = (lo, hi); check_ranges enforces it, and
+    config.RunConfig checks each key against it where it parses it."""
+    return field(default=default, metadata={"range": bounds})
+
+
+def check_ranges(model):
+    """Refuse a value of a ranged field of model outside its range; NaN lies
+    outside every range."""
+    for f in fields(model):
+        if "range" in f.metadata:
+            lo, hi = f.metadata["range"]
+            value = getattr(model, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not lo <= v <= hi:
+                    raise ValueError(f"{f.name} {float(v)!r} lies outside {lo:g}..{hi:g}")
 
 
 @dataclass(frozen=True)
 class ToneSpec:
     """Always-on single tone."""
 
-    freq: float  # Hz
-    amplitude: float = 1.0  # linear field scale; power contribution is amplitude**2
+    freq: float = ranged(EMITTED)  # Hz
+    amplitude: float = ranged(AMPLITUDE, 1.0)  # linear field scale; power is amplitude**2
 
     def __post_init__(self):
-        if self.freq <= 0:
-            raise ValueError("tone frequency must be > 0")
-        _check_amplitude(self.amplitude)
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -87,23 +103,21 @@ class ChirpSpec:
     is off until the next repeat.
     """
 
-    center: float  # Hz
-    span: float  # Hz
-    pulse_width: float  # s
-    repeat_interval: float  # s
-    amplitude: float = 1.0
+    center: float = ranged(EMITTED)  # Hz
+    span: float = ranged(WIDTH)  # Hz
+    pulse_width: float = ranged(TIME)  # s
+    repeat_interval: float = ranged(TIME)  # s
+    amplitude: float = ranged(AMPLITUDE, 1.0)
     direction: str = "up"  # "up" or "down"
 
     def __post_init__(self):
-        if self.span <= 0:
-            raise ValueError("chirp span must be > 0")
+        check_ranges(self)
         if self.center - self.span / 2.0 <= 0:
             raise ValueError("chirp low end center - span/2 must be > 0 Hz")
-        if not (0 < self.pulse_width <= self.repeat_interval):
+        if not self.pulse_width <= self.repeat_interval:
             raise ValueError("need 0 < pulse_width <= repeat_interval")
         if self.direction not in ("up", "down"):
             raise ValueError("direction must be 'up' or 'down'")
-        _check_amplitude(self.amplitude)
 
     def inst_freq(self, phase: np.ndarray) -> np.ndarray:
         """Instantaneous frequency for in-pulse phase offsets (0 <= phase < pulse_width)."""
@@ -121,21 +135,17 @@ class HopSpec:
     (half-open dwell windows).
     """
 
-    freqs: tuple  # Hz, ordered
-    dwell: float  # s
-    amplitude: float = 1.0
-    start: float = 0.0
+    freqs: tuple = ranged(EMITTED)  # Hz, ordered
+    dwell: float = ranged(TIME)  # s
+    amplitude: float = ranged(AMPLITUDE, 1.0)
+    start: float = ranged((0.0, 1e3), 0.0)  # s
     repeat: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", tuple(float(f) for f in self.freqs))
+        check_ranges(self)
         if not self.freqs:
             raise ValueError("hop sequence needs at least one frequency")
-        if any(f <= 0 for f in self.freqs):
-            raise ValueError("hop frequencies must be > 0")
-        if self.dwell <= 0:
-            raise ValueError("dwell must be > 0")
-        _check_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 # their noise on a worker thread import it.
 
 from ._csv import write_columns
-from .rf_signals import RfScenario, TimeGrid, ToneSpec, component_tracks
+from .rf_signals import TIME, RfScenario, TimeGrid, ToneSpec, check_ranges, component_tracks, ranged
 from .photonic_link import (
     LinkModels,
     MrrModel,
@@ -74,16 +74,15 @@ class SawtoothDrive:
     """Heater drive: one v_min -> v_max ramp over period, a scan's length,
     starting at t = 0."""
 
-    v_min: float = 0.0
-    v_max: float = 4.0
-    period: float = 0.25
+    # a ramp through 0 V would heat, cool and heat again: the scan turns back
+    v_min: float = ranged((0.0, 1e3), 0.0)
+    v_max: float = ranged((0.1, 1e4), 4.0)
+    period: float = ranged(TIME, 0.25)
 
     def __post_init__(self):
-        # a ramp through 0 V would heat, cool and heat again: the scan turns back
-        if not 0 <= self.v_min < self.v_max:
+        check_ranges(self)
+        if not self.v_min < self.v_max:
             raise ValueError("need 0 <= v_min < v_max")
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
 
     def voltage(self, t) -> np.ndarray:
         return self.v_min + (self.v_max - self.v_min) * (np.asarray(t, dtype=float) / self.period)

@@ -1050,6 +1050,20 @@ RANGE_BASES = {
 }
 
 
+def _field_ranges():
+    """{config key: range} of every ranged model field, an emitter's keyed by kind."""
+    ranges = {}
+    for section, (model, keys) in _SECTIONS.items():
+        spec = {f.name: f for f in dataclasses.fields(model)}
+        ranges.update((f"{section}.{key}", spec[name].metadata["range"])
+                      for key, name in keys.items() if "range" in spec[name].metadata)
+    return ranges
+
+
+# every ranged key: the model fields' own ranges and the run keys' _RANGES
+RANGES = _field_ranges() | _RANGES
+
+
 def _range_config(key, end, value):
     """(mode, config key, text) of a config whose mode reads ranged key at
     value, with the lines RANGE_BASES gives for its low (end 0) or high end."""
@@ -1064,9 +1078,9 @@ def _range_config(key, end, value):
     return values["mode"], name, "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
-@pytest.mark.parametrize("key", sorted(_RANGES))
+@pytest.mark.parametrize("key", sorted(RANGES))
 def test_ranged_key_admits_its_ends_and_refuses_past_them(tmp_path, capsys, key):
-    lo, hi = _RANGES[key]
+    lo, hi = RANGES[key]
     for end, past in enumerate((math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))):
         try:
             build_plan(RunConfig.from_text(_range_config(key, end, (lo, hi)[end])[2]))
@@ -1086,18 +1100,19 @@ def test_every_numeric_model_key_has_a_range():
     numeric = {f"{section}.{key}" for section, (model, keys) in _SECTIONS.items()
                for key, name in keys.items()
                if {f.name: f.type for f in dataclasses.fields(model)}[name] in (float, tuple)}
-    assert set(_RANGES) == numeric | {"ifm.duration_s", "ifm.band_lo_hz", "ifm.band_hi_hz"}
-    assert all(lo < hi for lo, hi in _RANGES.values())
+    assert set(_field_ranges()) == numeric
+    assert set(_RANGES) == {"ifm.duration_s", "ifm.band_lo_hz", "ifm.band_hi_hz"}
+    assert len(RANGES) == 33 and all(lo < hi for lo, hi in RANGES.values())
 
 
 def test_readme_range_table_matches_the_config():
-    # a range cannot change in config._RANGES or in README's table alone
+    # a range cannot change in a model field, config._RANGES or README's table alone
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([a-zN0-9_.]+)` \| (\S+) to (\S+) \|", readme, re.MULTILINE)
     documented = {re.sub(r"^scenario\.([a-z]+)N\.", r"\1.", key): (float(lo), float(hi))
                   for key, lo, hi in rows}
     assert len(documented) == len(rows)
-    assert documented == _RANGES
+    assert documented == RANGES
 
 
 def test_run_defaults_match_the_engine_defaults():
@@ -1459,20 +1474,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"config error: {bad}: key 'scenario.chirp1.pulse_width_s': " in err
         assert not out.exists()
-
-    def test_hop_count_past_int64_still_hops(self, tmp_path):
-        # 0.02 s holds 2e20 dwells of 1e-22 s, past 2**63: an int64 dwell
-        # count overflowed to INT_MIN, and the scan read as one tone. A config
-        # refuses a dwell under 1e-15 s, so the hop is given to the plan
-        cfg = RunConfig.from_text(f"mode = classify\ndrive.period_s = 0.02\n{HOP_3}\n"
-                                  "scenario.hop1.dwell_s = 1e-15\n")
-        try:
-            plan = build_plan(cfg)
-            hop = dataclasses.replace(plan.scenario.hops[0], dwell=1e-22)
-            plan = dataclasses.replace(plan, scenario=RfScenario(hops=(hop,)))
-            assert _run_mode(plan, 1, tmp_path).classification == "hopping"
-        finally:
-            _scan_axis.cache_clear()
 
     @pytest.mark.parametrize(
         "line",

@@ -17,6 +17,7 @@ from mwfi.photonic_link import (
 from mwfi.rf_signals import ChirpSpec, HopSpec, RfScenario, TimeGrid, ToneSpec
 from mwfi.ifm_engine import (
     AcfLut,
+    IfmTrace,
     build_lut,
     estimate_static_frequency,
     extract_inst_freq,
@@ -233,6 +234,11 @@ class TestSimulateIfm:
         trace = simulate_ifm(RfScenario(tones=(ToneSpec(freq=15e9),)), NOISELESS, grid)
         expected = unit_tone_power_oracle(15e9)
         np.testing.assert_allclose(trace.power, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_trace_power_must_match_its_grid(self, n):
+        with pytest.raises(ValueError, match="power length must equal grid.n_samples"):
+            IfmTrace(TimeGrid(sample_rate=1e9, n_samples=8), np.zeros(n), port=2)
 
     def test_undersampled_hop_dwell_rejected(self):
         grid = TimeGrid(sample_rate=1e7, n_samples=100)  # 0.8 samples per dwell

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -181,9 +182,15 @@ class TestMrr:
     def test_resonance_offset_rejects_negative_voltage(self):
         # V^2 cannot be negative; the drive refuses a ramp through 0 V, on
         # which the heating, and so the scan, would turn back
-        with pytest.raises(ValueError, match="0 <= v_min"):
+        with pytest.raises(ValueError, match=re.escape("v_min -1.0 lies outside 0..1000")):
             SawtoothDrive(v_min=-1.0)
         SawtoothDrive(v_min=0.0)
+
+    @pytest.mark.parametrize("fwhm", [80e9, 100e9])
+    def test_fwhm_must_lie_below_the_fsr(self, fwhm):
+        # each lies in its own range; the pair does not: one line would fill the comb
+        with pytest.raises(ValueError, match="need 0 < fwhm < fsr"):
+            MrrModel(fsr=80e9, fwhm=fwhm)
 
 
 class TestThermalLag:
@@ -357,7 +364,7 @@ class TestPd:
 
     @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
     def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
-        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        with pytest.raises(ValueError, match=re.escape(f"noise_sigma {sigma!r} lies outside 0..1")):
             PdModel(noise_sigma=sigma)
 
     @pytest.mark.parametrize("rate", [1e6, 100e9])  # transparent, low-pass

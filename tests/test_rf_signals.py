@@ -1,12 +1,17 @@
+import dataclasses
 import math
-import sys
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwfi.photonic_link import BLOCK
+from mwfi.photonic_link import (
+    BLOCK, ModulatorModel, MrrModel, MziModel, NotchFilterModel, PdModel,
+)
+from mwfi.scan_engine import SawtoothDrive
 from mwfi.rf_signals import (
+    TIME,
     ChirpSpec,
     HopSpec,
     RfScenario,
@@ -255,15 +260,6 @@ def test_block_tracks_equal_whole_grid_slices(hop, rate, n, data):
             assert np.array_equal(g, w[block] if np.ndim(w) else w)
 
 
-def _shortest_countable(duration):
-    """The shortest repeat interval or dwell that build_plan accepts over a
-    grid of that duration: duration / period must be a finite float."""
-    period = duration / sys.float_info.max
-    while not math.isfinite(duration / period):
-        period = float(np.nextafter(period, np.inf))
-    return period
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     rate=st.floats(1e6, 1e10),
@@ -279,17 +275,16 @@ def _shortest_countable(duration):
 def test_tracks_equal_the_oracle_down_to_the_shortest_period(
     rate, n, repeat_at, dwell_at, duty, start_at, freqs, repeat, data
 ):
-    # periods log-uniform from the refusal limit up to 1 ms: below about
-    # duration / 2**63 an int64 dwell count overflowed to INT_MIN
+    # periods log-uniform from the low end of their range, 1e-15 s, up to 1 ms
     grid = TimeGrid(sample_rate=rate, n_samples=n)
-    shortest = _shortest_countable(grid.duration)
+    shortest = TIME[0]
 
     def log_uniform(at):
         lo, hi = math.log(shortest), math.log(1e-3)
         return min(max(math.exp(lo + at * (hi - lo)), shortest), 1e-3)
 
     repeat_interval = log_uniform(repeat_at)
-    chirp = ChirpSpec(15e9, 4e9, duty * repeat_interval, repeat_interval)
+    chirp = ChirpSpec(15e9, 4e9, max(duty * repeat_interval, shortest), repeat_interval)
     hop = HopSpec(freqs, log_uniform(dwell_at), start=start_at * grid.duration, repeat=repeat)
     sc = RfScenario(chirps=(chirp,), hops=(hop,))
     tracks = component_tracks(sc, grid)
@@ -362,11 +357,30 @@ def test_sole_component_freq_across_blocks():
 
 def test_short_pulse_tracks_stay_finite():
     # found by test_drawn_scenario_runs_finite_or_names_what_it_holds: the
-    # ramp of the off samples' phases overflowed for this pulse width
-    chirp = ChirpSpec(15e9, 4e9, pulse_width=1e-310, repeat_interval=1e-7)
-    grid = TimeGrid(sample_rate=2e9, n_samples=400)
+    # ramp of the off samples' phases overflowed for a 1e-310 s pulse. The
+    # pulse's range ends at 1e-15 s, but a library grid has no range: times
+    # up to 4e305 s round the off phases up to 3.9e289 s, whose ramp overflows
+    chirp = ChirpSpec(15e9, 4e9, pulse_width=1e-15, repeat_interval=1e3)
+    grid = TimeGrid(sample_rate=1e-303, n_samples=400)
     ((freq, _, active),) = component_tracks(RfScenario(chirps=(chirp,)), grid)
     assert np.all(np.isfinite(freq)) and active[0] and freq[0] == 13e9
+    assert not active.all()
+
+
+def test_hop_count_past_int64_still_hops():
+    # times past 9.3e3 s hold more than 2**63 dwells of 1e-15 s: an int64
+    # dwell count overflowed to INT_MIN, and the hop read as one tone. A
+    # config cannot reach it (a scan lasts at most 1e3 s), a library grid can
+    hop = HopSpec(freqs=(10e9, 13e9, 18e9), dwell=TIME[0])
+    grid = TimeGrid(sample_rate=1e-3, n_samples=40)
+    ((freq, _, active),) = component_tracks(RfScenario(hops=(hop,)), grid)
+    times = grid.times()
+    assert (times / hop.dwell > 2.0**63).sum() > 20 and active.all()
+    assert [(f,) for f in freq] == [
+        tuple(f for f, _ in instantaneous_components(RfScenario(hops=(hop,)), float(t)))
+        for t in times
+    ]
+    assert set(freq[times > 9.3e3]) == set(hop.freqs)
 
 
 def test_negative_time_rejected():
@@ -391,11 +405,59 @@ def test_negative_time_rejected():
         lambda: ChirpSpec(center=2e9, span=4e9, pulse_width=1e-6, repeat_interval=1e-6),
         lambda: ChirpSpec(15e9, 4e9, 1e-6, 1e-6, amplitude=-1.0),
         lambda: HopSpec(freqs=(1e9,), dwell=1e-6, amplitude=-2.0),
-        # amplitude**2 overflows a float
+        # outside its range: amplitude**2 overflows a float
         lambda: ToneSpec(freq=1e9, amplitude=1e200),
         lambda: HopSpec(freqs=(1e9,), dwell=1e-6, amplitude=float("nan")),
+        # NaN times: a 15 GHz tone's IFM trace read about 0.079 W at each of them
+        lambda: TimeGrid(sample_rate=math.nan, n_samples=8),
     ],
 )
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+MODELS = (ModulatorModel, MrrModel, MziModel, NotchFilterModel, PdModel, SawtoothDrive,
+          ToneSpec, ChirpSpec, HopSpec)
+# (model, field, range, whether the field is a tuple) of every ranged field
+RANGED = [(model, f.name, f.metadata["range"], f.type is tuple) for model in MODELS
+          for f in dataclasses.fields(model) if "range" in f.metadata]
+# the fields a model without defaults needs, valid together
+REQUIRED = {
+    ToneSpec: {"freq": 15e9},
+    ChirpSpec: {"center": 15e9, "span": 4e9, "pulse_width": 1e-7, "repeat_interval": 1e-6},
+    HopSpec: {"freqs": (10e9,), "dwell": 1e-7},
+}
+# (model, field, end 0 or 1) -> the partners that end of the field's range
+# needs beside it, where the defaults break a cross-field check
+PARTNERS = {
+    (MrrModel, "fsr", 0): {"fwhm": 1.0},
+    (MrrModel, "fwhm", 1): {"fsr": 1e13},
+    (SawtoothDrive, "v_min", 1): {"v_max": 1e4},
+    (ChirpSpec, "center", 0): {"span": 1.0},
+    (ChirpSpec, "span", 1): {"center": 1e13},
+    (ChirpSpec, "pulse_width", 1): {"repeat_interval": 1e3},
+    (ChirpSpec, "repeat_interval", 0): {"pulse_width": 1e-15},
+}
+
+
+def test_every_numeric_field_declares_its_range():
+    numeric = [(model, f.name) for model in MODELS for f in dataclasses.fields(model)
+               if f.type in (float, tuple)]
+    assert [(model, name) for model, name, _, _ in RANGED] == numeric
+    assert len(RANGED) == 30 and all(lo < hi for _, _, (lo, hi), _ in RANGED)
+
+
+@pytest.mark.parametrize("model, name, bounds, is_tuple", RANGED,
+                         ids=[f"{model.__name__}.{name}" for model, name, _, _ in RANGED])
+def test_ranged_field_admits_its_ends_and_refuses_past_and_nan(model, name, bounds, is_tuple):
+    # every constructor, not only the config reader, holds each field to its
+    # range, each value of a tuple included; NaN lies outside every range
+    wrap = (lambda v: (v,)) if is_tuple else (lambda v: v)
+    for end, at in enumerate(bounds):
+        args = {**REQUIRED.get(model, {}), **PARTNERS.get((model, name, end), {})}
+        assert getattr(model(**{**args, name: wrap(at)}), name) == wrap(at)
+        for bad in (math.nextafter(at, (-math.inf, math.inf)[end]), math.nan):
+            error = f"{name} {bad!r} lies outside {bounds[0]:g}..{bounds[1]:g}"
+            with pytest.raises(ValueError, match=re.escape(error)):
+                model(**{**args, name: wrap(bad)})

@@ -62,6 +62,11 @@ def crossing_time_oracle(models, drive, grid, f_target):
 
 
 class TestSimulateScan:
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_trace_power_must_match_its_grid(self, n):
+        with pytest.raises(ValueError, match="power length must equal grid.n_samples"):
+            ScanTrace(TimeGrid(sample_rate=1e6, n_samples=8), np.zeros(n))
+
     def test_empty_scenario_all_zero(self, noiseless_models, drive, grid_1ms):
         trace = simulate_scan(RfScenario(), noiseless_models, drive, grid_1ms)
         assert np.all(trace.power == 0.0)
